@@ -31,6 +31,7 @@ from .tensor import (
     DegreeMismatch,
     GradedTensor,
     VarianceMismatch,
+    _accumulate,
     contract,
     hodge,
     wedge,
@@ -48,16 +49,8 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
             if g.is_zero():
                 continue
             key, sign = merge_sign((i,), idx)
-            if sign == 0:
-                continue
-            if sign < 0:
-                g = -g
-            acc = out.get(key)
-            total = g if acc is None else acc + g
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
+            if sign:
+                _accumulate(out, key, sign, g)
     return GradedTensor._raw(FORM, beta.degree + 1, out)
 
 
@@ -96,21 +89,17 @@ def homotopy_primitive(beta: GradedTensor) -> GradedTensor:
         raise DegreeMismatch("a degree-0 form has no primitive of lower degree")
     if k > DIM:
         return GradedTensor.zero(FORM, k - 1)
-    out = GradedTensor.zero(FORM, k - 1)
+    out: dict[MultiIndex, Polynomial] = {}
     for idx, poly in beta.terms.items():
         for exp, c in poly.terms.items():
             weight = c / (k + sum(exp))
             # E _| dx^idx expanded slot by slot, scaled by x^exp
-            pieces: dict[MultiIndex, Polynomial] = {}
             for slot, j in enumerate(idx):
                 raised = list(exp)
                 raised[j] += 1
                 mono = Polynomial({tuple(raised): weight if slot % 2 == 0 else -weight})
-                key = idx[:slot] + idx[slot + 1 :]
-                acc = pieces.get(key)
-                pieces[key] = mono if acc is None else acc + mono
-            out = out + GradedTensor._raw(FORM, k - 1, pieces)
-    return out
+                _accumulate(out, idx[:slot] + idx[slot + 1 :], 1, mono)
+    return GradedTensor._raw(FORM, k - 1, out)
 
 
 @dataclass(frozen=True)
@@ -166,28 +155,21 @@ def lie_derivative_multivector(x: GradedTensor, t: GradedTensor) -> GradedTensor
     if t.variance != MULTIVECTOR:
         raise VarianceMismatch("lie_derivative_multivector acts on multivectors")
     components = {idx[0]: poly for idx, poly in x.terms.items()}
-    out = GradedTensor.zero(MULTIVECTOR, t.degree)
+    out: dict[MultiIndex, Polynomial] = {}
     for jdx, f in t.terms.items():
         transported = Polynomial.zero()
         for m, xm in components.items():
             transported = transported + xm * f.diff(m)
-        if not transported.is_zero():
-            out = out + GradedTensor(MULTIVECTOR, t.degree, {jdx: transported})
+        _accumulate(out, jdx, 1, transported)
         for slot, j in enumerate(jdx):
             for m, xm in components.items():
                 rate = xm.diff(j)
                 if rate.is_zero():
                     continue
                 key, sign = canonicalize(jdx[:slot] + (m,) + jdx[slot + 1 :])
-                if sign == 0:
-                    continue
-                coeff = -(f * rate)
-                if sign < 0:
-                    coeff = -coeff
-                out = out + GradedTensor._raw(
-                    MULTIVECTOR, t.degree, {key: coeff}
-                )
-    return out
+                if sign:
+                    _accumulate(out, key, -sign, f * rate)
+    return GradedTensor._raw(MULTIVECTOR, t.degree, out)
 
 
 def schouten(q1: GradedTensor, q2: GradedTensor) -> GradedTensor:
@@ -208,7 +190,7 @@ def schouten(q1: GradedTensor, q2: GradedTensor) -> GradedTensor:
         return GradedTensor.zero(MULTIVECTOR, -1)
     if q1.degree == 0:
         return schouten(q2, q1)
-    out = GradedTensor.zero(MULTIVECTOR, q1.degree + q2.degree - 1)
+    out: dict[MultiIndex, Polynomial] = {}
     for jdx, f in q1.terms.items():
         for i, j in enumerate(jdx):
             factor = GradedTensor(
@@ -218,8 +200,10 @@ def schouten(q1: GradedTensor, q2: GradedTensor) -> GradedTensor:
             rest_coeff: Polynomial | Fraction = Fraction(1) if i == 0 else f
             rest = GradedTensor(MULTIVECTOR, len(rest_idx), {rest_idx: rest_coeff})
             term = wedge(rest, lie_derivative_multivector(factor, q2))
-            out = out + term if i % 2 == 0 else out - term
-    return out
+            sign = 1 if i % 2 == 0 else -1
+            for key, coeff in term.terms.items():
+                _accumulate(out, key, sign, coeff)
+    return GradedTensor._raw(MULTIVECTOR, q1.degree + q2.degree - 1, out)
 
 
 __all__ = [

@@ -11,7 +11,6 @@ import json
 import sys
 
 from .calculus import exterior_derivative, homotopy_pair
-from .polynomial import Polynomial
 from .serialize import (
     ParseError,
     document_to_tensor,
@@ -39,8 +38,12 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON: {path} is nested too deeply") from None
 
 
 def _emit(payload, fmt: str, text_renderer) -> None:
@@ -49,10 +52,6 @@ def _emit(payload, fmt: str, text_renderer) -> None:
         sys.stdout.write("\n")
     else:
         text_renderer(payload)
-
-
-def _poly_str(poly: Polynomial) -> str:
-    return repr(poly)
 
 
 def cmd_decompose(args) -> int:
@@ -86,7 +85,7 @@ def cmd_decompose(args) -> int:
         print(f"flattened: {p['flattened_from_multivector']}")
         for name in sorted(report.components):
             print(f"{name}: {report.components[name]!r}")
-            print(f"  |.|^2 = {_poly_str(report.norms()[name])}")
+            print(f"  |.|^2 = {report.norms()[name]!r}")
         for key, value in p["residuals"].items():
             print(f"residual {key} = {value}")
 
@@ -205,7 +204,6 @@ def cmd_rank_report(args) -> int:
     payload = {"maps": rows}
 
     def render(p):
-        widths = (30, 8, 5, 11)
         print(f"{'map':<30}{'shape':<8}{'rank':<5}{'kernel':<11}eigenvalues")
         for row in rows:
             print(
@@ -218,12 +216,16 @@ def cmd_rank_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_checks(
-        scope=args.scope,
-        seed=args.seed,
-        cases=args.cases,
-        star_flip_degree=args.mutate_hodge,
-    )
+    try:
+        report = run_checks(
+            scope=args.scope,
+            seed=args.seed,
+            cases=args.cases,
+            star_flip_degree=args.mutate_hodge,
+        )
+    except ValueError as exc:  # --cases or --mutate-hodge out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     def render(p):
         for check in p["checks"]:

@@ -44,10 +44,6 @@ class ExactMatrix:
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Rational]]) -> "ExactMatrix":
         ncols = len(columns)
         nrows = len(columns[0])
@@ -106,12 +102,6 @@ class ExactMatrix:
     def column(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.rows]
 
-    def apply(self, vector: Sequence[Rational]) -> list[Fraction]:
-        if len(vector) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        vec = [as_fraction(v) for v in vector]
-        return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.rows]
-
     def _check_same_shape(self, other: "ExactMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
@@ -168,19 +158,13 @@ class ExactMatrix:
             if self.nrows != self.ncols:
                 raise SingularMatrixError("only square matrices invert")
             n = self.nrows
-            aug = ExactMatrix(
-                [self.rows[i] + ExactMatrix.identity(n).rows[i] for i in range(n)]
-            )
+            identity = ExactMatrix.identity(n).rows
+            aug = ExactMatrix([row + unit for row, unit in zip(self.rows, identity)])
             rref, pivots = aug.rref()
             if pivots[:n] != list(range(n)):
                 raise SingularMatrixError("matrix is singular")
             self._inverse = ExactMatrix([row[n:] for row in rref])
         return self._inverse
-
-    def column_span_contains(self, vector: Sequence[Rational]) -> bool:
-        vec = [as_fraction(v) for v in vector]
-        extended = ExactMatrix([row + [v] for row, v in zip(self.rows, vec)])
-        return extended.rank() == self.rank()
 
     def column_span_equals(self, other: "ExactMatrix") -> bool:
         """Whether two matrices with equal row counts span the same column space."""

@@ -26,7 +26,7 @@ from typing import Any
 
 from .multiindex import DIM, canonicalize
 from .polynomial import Polynomial
-from .tensor import FORM, MULTIVECTOR, GradedTensor
+from .tensor import FORM, MULTIVECTOR, GradedTensor, _accumulate
 
 
 class ParseError(ValueError):
@@ -120,11 +120,8 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
                     stacklevel=2,
                 )
             continue
-        if sign < 0:
-            coeff = -coeff
-        acc = accumulated.get(key)
-        accumulated[key] = coeff if acc is None else acc + coeff
-    return GradedTensor(variance, degree, accumulated)
+        _accumulate(accumulated, key, sign, coeff)
+    return GradedTensor._raw(variance, degree, accumulated)
 
 
 def tensor_to_document(t: GradedTensor) -> dict[str, Any]:

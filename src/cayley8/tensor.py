@@ -15,7 +15,14 @@ innermost::
     (u1 ^ u2 ^ ... ^ ul) _| beta  =  ul _| ( ... (u2 _| (u1 _| beta)))
 
 Every sign-sensitive identity in this package and its test suite assumes
-this order; it is fixed once here as :data:`FIRST_FACTOR_CONTRACTS_FIRST`.
+this order; :func:`cayley8.multiindex.contraction` computes its sign.
+
+Signed accumulation
+-------------------
+Every tensor-building loop adds its signed terms through
+:func:`_accumulate`, which drops a key as soon as its coefficient cancels,
+so no stored tensor ever holds a zero coefficient.  Bilinear products
+(``wedge``, ``contract``) run the single pair loop :func:`_bilinear`.
 
 Values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads without locking.
@@ -40,11 +47,6 @@ from .polynomial import Polynomial, Rational, as_fraction, as_polynomial
 
 FORM = "form"
 MULTIVECTOR = "multivector"
-
-#: The first wedge factor of a decomposable multivector is contracted first.
-#: Single documented home of the convention; do not flip.
-FIRST_FACTOR_CONTRACTS_FIRST = True
-
 
 class TensorError(ValueError):
     """Base class for shape errors on graded tensors."""
@@ -97,14 +99,7 @@ class GradedTensor:
                     raise DegreeMismatch(
                         f"index {tuple(idx)} has length {len(key)}, expected {degree}"
                     )
-                if sign < 0:
-                    poly = -poly
-                acc = clean.get(key)
-                total = poly if acc is None else acc + poly
-                if total.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = total
+                _accumulate(clean, key, sign, poly)
         object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
@@ -120,10 +115,11 @@ class GradedTensor:
 
     @classmethod
     def _raw(cls, variance: str, degree: int, terms: dict[MultiIndex, Polynomial]) -> "GradedTensor":
+        """Wrap ``terms`` as they are: sorted keys of length ``degree``, no zeros."""
         out = cls.__new__(cls)
         object.__setattr__(out, "variance", variance)
         object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "terms", {k: v for k, v in terms.items() if not v.is_zero()})
+        object.__setattr__(out, "terms", terms)
         return out
 
     # -- inspection ----------------------------------------------------
@@ -180,12 +176,7 @@ class GradedTensor:
         self._check_addable(other)
         out = dict(self.terms)
         for idx, poly in other.terms.items():
-            acc = out.get(idx)
-            total = poly if acc is None else acc + poly
-            if total.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = total
+            _accumulate(out, idx, 1, poly)
         degree = other.degree if self.is_zero() else self.degree
         return GradedTensor._raw(self.variance, degree, out)
 
@@ -245,6 +236,36 @@ def scalar_tensor(poly: Coefficient, variance: str = FORM) -> GradedTensor:
     return GradedTensor(variance, 0, {(): poly})
 
 
+# -- signed accumulation -----------------------------------------------------
+
+
+def _accumulate(out: dict[MultiIndex, Polynomial], key: MultiIndex, sign: int, poly: Polynomial) -> None:
+    """Add ``sign * poly`` into ``out[key]``; a coefficient that cancels is dropped."""
+    if sign < 0:
+        poly = -poly
+    acc = out.get(key)
+    total = poly if acc is None else acc + poly
+    if total.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = total
+
+
+def _bilinear(a: GradedTensor, b: GradedTensor, pair) -> dict[MultiIndex, Polynomial]:
+    """Sum ``sign * pa * pb`` into ``key`` over all term pairs of ``a`` and ``b``.
+
+    ``pair(ia, ib)`` returns ``(key, sign)``, or ``None`` or sign 0 when the
+    pair of basis elements contributes nothing.
+    """
+    out: dict[MultiIndex, Polynomial] = {}
+    for ia, pa in a.terms.items():
+        for ib, pb in b.terms.items():
+            hit = pair(ia, ib)
+            if hit and hit[1]:
+                _accumulate(out, hit[0], hit[1], pa * pb)
+    return out
+
+
 # -- core operations -------------------------------------------------------
 
 
@@ -255,22 +276,7 @@ def wedge(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     degree = a.degree + b.degree
     if degree > DIM:
         return GradedTensor.zero(a.variance, degree)
-    out: dict[MultiIndex, Polynomial] = {}
-    for ia, pa in a.terms.items():
-        for ib, pb in b.terms.items():
-            key, sign = merge_sign(ia, ib)
-            if sign == 0:
-                continue
-            poly = pa * pb
-            if sign < 0:
-                poly = -poly
-            acc = out.get(key)
-            total = poly if acc is None else acc + poly
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return GradedTensor._raw(a.variance, degree, out)
+    return GradedTensor._raw(a.variance, degree, _bilinear(a, b, merge_sign))
 
 
 def contract(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
@@ -287,23 +293,7 @@ def contract(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
         raise DegreeMismatch(
             f"cannot contract a degree-{q.degree} multivector into a degree-{beta.degree} form"
         )
-    out: dict[MultiIndex, Polynomial] = {}
-    for iq, pq in q.terms.items():
-        for ib, pb in beta.terms.items():
-            hit = contraction(iq, ib)
-            if hit is None:
-                continue
-            key, sign = hit
-            poly = pq * pb
-            if sign < 0:
-                poly = -poly
-            acc = out.get(key)
-            total = poly if acc is None else acc + poly
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return GradedTensor._raw(FORM, beta.degree - q.degree, out)
+    return GradedTensor._raw(FORM, beta.degree - q.degree, _bilinear(q, beta, contraction))
 
 
 def hodge(beta: GradedTensor) -> GradedTensor:
@@ -399,10 +389,11 @@ def pullback_linear(matrix, t: GradedTensor) -> GradedTensor:
         GradedTensor(t.variance, 1, {(j,): frame_rows[i][j] for j in range(DIM)})
         for i in range(DIM)
     ]
-    out = GradedTensor.zero(t.variance, t.degree)
+    out: dict[MultiIndex, Polynomial] = {}
     for idx, poly in t.terms.items():
         term = scalar_tensor(poly.compose_linear(rows), t.variance)
         for i in idx:
             term = wedge(term, images[i])
-        out = out + term
-    return out
+        for key, coeff in term.terms.items():
+            _accumulate(out, key, 1, coeff)
+    return GradedTensor._raw(t.variance, t.degree, out)

@@ -250,42 +250,19 @@ def _check_musical_inverse(ctx: CheckContext) -> Fraction:
     return residual
 
 
-def _vector_identity_cases(ctx: CheckContext, which: int) -> Fraction:
-    rng = ctx.rng(f"vector_identity_{which}")
-    star = ctx.star
-    residual = Fraction(0)
-    per_degree = max(1, ctx.cases // DIM)
-    for k in range(0, DIM + 1):
-        for _ in range(per_degree):
-            x_field = random_vector_field(rng)
-            beta = random_tensor(rng, FORM, k)
-            xf = flat(x_field)
-            if which == 1 and k >= 1:
-                lhs = contract(x_field, beta)
-                rhs = star(wedge(xf, star(beta))) * _sign((DIM - k) * (k - 1))
-            elif which == 2 and k <= DIM - 1:
-                lhs = contract(x_field, star(beta))
-                rhs = star(wedge(xf, beta)) * _sign(k)
-            elif which == 3 and k >= 1:
-                lhs = star(contract(x_field, beta))
-                rhs = wedge(xf, star(beta)) * _sign(k + 1)
-            elif which == 4 and k <= DIM - 1:
-                lhs = star(contract(x_field, star(beta)))
-                rhs = wedge(xf, beta) * _sign(DIM - k - 1 + k * (DIM - k))
-            else:
-                continue
-            residual += _mass(lhs - rhs)
-    return residual
+def _identity_cases(ctx: CheckContext, which: int, max_l: int) -> Fraction:
+    """The four contraction/star identities on multivector degrees l <= ``max_l``.
 
-
-def _multivector_identity_cases(ctx: CheckContext, which: int) -> Fraction:
-    rng = ctx.rng(f"multivector_identity_{which}")
+    ``max_l = 1`` gives the vector-field family; its signs are the l = 1
+    case of the multivector signs.
+    """
+    rng = ctx.rng(f"{'vector' if max_l == 1 else 'multivector'}_identity_{which}")
     star = ctx.star
     residual = Fraction(0)
     if which in (1, 3):
-        pairs = [(l, k) for k in range(1, DIM + 1) for l in range(1, k + 1)]
+        pairs = [(l, k) for k in range(1, DIM + 1) for l in range(1, min(k, max_l) + 1)]
     else:
-        pairs = [(l, k) for k in range(0, DIM) for l in range(1, DIM - k + 1)]
+        pairs = [(l, k) for k in range(0, DIM) for l in range(1, min(DIM - k, max_l) + 1)]
     per_pair = max(1, ctx.cases // len(pairs))
     for l, k in pairs:
         for _ in range(per_pair):
@@ -490,8 +467,8 @@ def _check_three_form_spectrum(ctx: CheckContext) -> Fraction:
 
 def _check_four_form_split(ctx: CheckContext) -> Fraction:
     rng = ctx.rng("four_form_split")
-    residual = _split_residual(project4(cayley_form()))
     report = project4(cayley_form())
+    residual = _split_residual(report)
     residual += _mass(report.components["4_1"] - cayley_form())
     for _ in range(ctx.cases):
         residual += _split_residual(project4(random_tensor(rng, FORM, 4)))
@@ -906,14 +883,14 @@ CHECKS: list[tuple[str, str, str, Runner]] = [
     ("star_involution", "star(star(b)) = (-1)^k b on degree k", "core", _check_star_involution),
     ("star_inner_consistency", "b ^ star(b) = <b,b> vol", "core", _check_star_inner),
     ("musical_inverse", "sharp(flat(Q)) = Q and norms agree", "core", _check_musical_inverse),
-    ("vector_identity_1", "X _| b = (-1)^((n-k)(k-1)) star(flat(X) ^ star(b))", "core", lambda ctx: _vector_identity_cases(ctx, 1)),
-    ("vector_identity_2", "X _| star(b) = (-1)^k star(flat(X) ^ b)", "core", lambda ctx: _vector_identity_cases(ctx, 2)),
-    ("vector_identity_3", "star(X _| b) = (-1)^(k+1) flat(X) ^ star(b)", "core", lambda ctx: _vector_identity_cases(ctx, 3)),
-    ("vector_identity_4", "star(X _| star(b)) = (-1)^(n-k-1+k(n-k)) flat(X) ^ b", "core", lambda ctx: _vector_identity_cases(ctx, 4)),
-    ("multivector_identity_1", "Q _| b = (-1)^((k-l)(n-k)) star(flat(Q) ^ star(b))", "core", lambda ctx: _multivector_identity_cases(ctx, 1)),
-    ("multivector_identity_2", "Q _| star(b) = (-1)^(kl) star(flat(Q) ^ b)", "core", lambda ctx: _multivector_identity_cases(ctx, 2)),
-    ("multivector_identity_3", "star(Q _| b) = (-1)^(l(k-l)) flat(Q) ^ star(b)", "core", lambda ctx: _multivector_identity_cases(ctx, 3)),
-    ("multivector_identity_4", "star(Q _| star(b)) = (-1)^(l(n-k-l)+k(n-k)) flat(Q) ^ b", "core", lambda ctx: _multivector_identity_cases(ctx, 4)),
+    ("vector_identity_1", "X _| b = (-1)^((n-k)(k-1)) star(flat(X) ^ star(b))", "core", lambda ctx: _identity_cases(ctx, 1, 1)),
+    ("vector_identity_2", "X _| star(b) = (-1)^k star(flat(X) ^ b)", "core", lambda ctx: _identity_cases(ctx, 2, 1)),
+    ("vector_identity_3", "star(X _| b) = (-1)^(k+1) flat(X) ^ star(b)", "core", lambda ctx: _identity_cases(ctx, 3, 1)),
+    ("vector_identity_4", "star(X _| star(b)) = (-1)^(n-k-1+k(n-k)) flat(X) ^ b", "core", lambda ctx: _identity_cases(ctx, 4, 1)),
+    ("multivector_identity_1", "Q _| b = (-1)^((k-l)(n-k)) star(flat(Q) ^ star(b))", "core", lambda ctx: _identity_cases(ctx, 1, DIM)),
+    ("multivector_identity_2", "Q _| star(b) = (-1)^(kl) star(flat(Q) ^ b)", "core", lambda ctx: _identity_cases(ctx, 2, DIM)),
+    ("multivector_identity_3", "star(Q _| b) = (-1)^(l(k-l)) flat(Q) ^ star(b)", "core", lambda ctx: _identity_cases(ctx, 3, DIM)),
+    ("multivector_identity_4", "star(Q _| star(b)) = (-1)^(l(n-k-l)+k(n-k)) flat(Q) ^ b", "core", lambda ctx: _identity_cases(ctx, 4, DIM)),
     ("pullback_functorial", "pullback(AB) = pullback(B) o pullback(A); commutes with wedge", "core", _check_pullback_functorial),
     ("pullback_rotation_star", "star commutes with special-orthogonal pullback", "core", _check_pullback_rotation_star),
     ("d_squared_zero", "d(d(b)) = 0", "core", _check_d_squared),
@@ -971,6 +948,10 @@ def run_checks(
     """Run the registry and assemble a deterministic report."""
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
+    if cases < 0:
+        raise ValueError(f"cases must be non-negative, got {cases}")
+    if star_flip_degree is not None and not 0 <= star_flip_degree <= DIM:
+        raise ValueError(f"mutation degree must be in 0..{DIM}, got {star_flip_degree}")
     star = hodge if star_flip_degree is None else flipped_hodge(star_flip_degree)
     ctx = CheckContext(seed=seed, cases=cases, star=star)
     results: list[CheckResult] = []

@@ -196,6 +196,30 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in captured.err
 
+    def test_non_utf8_document(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        code, captured = run(capsys, "decompose", "--input", str(path))
+        assert code == 2
+        assert captured.err.startswith("error:") and "UTF-8" in captured.err
+
+    def test_document_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, captured = run(capsys, "decompose", "--input", str(path))
+        assert code == 2
+        assert captured.err.startswith("error:") and "nested too deeply" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--cases", "-1"], "cases"), (["--mutate-hodge", "9"], "mutation degree")],
+    )
+    def test_verify_arguments_out_of_range(self, capsys, flags, message):
+        code, captured = run(capsys, "verify", "--scope", "core", *flags)
+        assert code == 2
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -15,7 +15,7 @@ def test_rank_and_nullity():
 def test_nullspace_vectors_annihilate():
     m = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     for vec in m.nullspace():
-        assert m.apply(vec) == [Fraction(0)] * m.nrows
+        assert (m @ ExactMatrix.from_columns([vec])).rows == [[Fraction(0)]] * m.nrows
 
 
 def test_inverse_roundtrip():
@@ -56,8 +56,10 @@ def test_column_span_equality():
     c = ExactMatrix([[1, 0], [0, 0], [0, 0]])
     assert a.column_span_equals(b)
     assert not a.column_span_equals(c)
-    assert a.column_span_contains([1, 1, 2])
-    assert not a.column_span_contains([0, 0, 1])
+    inside = ExactMatrix([row + [v] for row, v in zip(a.rows, [1, 1, 2])])
+    outside = ExactMatrix([row + [v] for row, v in zip(a.rows, [0, 0, 1])])
+    assert inside.rank() == a.rank()
+    assert outside.rank() == a.rank() + 1
 
 
 def test_rref_cached_and_consistent():

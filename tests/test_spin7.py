@@ -238,7 +238,7 @@ class TestMapMatrices:
             coeff = q.terms.get(idx)
             if coeff is not None:
                 coords[n] = coeff.constant_value()
-        image_coords = matrix.apply(coords)
+        image_coords = (matrix @ ExactMatrix.from_columns([coords])).column(0)
         image = GradedTensor(
             FORM, 2, {idx: image_coords[n] for n, idx in enumerate(basis(2))}
         )
@@ -263,7 +263,7 @@ class TestInverseAndSection:
             coeff = beta.terms.get(idx)
             if coeff is not None:
                 coords[n] = coeff.constant_value()
-        solved = inverse.apply(coords)
+        solved = (inverse @ ExactMatrix.from_columns([coords])).column(0)
         expected = GradedTensor(
             MULTIVECTOR, 2, {idx: solved[n] for n, idx in enumerate(basis(2))}
         )

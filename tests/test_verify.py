@@ -113,6 +113,17 @@ def test_scope_filtering():
         run_checks(scope="everything")
 
 
+def test_negative_cases_rejected():
+    with pytest.raises(ValueError, match="cases"):
+        run_checks(scope="core", cases=-1)
+
+
+@pytest.mark.parametrize("degree", [-1, 9, 99])
+def test_mutation_degree_outside_0_to_8_rejected(degree):
+    with pytest.raises(ValueError, match="mutation degree"):
+        run_checks(scope="core", cases=1, star_flip_degree=degree)
+
+
 @pytest.mark.parametrize("degree", range(9))
 def test_hodge_mutation_trips_a_named_check(degree):
     report = run_checks(scope="core", seed=0, cases=2, star_flip_degree=degree)
