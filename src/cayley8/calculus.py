@@ -45,12 +45,13 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
     out: dict[MultiIndex, Polynomial] = {}
     for idx, poly in beta.terms.items():
         for i in range(DIM):
+            if i in idx:  # dx^i ^ dx^idx vanishes
+                continue
             g = poly.diff(i)
             if g.is_zero():
                 continue
             key, sign = merge_sign((i,), idx)
-            if sign:
-                _accumulate(out, key, sign, g)
+            _accumulate(out, key, sign, g)
     return GradedTensor._raw(FORM, beta.degree + 1, out)
 
 

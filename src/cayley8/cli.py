@@ -13,6 +13,7 @@ import sys
 from .calculus import exterior_derivative, homotopy_pair
 from .serialize import (
     ParseError,
+    decode_json,
     document_to_tensor,
     polynomial_to_document,
     tensor_to_document,
@@ -28,22 +29,19 @@ from .spin7 import (
     three_form_operator_matrix,
     two_form_operator_matrix,
 )
-from .tensor import FORM, GradedTensor, TensorError, contract, flat, scalar_tensor
-from .verify import SCOPES, run_checks
+from .tensor import FORM, TensorError, contract, flat, scalar_tensor
+from .verify import SCOPES, _mass, run_checks
 
 
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError(f"invalid JSON: {path} is nested too deeply") from None
+    return decode_json(text, path)
 
 
 def _emit(payload, fmt: str, text_renderer) -> None:
@@ -66,19 +64,7 @@ def cmd_decompose(args) -> int:
         "norms": {
             name: polynomial_to_document(norm) for name, norm in sorted(report.norms().items())
         },
-        "residuals": {
-            "sum": str(report.residual().coeff_l1()),
-            **{
-                f"defining:{name}": str(
-                    value.coeff_l1() if isinstance(value, GradedTensor) else value.abs_coeff_sum()
-                )
-                for name, value in sorted(report.defining_residuals().items())
-            },
-            **{
-                f"orthogonality:{name}": str(value.abs_coeff_sum())
-                for name, value in sorted(report.orthogonality_residuals().items())
-            },
-        },
+        "residuals": {name: str(_mass(value)) for name, value in report.residuals().items()},
     }
 
     def render(p):

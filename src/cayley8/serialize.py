@@ -135,12 +135,18 @@ def tensor_to_document(t: GradedTensor) -> dict[str, Any]:
     }
 
 
-def parse_tensor(text: str) -> GradedTensor:
+def decode_json(text: str, source: str = "the document") -> Any:
+    """``json.loads`` with every decoding failure raised as :class:`ParseError`."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", "$") from None
-    return document_to_tensor(doc)
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON: {source} is nested too deeply") from None
+
+
+def parse_tensor(text: str) -> GradedTensor:
+    return document_to_tensor(decode_json(text))
 
 
 def serialize_tensor(t: GradedTensor, *, indent: int | None = None) -> str:

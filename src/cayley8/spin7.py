@@ -167,6 +167,14 @@ class DecompositionReport:
                 raise KeyError(name)
         return out
 
+    def residuals(self) -> dict[str, "GradedTensor | Polynomial"]:
+        """Every named residual: ``sum``, then ``defining:*``, then ``orthogonality:*``."""
+        return {
+            "sum": self.residual(),
+            **{f"defining:{n}": v for n, v in sorted(self.defining_residuals().items())},
+            **{f"orthogonality:{n}": v for n, v in sorted(self.orthogonality_residuals().items())},
+        }
+
 
 def project2(beta: GradedTensor) -> DecompositionReport:
     """Split a two-form into its 7- and 21-dimensional components."""

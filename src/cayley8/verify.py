@@ -2,9 +2,16 @@
 
 Each check evaluates one identity exactly (zero tolerance) on deterministic
 basis cases plus a configurable number of seeded random instances, and
-reports an exact rational residual mass.  Checks are independent - each one
-draws from its own RNG keyed by ``(seed, check id)`` - so identical
-invocations produce identical reports apart from timing.
+reports an exact rational residual mass.
+
+The check contract: a check body is a generator.  It draws its random inputs
+from ``ctx.rng`` and yields each residual piece - a tensor, polynomial,
+rational or int that is zero exactly when the identity holds on that
+instance.  The registry (:func:`run_checks`) does the rest: it seeds one RNG
+per check from ``(seed, check id)``, so checks are independent of each other
+and of the scope they run in; it sums the mass of every yielded piece; and it
+times the whole check.  Identical invocations therefore produce identical
+reports apart from timing.
 
 A mutation mode (flipping the sign of the Hodge star on one degree) is
 wired through the check context; it exists to demonstrate that the suite is
@@ -17,12 +24,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import spin7
 from .calculus import (
     exterior_derivative,
-    homotopy_primitive,
+    homotopy_pair,
     lie_derivative,
     schouten,
 )
@@ -78,12 +85,11 @@ def flipped_hodge(degree: int) -> Star:
 
 @dataclass(frozen=True)
 class CheckContext:
-    seed: int = 0
-    cases: int = 64
-    star: Star = hodge
+    """What a check body may use: its own RNG, the case count, the Hodge star."""
 
-    def rng(self, check_id: str) -> random.Random:
-        return random.Random(f"{self.seed}:{check_id}")
+    rng: random.Random
+    cases: int
+    star: Star
 
 
 @dataclass(frozen=True)
@@ -158,17 +164,18 @@ def contraction_oracle(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
 
 # -- residual helpers ---------------------------------------------------------
 
+#: One residual piece yielded by a check body; zero when the identity holds.
+Piece = GradedTensor | Polynomial | Fraction | int
+Check = Callable[[CheckContext], Iterator[Piece]]
 
-def _mass(*items: GradedTensor | Polynomial | Fraction | int) -> Fraction:
-    total = Fraction(0)
-    for item in items:
-        if isinstance(item, GradedTensor):
-            total += item.coeff_l1()
-        elif isinstance(item, Polynomial):
-            total += item.abs_coeff_sum()
-        else:
-            total += abs(Fraction(item))
-    return total
+
+def _mass(piece: Piece) -> Fraction:
+    """Exact l1 mass of one residual piece."""
+    if isinstance(piece, GradedTensor):
+        return piece.coeff_l1()
+    if isinstance(piece, Polynomial):
+        return piece.abs_coeff_sum()
+    return abs(Fraction(piece))
 
 
 def _sign(exponent: int) -> int:
@@ -178,87 +185,70 @@ def _sign(exponent: int) -> int:
 # -- check bodies -------------------------------------------------------------
 
 
-def _check_wedge_graded_commutativity(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("wedge_graded_commutativity")
-    residual = Fraction(0)
+def _check_wedge_graded_commutativity(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(ctx.cases):
         p = rng.randint(0, 4)
         q = rng.randint(0, 4)
         a = random_tensor(rng, FORM, p)
         b = random_tensor(rng, FORM, q)
-        residual += _mass(wedge(a, b) - wedge(b, a) * _sign(p * q))
-    return residual
+        yield wedge(a, b) - wedge(b, a) * _sign(p * q)
 
 
-def _check_wedge_associativity(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("wedge_associativity")
-    residual = Fraction(0)
+def _check_wedge_associativity(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(ctx.cases):
         degrees = [rng.randint(0, 3) for _ in range(3)]
         a, b, c = (random_tensor(rng, FORM, d) for d in degrees)
-        residual += _mass(wedge(wedge(a, b), c) - wedge(a, wedge(b, c)))
-    return residual
+        yield wedge(wedge(a, b), c) - wedge(a, wedge(b, c))
 
 
-def _check_contract_oracle(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("contract_matches_decomposable_expansion")
-    residual = Fraction(0)
+def _check_contract_oracle(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(ctx.cases):
         k = rng.randint(1, DIM)
         l = rng.randint(1, k)
         q = random_tensor(rng, MULTIVECTOR, l, max_terms=4)
         beta = random_tensor(rng, FORM, k, max_terms=4)
-        residual += _mass(contract(q, beta) - contraction_oracle(q, beta))
-    return residual
+        yield contract(q, beta) - contraction_oracle(q, beta)
 
 
-def _check_star_involution(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("star_involution")
-    residual = Fraction(0)
+def _forms_by_degree(ctx: CheckContext) -> Iterator[tuple[int, GradedTensor]]:
+    """On each degree k: the basis form dx^{0..k-1}, then seeded random forms."""
     for k in range(DIM + 1):
-        deterministic = GradedTensor(FORM, k, {tuple(range(k)): 1})
-        samples = [deterministic] + [
-            random_tensor(rng, FORM, k) for _ in range(max(1, ctx.cases // (DIM + 1)))
-        ]
-        for beta in samples:
-            residual += _mass(ctx.star(ctx.star(beta)) - beta * _sign(k))
-    return residual
+        yield k, GradedTensor(FORM, k, {tuple(range(k)): 1})
+        for _ in range(max(1, ctx.cases // (DIM + 1))):
+            yield k, random_tensor(ctx.rng, FORM, k)
 
 
-def _check_star_inner(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("star_inner_consistency")
-    residual = Fraction(0)
+def _check_star_involution(ctx: CheckContext) -> Iterator[Piece]:
+    for k, beta in _forms_by_degree(ctx):
+        yield ctx.star(ctx.star(beta)) - beta * _sign(k)
+
+
+def _check_star_inner(ctx: CheckContext) -> Iterator[Piece]:
     volume = vol()
-    for k in range(DIM + 1):
-        deterministic = GradedTensor(FORM, k, {tuple(range(k)): 1})
-        samples = [deterministic] + [
-            random_tensor(rng, FORM, k) for _ in range(max(1, ctx.cases // (DIM + 1)))
-        ]
-        for beta in samples:
-            residual += _mass(wedge(beta, ctx.star(beta)) - volume * inner(beta, beta))
-    return residual
+    for _, beta in _forms_by_degree(ctx):
+        yield wedge(beta, ctx.star(beta)) - volume * inner(beta, beta)
 
 
-def _check_musical_inverse(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("musical_inverse")
-    residual = Fraction(0)
+def _check_musical_inverse(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(ctx.cases):
         k = rng.randint(0, DIM)
         q = random_tensor(rng, MULTIVECTOR, k)
-        residual += _mass(sharp(flat(q)) - q)
-        residual += _mass(inner(flat(q), flat(q)) - inner(q, q))
-    return residual
+        yield sharp(flat(q)) - q
+        yield inner(flat(q), flat(q)) - inner(q, q)
 
 
-def _identity_cases(ctx: CheckContext, which: int, max_l: int) -> Fraction:
+def _identity_cases(ctx: CheckContext, which: int, max_l: int) -> Iterator[Piece]:
     """The four contraction/star identities on multivector degrees l <= ``max_l``.
 
     ``max_l = 1`` gives the vector-field family; its signs are the l = 1
     case of the multivector signs.
     """
-    rng = ctx.rng(f"{'vector' if max_l == 1 else 'multivector'}_identity_{which}")
+    rng = ctx.rng
     star = ctx.star
-    residual = Fraction(0)
     if which in (1, 3):
         pairs = [(l, k) for k in range(1, DIM + 1) for l in range(1, min(k, max_l) + 1)]
     else:
@@ -281,28 +271,22 @@ def _identity_cases(ctx: CheckContext, which: int, max_l: int) -> Fraction:
             else:
                 lhs = star(contract(q, star(beta)))
                 rhs = wedge(qf, beta) * _sign(l * (DIM - k - l) + k * (DIM - k))
-            residual += _mass(lhs - rhs)
-    return residual
+            yield lhs - rhs
 
 
-def _check_pullback_functorial(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("pullback_functorial")
-    residual = Fraction(0)
+def _check_pullback_functorial(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(max(1, ctx.cases // 8)):
         a = [[random_fraction(rng) if rng.random() < 0.3 else Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
         b = [[random_fraction(rng) if rng.random() < 0.3 else Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
         ab = (ExactMatrix(a) @ ExactMatrix(b)).rows
         k = rng.randint(0, 3)
         beta = random_tensor(rng, FORM, k)
-        residual += _mass(
-            pullback_linear(ab, beta) - pullback_linear(b, pullback_linear(a, beta))
-        )
+        yield pullback_linear(ab, beta) - pullback_linear(b, pullback_linear(a, beta))
         gamma = random_tensor(rng, FORM, rng.randint(0, 2))
-        residual += _mass(
-            pullback_linear(a, wedge(beta, gamma))
-            - wedge(pullback_linear(a, beta), pullback_linear(a, gamma))
+        yield pullback_linear(a, wedge(beta, gamma)) - wedge(
+            pullback_linear(a, beta), pullback_linear(a, gamma)
         )
-    return residual
 
 
 def _rotation_matrix() -> list[list[Fraction]]:
@@ -314,33 +298,25 @@ def _rotation_matrix() -> list[list[Fraction]]:
     return rows
 
 
-def _check_pullback_rotation_star(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("pullback_rotation_star")
+def _check_pullback_rotation_star(ctx: CheckContext) -> Iterator[Piece]:
     rot = _rotation_matrix()
-    residual = Fraction(0)
     for _ in range(max(1, ctx.cases // 4)):
-        k = rng.randint(0, DIM)
-        beta = random_tensor(rng, FORM, k)
-        residual += _mass(
-            ctx.star(pullback_linear(rot, beta)) - pullback_linear(rot, ctx.star(beta))
-        )
-    return residual
+        k = ctx.rng.randint(0, DIM)
+        beta = random_tensor(ctx.rng, FORM, k)
+        yield ctx.star(pullback_linear(rot, beta)) - pullback_linear(rot, ctx.star(beta))
 
 
-def _check_d_squared(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("d_squared_zero")
-    residual = Fraction(0)
+def _check_d_squared(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(ctx.cases):
         k = rng.randint(0, DIM)
         beta = random_tensor(rng, FORM, k, max_poly_degree=3)
-        residual += _mass(exterior_derivative(exterior_derivative(beta)))
-    return residual
+        yield exterior_derivative(exterior_derivative(beta))
 
 
-def _check_codifferential_squared(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("codifferential_squared_zero")
+def _check_codifferential_squared(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     star = ctx.star
-    residual = Fraction(0)
 
     def delta(beta: GradedTensor) -> GradedTensor:
         if beta.degree == 0:
@@ -350,168 +326,132 @@ def _check_codifferential_squared(ctx: CheckContext) -> Fraction:
     for _ in range(ctx.cases):
         k = rng.randint(2, DIM)
         beta = random_tensor(rng, FORM, k, max_poly_degree=3)
-        residual += _mass(delta(delta(beta)))
-    return residual
+        yield delta(delta(beta))
 
 
-def _check_homotopy_identity(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("homotopy_identity")
-    residual = Fraction(0)
+def _check_homotopy_identity(ctx: CheckContext) -> Iterator[Piece]:
     per_degree = max(1, ctx.cases // DIM)
     for k in range(1, DIM + 1):
         for _ in range(per_degree):
-            beta = random_tensor(rng, FORM, k, max_poly_degree=3)
-            lhs = exterior_derivative(homotopy_primitive(beta)) + homotopy_primitive(
-                exterior_derivative(beta)
-            )
-            residual += _mass(lhs - beta)
-    return residual
+            beta = random_tensor(ctx.rng, FORM, k, max_poly_degree=3)
+            yield homotopy_pair(beta).identity_residual()
 
 
-def _check_homotopy_closed(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("homotopy_closed_primitive")
-    residual = Fraction(0)
+def _check_homotopy_closed(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(ctx.cases):
         k = rng.randint(0, DIM - 1)
         closed = exterior_derivative(random_tensor(rng, FORM, k, max_poly_degree=3))
-        if closed.is_zero():
-            continue
-        residual += _mass(exterior_derivative(homotopy_primitive(closed)) - closed)
-    return residual
+        if not closed.is_zero():
+            yield homotopy_pair(closed).exactness_residual()
 
 
 # -- Cayley form checks -------------------------------------------------------
 
 
-def _check_cayley_term_count(ctx: CheckContext) -> Fraction:
+def _check_cayley_term_count(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    residual = _mass(len(psi.terms) - 14)
-    for _, poly in psi.terms.items():
-        residual += _mass(abs(poly.constant_value()) - 1)
-    residual += _mass(psi.coefficient((0, 1, 2, 3)) - 1)
+    yield len(psi.terms) - 14
+    for poly in psi.terms.values():
+        yield abs(poly.constant_value()) - 1
+    yield psi.coefficient((0, 1, 2, 3)) - 1
     # "- dx^{1526}" canonicalizes to +1 on (1,2,5,6)
-    residual += _mass(psi.coefficient((1, 2, 5, 6)) - 1)
-    return residual
+    yield psi.coefficient((1, 2, 5, 6)) - 1
 
 
-def _check_cayley_self_dual(ctx: CheckContext) -> Fraction:
+def _check_cayley_self_dual(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    return _mass(ctx.star(psi) - psi)
+    yield ctx.star(psi) - psi
 
 
-def _check_cayley_closed(ctx: CheckContext) -> Fraction:
-    return _mass(exterior_derivative(cayley_form()))
+def _check_cayley_closed(ctx: CheckContext) -> Iterator[Piece]:
+    yield exterior_derivative(cayley_form())
 
 
-def _check_cayley_norm(ctx: CheckContext) -> Fraction:
+def _check_cayley_norm(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    return _mass(inner(psi, psi) - 14)
+    yield inner(psi, psi) - 14
 
 
-def _check_cayley_wedge_self(ctx: CheckContext) -> Fraction:
+def _check_cayley_wedge_self(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    return _mass(wedge(psi, psi) - vol() * inner(psi, psi))
+    yield wedge(psi, psi) - vol() * inner(psi, psi)
 
 
-def _split_residual(report) -> Fraction:
-    residual = _mass(report.residual())
-    for value in report.defining_residuals().values():
-        residual += _mass(value)
-    for value in report.orthogonality_residuals().values():
-        residual += _mass(value)
-    return residual
-
-
-def _check_two_form_split(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("two_form_split")
-    residual = Fraction(0)
+def _check_two_form_split(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(ctx.cases):
-        residual += _split_residual(project2(random_tensor(rng, FORM, 2)))
-    return residual
+        yield from project2(random_tensor(ctx.rng, FORM, 2)).residuals().values()
 
 
-def _check_two_form_spectrum(ctx: CheckContext) -> Fraction:
+def _check_two_form_spectrum(ctx: CheckContext) -> Iterator[Piece]:
     t_matrix = two_form_operator_matrix()
-    identity = ExactMatrix.identity(28)
-    residual = _mass(eigenspace_dimension(t_matrix, -3) - 7)
-    residual += _mass(eigenspace_dimension(t_matrix, 1) - 21)
-    residual += _mass(t_matrix.trace())
-    square = t_matrix @ t_matrix
-    combo = square + t_matrix * 2 - identity * 3
-    residual += sum((abs(v) for row in combo.rows for v in row), Fraction(0))
-    return residual
+    yield eigenspace_dimension(t_matrix, -3) - 7
+    yield eigenspace_dimension(t_matrix, 1) - 21
+    yield t_matrix.trace()
+    combo = t_matrix @ t_matrix + t_matrix * 2 - ExactMatrix.identity(28) * 3
+    yield from (v for row in combo.rows for v in row)
 
 
-def _check_three_form_split(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("three_form_split")
-    residual = Fraction(0)
+def _check_three_form_split(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(ctx.cases):
-        residual += _split_residual(project3(random_tensor(rng, FORM, 3)))
+        yield from project3(random_tensor(ctx.rng, FORM, 3)).residuals().values()
     # the image of any vector contraction sits entirely in the 8-part
     for i in range(DIM):
-        report = project3(contract(mv(i), cayley_form()))
-        residual += _mass(report.components["3_48"])
-    return residual
+        yield project3(contract(mv(i), cayley_form())).components["3_48"]
 
 
-def _check_three_form_spectrum(ctx: CheckContext) -> Fraction:
+def _check_three_form_spectrum(ctx: CheckContext) -> Iterator[Piece]:
     s_matrix = three_form_operator_matrix()
-    residual = _mass(eigenspace_dimension(s_matrix, -7) - 8)
-    residual += _mass(eigenspace_dimension(s_matrix, 0) - 48)
-    residual += _mass(s_matrix.trace() + 56)
-    square = s_matrix @ s_matrix
-    combo = square + s_matrix * 7
-    residual += sum((abs(v) for row in combo.rows for v in row), Fraction(0))
-    return residual
+    yield eigenspace_dimension(s_matrix, -7) - 8
+    yield eigenspace_dimension(s_matrix, 0) - 48
+    yield s_matrix.trace() + 56
+    combo = s_matrix @ s_matrix + s_matrix * 7
+    yield from (v for row in combo.rows for v in row)
 
 
-def _check_four_form_split(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("four_form_split")
+def _check_four_form_split(ctx: CheckContext) -> Iterator[Piece]:
     report = project4(cayley_form())
-    residual = _split_residual(report)
-    residual += _mass(report.components["4_1"] - cayley_form())
+    yield from report.residuals().values()
+    yield report.components["4_1"] - cayley_form()
     for _ in range(ctx.cases):
-        residual += _split_residual(project4(random_tensor(rng, FORM, 4)))
-    return residual
+        yield from project4(random_tensor(ctx.rng, FORM, 4)).residuals().values()
 
 
-def _check_four_form_seven_rank(ctx: CheckContext) -> Fraction:
+def _check_four_form_seven_rank(ctx: CheckContext) -> Iterator[Piece]:
     columns = [spin7._form_vector(g, 4) for g in seven_part_generators()]
-    return _mass(ExactMatrix.from_columns(columns).rank() - 7)
+    yield ExactMatrix.from_columns(columns).rank() - 7
 
 
-def _check_lemma2_minus7(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("lemma2_minus7")
+def _check_lemma2_minus7(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
     star = ctx.star
-    residual = Fraction(0)
     samples = [dx(i) for i in range(DIM)]
-    samples += [random_tensor(rng, FORM, 1) for _ in range(ctx.cases)]
+    samples += [random_tensor(ctx.rng, FORM, 1) for _ in range(ctx.cases)]
     for alpha in samples:
-        lhs = star(wedge(psi, star(wedge(psi, alpha))))
-        residual += _mass(lhs + alpha * 7)
-    return residual
+        yield star(wedge(psi, star(wedge(psi, alpha)))) + alpha * 7
 
 
-def _check_map_rank_vectors(ctx: CheckContext) -> Fraction:
+def _check_map_rank_vectors(ctx: CheckContext) -> Iterator[Piece]:
     matrix = map_matrix(1)
-    residual = _mass(matrix.nrows - 56, matrix.ncols - 8)
-    residual += _mass(matrix.rank() - 8)
-    return residual
+    yield matrix.nrows - 56
+    yield matrix.ncols - 8
+    yield matrix.rank() - 8
 
 
-def _check_map_rank_two(ctx: CheckContext) -> Fraction:
+def _check_map_rank_two(ctx: CheckContext) -> Iterator[Piece]:
     matrix = map_matrix(2)
-    residual = _mass(matrix.nrows - 28, matrix.ncols - 28)
-    residual += _mass(matrix.rank() - 28)
-    residual += _mass(0 if matrix == two_form_operator_matrix() else 1)
-    return residual
+    yield matrix.nrows - 28
+    yield matrix.ncols - 28
+    yield matrix.rank() - 28
+    yield 0 if matrix == two_form_operator_matrix() else 1
 
 
-def _check_map_rank_three(ctx: CheckContext) -> Fraction:
+def _check_map_rank_three(ctx: CheckContext) -> Iterator[Piece]:
     matrix = map_matrix(3)
-    residual = _mass(matrix.nrows - 8, matrix.ncols - 56)
-    residual += _mass(matrix.rank() - 8, matrix.nullity() - 48)
+    yield matrix.nrows - 8
+    yield matrix.ncols - 56
+    yield matrix.rank() - 8
+    yield matrix.nullity() - 48
     kernel = ExactMatrix.from_columns(matrix.nullspace())
     psi = cayley_form()
     columns = []
@@ -520,128 +460,98 @@ def _check_map_rank_three(ctx: CheckContext) -> Fraction:
         columns.append(spin7._form_vector(image, 7))
     wedge_map = ExactMatrix.from_columns(columns)
     annihilator = ExactMatrix.from_columns(wedge_map.nullspace())
-    residual += _mass(0 if kernel.column_span_equals(annihilator) else 1)
-    return residual
+    yield 0 if kernel.column_span_equals(annihilator) else 1
 
 
-def _check_psi2_roundtrip(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("psi2_inverse_roundtrip")
+def _check_psi2_roundtrip(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    residual = Fraction(0)
     for _ in range(ctx.cases):
-        beta = random_tensor(rng, FORM, 2)
-        residual += _mass(contract(psi2_inverse(beta), psi) - beta)
-        q = random_tensor(rng, MULTIVECTOR, 2)
-        residual += _mass(psi2_inverse(contract(q, psi)) - q)
-    return residual
+        beta = random_tensor(ctx.rng, FORM, 2)
+        yield contract(psi2_inverse(beta), psi) - beta
+        q = random_tensor(ctx.rng, MULTIVECTOR, 2)
+        yield psi2_inverse(contract(q, psi)) - q
 
 
-def _check_psi3_section(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("psi3_section_surjective")
+def _check_psi3_section(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    residual = Fraction(0)
-    for i in range(DIM):
-        residual += _mass(contract(psi3_section(dx(i)), psi) - dx(i))
+    samples = [dx(i) for i in range(DIM)]
+    samples += [random_tensor(ctx.rng, FORM, 1) for _ in range(ctx.cases)]
+    for alpha in samples:
+        yield contract(psi3_section(alpha), psi) - alpha
+
+
+def _check_triple_product_example(ctx: CheckContext) -> Iterator[Piece]:
+    yield contract(mv(0, 1, 2), cayley_form()) - dx(3)
+    yield triple_product(mv(0, 1, 2)) - mv(3)
+    yield ctx.star(dx(0, 1, 2, 4, 5, 6, 7)) - dx(3)
+
+
+def _check_triple_product_norm(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(ctx.cases):
-        alpha = random_tensor(rng, FORM, 1)
-        residual += _mass(contract(psi3_section(alpha), psi) - alpha)
-    return residual
-
-
-def _check_triple_product_example(ctx: CheckContext) -> Fraction:
-    psi = cayley_form()
-    residual = _mass(contract(mv(0, 1, 2), psi) - dx(3))
-    residual += _mass(triple_product(mv(0, 1, 2)) - mv(3))
-    residual += _mass(ctx.star(dx(0, 1, 2, 4, 5, 6, 7)) - dx(3))
-    return residual
-
-
-def _check_triple_product_norm(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("triple_product_norm")
-    residual = Fraction(0)
-    for _ in range(ctx.cases):
-        q = random_decomposable(rng, 3)
+        q = random_decomposable(ctx.rng, 3)
         image = triple_product(q)
-        residual += _mass(inner(image, image) - inner(flat(q), flat(q)))
-    return residual
+        yield inner(image, image) - inner(flat(q), flat(q))
 
 
-def _check_seven_star(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("seven_star_identity")
+def _vector_samples(ctx: CheckContext) -> list[GradedTensor]:
+    """The coordinate fields e0..e7, then ``ctx.cases`` seeded vector fields."""
+    return [mv(i) for i in range(DIM)] + [random_vector_field(ctx.rng) for _ in range(ctx.cases)]
+
+
+def _check_seven_star(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    residual = Fraction(0)
-    samples = [mv(i) for i in range(DIM)]
-    samples += [random_vector_field(rng) for _ in range(ctx.cases)]
-    for x_field in samples:
-        lhs = wedge(contract(x_field, psi), psi)
-        residual += _mass(lhs - ctx.star(flat(x_field)) * 7)
-    return residual
+    for x_field in _vector_samples(ctx):
+        yield wedge(contract(x_field, psi), psi) - ctx.star(flat(x_field)) * 7
 
 
-def _check_seven_norm(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("seven_norm_identity")
-    residual = Fraction(0)
-    samples = [mv(i) for i in range(DIM)]
-    samples += [random_vector_field(rng) for _ in range(ctx.cases)]
-    for x_field in samples:
-        report = spin7.identity_report("seven_norm", x_field)
-        residual += _mass(report["residual"])
-    return residual
+def _check_seven_norm(ctx: CheckContext) -> Iterator[Piece]:
+    for x_field in _vector_samples(ctx):
+        yield spin7.identity_report("seven_norm", x_field)["residual"]
 
 
-def _check_decomposable_minus6(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("decomposable_minus6")
-    residual = _mass(spin7.identity_report("decomposable_minus6", mv(0), mv(1))["residual"])
+def _check_decomposable_minus6(ctx: CheckContext) -> Iterator[Piece]:
+    yield spin7.identity_report("decomposable_minus6", mv(0), mv(1))["residual"]
     for _ in range(ctx.cases):
-        u = random_vector_field(rng)
-        v = random_vector_field(rng)
-        residual += _mass(spin7.identity_report("decomposable_minus6", u, v)["residual"])
-    return residual
+        u = random_vector_field(ctx.rng)
+        v = random_vector_field(ctx.rng)
+        yield spin7.identity_report("decomposable_minus6", u, v)["residual"]
 
 
-def _check_norm_split_minus27(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("norm_split_minus27")
-    residual = Fraction(0)
+def _check_norm_split_minus27(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(ctx.cases):
-        q = random_tensor(rng, MULTIVECTOR, 2)
-        residual += _mass(spin7.identity_report("norm_split_minus27", q)["residual"])
-    return residual
+        q = random_tensor(ctx.rng, MULTIVECTOR, 2)
+        yield spin7.identity_report("norm_split_minus27", q)["residual"]
 
 
-def _check_norm_split_three(ctx: CheckContext) -> Fraction:
+def _check_norm_split_three(ctx: CheckContext) -> Iterator[Piece]:
     report = spin7.identity_report("norm_split_three", mv(0, 1, 2))
-    residual = _mass(report["eight_part"], report["large_part"])
+    yield report["eight_part"]
+    yield report["large_part"]
     rep3 = project3(flat(mv(0, 1, 2)))
-    residual += _mass(inner(rep3.components["3_8"], rep3.components["3_8"]) - Fraction(1, 7))
-    residual += _mass(inner(rep3.components["3_48"], rep3.components["3_48"]) - Fraction(6, 7))
-    rng = ctx.rng("norm_split_three")
+    yield inner(rep3.components["3_8"], rep3.components["3_8"]) - Fraction(1, 7)
+    yield inner(rep3.components["3_48"], rep3.components["3_48"]) - Fraction(6, 7)
     for _ in range(ctx.cases):
-        q = random_decomposable(rng, 3)
-        report = spin7.identity_report("norm_split_three", q)
-        residual += _mass(report["eight_part"], report["large_part"])
-    return residual
+        report = spin7.identity_report("norm_split_three", random_decomposable(ctx.rng, 3))
+        yield report["eight_part"]
+        yield report["large_part"]
 
 
-def _check_coexact_seven(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("coexact_seven")
+def _check_coexact_seven(ctx: CheckContext) -> Iterator[Piece]:
     star = ctx.star
     psi = cayley_form()
-    residual = Fraction(0)
     for _ in range(ctx.cases):
-        f = random_polynomial(rng, max_degree=3)
+        f = random_polynomial(ctx.rng, max_degree=3)
         q = cayley_3mvf_for(f)
         df = exterior_derivative(scalar_tensor(f))
         report = project3(flat(q))
-        residual += _mass(report.components["3_48"])
+        yield report.components["3_48"]
         codiff = -star(exterior_derivative(star(wedge(scalar_tensor(f), psi))))
-        residual += _mass(codiff - report.components["3_8"] * 7)
-        residual += _mass(inner(df, df) - inner(flat(q), flat(q)) * 7)
-    return residual
+        yield codiff - report.components["3_8"] * 7
+        yield inner(df, df) - inner(flat(q), flat(q)) * 7
 
 
-def _check_cayley_fn_constant(ctx: CheckContext) -> tuple[Fraction, str]:
-    rng = ctx.rng("cayley_fn_constant")
-    residual = Fraction(0)
+def _check_cayley_fn_constant(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(ctx.cases):
         f = random_polynomial(rng, max_degree=3)
         df = exterior_derivative(scalar_tensor(f))
@@ -649,49 +559,36 @@ def _check_cayley_fn_constant(ctx: CheckContext) -> tuple[Fraction, str]:
         kernel_part = sharp(project3(eta).components["3_48"])
         q = cayley_3mvf_for(f, kernel_part=kernel_part)
         report = spin7.identity_report("cayley_fn", q, df)
-        residual += _mass(report["eight_part_eq"], report["scalar"], report["image"])
-    note = f"calibrated constant {CAYLEY_FUNCTION_CONSTANT}; the quoted 7 fails calibration"
-    return residual, note
+        yield report["eight_part_eq"]
+        yield report["scalar"]
+        yield report["image"]
 
 
-def _check_cayley2_constraint(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("cayley2_constraint")
-    residual = Fraction(0)
+def _check_cayley2_constraint(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(ctx.cases):
-        alpha = random_tensor(rng, FORM, 1, max_poly_degree=3)
+        alpha = random_tensor(ctx.rng, FORM, 1, max_poly_degree=3)
         q = spin7.cayley_2mvf_for(alpha)
         report = project2(flat(q))
         lhs = exterior_derivative(report.components["2_7"]) * 3
-        rhs = exterior_derivative(report.components["2_21"])
-        residual += _mass(lhs - rhs)
-        residual += _mass(contract(q, cayley_form()) - exterior_derivative(alpha))
-    return residual
+        yield lhs - exterior_derivative(report.components["2_21"])
+        yield contract(q, cayley_form()) - exterior_derivative(alpha)
 
 
-def _check_cayley_potential(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("cayley_potential_roundtrip")
+def _check_cayley_potential(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     psi = cayley_form()
-    residual = Fraction(0)
-    residual += _mass(
-        exterior_derivative(spin7.cayley_potential(mv(0, 1, 2))) - dx(3)
-    )
+    yield exterior_derivative(spin7.cayley_potential(mv(0, 1, 2))) - dx(3)
     for _ in range(max(1, ctx.cases // 2)):
         gamma = random_tensor(rng, FORM, 1)
         q2 = psi2_inverse(exterior_derivative(gamma))
-        residual += _mass(
-            exterior_derivative(spin7.cayley_potential(q2)) - exterior_derivative(gamma)
-        )
-        f = random_polynomial(rng)
-        q3 = cayley_3mvf_for(f)
-        alpha = spin7.cayley_potential(q3)
-        residual += _mass(exterior_derivative(alpha) - contract(q3, psi))
-    return residual
+        yield exterior_derivative(spin7.cayley_potential(q2)) - exterior_derivative(gamma)
+        q3 = cayley_3mvf_for(random_polynomial(rng))
+        yield exterior_derivative(spin7.cayley_potential(q3)) - contract(q3, psi)
 
 
-def _check_locally_cayley_lie(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("locally_cayley_lie")
+def _check_locally_cayley_lie(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     psi = cayley_form()
-    residual = Fraction(0)
     for _ in range(ctx.cases):
         pick = rng.randrange(3)
         if pick == 0:
@@ -702,11 +599,7 @@ def _check_locally_cayley_lie(ctx: CheckContext) -> Fraction:
             q = psi2_inverse(exterior_derivative(random_tensor(rng, FORM, 1)))
         else:
             q = cayley_3mvf_for(random_polynomial(rng))
-        if not spin7.is_locally_cayley(q):
-            residual += Fraction(1)
-            continue
-        residual += _mass(lie_derivative(q, psi))
-    return residual
+        yield lie_derivative(q, psi) if spin7.is_locally_cayley(q) else 1
 
 
 # -- bracket checks -----------------------------------------------------------
@@ -729,154 +622,106 @@ def _lie_bracket_oracle(x_field: GradedTensor, y_field: GradedTensor) -> GradedT
     return GradedTensor(MULTIVECTOR, 1, comps)
 
 
-def _check_schouten_vector_lie(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("schouten_vector_lie")
-    residual = Fraction(0)
+def _check_schouten_vector_lie(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(ctx.cases):
-        x_field = random_vector_field(rng)
-        y_field = random_vector_field(rng)
-        residual += _mass(schouten(x_field, y_field) - _lie_bracket_oracle(x_field, y_field))
-    return residual
+        x_field = random_vector_field(ctx.rng)
+        y_field = random_vector_field(ctx.rng)
+        yield schouten(x_field, y_field) - _lie_bracket_oracle(x_field, y_field)
 
 
-def _check_schouten_jacobi_vectors(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("schouten_jacobi_vectors")
-    residual = Fraction(0)
+def _check_schouten_jacobi_vectors(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(max(1, ctx.cases // 2)):
-        a, b, c = (random_vector_field(rng) for _ in range(3))
-        total = (
+        a, b, c = (random_vector_field(ctx.rng) for _ in range(3))
+        yield (
             schouten(a, schouten(b, c))
             + schouten(b, schouten(c, a))
             + schouten(c, schouten(a, b))
         )
-        residual += _mass(total)
-        residual += _mass(schouten(a, b) + schouten(b, a))
-    return residual
+        yield schouten(a, b) + schouten(b, a)
 
 
-#: Frozen by exhaustive small-case calibration: [Q1,Q2] = (-1)^(q1*q2) [Q2,Q1].
-SCHOUTEN_SYMMETRY_EXPONENT = "q1*q2"
-
-#: Frozen: [Q1, Q2^Q3] = [Q1,Q2]^Q3 + (-1)^(q1*q2+q2) Q2^[Q1,Q3].
-SCHOUTEN_LEIBNIZ_EXPONENT = "q1*q2+q2"
-
-#: Frozen: sum over cyclic (1,2,3) of (-1)^(q1*(q3-1)) [Q1,[Q2,Q3]] = 0.
-SCHOUTEN_JACOBI_EXPONENT = "q1*(q3-1)"
-
-#: Frozen: L_{Q1^Q2} b = Q2 _| L_{Q1} b + (-1)^q1 L_{Q2}(Q1 _| b).
-LIE_WEDGE_EXPONENT = "q1"
-
-#: Frozen: [Q1,Q2] _| b = (-1)^(q1*q2+q2) L_{Q1}(Q2 _| b) - Q2 _| L_{Q1} b.
-BRACKET_CONTRACTION_EXPONENT = "q1*q2+q2"
-
-
-def _check_schouten_symmetry(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("schouten_graded_symmetry")
-    residual = Fraction(0)
+def _check_schouten_symmetry(ctx: CheckContext) -> Iterator[Piece]:
     combos = [(q1, q2) for q1 in (1, 2, 3) for q2 in (1, 2, 3)]
     per = max(1, ctx.cases // len(combos))
     for q1, q2 in combos:
         for _ in range(per):
-            a = random_tensor(rng, MULTIVECTOR, q1, max_terms=3)
-            b = random_tensor(rng, MULTIVECTOR, q2, max_terms=3)
-            residual += _mass(schouten(a, b) - schouten(b, a) * _sign(q1 * q2))
-    return residual
+            a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=3)
+            b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=3)
+            yield schouten(a, b) - schouten(b, a) * _sign(q1 * q2)
 
 
-def _check_schouten_leibniz(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("schouten_leibniz")
-    residual = Fraction(0)
+def _check_schouten_leibniz(ctx: CheckContext) -> Iterator[Piece]:
     combos = [(q1, q2, q3) for q1 in (1, 2) for q2 in (1, 2) for q3 in (1, 2)]
     per = max(1, ctx.cases // len(combos))
     for q1, q2, q3 in combos:
         for _ in range(per):
-            a = random_tensor(rng, MULTIVECTOR, q1, max_terms=2)
-            b = random_tensor(rng, MULTIVECTOR, q2, max_terms=2)
-            c = random_tensor(rng, MULTIVECTOR, q3, max_terms=2)
+            a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=2)
+            b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=2)
+            c = random_tensor(ctx.rng, MULTIVECTOR, q3, max_terms=2)
             lhs = schouten(a, wedge(b, c))
             rhs = wedge(schouten(a, b), c) + wedge(b, schouten(a, c)) * _sign(q1 * q2 + q2)
-            residual += _mass(lhs - rhs)
-    return residual
+            yield lhs - rhs
 
 
-def _check_schouten_graded_jacobi(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("schouten_graded_jacobi")
-    residual = Fraction(0)
+def _check_schouten_graded_jacobi(ctx: CheckContext) -> Iterator[Piece]:
     combos = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3)]
     per = max(1, ctx.cases // (4 * len(combos)))
     for q1, q2, q3 in combos:
         for _ in range(per):
-            a = random_tensor(rng, MULTIVECTOR, q1, max_terms=2)
-            b = random_tensor(rng, MULTIVECTOR, q2, max_terms=2)
-            c = random_tensor(rng, MULTIVECTOR, q3, max_terms=2)
-            total = (
+            a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=2)
+            b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=2)
+            c = random_tensor(ctx.rng, MULTIVECTOR, q3, max_terms=2)
+            yield (
                 schouten(a, schouten(b, c)) * _sign(q1 * (q3 - 1))
                 + schouten(b, schouten(c, a)) * _sign(q2 * (q1 - 1))
                 + schouten(c, schouten(a, b)) * _sign(q3 * (q2 - 1))
             )
-            residual += _mass(total)
-    return residual
 
 
-def _check_lie_d_commutation(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("lie_d_commutation")
-    residual = Fraction(0)
+def _check_lie_d_commutation(ctx: CheckContext) -> Iterator[Piece]:
+    rng = ctx.rng
     for _ in range(ctx.cases):
         q_deg = rng.randint(1, 3)
         k = rng.randint(q_deg - 1, DIM)
         q = random_tensor(rng, MULTIVECTOR, q_deg, max_terms=3)
         beta = random_tensor(rng, FORM, k)
         lhs = exterior_derivative(lie_derivative(q, beta))
-        rhs = lie_derivative(q, exterior_derivative(beta)) * _sign(q_deg + 1)
-        residual += _mass(lhs - rhs)
-    return residual
+        yield lhs - lie_derivative(q, exterior_derivative(beta)) * _sign(q_deg + 1)
 
 
-def _check_lie_wedge_split(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("lie_wedge_split")
-    residual = Fraction(0)
-    tried = 0
-    while tried < ctx.cases:
+def _two_multivectors_and_form(ctx: CheckContext) -> Iterator[tuple]:
+    """``ctx.cases`` draws of (q1, q2, Q1, Q2, b): deg Q1, Q2 in {1, 2}, deg b >= q1 + q2."""
+    rng = ctx.rng
+    for _ in range(ctx.cases):
         q1_deg = rng.randint(1, 2)
         q2_deg = rng.randint(1, 2)
         k = rng.randint(q1_deg + q2_deg, DIM)
         q1 = random_tensor(rng, MULTIVECTOR, q1_deg, max_terms=3)
         q2 = random_tensor(rng, MULTIVECTOR, q2_deg, max_terms=3)
-        beta = random_tensor(rng, FORM, k)
-        tried += 1
+        yield q1_deg, q2_deg, q1, q2, random_tensor(rng, FORM, k)
+
+
+def _check_lie_wedge_split(ctx: CheckContext) -> Iterator[Piece]:
+    for q1_deg, _, q1, q2, beta in _two_multivectors_and_form(ctx):
         lhs = lie_derivative(wedge(q1, q2), beta)
         rhs = contract(q2, lie_derivative(q1, beta)) + lie_derivative(
             q2, contract(q1, beta)
         ) * _sign(q1_deg)
-        residual += _mass(lhs - rhs)
-    return residual
+        yield lhs - rhs
 
 
-def _check_bracket_contraction(ctx: CheckContext) -> Fraction:
-    rng = ctx.rng("bracket_contraction")
-    residual = Fraction(0)
-    tried = 0
-    while tried < ctx.cases:
-        q1_deg = rng.randint(1, 2)
-        q2_deg = rng.randint(1, 2)
-        k = rng.randint(q1_deg + q2_deg, DIM)
-        q1 = random_tensor(rng, MULTIVECTOR, q1_deg, max_terms=3)
-        q2 = random_tensor(rng, MULTIVECTOR, q2_deg, max_terms=3)
-        beta = random_tensor(rng, FORM, k)
-        tried += 1
+def _check_bracket_contraction(ctx: CheckContext) -> Iterator[Piece]:
+    for q1_deg, q2_deg, q1, q2, beta in _two_multivectors_and_form(ctx):
         lhs = contract(schouten(q1, q2), beta)
         rhs = lie_derivative(q1, contract(q2, beta)) * _sign(
             q1_deg * q2_deg + q2_deg
         ) - contract(q2, lie_derivative(q1, beta))
-        residual += _mass(lhs - rhs)
-    return residual
+        yield lhs - rhs
 
 
 # -- the registry -------------------------------------------------------------
 
-Runner = Callable[[CheckContext], "Fraction | tuple[Fraction, str]"]
-
-CHECKS: list[tuple[str, str, str, Runner]] = [
+CHECKS: list[tuple[str, str, str, Check]] = [
     ("wedge_graded_commutativity", "a ^ b = (-1)^(pq) b ^ a", "core", _check_wedge_graded_commutativity),
     ("wedge_associativity", "(a ^ b) ^ c = a ^ (b ^ c)", "core", _check_wedge_associativity),
     ("contract_matches_decomposable_expansion", "Q _| beta = u_l _| ... u_1 _| beta, extended bilinearly", "core", _check_contract_oracle),
@@ -938,6 +783,11 @@ CHECKS: list[tuple[str, str, str, Runner]] = [
 
 SCOPES = ("all", "core", "spin7", "brackets")
 
+#: The one static report note, keyed by check id.
+NOTES = {
+    "cayley_fn_constant": f"calibrated constant {CAYLEY_FUNCTION_CONSTANT}; the quoted 7 fails calibration",
+}
+
 
 def run_checks(
     scope: str = "all",
@@ -945,36 +795,36 @@ def run_checks(
     cases: int = 64,
     star_flip_degree: int | None = None,
 ) -> dict:
-    """Run the registry and assemble a deterministic report."""
+    """Run the registry and assemble a deterministic report.
+
+    Each check gets its own RNG keyed by ``(seed, check id)``; its residual
+    is the summed mass of the pieces it yields, and its ``elapsed_s`` covers
+    both the body and that sum.
+    """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
-    if cases < 0:
-        raise ValueError(f"cases must be non-negative, got {cases}")
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     if star_flip_degree is not None and not 0 <= star_flip_degree <= DIM:
         raise ValueError(f"mutation degree must be in 0..{DIM}, got {star_flip_degree}")
     star = hodge if star_flip_degree is None else flipped_hodge(star_flip_degree)
-    ctx = CheckContext(seed=seed, cases=cases, star=star)
     results: list[CheckResult] = []
-    for check_id, anchor, check_scope, runner in CHECKS:
+    for check_id, anchor, check_scope, check in CHECKS:
         if scope != "all" and check_scope != scope:
             continue
+        ctx = CheckContext(rng=random.Random(f"{seed}:{check_id}"), cases=cases, star=star)
         start = time.perf_counter()
-        outcome = runner(ctx)
+        mass = sum((_mass(piece) for piece in check(ctx)), Fraction(0))
         elapsed = time.perf_counter() - start
-        note = ""
-        if isinstance(outcome, tuple):
-            residual, note = outcome
-        else:
-            residual = outcome
         results.append(
             CheckResult(
                 check_id=check_id,
                 anchor=anchor,
                 scope=check_scope,
-                status="pass" if residual == 0 else "fail",
-                residual=str(residual),
+                status="pass" if mass == 0 else "fail",
+                residual=str(mass),
                 elapsed_s=round(elapsed, 6),
-                note=note,
+                note=NOTES.get(check_id, ""),
             )
         )
     failed = [r for r in results if r.status == "fail"]

@@ -212,7 +212,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--cases", "-1"], "cases"), (["--mutate-hodge", "9"], "mutation degree")],
+        [
+            (["--cases", "-1"], "cases"),
+            (["--mutate-hodge", "9"], "mutation degree"),
+            (["--cases", "0"], "cases"),
+        ],
     )
     def test_verify_arguments_out_of_range(self, capsys, flags, message):
         code, captured = run(capsys, "verify", "--scope", "core", *flags)

@@ -80,6 +80,8 @@ class TestErrors:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parse_tensor("{not json")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_tensor("[" * 100_000)
 
     def test_bad_variance(self):
         with pytest.raises(ParseError, match=r"\$\.variance"):

@@ -106,6 +106,25 @@ def test_deterministic_given_seed():
     assert strip_timing(first) == strip_timing(second)
 
 
+@pytest.mark.parametrize("star_flip_degree", [None, 4])
+def test_checks_independent_of_scope(star_flip_degree):
+    """Each check draws from its own RNG keyed by (seed, check id)."""
+
+    def entries(scope):
+        report = run_checks(scope=scope, seed=3, cases=2, star_flip_degree=star_flip_degree)
+        return {
+            check["check_id"]: {key: value for key, value in check.items() if key != "elapsed_s"}
+            for check in report["checks"]
+        }
+
+    combined = entries("all")
+    by_scope = {}
+    for scope in SCOPES:
+        if scope != "all":
+            by_scope.update(entries(scope))
+    assert by_scope == combined
+
+
 def test_scope_filtering():
     report = run_checks(scope="spin7", seed=0, cases=1)
     assert all(check["scope"] == "spin7" for check in report["checks"])
@@ -114,8 +133,10 @@ def test_scope_filtering():
 
 
 def test_negative_cases_rejected():
-    with pytest.raises(ValueError, match="cases"):
-        run_checks(scope="core", cases=-1)
+    # cases=0 would evaluate no random instance and pass vacuously
+    for cases in (-1, 0):
+        with pytest.raises(ValueError, match="cases"):
+            run_checks(scope="core", cases=cases)
 
 
 @pytest.mark.parametrize("degree", [-1, 9, 99])
