@@ -92,13 +92,13 @@ def homotopy_primitive(beta: GradedTensor) -> GradedTensor:
         return GradedTensor.zero(FORM, k - 1)
     out: dict[MultiIndex, Polynomial] = {}
     for idx, poly in beta.terms.items():
-        for exp, c in poly.terms.items():
-            weight = c / (k + sum(exp))
+        for exp, num, den in poly.quotients():
+            den *= k + sum(exp)  # the weight num/den
             # E _| dx^idx expanded slot by slot, scaled by x^exp
             for slot, j in enumerate(idx):
                 raised = list(exp)
                 raised[j] += 1
-                mono = Polynomial({tuple(raised): weight if slot % 2 == 0 else -weight})
+                mono = Polynomial.from_quotients([(raised, num if slot % 2 == 0 else -num, den)])
                 _accumulate(out, idx[:slot] + idx[slot + 1 :], 1, mono)
     return GradedTensor._raw(FORM, k - 1, out)
 

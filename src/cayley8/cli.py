@@ -1,7 +1,8 @@
 """Command-line interface: decompose, contract, solve, primitive, rank-report, verify.
 
 Exit status: 0 on success (verify: all checks pass), 1 when verify reports a
-failing check, 2 on usage or parse errors.
+failing check, 2 on usage or parse errors and on an exponent above
+``MAX_EXPONENT`` in a document or a product.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import sys
 
 from .calculus import exterior_derivative, homotopy_pair
+from .polynomial import ExponentOverflow
 from .serialize import (
     ParseError,
     decode_json,
@@ -292,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TensorError) as exc:
+    except (ParseError, TensorError, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

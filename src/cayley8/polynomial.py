@@ -1,23 +1,52 @@
 """Exact polynomials in the eight coordinate functions of R^8.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``);
-terms map exponent tuples ``(e0, ..., e7)`` to nonzero coefficients.  This
-is the coefficient ring for every tensor in the package: no floating point
-appears anywhere.
+A polynomial is stored as integer numerators over one shared positive
+denominator, keyed by packed exponent vectors (the layout of Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007, also used by FLINT's ``fmpz_mpoly``):
+
+- a monomial ``x0^e0 ... x7^e7`` is one int holding eight 16-bit fields,
+  ``e0`` in the most significant one, so integer order of keys is tuple
+  order of exponents and a monomial product is one integer addition;
+- the top bit of every field is a guard bit: exponents are capped at
+  :data:`MAX_EXPONENT`, two capped fields never carry into their neighbour,
+  and one ``key & GUARD`` after a product detects a field above the cap;
+- the form is canonical: no numerator is zero, the gcd of the numerators
+  and the denominator is 1, and the zero polynomial has denominator 1, so
+  equal polynomials have equal fields.
+
+Ring operations and ``diff`` run on ints alone.  ``terms`` is a read-only
+view from exponent tuples to ``fractions.Fraction``, built on first use.
+No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .multiindex import DIM
 
 Exponents = tuple[int, ...]
 
-ZERO_EXP: Exponents = (0,) * DIM
-
 Rational = Fraction | int
+
+FIELD_BITS = 16
+#: Largest exponent of one coordinate; a field's top bit is its guard bit.
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_MASK = (1 << FIELD_BITS) - 1
+_SHIFTS = tuple(FIELD_BITS * (DIM - 1 - i) for i in range(DIM))  # e0 most significant
+GUARD = sum(1 << (shift + FIELD_BITS - 1) for shift in _SHIFTS)
+_FIELDS = struct.Struct(f">{DIM}H")  # the key as big-endian unsigned 16-bit fields
+
+
+class ExponentOverflow(ValueError):
+    """An exponent above :data:`MAX_EXPONENT`, given or produced by a product."""
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -28,93 +57,186 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _pack(exp: Iterable[int]) -> int:
+    exp = tuple(exp)
+    try:
+        key = int.from_bytes(_FIELDS.pack(*exp), "big")
+    except struct.error:  # a wrong length, a non-integer or a field outside 0..65535
+        key = None
+    if key is None or key & GUARD:
+        if len(exp) == DIM and all(isinstance(e, int) and e >= 0 for e in exp):
+            raise ExponentOverflow(f"exponent {max(exp)} above MAX_EXPONENT = {MAX_EXPONENT}")
+        raise ValueError(f"bad exponent tuple {exp!r}")
+    return key
+
+
+def _unpack(key: int) -> Exponents:
+    return _FIELDS.unpack(key.to_bytes(_FIELDS.size, "big"))
+
+
+def _wrap(nums: dict[int, int], den: int) -> "Polynomial":
+    """A polynomial from fields that are already canonical."""
+    out = Polynomial.__new__(Polynomial)
+    out._nums = nums
+    out._den = den
+    out._terms = None
+    return out
+
+
+def _reduced(nums: dict[int, int], den: int) -> "Polynomial":
+    """A polynomial from nonzero numerators over a positive denominator."""
+    if not nums:
+        return _wrap(nums, 1)
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    return _wrap(nums, den)
+
+
 class Polynomial:
     """Finitely supported map from exponent tuples to rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den", "_terms")
 
     def __init__(self, terms: Mapping[Exponents, Rational] | None = None):
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                exp = tuple(exp)
-                if len(exp) != DIM or any(e < 0 or not isinstance(e, int) for e in exp):
-                    raise ValueError(f"bad exponent tuple {exp!r}")
-                c = as_fraction(coeff)
-                if c:
-                    acc = clean.get(exp)
-                    total = c if acc is None else acc + c
-                    if total:
-                        clean[exp] = total
-                    elif acc is not None:
-                        del clean[exp]
-        self.terms = clean
+        coeffs = [(exp, as_fraction(c)) for exp, c in (terms or {}).items()]
+        made = Polynomial.from_quotients((exp, c.numerator, c.denominator) for exp, c in coeffs)
+        self._nums = made._nums
+        self._den = made._den
+        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_quotients(cls, quotients: Iterable[tuple[Exponents, int, int]]) -> "Polynomial":
+        """Sum of ``num/den * x^exp`` over ``(exp, num, den)`` triples; ``den`` nonzero."""
+        packed = [(_pack(exp), n, d) for exp, n, d in quotients]
+        den = lcm(*(d for _, _, d in packed))
+        nums: dict[int, int] = {}
+        for key, n, d in packed:
+            nums[key] = nums.get(key, 0) + n * (den // d)  # a negative d flips the sign
+        return _reduced({k: v for k, v in nums.items() if v}, den)
+
+    @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return _wrap({}, 1)
 
     @classmethod
     def constant(cls, value: Rational) -> "Polynomial":
-        return cls({ZERO_EXP: as_fraction(value)})
+        c = value if isinstance(value, int) else as_fraction(value)  # builds no Fraction
+        return _wrap({0: c.numerator}, c.denominator) if c else _wrap({}, 1)
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls.constant(1)
+        return _wrap({0: 1}, 1)
 
     @classmethod
     def variable(cls, i: int, power: int = 1) -> "Polynomial":
         if not 0 <= i < DIM:
             raise ValueError(f"variable index {i} outside 0..{DIM - 1}")
-        exp = tuple(power if j == i else 0 for j in range(DIM))
-        return cls({exp: Fraction(1)})
+        return _wrap({_pack(power if j == i else 0 for j in range(DIM)): 1}, 1)
+
+    # -- inspection --------------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only view: exponent tuple to nonzero ``Fraction`` coefficient."""
+        if self._terms is None:
+            den = self._den
+            self._terms = MappingProxyType(
+                {_unpack(k): Fraction(v, den) for k, v in self._nums.items()}
+            )
+        return self._terms
+
+    def quotients(self) -> list[tuple[Exponents, int, int]]:
+        """``(exp, num, den)`` per term in exponent order, each quotient in lowest terms."""
+        den = self._den
+        items = sorted(self._nums.items())
+        if den == 1:
+            return [(_unpack(key), v, 1) for key, v in items]
+        out = []
+        for key, v in items:
+            g = gcd(v, den)
+            out.append((_unpack(key), v // g, den // g))
+        return out
+
+    def coefficient(self, exp: Exponents) -> Fraction:
+        return Fraction(self._nums.get(_pack(exp), 0), self._den)
+
+    def abs_coeff_sum(self) -> Fraction:
+        """L1 mass of the coefficients; zero iff the polynomial is zero."""
+        return Fraction(sum(map(abs, self._nums.values())), self._den)
+
+    def __repr__(self) -> str:
+        if not self._nums:
+            return "0"
+        parts = []
+        for exp, n, d in self.quotients():
+            c = f"{n}/{d}" if d != 1 else str(n)
+            monomial = "*".join(
+                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exp) if e
+            )
+            if monomial:
+                parts.append(f"{c}*{monomial}" if (n, d) != (1, 1) else monomial)
+            else:
+                parts.append(c)
+        return " + ".join(parts)
 
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and ZERO_EXP in self.terms)
+        nums = self._nums
+        return not nums or (len(nums) == 1 and 0 in nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(ZERO_EXP, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == Polynomial.constant(other).terms
+            other = Polynomial.constant(other)
+        if isinstance(other, Polynomial):
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "Polynomial | Rational") -> "Polynomial":
         other = as_polynomial(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            total = out.get(exp, Fraction(0)) + c
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._nums)
+            scale = 1
+        else:
+            g = gcd(da, db)
+            scale = da // g
+            out = {k: v * (db // g) for k, v in self._nums.items()}
+        get = out.get
+        for k, v in other._nums.items():
+            total = get(k, 0) + v * scale
             if total:
-                out[exp] = total
+                out[k] = total
             else:
-                out.pop(exp, None)
-        result = Polynomial.__new__(Polynomial)
-        result.terms = out
-        return result
+                del out[k]
+        return _reduced(out, db * scale)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        result = Polynomial.__new__(Polynomial)
-        result.terms = {exp: -c for exp, c in self.terms.items()}
-        return result
+        return _wrap({k: -v for k, v in self._nums.items()}, self._den)
 
     def __sub__(self, other: "Polynomial | Rational") -> "Polynomial":
         return self + (-as_polynomial(other))
@@ -124,24 +246,36 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Rational") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            result = Polynomial.__new__(Polynomial)
-            result.terms = {} if not c else {exp: c * v for exp, v in self.terms.items()}
-            return result
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                total = out.get(exp, Fraction(0)) + ca * cb
-                if total:
-                    out[exp] = total
-                else:
-                    out.pop(exp, None)
-        result = Polynomial.__new__(Polynomial)
-        result.terms = out
-        return result
+            return self._scaled(other.numerator, other.denominator)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        a, b = self._nums, other._nums
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:  # one term: no two products share a key
+            ((kb, vb),) = b.items()
+            out = {ka + kb: va * vb for ka, va in a.items()}
+        else:
+            out = {}
+            get = out.get
+            pairs = list(b.items())
+            for ka, va in a.items():
+                for kb, vb in pairs:
+                    k = ka + kb
+                    out[k] = get(k, 0) + va * vb
+            if 0 in out.values():
+                out = {k: v for k, v in out.items() if v}
+        if reduce(or_, out, 0) & GUARD:
+            raise ExponentOverflow(f"a product has an exponent above MAX_EXPONENT = {MAX_EXPONENT}")
+        return _reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, num: int, den: int) -> "Polynomial":
+        """``num/den`` times this polynomial, ``den`` positive."""
+        if not num:
+            return _wrap({}, 1)
+        return _reduced({k: v * num for k, v in self._nums.items()}, self._den * den)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -155,28 +289,27 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to coordinate ``i``."""
-        out: dict[Exponents, Fraction] = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
+        shift = _SHIFTS[i]
+        step = 1 << shift
+        out = {}
+        for k, v in self._nums.items():
+            e = (k >> shift) & _MASK
             if e:
-                lowered = exp[:i] + (e - 1,) + exp[i + 1 :]
-                out[lowered] = out.get(lowered, Fraction(0)) + c * e
-        result = Polynomial.__new__(Polynomial)
-        result.terms = {k: v for k, v in out.items() if v}
-        return result
+                out[k - step] = v * e  # lowering one field is injective on keys
+        return _reduced(out, self._den)
 
     def evaluate(self, point: Iterable[Rational]) -> Fraction:
         xs = [as_fraction(p) for p in point]
         if len(xs) != DIM:
             raise ValueError(f"evaluation point must have {DIM} coordinates")
         total = Fraction(0)
-        for exp, c in self.terms.items():
-            value = c
-            for x, e in zip(xs, exp):
+        for key, v in self._nums.items():
+            value = v
+            for x, e in zip(xs, _unpack(key)):
                 if e:
                     value *= x**e
             total += value
-        return total
+        return total / self._den
 
     def compose_linear(self, rows: list[list[Fraction]]) -> "Polynomial":
         """Substitute ``x_i -> sum_j rows[i][j] * x_j``."""
@@ -185,37 +318,13 @@ class Polynomial:
             for i in range(DIM)
         ]
         out = Polynomial.zero()
-        for exp, c in self.terms.items():
-            term = Polynomial.constant(c)
-            for i, e in enumerate(exp):
+        for key, v in self._nums.items():
+            term = _wrap({0: v}, 1)
+            for i, e in enumerate(_unpack(key)):
                 if e:
                     term = term * images[i] ** e
             out = out + term
-        return out
-
-    # -- inspection --------------------------------------------------------
-
-    def coefficient(self, exp: Exponents) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
-    def abs_coeff_sum(self) -> Fraction:
-        """L1 mass of the coefficients; zero iff the polynomial is zero."""
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms):
-            c = self.terms[exp]
-            monomial = "*".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exp) if e
-            )
-            if monomial:
-                parts.append(f"{c}*{monomial}" if c != 1 else monomial)
-            else:
-                parts.append(str(c))
-        return " + ".join(parts)
+        return out._scaled(1, self._den)
 
 
 def as_polynomial(value: "Polynomial | Rational") -> Polynomial:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import warnings
-from fractions import Fraction
 from typing import Any
 
 from .multiindex import DIM, canonicalize
-from .polynomial import Polynomial
+from .polynomial import MAX_EXPONENT, Polynomial
 from .tensor import FORM, MULTIVECTOR, GradedTensor, _accumulate
 
 
@@ -58,7 +57,7 @@ def _parse_integer(value: Any, location: str) -> int:
 
 def document_to_polynomial(doc: Any, location: str = "$") -> Polynomial:
     _expect_type(doc, list, location)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    quotients: list[tuple[tuple[int, ...], int, int]] = []
     for n, mono in enumerate(doc):
         here = f"{location}[{n}]"
         _expect_type(mono, dict, here)
@@ -68,22 +67,21 @@ def document_to_polynomial(doc: Any, location: str = "$") -> Polynomial:
         exponents = tuple(_parse_integer(e, f"{here}.exp[{i}]") for i, e in enumerate(exp))
         if any(e < 0 for e in exponents):
             raise ParseError("negative exponent", f"{here}.exp")
+        for i, e in enumerate(exponents):
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} above MAX_EXPONENT = {MAX_EXPONENT}", f"{here}.exp[{i}]")
         num = _parse_integer(mono.get("num"), f"{here}.num")
         den = _parse_integer(mono.get("den", "1"), f"{here}.den")
         if den == 0:
             raise ParseError("zero denominator", f"{here}.den")
-        terms[exponents] = terms.get(exponents, Fraction(0)) + Fraction(num, den)
-    return Polynomial(terms)
+        quotients.append((exponents, num, den))
+    return Polynomial.from_quotients(quotients)
 
 
 def polynomial_to_document(poly: Polynomial) -> list[dict[str, Any]]:
     return [
-        {
-            "exp": list(exp),
-            "num": str(poly.terms[exp].numerator),
-            "den": str(poly.terms[exp].denominator),
-        }
-        for exp in sorted(poly.terms)
+        {"exp": list(exp), "num": str(num), "den": str(den)}
+        for exp, num, den in poly.quotients()
     ]
 
 

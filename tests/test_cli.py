@@ -5,7 +5,7 @@ import pytest
 from cayley8.cli import main
 from cayley8.serialize import tensor_to_document
 from cayley8.tensor import dx, mv, scalar_tensor
-from cayley8.polynomial import x
+from cayley8.polynomial import MAX_EXPONENT, x
 
 
 def write_doc(path, payload):
@@ -209,6 +209,24 @@ class TestUsageErrors:
         code, captured = run(capsys, "decompose", "--input", str(path))
         assert code == 2
         assert captured.err.startswith("error:") and "nested too deeply" in captured.err
+
+    def test_exponent_above_cap_in_document(self, tmp_path, capsys):
+        doc = tensor_to_document(dx(0, 1))
+        doc["terms"][0]["coeff"][0]["exp"][3] = MAX_EXPONENT + 1  # 32768
+        path = write_doc(tmp_path / "big.json", doc)
+        code, captured = run(capsys, "decompose", "--input", path)
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "$.terms[0].coeff[0].exp[3]" in captured.err and "32768" in captured.err
+        assert captured.out == ""
+
+    def test_exponent_overflow_in_product(self, tmp_path, capsys):
+        # x0^17000 parses, but the orthogonality products need x0^34000
+        path = write_doc(tmp_path / "tall.json", tensor_to_document(dx(0, 1, coeff=x(0) ** 17000)))
+        code, captured = run(capsys, "decompose", "--input", path)
+        assert code == 2
+        assert captured.err.startswith("error:") and "MAX_EXPONENT" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags, message",

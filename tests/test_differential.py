@@ -1,0 +1,216 @@
+"""The integer kernels against the slow kernels they replaced, exactly.
+
+``Polynomial`` (packed exponent keys, integer numerators over one
+denominator) is compared through its ``terms`` view with the tuple-and-
+``Fraction`` polynomial of ``reference_polynomial.py``.  Coefficients range
+over wide denominators, because the shared denominator is where the two
+kernels differ.  ``ExactMatrix`` (zero-skipping product and elimination)
+is compared with the dense kernels of ``reference_linalg.py`` on sparse
+rational matrices up to 56x56, singular ones included.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_linalg
+from reference_polynomial import Polynomial as Reference
+
+from cayley8.linalg import ExactMatrix, SingularMatrixError
+from cayley8.multiindex import DIM
+from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial
+
+# -- polynomials ----------------------------------------------------------------
+
+small_exponents = st.tuples(*[st.integers(0, 3) for _ in range(DIM)])
+# fields up to half the cap, so a product of two stays below it
+wide_exponents = st.tuples(*[st.integers(0, MAX_EXPONENT // 2) for _ in range(DIM)])
+exponents = st.one_of(small_exponents, wide_exponents)
+narrow = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+wide = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+coefficients = st.one_of(narrow, wide)
+term_dicts = st.dictionaries(exponents, coefficients, max_size=6)
+scalars = st.one_of(st.integers(-(10**6), 10**6), coefficients)
+points = st.lists(coefficients, min_size=DIM, max_size=DIM)
+
+
+def pair(terms):
+    return Polynomial(terms), Reference(terms)
+
+
+def assert_same(new: Polynomial, ref: Reference) -> None:
+    """Equal coefficients, term order, repr and canonical fields."""
+    assert dict(new.terms) == ref.terms
+    assert sorted(new.terms) == sorted(ref.terms)
+    assert repr(new) == repr(ref)
+    assert new.abs_coeff_sum() == ref.abs_coeff_sum()
+    nums, den = new._nums, new._den
+    assert den > 0 and 0 not in nums.values()
+    assert gcd(den, *nums.values()) == 1
+    assert nums or den == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, term_dicts, scalars)
+def test_ring_operations_match_reference(a_terms, b_terms, c):
+    a, ra = pair(a_terms)
+    b, rb = pair(b_terms)
+    assert_same(a, ra)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(a * b, ra * rb)
+    assert_same(a * c, ra * c)
+    assert_same(c * a, c * ra)
+    assert_same(a + c, ra + c)
+    assert_same(-a, -ra)
+    assert (a == b) == (ra == rb)
+    assert (a == c) == (ra == c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts, term_dicts)
+def test_cancellation_gives_canonical_zero(a_terms, b_terms):
+    a, ra = pair(a_terms)
+    b, rb = pair(b_terms)
+    assert_same(a + (-a), ra + (-ra))
+    assert (a + (-a)) == Polynomial.zero() == 0
+    assert_same(a - a, ra - ra)
+    assert_same(a * 0, ra * 0)
+    # the cross terms a*b and -b*a cancel inside one product
+    assert_same((a + b) * (a - b), (ra + rb) * (ra - rb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts, st.lists(exponents, max_size=3))
+def test_calculus_and_inspection_match_reference(terms, probes):
+    a, ra = pair(terms)
+    for i in range(DIM):
+        assert_same(a.diff(i), ra.diff(i))
+    for exp in list(terms) + probes:
+        assert a.coefficient(exp) == ra.coefficient(exp)
+    assert a.is_constant() == ra.is_constant()
+    if a.is_constant():
+        assert a.constant_value() == ra.constant_value()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(small_exponents, coefficients, max_size=4), points)
+def test_evaluate_matches_reference(terms, point):
+    a, ra = pair(terms)
+    assert a.evaluate(point) == ra.evaluate(point)
+
+
+@st.composite
+def sparse_rows(draw):
+    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, DIM - 1), st.integers(0, DIM - 1), narrow), max_size=12)):
+        rows[i][j] = v
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 2) for _ in range(DIM)]), coefficients, max_size=3), sparse_rows())
+def test_compose_linear_matches_reference(terms, rows):
+    a, ra = pair(terms)
+    assert_same(a.compose_linear(rows), ra.compose_linear(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(exponents, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6).filter(bool)), max_size=6))
+def test_from_quotients_matches_reference(quotients):
+    expected = Reference({})
+    for exp, num, den in quotients:
+        expected = expected + Reference({exp: Fraction(num, den)})
+    assert_same(Polynomial.from_quotients(quotients), expected)
+    assert Polynomial.from_quotients(quotients).quotients() == [
+        (exp, c.numerator, c.denominator) for exp, c in sorted(expected.terms.items())
+    ]
+
+
+def test_ring_operations_build_no_fraction(monkeypatch):
+    a = Polynomial({(1,) + (0,) * 7: Fraction(1, 3), (0,) * 8: Fraction(-2, 5)})
+    b = Polynomial({(0, 1) + (0,) * 6: Fraction(3, 4), (2,) + (0,) * 7: 5})
+    c = Fraction(2, 7)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    results = [a * b, a * c, a * 3, c * a, a + b, a + 2, a + c, a - b, -a]
+    results += [a.diff(i) for i in range(DIM)]
+    assert built == []
+    monkeypatch.undo()
+    assert dict(results[0].terms) == (Reference(dict(a.terms)) * Reference(dict(b.terms))).terms
+
+
+def test_exponent_cap():
+    top = Polynomial.variable(3, MAX_EXPONENT)
+    assert top.coefficient((0, 0, 0, MAX_EXPONENT, 0, 0, 0, 0)) == 1
+    half = Polynomial.variable(3, MAX_EXPONENT // 2)
+    assert sorted((half * Polynomial.variable(3, MAX_EXPONENT - MAX_EXPONENT // 2)).terms) == sorted(top.terms)
+    with pytest.raises(ExponentOverflow):
+        top * Polynomial.variable(3)
+    with pytest.raises(ExponentOverflow):
+        Polynomial.variable(0, MAX_EXPONENT + 1)
+    with pytest.raises(ExponentOverflow):
+        Polynomial({(0,) * (DIM - 1) + (MAX_EXPONENT + 1,): 1})
+    # the guard bit of one field never leaks into its neighbours
+    lower = Polynomial.variable(4, MAX_EXPONENT) * Polynomial.variable(3)
+    assert sorted(lower.terms) == [(0, 0, 0, 1, MAX_EXPONENT, 0, 0, 0)]
+
+
+# -- matrices ----------------------------------------------------------------
+
+entries = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def sparse_matrices(draw, nrows=None, ncols=None):
+    nrows = nrows or draw(st.integers(1, 56))
+    ncols = ncols or draw(st.integers(1, 56))
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), entries)
+    count = draw(st.integers(0, 2 * max(nrows, ncols)))
+    for i, j, v in draw(st.lists(cells, min_size=count, max_size=count)):
+        rows[i][j] = v
+    if nrows == ncols and draw(st.booleans()):
+        for i in range(nrows):  # a nonzero diagonal: often, not always, invertible
+            rows[i][i] = draw(entries)
+    return rows
+
+
+def assert_fraction_rows(rows) -> None:
+    assert all(type(v) is Fraction for row in rows for v in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_matrix_kernels_match_dense_reference(rows, data):
+    m = ExactMatrix(rows)
+    reduced, pivots = m.rref()
+    assert (reduced, pivots) == reference_linalg.rref(rows)
+    assert_fraction_rows(reduced)
+    assert m.rank() == len(pivots)
+    assert m.nullspace() == reference_linalg.nullspace(rows)
+    right = data.draw(sparse_matrices(nrows=m.ncols))
+    product = (m @ ExactMatrix(right)).rows
+    assert product == reference_linalg.matmul(rows, right)
+    assert_fraction_rows(product)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 56).flatmap(lambda n: sparse_matrices(nrows=n, ncols=n)))
+def test_inverse_matches_dense_reference(rows):
+    try:
+        expected = reference_linalg.inverse(rows)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            ExactMatrix(rows).inverse()
+    else:
+        assert ExactMatrix(rows).inverse().rows == expected

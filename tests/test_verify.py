@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from cayley8 import verify
 from cayley8.verify import (
     CHECKS,
     SCOPES,
@@ -106,9 +109,21 @@ def test_deterministic_given_seed():
     assert strip_timing(first) == strip_timing(second)
 
 
+def _probe(ctx):
+    """A check whose residual is its first draw, so a report shows the stream."""
+    yield Fraction(ctx.rng.randrange(1, 10**6))
+
+
 @pytest.mark.parametrize("star_flip_degree", [None, 4])
-def test_checks_independent_of_scope(star_flip_degree):
-    """Each check draws from its own RNG keyed by (seed, check id)."""
+def test_checks_independent_of_scope(star_flip_degree, monkeypatch):
+    """Each check draws from its own RNG keyed by (seed, check id).
+
+    Correct identities report 0 whatever they draw, so two probes in
+    different scopes make a stream shared between checks visible also
+    without a mutation.
+    """
+    probes = [("probe_core", "first draw", "core", _probe), ("probe_brackets", "first draw", "brackets", _probe)]
+    monkeypatch.setattr(verify, "CHECKS", CHECKS + probes)
 
     def entries(scope):
         report = run_checks(scope=scope, seed=3, cases=2, star_flip_degree=star_flip_degree)
@@ -123,6 +138,7 @@ def test_checks_independent_of_scope(star_flip_degree):
         if scope != "all":
             by_scope.update(entries(scope))
     assert by_scope == combined
+    assert combined["probe_core"]["residual"] != combined["probe_brackets"]["residual"]
 
 
 def test_scope_filtering():
