@@ -21,17 +21,17 @@ from .serialize import (
     tensor_to_document,
 )
 from .spin7 import (
+    cayley2_constraint,
     cayley_2mvf_for,
     cayley_3mvf_for,
     cayley_form,
     decompose,
     eigenspace_dimension,
     map_matrix,
-    project2,
     three_form_operator_matrix,
     two_form_operator_matrix,
 )
-from .tensor import FORM, TensorError, contract, flat, scalar_tensor
+from .tensor import FORM, TensorError, contract, scalar_tensor
 from .verify import SCOPES, _mass, run_checks
 
 
@@ -57,6 +57,7 @@ def _emit(payload, fmt: str, text_renderer) -> None:
 def cmd_decompose(args) -> int:
     tensor = document_to_tensor(_load_json(args.input))
     report = decompose(tensor)
+    norms = report.norms()
     payload = {
         "input": tensor_to_document(tensor),
         "flattened_from_multivector": report.flattened_from_multivector,
@@ -64,7 +65,7 @@ def cmd_decompose(args) -> int:
             name: tensor_to_document(part) for name, part in sorted(report.components.items())
         },
         "norms": {
-            name: polynomial_to_document(norm) for name, norm in sorted(report.norms().items())
+            name: polynomial_to_document(norm) for name, norm in sorted(norms.items())
         },
         "residuals": {name: str(_mass(value)) for name, value in report.residuals().items()},
     }
@@ -73,7 +74,7 @@ def cmd_decompose(args) -> int:
         print(f"flattened: {p['flattened_from_multivector']}")
         for name in sorted(report.components):
             print(f"{name}: {report.components[name]!r}")
-            print(f"  |.|^2 = {report.norms()[name]!r}")
+            print(f"  |.|^2 = {norms[name]!r}")
         for key, value in p["residuals"].items():
             print(f"residual {key} = {value}")
 
@@ -101,14 +102,9 @@ def cmd_solve(args) -> int:
             raise ParseError("cayley2 expects a one-form document")
         q = cayley_2mvf_for(tensor)
         target = exterior_derivative(tensor)
-        split = project2(flat(q))
-        constraint = (
-            exterior_derivative(split.components["2_7"]) * 3
-            - exterior_derivative(split.components["2_21"])
-        )
         residuals = {
             "contraction": str((contract(q, psi) - target).coeff_l1()),
-            "derivative_constraint": str(constraint.coeff_l1()),
+            "derivative_constraint": str(cayley2_constraint(q).coeff_l1()),
         }
     else:
         if tensor.variance != FORM or tensor.degree != 0:
@@ -153,42 +149,35 @@ def cmd_primitive(args) -> int:
     return 0
 
 
+def _spectrum(matrix, eigenvalues: tuple[int, ...]) -> str:
+    """Each eigenvalue, signed unless 0, then ``(xN)`` with its multiplicity N."""
+    return ", ".join(
+        f"{f'{value:+d}' if value else '0'} (x{eigenspace_dimension(matrix, value)})"
+        for value in eigenvalues
+    )
+
+
 def cmd_rank_report(args) -> int:
-    rows = []
-    for k in (1, 2, 3):
-        matrix = map_matrix(k)
-        entry = {
-            "map": f"contraction_degree_{k}",
+    t_matrix = two_form_operator_matrix()
+    s_matrix = three_form_operator_matrix()
+    t_spectrum = _spectrum(t_matrix, (-3, 1))
+    maps = [
+        ("contraction_degree_1", map_matrix(1), ""),
+        ("contraction_degree_2", map_matrix(2), t_spectrum),  # equals T (check map_rank_two)
+        ("contraction_degree_3", map_matrix(3), ""),
+        ("two_form_wedge_star", t_matrix, t_spectrum),
+        ("three_form_double_wedge_star", s_matrix, _spectrum(s_matrix, (-7, 0))),
+    ]
+    rows = [
+        {
+            "map": name,
             "shape": f"{matrix.nrows}x{matrix.ncols}",
             "rank": matrix.rank(),
             "kernel_dim": matrix.nullity(),
-            "eigenvalues": "",
+            "eigenvalues": spectrum,
         }
-        if k == 2:
-            entry["eigenvalues"] = "-3 (x7), +1 (x21)"
-        rows.append(entry)
-    t_matrix = two_form_operator_matrix()
-    rows.append(
-        {
-            "map": "two_form_wedge_star",
-            "shape": "28x28",
-            "rank": t_matrix.rank(),
-            "kernel_dim": t_matrix.nullity(),
-            "eigenvalues": f"-3 (x{eigenspace_dimension(t_matrix, -3)}), "
-            f"+1 (x{eigenspace_dimension(t_matrix, 1)})",
-        }
-    )
-    s_matrix = three_form_operator_matrix()
-    rows.append(
-        {
-            "map": "three_form_double_wedge_star",
-            "shape": "56x56",
-            "rank": s_matrix.rank(),
-            "kernel_dim": s_matrix.nullity(),
-            "eigenvalues": f"-7 (x{eigenspace_dimension(s_matrix, -7)}), "
-            f"0 (x{eigenspace_dimension(s_matrix, 0)})",
-        }
-    )
+        for name, matrix, spectrum in maps
+    ]
     payload = {"maps": rows}
 
     def render(p):

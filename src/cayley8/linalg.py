@@ -24,7 +24,7 @@ class SingularMatrixError(ValueError):
 class ExactMatrix:
     """Dense matrix over the rationals."""
 
-    __slots__ = ("rows", "nrows", "ncols", "_rref", "_pivots", "_inverse")
+    __slots__ = ("rows", "nrows", "ncols", "_rref", "_pivots")
 
     def __init__(self, rows: Iterable[Sequence[Rational]]):
         data = [[as_fraction(v) for v in row] for row in rows]
@@ -38,7 +38,6 @@ class ExactMatrix:
         self.ncols = width
         self._rref: list[list[Fraction]] | None = None
         self._pivots: list[int] | None = None
-        self._inverse: "ExactMatrix | None" = None
 
     # -- constructors ----------------------------------------------------
 
@@ -99,9 +98,6 @@ class ExactMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([list(col) for col in zip(*self.rows)])
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -168,17 +164,15 @@ class ExactMatrix:
         return basis
 
     def inverse(self) -> "ExactMatrix":
-        if self._inverse is None:
-            if self.nrows != self.ncols:
-                raise SingularMatrixError("only square matrices invert")
-            n = self.nrows
-            identity = ExactMatrix.identity(n).rows
-            aug = ExactMatrix([row + unit for row, unit in zip(self.rows, identity)])
-            rref, pivots = aug.rref()
-            if pivots[:n] != list(range(n)):
-                raise SingularMatrixError("matrix is singular")
-            self._inverse = ExactMatrix([row[n:] for row in rref])
-        return self._inverse
+        if self.nrows != self.ncols:
+            raise SingularMatrixError("only square matrices invert")
+        n = self.nrows
+        identity = ExactMatrix.identity(n).rows
+        aug = ExactMatrix([row + unit for row, unit in zip(self.rows, identity)])
+        rref, pivots = aug.rref()
+        if pivots[:n] != list(range(n)):
+            raise SingularMatrixError("matrix is singular")
+        return ExactMatrix([row[n:] for row in rref])
 
     def column_span_equals(self, other: "ExactMatrix") -> bool:
         """Whether two matrices with equal row counts span the same column space."""

@@ -6,9 +6,9 @@ matrices of the contraction maps on multivector fields, their inverses and
 sections, the triple product, the Cayley (Hamiltonian) multivector solvers,
 and the pointwise norm identities exposed through :func:`identity_report`.
 
-Every derived matrix (projectors, contraction maps, kernels) is computed
-once over exact rationals and cached immutably; after first use everything
-is read-only and freely shareable between threads.
+Each structure map has one home here; :func:`structure_matrix` builds its
+exact matrix from the images of basis tensors, cached immutably, so after
+first use everything is read-only and freely shareable between threads.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import Iterable
 
 from .calculus import exterior_derivative, homotopy_primitive
 from .linalg import ExactMatrix
@@ -27,7 +28,9 @@ from .tensor import (
     DegreeMismatch,
     GradedTensor,
     VarianceMismatch,
+    _accumulate,
     contract,
+    dx,
     flat,
     hodge,
     inner,
@@ -211,48 +214,20 @@ def seven_part_generators() -> tuple[GradedTensor, ...]:
     return tuple(gens)
 
 
-@cache
-def _seven_part_projector() -> ExactMatrix:
-    """Orthogonal projector (70x70) onto the span of the 28 generators."""
-    columns = [_form_vector(g, 4) for g in seven_part_generators()]
-    g_matrix = ExactMatrix.from_columns(columns)
-    _, pivots = g_matrix.rref()
-    b = ExactMatrix.from_columns([columns[p] for p in pivots])
-    bt = b.transpose()
-    return b @ (bt @ b).inverse() @ bt
-
-
-def _form_vector(t: GradedTensor, degree: int) -> list[Fraction]:
-    """Constant-coefficient tensor as a rational coordinate vector."""
-    out = [Fraction(0)] * len(basis(degree))
-    for idx, poly in t.terms.items():
-        out[basis_position(idx)] = poly.constant_value()
-    return out
-
-
-def _apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: str) -> GradedTensor:
-    """Apply a constant rational matrix to the coefficient vector of ``t``.
-
-    Works for polynomial coefficients: the matrix acts componentwise on the
-    polynomial coordinates.
-    """
-    coords: list[Polynomial] = [Polynomial.zero()] * matrix.ncols
-    for idx, poly in t.terms.items():
-        coords[basis_position(idx)] = poly
-    keys = basis(degree)
-    terms: dict[MultiIndex, Polynomial] = {}
-    for i, row in enumerate(matrix.rows):
-        acc = Polynomial.zero()
-        for j, entry in enumerate(row):
-            if entry and coords[j]:
-                acc = acc + coords[j] * entry
-        if not acc.is_zero():
-            terms[keys[i]] = acc
-    return GradedTensor._raw(variance, degree, terms)
-
-
 def _seven_part_project(sigma: GradedTensor) -> GradedTensor:
-    return _apply_matrix(_seven_part_projector(), sigma, 4, FORM)
+    """pi_7(sigma) = 1/32 sum_g <sigma, g> g over the 28 generators g.
+
+    The generators are so(8) acting on Psi (kernel: the 21-part of the
+    two-forms), and their Gram matrix G satisfies G @ G = 32 G.
+    """
+    out: dict[MultiIndex, Polynomial] = {}
+    for gen in seven_part_generators():
+        pairing = inner(sigma, gen) * Fraction(1, 32)
+        if pairing.is_zero():
+            continue
+        for idx, coeff in gen.terms.items():
+            _accumulate(out, idx, 1, coeff * pairing)
+    return GradedTensor._raw(FORM, 4, out)
 
 
 def project4(sigma: GradedTensor) -> DecompositionReport:
@@ -288,7 +263,18 @@ def decompose(t: GradedTensor) -> DecompositionReport:
     return report
 
 
-# -- contraction maps as exact matrices --------------------------------------
+# -- structure maps as exact matrices ---------------------------------------
+
+
+def structure_matrix(images: Iterable[GradedTensor], degree: int) -> ExactMatrix:
+    """Column j holds the constant coefficients of ``images[j]`` on the degree-``degree`` basis."""
+    columns = []
+    for image in images:
+        column = [Fraction(0)] * len(basis(degree))
+        for idx, poly in image.terms.items():
+            column[basis_position(idx)] = poly.constant_value()
+        columns.append(column)
+    return ExactMatrix.from_columns(columns)
 
 
 @cache
@@ -301,31 +287,19 @@ def map_matrix(k: int) -> ExactMatrix:
     if k not in (1, 2, 3):
         raise DegreeMismatch("contraction maps exist for degrees 1, 2, 3")
     psi = cayley_form()
-    columns = []
-    for idx in basis(k):
-        image = contract(mv(*idx), psi)
-        columns.append(_form_vector(image, 4 - k))
-    return ExactMatrix.from_columns(columns)
+    return structure_matrix((contract(mv(*idx), psi) for idx in basis(k)), 4 - k)
 
 
 @cache
 def two_form_operator_matrix() -> ExactMatrix:
     """28x28 matrix of T(beta) = star(Psi ^ beta)."""
-    columns = [
-        _form_vector(two_form_operator(GradedTensor(FORM, 2, {idx: 1})), 2)
-        for idx in basis(2)
-    ]
-    return ExactMatrix.from_columns(columns)
+    return structure_matrix((two_form_operator(dx(*idx)) for idx in basis(2)), 2)
 
 
 @cache
 def three_form_operator_matrix() -> ExactMatrix:
     """56x56 matrix of S(eta) = star(Psi ^ star(Psi ^ eta))."""
-    columns = [
-        _form_vector(three_form_operator(GradedTensor(FORM, 3, {idx: 1})), 3)
-        for idx in basis(3)
-    ]
-    return ExactMatrix.from_columns(columns)
+    return structure_matrix((three_form_operator(dx(*idx)) for idx in basis(3)), 3)
 
 
 def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Fraction | int) -> int:
@@ -394,6 +368,12 @@ def cayley_2mvf_for(alpha: GradedTensor) -> GradedTensor:
     """The unique two-multivector field Q with Q _| Psi = d(alpha)."""
     _expect(alpha, FORM, 1)
     return psi2_inverse(exterior_derivative(alpha))
+
+
+def cayley2_constraint(q: GradedTensor) -> GradedTensor:
+    """3 d(Q_7) - d(Q_21) for the parts of flat(Q); zero iff Q _| Psi is closed."""
+    parts = project2(flat(q)).components
+    return exterior_derivative(parts["2_7"]) * 3 - exterior_derivative(parts["2_21"])
 
 
 def cayley_3mvf_for(f: Polynomial, kernel_part: GradedTensor | None = None) -> GradedTensor:

@@ -204,9 +204,6 @@ class GradedTensor:
     def __xor__(self, other: "GradedTensor") -> "GradedTensor":
         return wedge(self, other)
 
-    def wedge(self, other: "GradedTensor") -> "GradedTensor":
-        return wedge(self, other)
-
 
 # -- basis helpers --------------------------------------------------------
 

@@ -38,6 +38,7 @@ from .multiindex import DIM, basis
 from .polynomial import Polynomial
 from .spin7 import (
     CAYLEY_FUNCTION_CONSTANT,
+    cayley2_constraint,
     cayley_3mvf_for,
     cayley_form,
     eigenspace_dimension,
@@ -48,6 +49,7 @@ from .spin7 import (
     psi2_inverse,
     psi3_section,
     seven_part_generators,
+    structure_matrix,
     three_form_operator_matrix,
     triple_product,
     two_form_operator_matrix,
@@ -338,6 +340,8 @@ def _check_homotopy_identity(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _check_homotopy_closed(ctx: CheckContext) -> Iterator[Piece]:
+    # a fixed closed form first: a random draw can have d = 0 and yield nothing
+    yield homotopy_pair(dx(0, 1)).exactness_residual()
     rng = ctx.rng
     for _ in range(ctx.cases):
         k = rng.randint(0, DIM - 1)
@@ -418,8 +422,7 @@ def _check_four_form_split(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _check_four_form_seven_rank(ctx: CheckContext) -> Iterator[Piece]:
-    columns = [spin7._form_vector(g, 4) for g in seven_part_generators()]
-    yield ExactMatrix.from_columns(columns).rank() - 7
+    yield structure_matrix(seven_part_generators(), 4).rank() - 7
 
 
 def _check_lemma2_minus7(ctx: CheckContext) -> Iterator[Piece]:
@@ -453,12 +456,7 @@ def _check_map_rank_three(ctx: CheckContext) -> Iterator[Piece]:
     yield matrix.rank() - 8
     yield matrix.nullity() - 48
     kernel = ExactMatrix.from_columns(matrix.nullspace())
-    psi = cayley_form()
-    columns = []
-    for idx in basis(3):
-        image = wedge(GradedTensor(FORM, 3, {idx: 1}), psi)
-        columns.append(spin7._form_vector(image, 7))
-    wedge_map = ExactMatrix.from_columns(columns)
+    wedge_map = structure_matrix((wedge(dx(*idx), cayley_form()) for idx in basis(3)), 7)
     annihilator = ExactMatrix.from_columns(wedge_map.nullspace())
     yield 0 if kernel.column_span_equals(annihilator) else 1
 
@@ -568,9 +566,7 @@ def _check_cayley2_constraint(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(ctx.cases):
         alpha = random_tensor(ctx.rng, FORM, 1, max_poly_degree=3)
         q = spin7.cayley_2mvf_for(alpha)
-        report = project2(flat(q))
-        lhs = exterior_derivative(report.components["2_7"]) * 3
-        yield lhs - exterior_derivative(report.components["2_21"])
+        yield cayley2_constraint(q)
         yield contract(q, cayley_form()) - exterior_derivative(alpha)
 
 

@@ -22,7 +22,6 @@ from cayley8.multiindex import DIM, basis
 from cayley8.polynomial import Polynomial, x
 from cayley8.spin7 import (
     CAYLEY_FUNCTION_CONSTANT,
-    _form_vector,
     cayley_2mvf_for,
     cayley_3mvf_for,
     cayley_form,
@@ -33,6 +32,7 @@ from cayley8.spin7 import (
     project2,
     project3,
     psi2_inverse,
+    structure_matrix,
     triple_product,
 )
 from cayley8.tensor import (
@@ -110,10 +110,8 @@ def test_criterion_02_map_ranks():
     residual += _mass(degree3.rank() - 8, degree3.nullity() - 48)
     kernel = ExactMatrix.from_columns(degree3.nullspace())
     psi = cayley_form()
-    columns = [
-        _form_vector(wedge(GradedTensor(FORM, 3, {idx: 1}), psi), 7) for idx in basis(3)
-    ]
-    annihilator = ExactMatrix.from_columns(ExactMatrix.from_columns(columns).nullspace())
+    wedge_map = structure_matrix([wedge(GradedTensor(FORM, 3, {idx: 1}), psi) for idx in basis(3)], 7)
+    annihilator = ExactMatrix.from_columns(wedge_map.nullspace())
     residual += _mass(0 if kernel.column_span_equals(annihilator) else 1)
     _report(2, "contraction-map ranks, spectrum, and kernel", residual)
 

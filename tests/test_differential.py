@@ -1,4 +1,4 @@
-"""The integer kernels against the slow kernels they replaced, exactly.
+"""The fast paths against the slow paths they replaced, exactly.
 
 ``Polynomial`` (packed exponent keys, integer numerators over one
 denominator) is compared through its ``terms`` view with the tuple-and-
@@ -6,7 +6,9 @@ denominator) is compared through its ``terms`` view with the tuple-and-
 over wide denominators, because the shared denominator is where the two
 kernels differ.  ``ExactMatrix`` (zero-skipping product and elimination)
 is compared with the dense kernels of ``reference_linalg.py`` on sparse
-rational matrices up to 56x56, singular ones included.
+rational matrices up to 56x56, singular ones included.  The 7-part of
+``project4`` (a sum over the 28 generators) is compared with the 70x70 Gram
+projector of ``reference_spin7.py`` on polynomial four-forms.
 """
 
 from fractions import Fraction
@@ -17,11 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_linalg
+import reference_spin7
 from reference_polynomial import Polynomial as Reference
 
 from cayley8.linalg import ExactMatrix, SingularMatrixError
-from cayley8.multiindex import DIM
+from cayley8.multiindex import DIM, basis
 from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial
+from cayley8.spin7 import project4
+from cayley8.tensor import FORM, GradedTensor
 
 # -- polynomials ----------------------------------------------------------------
 
@@ -214,3 +219,16 @@ def test_inverse_matches_dense_reference(rows):
             ExactMatrix(rows).inverse()
     else:
         assert ExactMatrix(rows).inverse().rows == expected
+
+
+# -- the Lambda^4_7 projection ---------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(basis(4)), term_dicts, max_size=8))
+def test_seven_part_matches_gram_projector(coefficients):
+    sigma = GradedTensor(FORM, 4, {idx: Polynomial(terms) for idx, terms in coefficients.items()})
+    report = project4(sigma)
+    expected = reference_spin7.seven_part(sigma)
+    assert report.components["4_7"] == expected
+    assert report.components["4_27"] == sigma - report.components["4_1"] - expected - report.components["4_35"]

@@ -9,6 +9,7 @@ from cayley8.polynomial import Polynomial, x
 from cayley8.spin7 import (
     CAYLEY_FUNCTION_CONSTANT,
     NotLocallyCayleyError,
+    cayley2_constraint,
     cayley_2mvf_for,
     cayley_3mvf_for,
     cayley_form,
@@ -24,12 +25,12 @@ from cayley8.spin7 import (
     psi2_inverse,
     psi3_section,
     seven_part_generators,
+    structure_matrix,
     three_form_operator_matrix,
     triple_product,
     two_form_operator,
     two_form_operator_matrix,
 )
-from cayley8.spin7 import _form_vector
 from cayley8.tensor import (
     FORM,
     MULTIVECTOR,
@@ -168,8 +169,14 @@ class TestProject4:
     def test_generator_span_dimension(self):
         generators = seven_part_generators()
         assert len(generators) == 28
-        matrix = ExactMatrix.from_columns([_form_vector(g, 4) for g in generators])
-        assert matrix.rank() == 7
+        assert structure_matrix(generators, 4).rank() == 7
+
+    def test_generator_gram_matrix_is_32_times_a_projector(self):
+        # the identity behind project4's 7-part: 1/32 sum_g g <g, .>
+        generators = seven_part_generators()
+        gram = ExactMatrix([[inner(a, b).constant_value() for b in generators] for a in generators])
+        assert gram @ gram == gram * 32
+        assert {gram.rows[i][i] for i in range(28)} == {8}
 
     def test_split_residuals(self, make_tensor):
         for _ in range(4):
@@ -221,13 +228,8 @@ class TestMapMatrices:
     def test_kernel_matches_wedge_annihilator(self):
         kernel = ExactMatrix.from_columns(map_matrix(3).nullspace())
         psi = cayley_form()
-        columns = []
-        for idx in basis(3):
-            image = wedge(GradedTensor(FORM, 3, {idx: 1}), psi)
-            columns.append(_form_vector(image, 7))
-        annihilator = ExactMatrix.from_columns(
-            ExactMatrix.from_columns(columns).nullspace()
-        )
+        wedge_map = structure_matrix([wedge(GradedTensor(FORM, 3, {idx: 1}), psi) for idx in basis(3)], 7)
+        annihilator = ExactMatrix.from_columns(wedge_map.nullspace())
         assert kernel.column_span_equals(annihilator)
 
     def test_matrix_agrees_with_contract(self, make_tensor):
@@ -359,6 +361,13 @@ class TestCayleySolvers:
             report = project2(flat(q))
             lhs = exterior_derivative(report.components["2_7"]) * 3
             assert lhs == exterior_derivative(report.components["2_21"])
+
+    def test_cayley2_constraint_is_minus_d_of_the_contraction(self, make_tensor):
+        # Q _| Psi = T(flat Q) = -3 Q_7 + Q_21, so the constraint is -d(Q _| Psi)
+        for _ in range(4):
+            q = make_tensor(MULTIVECTOR, 2, max_poly_degree=2)
+            assert cayley2_constraint(q) == -exterior_derivative(contract(q, cayley_form()))
+        assert not cayley2_constraint(mv(1, 2, coeff=x(0))).is_zero()
 
     def test_two_solver_norm_identity_in_x(self, make_tensor):
         psi = cayley_form()

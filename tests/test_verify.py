@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cayley8 import verify
+from cayley8.calculus import HomotopyPrimitive
+from cayley8.tensor import FORM, GradedTensor
 from cayley8.verify import (
     CHECKS,
     SCOPES,
@@ -139,6 +141,20 @@ def test_checks_independent_of_scope(star_flip_degree, monkeypatch):
             by_scope.update(entries(scope))
     assert by_scope == combined
     assert combined["probe_core"]["residual"] != combined["probe_brackets"]["residual"]
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_homotopy_closed_primitive_catches_a_zero_primitive(seed, monkeypatch):
+    # at these seeds the one random draw has d = 0, so only the fixed closed
+    # form the check starts from can expose a wrong primitive
+
+    def zero_primitive(beta):
+        return HomotopyPrimitive(beta, GradedTensor.zero(FORM, beta.degree - 1))
+
+    monkeypatch.setattr(verify, "homotopy_pair", zero_primitive)
+    report = run_checks(scope="core", seed=seed, cases=1)
+    by_id = {check["check_id"]: check for check in report["checks"]}
+    assert by_id["homotopy_closed_primitive"]["status"] == "fail"
 
 
 def test_scope_filtering():
