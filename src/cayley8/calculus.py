@@ -4,11 +4,11 @@ Exterior derivative and codifferential, the Euler-field cone operator that
 produces explicit primitives of closed forms on R^8, the Lie derivative of a
 form along a multivector field, and the Schouten-Nijenhuis bracket.
 
-All calibrated sign conventions:
+Sign conventions:
 
 * codifferential: ``delta = -star d star`` on every degree (dimension 8 is
   even, so no degree-dependent sign is needed);
-* Schouten bracket on a decomposable first argument::
+* Schouten bracket, defined on a decomposable first argument by::
 
       [u1 ^ ... ^ ul, Q] = sum_i (-1)**(i+1) u1 ^ ... ^ ui-hat ^ ... ^ ul ^ L_{ui} Q
 
@@ -16,25 +16,26 @@ All calibrated sign conventions:
   The resulting graded symmetry is ``[Q1, Q2] = (-1)**(q1*q2) [Q2, Q1]``
   (verified exhaustively in the test suite, which also freezes the Leibniz
   and Jacobi exponents).
+
+The bracket is computed by Koszul's formula, as the failure of the
+divergence ``-sharp delta flat`` to be a derivation; the cone primitive is a
+contraction with the Euler field.  Only ``exterior_derivative`` walks index
+positions, and it takes its signs from ``merge_sign``; no other operator
+here computes a permutation sign.  The differential test against the
+expansion above (``tests/reference_calculus.py``) pins the equality on every
+pair of degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
-from .multiindex import DIM, MultiIndex, canonicalize, merge_sign
+from .multiindex import DIM, MultiIndex, merge_sign
 from .polynomial import Polynomial
 from .tensor import (
-    FORM,
-    MULTIVECTOR,
-    DegreeMismatch,
-    GradedTensor,
-    VarianceMismatch,
-    _accumulate,
-    contract,
-    hodge,
-    wedge,
+    FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch,
+    _accumulate, contract, flat, hodge, sharp, wedge,
 )
 
 
@@ -64,11 +65,10 @@ def codifferential(beta: GradedTensor) -> GradedTensor:
     return -hodge(exterior_derivative(hodge(beta)))
 
 
+@cache
 def euler_field() -> GradedTensor:
     """The radial vector field with components x0, ..., x7."""
-    return GradedTensor(
-        MULTIVECTOR, 1, {(i,): Polynomial.variable(i) for i in range(DIM)}
-    )
+    return GradedTensor(MULTIVECTOR, 1, {(i,): Polynomial.variable(i) for i in range(DIM)})
 
 
 def homotopy_primitive(beta: GradedTensor) -> GradedTensor:
@@ -76,31 +76,25 @@ def homotopy_primitive(beta: GradedTensor) -> GradedTensor:
 
     For ``beta = sum_I f_I dx^I`` of degree ``k >= 1``::
 
-        H(beta) = sum_I  (int_0^1 t^(k-1) f_I(t x) dt) * (E _| dx^I)
+        H(beta) = E _| sum_I (int_0^1 t^(k-1) f_I(t x) dt) dx^I
 
     with ``E`` the Euler field.  Monomial by monomial the t-integral is the
-    exact rational 1/(k + |exponent|), so the output stays in the polynomial
-    ring.  Satisfies d(H(beta)) + H(d(beta)) = beta, hence closed forms get
-    honest primitives.
+    exact rational weight 1/(k + |exponent|), so the output stays in the
+    polynomial ring.  Satisfies d(H(beta)) + H(d(beta)) = beta, hence closed
+    forms get honest primitives.
     """
     if beta.variance != FORM:
         raise VarianceMismatch("homotopy operator acts on forms")
     k = beta.degree
-    if k == 0:
-        raise DegreeMismatch("a degree-0 form has no primitive of lower degree")
-    if k > DIM:
-        return GradedTensor.zero(FORM, k - 1)
-    out: dict[MultiIndex, Polynomial] = {}
-    for idx, poly in beta.terms.items():
-        for exp, num, den in poly.quotients():
-            den *= k + sum(exp)  # the weight num/den
-            # E _| dx^idx expanded slot by slot, scaled by x^exp
-            for slot, j in enumerate(idx):
-                raised = list(exp)
-                raised[j] += 1
-                mono = Polynomial.from_quotients([(raised, num if slot % 2 == 0 else -num, den)])
-                _accumulate(out, idx[:slot] + idx[slot + 1 :], 1, mono)
-    return GradedTensor._raw(FORM, k - 1, out)
+    if k < 1:
+        raise DegreeMismatch(f"a degree-{k} form has no primitive of lower degree")
+    weighted = {
+        idx: Polynomial.from_quotients(
+            (exp, num, den * (k + sum(exp))) for exp, num, den in poly.quotients()
+        )
+        for idx, poly in beta.terms.items()
+    }
+    return contract(euler_field(), GradedTensor._raw(FORM, k, weighted))
 
 
 @dataclass(frozen=True)
@@ -148,63 +142,32 @@ def lie_derivative(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
 def lie_derivative_multivector(x: GradedTensor, t: GradedTensor) -> GradedTensor:
     """Classical Lie derivative of a multivector field along a vector field.
 
-    ``L_X (f e_J) = (X f) e_J + f * sum_slots e_{j1} ^ .. ^ [X, e_j] ^ .. ``
-    with ``[X, e_j] = - sum_m (d_j X^m) e_m``.
+    ``L_X T = [X, T]``, the Schouten bracket with a vector field.
     """
     if x.variance != MULTIVECTOR or x.degree != 1:
         raise VarianceMismatch("lie_derivative_multivector needs a vector field")
     if t.variance != MULTIVECTOR:
         raise VarianceMismatch("lie_derivative_multivector acts on multivectors")
-    components = {idx[0]: poly for idx, poly in x.terms.items()}
-    out: dict[MultiIndex, Polynomial] = {}
-    for jdx, f in t.terms.items():
-        transported = Polynomial.zero()
-        for m, xm in components.items():
-            transported = transported + xm * f.diff(m)
-        _accumulate(out, jdx, 1, transported)
-        for slot, j in enumerate(jdx):
-            for m, xm in components.items():
-                rate = xm.diff(j)
-                if rate.is_zero():
-                    continue
-                key, sign = canonicalize(jdx[:slot] + (m,) + jdx[slot + 1 :])
-                if sign:
-                    _accumulate(out, key, -sign, f * rate)
-    return GradedTensor._raw(MULTIVECTOR, t.degree, out)
+    return schouten(x, t)
 
 
 def schouten(q1: GradedTensor, q2: GradedTensor) -> GradedTensor:
-    """Schouten-Nijenhuis bracket of multivector fields.
+    """Schouten-Nijenhuis bracket of multivector fields, by Koszul's formula.
 
-    The first argument is expanded into decomposables ``u1 ^ ... ^ ul``
-    (the polynomial coefficient rides on the first factor) and the bracket
-    is the signed sum over removing one factor and Lie-deriving the second
-    argument along it; see the module docstring for the sign.
+    With ``a = flat(Q1)`` of degree q1 and ``b = flat(Q2)``::
 
-    Degree-0 arguments are supported: the bracket against a function reduces
-    to directional derivatives, and a degree-0 first argument is routed
-    through the calibrated graded symmetry (exponent q1*q2, even here).
+        flat([Q1, Q2]) = delta(a) ^ b + (-1)^q1 a ^ delta(b) - delta(a ^ b)
+
+    Degree-0 arguments need no special case: delta of a degree-0 form is
+    the zero tensor, so the bracket against a function reduces to
+    directional derivatives, and two functions bracket to zero.
     """
     if q1.variance != MULTIVECTOR or q2.variance != MULTIVECTOR:
         raise VarianceMismatch("schouten bracket is defined on multivector fields")
-    if q1.degree == 0 and q2.degree == 0:
-        return GradedTensor.zero(MULTIVECTOR, -1)
-    if q1.degree == 0:
-        return schouten(q2, q1)
-    out: dict[MultiIndex, Polynomial] = {}
-    for jdx, f in q1.terms.items():
-        for i, j in enumerate(jdx):
-            factor = GradedTensor(
-                MULTIVECTOR, 1, {(j,): f if i == 0 else Polynomial.one()}
-            )
-            rest_idx = jdx[:i] + jdx[i + 1 :]
-            rest_coeff: Polynomial | Fraction = Fraction(1) if i == 0 else f
-            rest = GradedTensor(MULTIVECTOR, len(rest_idx), {rest_idx: rest_coeff})
-            term = wedge(rest, lie_derivative_multivector(factor, q2))
-            sign = 1 if i % 2 == 0 else -1
-            for key, coeff in term.terms.items():
-                _accumulate(out, key, sign, coeff)
-    return GradedTensor._raw(MULTIVECTOR, q1.degree + q2.degree - 1, out)
+    a, b = flat(q1), flat(q2)
+    a_db = wedge(a, codifferential(b))
+    koszul = wedge(codifferential(a), b) - codifferential(wedge(a, b))
+    return sharp(koszul + a_db if q1.degree % 2 == 0 else koszul - a_db)
 
 
 __all__ = [

@@ -20,12 +20,15 @@ the term to zero and emits a warning.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from typing import Any
 
 from .multiindex import DIM, canonicalize
 from .polynomial import MAX_EXPONENT, Polynomial
 from .tensor import FORM, MULTIVECTOR, GradedTensor, _accumulate
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -48,10 +51,12 @@ def _parse_integer(value: Any, location: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if not _DECIMAL.fullmatch(value):
+            raise ParseError(f"not a decimal integer: {value!r}", location)
         try:
-            return int(value, 10)
-        except ValueError:
-            raise ParseError(f"not a decimal integer: {value!r}", location) from None
+            return int(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise ParseError(f"{len(value)}-digit integer above the interpreter's digit limit", location) from None
     raise ParseError(f"expected an integer string, got {type(value).__name__}", location)
 
 
@@ -137,7 +142,7 @@ def decode_json(text: str, source: str = "the document") -> Any:
     """``json.loads`` with every decoding failure raised as :class:`ParseError`."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number literal above the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"invalid JSON: {source} is nested too deeply") from None

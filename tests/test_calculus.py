@@ -262,7 +262,7 @@ class TestSchouten:
         f = GradedTensor(MULTIVECTOR, 0, {(): x(0)})
         field = mv(0, coeff=x(1))
         assert schouten(field, f) == GradedTensor(MULTIVECTOR, 0, {(): x(1)})
-        # degree-0 first argument routes through the (even) symmetry exponent
+        # a degree-0 first argument: the graded-symmetry exponent q1*q2 is 0
         assert schouten(f, field) == schouten(field, f)
 
     def test_two_functions_bracket_to_zero(self):

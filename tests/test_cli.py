@@ -1,9 +1,11 @@
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
 from cayley8.cli import main
-from cayley8.serialize import tensor_to_document
+from cayley8.serialize import ParseError, parse_tensor, tensor_to_document
 from cayley8.tensor import dx, mv, scalar_tensor
 from cayley8.polynomial import MAX_EXPONENT, x
 
@@ -227,6 +229,35 @@ class TestUsageErrors:
         assert code == 2
         assert captured.err.startswith("error:") and "MAX_EXPONENT" in captured.err
         assert captured.out == ""
+
+    def test_decompose_beyond_the_interpreter_digit_limit(self, tmp_path, capsys):
+        # norms have about 6,000 digits, above CPython's default int/str limit of 4,300
+        num = int("7" * 3000)
+        doc = tensor_to_document(dx(0, 1, coeff=num))
+        code, captured = run(capsys, "decompose", "--input", write_doc(tmp_path / "wide.json", doc), "--format", "json")
+        assert code == 0
+        norms = json.loads(captured.out)["norms"]
+        # |b|^2 = num^2 splits 1 : 3 between the 7- and 21-parts; Decimal reads any length exactly
+        assert [(Decimal(m["num"]), m["den"]) for m in norms["2_7"]] == [(num**2, "4")]
+        assert [(Decimal(m["num"]), m["den"]) for m in norms["2_21"]] == [(3 * num**2, "4")]
+
+    def test_number_literal_beyond_the_interpreter_digit_limit(self, tmp_path, capsys):
+        text = json.dumps(tensor_to_document(dx(0, 1))).replace('"num": "1"', '"num": ' + "7" * 5000)
+        path = tmp_path / "literal.json"
+        path.write_text(text)
+        code, captured = run(capsys, "decompose", "--input", str(path), "--format", "json")
+        assert code == 0
+        if hasattr(sys, "get_int_max_str_digits"):
+            with pytest.raises(ParseError, match="invalid JSON"):
+                parse_tensor(text)
+
+    def test_digit_limit_restored_after_a_call(self, tmp_path, capsys):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str digit limit")
+        before = sys.get_int_max_str_digits()
+        run(capsys, "decompose", "--input", write_doc(tmp_path / "a.json", tensor_to_document(dx(0, 1))))
+        run(capsys, "decompose", "--input", "/nonexistent.json")
+        assert sys.get_int_max_str_digits() == before
 
     @pytest.mark.parametrize(
         "flags, message",

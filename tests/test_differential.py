@@ -8,7 +8,12 @@ kernels differ.  ``ExactMatrix`` (zero-skipping product and elimination)
 is compared with the dense kernels of ``reference_linalg.py`` on sparse
 rational matrices up to 56x56, singular ones included.  The 7-part of
 ``project4`` (a sum over the 28 generators) is compared with the 70x70 Gram
-projector of ``reference_spin7.py`` on polynomial four-forms.
+projector of ``reference_spin7.py`` on polynomial four-forms.  The
+Schouten bracket (Koszul's formula), the multivector Lie derivative and the
+cone primitive (a contraction with the Euler field) are compared with the
+index loops of ``reference_calculus.py`` on every degree, zero tensors
+included; the result degree is compared too, because ``==`` treats zero
+tensors of any degree as equal.
 """
 
 from fractions import Fraction
@@ -18,15 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_calculus
 import reference_linalg
 import reference_spin7
 from reference_polynomial import Polynomial as Reference
 
+from cayley8.calculus import homotopy_primitive, lie_derivative_multivector, schouten
 from cayley8.linalg import ExactMatrix, SingularMatrixError
 from cayley8.multiindex import DIM, basis
 from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial
 from cayley8.spin7 import project4
-from cayley8.tensor import FORM, GradedTensor
+from cayley8.tensor import FORM, MULTIVECTOR, GradedTensor
 
 # -- polynomials ----------------------------------------------------------------
 
@@ -232,3 +239,47 @@ def test_seven_part_matches_gram_projector(coefficients):
     expected = reference_spin7.seven_part(sigma)
     assert report.components["4_7"] == expected
     assert report.components["4_27"] == sigma - report.components["4_1"] - expected - report.components["4_35"]
+
+
+# -- calculus -------------------------------------------------------------------
+
+low_exponents = st.tuples(*[st.integers(0, 2) for _ in range(DIM)])
+low_polynomials = st.dictionaries(low_exponents, coefficients, min_size=1, max_size=3).map(Polynomial)
+
+
+def tensors(variance, degree, max_terms=3):
+    """Nonzero tensors of one degree with small polynomial coefficients."""
+    keys = basis(degree)
+    terms = st.dictionaries(st.sampled_from(keys), low_polynomials, min_size=1, max_size=min(max_terms, len(keys)))
+    return terms.map(lambda t: GradedTensor(variance, degree, t))
+
+
+def assert_same_tensor(new: GradedTensor, ref: GradedTensor) -> None:
+    assert (new.variance, new.degree, new.terms) == (ref.variance, ref.degree, ref.terms)
+
+
+@pytest.mark.parametrize("p", range(DIM + 1))
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_schouten_matches_decomposable_expansion(p, data):
+    a = data.draw(tensors(MULTIVECTOR, p))
+    for q in range(DIM + 1):
+        b = data.draw(tensors(MULTIVECTOR, q))
+        for x, y in ((a, b), (GradedTensor.zero(MULTIVECTOR, p), b), (a, GradedTensor.zero(MULTIVECTOR, q))):
+            assert_same_tensor(schouten(x, y), reference_calculus.schouten(x, y))
+
+
+@settings(max_examples=20, deadline=None)
+@given(tensors(MULTIVECTOR, 1, max_terms=4), st.data())
+def test_multivector_lie_derivative_matches_slot_expansion(x, data):
+    for q in range(DIM + 1):
+        for t in (data.draw(tensors(MULTIVECTOR, q)), GradedTensor.zero(MULTIVECTOR, q)):
+            assert_same_tensor(lie_derivative_multivector(x, t), reference_calculus.lie_derivative_multivector(x, t))
+
+
+@pytest.mark.parametrize("k", range(1, DIM + 1))
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_homotopy_primitive_matches_slot_expansion(k, data):
+    for beta in (data.draw(tensors(FORM, k, max_terms=6)), GradedTensor.zero(FORM, k)):
+        assert_same_tensor(homotopy_primitive(beta), reference_calculus.homotopy_primitive(beta))

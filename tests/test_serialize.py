@@ -101,8 +101,9 @@ class TestErrors:
         with pytest.raises(ParseError, match=r"terms\[0\]\.idx"):
             document_to_tensor(doc(terms=[{"idx": [0, 9], "coeff": coeff_one()}]))
 
-    def test_bad_numerator(self):
-        bad = doc(terms=[{"idx": [0, 1], "coeff": [{"exp": [0] * 8, "num": "x", "den": "1"}]}])
+    @pytest.mark.parametrize("num", ["x", "1_0", " 7 ", "\u0663"])
+    def test_bad_numerator(self, num):
+        bad = doc(terms=[{"idx": [0, 1], "coeff": [{"exp": [0] * 8, "num": num, "den": "1"}]}])
         with pytest.raises(ParseError, match="num"):
             document_to_tensor(bad)
 
