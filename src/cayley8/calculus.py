@@ -20,40 +20,46 @@ Sign conventions:
 The bracket is computed by Koszul's formula, as the failure of the
 divergence ``-sharp delta flat`` to be a derivation; the cone primitive is a
 contraction with the Euler field.  Only ``exterior_derivative`` walks index
-positions, and it takes its signs from ``merge_sign``; no other operator
-here computes a permutation sign.  The differential test against the
+positions, and it reads its signs from the ``multiindex.PARITY`` table; no
+other operator here computes a permutation sign.  The differential test against the
 expansion above (``tests/reference_calculus.py``) pins the equality on every
 pair of degrees.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 
-from .multiindex import DIM, MultiIndex, merge_sign
+from .multiindex import DIM, MASK, PARITY
 from .polynomial import Polynomial
 from .tensor import (
     FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch,
-    _accumulate, contract, flat, hodge, sharp, wedge,
+    _grouped_sum, contract, flat, hodge, sharp, wedge,
 )
 
 
 def exterior_derivative(beta: GradedTensor) -> GradedTensor:
-    """d: degree k forms to degree k+1 forms; d(d(beta)) = 0."""
+    """d: degree k forms to degree k+1 forms; d(d(beta)) = 0.
+
+    ``d(f dx^I) = sum_i (d_i f) dx^i ^ dx^I``; the terms of each output key
+    are summed at once, ``dx^i ^ dx^I`` signed by ``PARITY[1 << i << 8 | I]``.
+    """
     if beta.variance != FORM:
         raise VarianceMismatch("exterior derivative acts on forms")
-    out: dict[MultiIndex, Polynomial] = {}
+    one = Polynomial.one()
+    groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in beta.terms.items():
+        m = MASK[idx]
         for i in range(DIM):
-            if i in idx:  # dx^i ^ dx^idx vanishes
+            bit = 1 << i
+            if m & bit:  # dx^i ^ dx^idx vanishes
                 continue
             g = poly.diff(i)
-            if g.is_zero():
-                continue
-            key, sign = merge_sign((i,), idx)
-            _accumulate(out, key, sign, g)
-    return GradedTensor._raw(FORM, beta.degree + 1, out)
+            if g:
+                groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], g, one))
+    return GradedTensor._raw(FORM, beta.degree + 1, _grouped_sum(groups))
 
 
 def codifferential(beta: GradedTensor) -> GradedTensor:

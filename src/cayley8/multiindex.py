@@ -1,9 +1,22 @@
 """Multi-index bookkeeping for the exterior algebra over R^8.
 
 Basis k-forms and k-multivectors are keyed by strictly increasing tuples
-drawn from {0, ..., 7}.  Every sign-sensitive operation in the package
-funnels through the helpers here, so permutation parity is computed in
-exactly one place.
+drawn from {0, ..., 7}.  Each tuple is also an 8-bit mask (bit ``i`` set
+when ``i`` is in the tuple); :data:`MASK` and :data:`INDEX` map between the
+two.  Every permutation sign of the package is one lookup in the 64 KB
+table :data:`PARITY`::
+
+    PARITY[a << 8 | b] = #{(i in a, j in b): j < i} mod 2
+
+which is the parity of moving the entries of ``b`` past those of ``a``:
+
+* wedge of disjoint ``a``, ``b``: ``PARITY[a << 8 | b]`` (``merge_sign``);
+* contraction of ``q`` into ``f`` (``q`` a subset): ``PARITY[q << 8 | f ^ q]``
+  (``contraction``);
+* Hodge star: ``PARITY[m << 8 | 255 ^ m]`` (``star_sign``).
+
+Only ``canonicalize``, which sorts arbitrary index sequences, counts
+inversions itself.
 """
 
 from __future__ import annotations
@@ -17,6 +30,46 @@ DIM = 8
 MultiIndex = tuple[int, ...]
 
 FULL: MultiIndex = tuple(range(DIM))
+
+
+def _indices() -> tuple[MultiIndex, ...]:
+    out: list[MultiIndex] = [()]
+    for m in range(1, 1 << DIM):
+        top = m.bit_length() - 1
+        out.append(out[m ^ 1 << top] + (top,))
+    return tuple(out)
+
+
+#: ``INDEX[m]``: the sorted tuple of the bits set in the mask ``m``.
+INDEX: tuple[MultiIndex, ...] = _indices()
+
+#: ``MASK[idx]``: the mask of a sorted tuple, the inverse of :data:`INDEX`.
+MASK: dict[MultiIndex, int] = {idx: m for m, idx in enumerate(INDEX)}
+
+
+def _parity_table() -> bytes:
+    """``PARITY`` as 256 rows of 256 bytes, row ``a`` holding ``b = 0..255``.
+
+    A row is built as one big int, byte ``b`` most significant first.
+    Adding the element ``t`` to ``a`` flips the parity for every ``b`` with
+    an odd number of entries below ``t``, so ``row[a]`` is the row of ``a``
+    without its top bit ``t``, XOR the row ``low[t]`` of those flips; that
+    row repeats with period ``2**t`` in ``b``.
+    """
+    size = 1 << DIM
+    low = [
+        int.from_bytes(bytes(b.bit_count() & 1 for b in range(1 << t)) * (size >> t), "big")
+        for t in range(DIM)
+    ]
+    rows = [0]
+    for a in range(1, size):
+        top = a.bit_length() - 1
+        rows.append(rows[a ^ (1 << top)] ^ low[top])
+    return b"".join(row.to_bytes(size, "big") for row in rows)
+
+
+#: ``PARITY[a << 8 | b]``: the parity of #{(i in a, j in b): j < i}, 0 or 1.
+PARITY: bytes = _parity_table()
 
 
 def canonicalize(indices: Iterable[int]) -> tuple[MultiIndex, int]:
@@ -49,35 +102,20 @@ def merge_sign(a: MultiIndex, b: MultiIndex) -> tuple[MultiIndex, int]:
     Returns the sorted union and the parity of reordering the concatenation
     ``a + b`` into it; sign 0 when the indices overlap.
     """
-    out: list[int] = []
-    inv = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return tuple(sorted(a + b)), 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the len(a) - i remaining entries of a
-            inv += len(a) - i
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1) ** (inv % 2)
+    ma, mb = MASK[a], MASK[b]
+    if ma & mb:
+        return tuple(sorted(a + b)), 0
+    return INDEX[ma | mb], 1 - 2 * PARITY[ma << 8 | mb]
 
 
 def complement(idx: MultiIndex) -> MultiIndex:
-    present = set(idx)
-    return tuple(i for i in range(DIM) if i not in present)
+    return INDEX[255 ^ MASK[idx]]
 
 
-@lru_cache(maxsize=None)
 def star_sign(idx: MultiIndex) -> int:
     """Parity of the permutation (idx, complement(idx)) of (0, ..., 7)."""
-    _, sign = merge_sign(idx, complement(idx))
-    return sign
+    m = MASK[idx]
+    return 1 - 2 * PARITY[m << 8 | 255 ^ m]
 
 
 def contraction(key_mv: MultiIndex, key_form: MultiIndex) -> tuple[MultiIndex, int] | None:
@@ -85,19 +123,14 @@ def contraction(key_mv: MultiIndex, key_form: MultiIndex) -> tuple[MultiIndex, i
 
     Returns ``(remaining_index, sign)`` or ``None`` when ``key_mv`` is not a
     subset of ``key_form``.  The sign matches iterated single-vector
-    contraction applied smallest factor first (see ``tensor.contract``).
+    contraction applied smallest factor first (see ``tensor.contract``):
+    removing ``j`` passes the entries of the remainder below ``j``.
     """
-    remaining = list(key_form)
-    exponent = 0
-    for removed, j in enumerate(key_mv):
-        try:
-            pos = key_form.index(j)
-        except ValueError:
-            return None
-        # earlier removals all sit left of j, shifting its slot down
-        exponent += pos - removed
-        remaining.remove(j)
-    return tuple(remaining), (-1) ** (exponent % 2)
+    mq, mf = MASK[key_mv], MASK[key_form]
+    if mq & mf != mq:
+        return None
+    rest = mf ^ mq
+    return INDEX[rest], 1 - 2 * PARITY[mq << 8 | rest]
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,13 @@ exponent vectors", CASC 2007, also used by FLINT's ``fmpz_mpoly``):
   and the denominator is 1, and the zero polynomial has denominator 1, so
   equal polynomials have equal fields.
 
-Ring operations and ``diff`` run on ints alone.  ``terms`` is a read-only
-view from exponent tuples to ``fractions.Fraction``, built on first use.
-No floating point appears anywhere.
+Ring operations and ``diff`` run on ints alone.  :meth:`Polynomial.sum_of_products`
+holds the one monomial-product loop: ``sum(sign * a * b)`` over many pairs
+goes into one numerator dict over one common denominator, with one guard
+check and one gcd, and ``a * b`` is the sum of one product.  The tensor
+kernels call it once per output coefficient.  ``terms`` is a read-only view
+from exponent tuples to ``fractions.Fraction``, built on first use.  No
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .multiindex import DIM
 
@@ -118,6 +122,38 @@ class Polynomial:
         for key, n, d in packed:
             nums[key] = nums.get(key, 0) + n * (den // d)  # a negative d flips the sign
         return _reduced({k: v for k, v in nums.items() if v}, den)
+
+    @staticmethod
+    def sum_of_products(triples: Sequence[tuple[int, "Polynomial", "Polynomial"]]) -> "Polynomial":
+        """``sum(sign * a * b)`` over a sequence of ``(sign, a, b)``, ``sign`` an int.
+
+        The one monomial-product loop of the class: every product goes into
+        one numerator dict over the lcm of the denominators, then one guard
+        check covers every key produced (also keys that later cancel) and
+        one gcd reduces the sum.
+        """
+        den = 1
+        for _, a, b in triples:
+            d = a._den * b._den
+            if den % d:
+                den = lcm(den, d)
+        out: dict[int, int] = {}
+        get = out.get
+        for sign, a, b in triples:
+            scale = sign * den // (a._den * b._den)
+            a, b = a._nums, b._nums
+            if len(a) < len(b):
+                a, b = b, a
+            for kb, vb in b.items():
+                vb *= scale
+                for ka, va in a.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + va * vb
+        if reduce(or_, out, 0) & GUARD:
+            raise ExponentOverflow(f"a product has an exponent above MAX_EXPONENT = {MAX_EXPONENT}")
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        return _reduced(out, den)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -249,25 +285,7 @@ class Polynomial:
             return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._nums, other._nums
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:  # one term: no two products share a key
-            ((kb, vb),) = b.items()
-            out = {ka + kb: va * vb for ka, va in a.items()}
-        else:
-            out = {}
-            get = out.get
-            pairs = list(b.items())
-            for ka, va in a.items():
-                for kb, vb in pairs:
-                    k = ka + kb
-                    out[k] = get(k, 0) + va * vb
-            if 0 in out.values():
-                out = {k: v for k, v in out.items() if v}
-        if reduce(or_, out, 0) & GUARD:
-            raise ExponentOverflow(f"a product has an exponent above MAX_EXPONENT = {MAX_EXPONENT}")
-        return _reduced(out, self._den * other._den)
+        return Polynomial.sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -314,7 +332,11 @@ class Polynomial:
     def compose_linear(self, rows: list[list[Fraction]]) -> "Polynomial":
         """Substitute ``x_i -> sum_j rows[i][j] * x_j``."""
         images = [
-            Polynomial({tuple(1 if m == j else 0 for m in range(DIM)): rows[i][j] for j in range(DIM) if rows[i][j]})
+            Polynomial.from_quotients(
+                (tuple(int(m == j) for m in range(DIM)), r.numerator, r.denominator)
+                for j, r in enumerate(rows[i])
+                if r
+            )
             for i in range(DIM)
         ]
         out = Polynomial.zero()

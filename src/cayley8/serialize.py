@@ -99,8 +99,8 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
             f"{location}.variance",
         )
     degree = doc.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise ParseError(f"degree must be a non-negative integer, got {degree!r}", f"{location}.degree")
+    if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= DIM:
+        raise ParseError(f"degree must be an integer in 0..{DIM}, got {degree!r}", f"{location}.degree")
     raw_terms = _expect_type(doc.get("terms", []), list, f"{location}.terms")
     accumulated: dict[tuple[int, ...], Polynomial] = {}
     for n, term in enumerate(raw_terms):

@@ -15,14 +15,21 @@ innermost::
     (u1 ^ u2 ^ ... ^ ul) _| beta  =  ul _| ( ... (u2 _| (u1 _| beta)))
 
 Every sign-sensitive identity in this package and its test suite assumes
-this order; :func:`cayley8.multiindex.contraction` computes its sign.
+this order.  Its sign, like every permutation sign here, is one lookup in
+the table :data:`cayley8.multiindex.PARITY`: contracting ``q`` into ``f``
+gives ``PARITY[q << 8 | f ^ q]`` on index masks.
 
 Signed accumulation
 -------------------
-Every tensor-building loop adds its signed terms through
-:func:`_accumulate`, which drops a key as soon as its coefficient cancels,
-so no stored tensor ever holds a zero coefficient.  Bilinear products
-(``wedge``, ``contract``) run the single pair loop :func:`_bilinear`.
+Bilinear products (``wedge``, ``contract``) run the single pair loop
+:func:`_bilinear`.  It groups the term pairs by output key and calls
+:meth:`~cayley8.polynomial.Polynomial.sum_of_products` once per key, so each
+output coefficient is one Polynomial built in one pass over its products,
+not a chain of per-pair products and sums.  ``inner`` is one such sum and
+``exterior_derivative`` groups its derivatives the same way.  A key whose
+sum cancels is dropped, as is a key that cancels in :func:`_accumulate`,
+the one-term-at-a-time adder of the linear operations, so no stored tensor
+ever holds a zero coefficient.
 
 Values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads without locking.
@@ -30,19 +37,11 @@ everything here is safe to share across threads without locking.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .multiindex import (
-    DIM,
-    FULL,
-    MultiIndex,
-    canonicalize,
-    complement,
-    contraction,
-    merge_sign,
-    star_sign,
-)
+from .multiindex import DIM, FULL, INDEX, MASK, PARITY, MultiIndex, canonicalize, complement, star_sign
 from .polynomial import Polynomial, Rational, as_fraction, as_polynomial
 
 FORM = "form"
@@ -248,19 +247,39 @@ def _accumulate(out: dict[MultiIndex, Polynomial], key: MultiIndex, sign: int, p
         out[key] = total
 
 
-def _bilinear(a: GradedTensor, b: GradedTensor, pair) -> dict[MultiIndex, Polynomial]:
-    """Sum ``sign * pa * pb`` into ``key`` over all term pairs of ``a`` and ``b``.
+#: Pair rules of :func:`_bilinear`: the part of a's mask that b's mask must
+#: share.  Wedge pairs are disjoint, a contracted multivector lies inside the form.
+DISJOINT, INSIDE = 0, 255
 
-    ``pair(ia, ib)`` returns ``(key, sign)``, or ``None`` or sign 0 when the
-    pair of basis elements contributes nothing.
-    """
+
+def _grouped_sum(groups: Mapping[int, list]) -> dict[MultiIndex, Polynomial]:
+    """One ``Polynomial.sum_of_products`` per output mask; a sum that cancels is dropped."""
     out: dict[MultiIndex, Polynomial] = {}
-    for ia, pa in a.terms.items():
-        for ib, pb in b.terms.items():
-            hit = pair(ia, ib)
-            if hit and hit[1]:
-                _accumulate(out, hit[0], hit[1], pa * pb)
+    for key, triples in groups.items():
+        poly = Polynomial.sum_of_products(triples)
+        if poly:
+            out[INDEX[key]] = poly
     return out
+
+
+def _bilinear(a: GradedTensor, b: GradedTensor, rule: int) -> dict[MultiIndex, Polynomial]:
+    """Sum ``sign * pa * pb`` over the term pairs of ``a`` and ``b``, grouped by output key.
+
+    A pair of masks ``ma``, ``mb`` contributes when ``ma & mb == ma & rule``;
+    its key is ``ma ^ mb`` and its sign ``PARITY[ma << 8 | key & mb]``, which
+    is the wedge sign for disjoint masks and the contraction sign for
+    ``ma`` inside ``mb``.
+    """
+    groups: defaultdict[int, list] = defaultdict(list)
+    b_terms = [(MASK[ib], pb) for ib, pb in b.terms.items()]
+    for ia, pa in a.terms.items():
+        ma = MASK[ia]
+        shared, row = ma & rule, ma << 8
+        for mb, pb in b_terms:
+            if ma & mb == shared:
+                key = ma ^ mb
+                groups[key].append((1 - 2 * PARITY[row | key & mb], pa, pb))
+    return _grouped_sum(groups)
 
 
 # -- core operations -------------------------------------------------------
@@ -273,7 +292,7 @@ def wedge(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     degree = a.degree + b.degree
     if degree > DIM:
         return GradedTensor.zero(a.variance, degree)
-    return GradedTensor._raw(a.variance, degree, _bilinear(a, b, merge_sign))
+    return GradedTensor._raw(a.variance, degree, _bilinear(a, b, DISJOINT))
 
 
 def contract(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
@@ -290,7 +309,7 @@ def contract(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
         raise DegreeMismatch(
             f"cannot contract a degree-{q.degree} multivector into a degree-{beta.degree} form"
         )
-    return GradedTensor._raw(FORM, beta.degree - q.degree, _bilinear(q, beta, contraction))
+    return GradedTensor._raw(FORM, beta.degree - q.degree, _bilinear(q, beta, INSIDE))
 
 
 def hodge(beta: GradedTensor) -> GradedTensor:
@@ -337,13 +356,8 @@ def inner(a: GradedTensor, b: GradedTensor) -> Polynomial:
         raise VarianceMismatch("inner product needs matching variance")
     if a.degree != b.degree and not (a.is_zero() or b.is_zero()):
         raise DegreeMismatch("inner product needs matching degree")
-    total = Polynomial.zero()
-    small, large = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    for idx, pa in small.terms.items():
-        pb = large.terms.get(idx)
-        if pb is not None:
-            total = total + pa * pb
-    return total
+    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+    return Polynomial.sum_of_products([(1, pa, large[idx]) for idx, pa in small.items() if idx in large])
 
 
 # -- linear pullback -------------------------------------------------------

@@ -108,19 +108,26 @@ class CheckResult:
 # -- seeded sparse generators (shared with the test suite) -------------------
 
 
+_NONZERO_NUMERATORS = tuple(i for i in range(-9, 10) if i)
+
+
 def random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice([i for i in range(-9, 10) if i]), rng.randint(1, 3))
+    return Fraction(rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 3))
 
 
 def random_polynomial(rng: random.Random, max_degree: int = 2, max_terms: int = 3) -> Polynomial:
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """Up to ``max_terms`` random monomials with ``random_fraction`` coefficients.
+
+    Draws exactly as summing ``random_fraction`` values would, but builds
+    the sum from integer quotients.
+    """
+    quotients = []
     for _ in range(rng.randint(1, max_terms)):
         exp = [0] * DIM
         for _ in range(rng.randint(0, max_degree)):
             exp[rng.randrange(DIM)] += 1
-        key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + random_fraction(rng)
-    return Polynomial(terms)
+        quotients.append((exp, rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 3)))
+    return Polynomial.from_quotients(quotients)
 
 
 def random_tensor(

@@ -222,6 +222,25 @@ class TestUsageErrors:
         assert "$.terms[0].coeff[0].exp[3]" in captured.err and "32768" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, payload, location",
+        [
+            ("primitive", {"variance": "form", "degree": 12, "terms": []}, "$.degree"),
+            ("decompose", {"variance": "form", "degree": 9, "terms": []}, "$.degree"),
+            (
+                "contract",
+                {"multivector": tensor_to_document(mv(0)), "form": {"variance": "form", "degree": 10, "terms": []}},
+                "$.form.degree",
+            ),
+        ],
+    )
+    def test_degree_above_eight_is_a_located_error(self, tmp_path, capsys, command, payload, location):
+        # a zero tensor of degree 12 used to pass as a "primitive" with zero residuals
+        code, captured = run(capsys, command, "--input", write_doc(tmp_path / "high.json", payload))
+        assert code == 2
+        assert captured.err.startswith(f"error: {location}:")
+        assert captured.out == ""
+
     def test_exponent_overflow_in_product(self, tmp_path, capsys):
         # x0^17000 parses, but the orthogonality products need x0^34000
         path = write_doc(tmp_path / "tall.json", tensor_to_document(dx(0, 1, coeff=x(0) ** 17000)))

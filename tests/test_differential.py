@@ -13,7 +13,11 @@ Schouten bracket (Koszul's formula), the multivector Lie derivative and the
 cone primitive (a contraction with the Euler field) are compared with the
 index loops of ``reference_calculus.py`` on every degree, zero tensors
 included; the result degree is compared too, because ``==`` treats zero
-tensors of any degree as equal.
+tensors of any degree as equal.  The ``PARITY`` sign table is compared with
+the index loops of ``reference_multiindex.py`` on all 65,536 mask pairs,
+and the grouped tensor kernels (``wedge``, ``contract``, ``inner``,
+``hodge``, ``exterior_derivative``, ``pullback_linear``) with the pair loops
+of ``reference_tensor.py``, on operands whose products cancel.
 """
 
 from fractions import Fraction
@@ -25,15 +29,19 @@ from hypothesis import strategies as st
 
 import reference_calculus
 import reference_linalg
+import reference_multiindex
 import reference_spin7
+import reference_tensor
 from reference_polynomial import Polynomial as Reference
 
-from cayley8.calculus import homotopy_primitive, lie_derivative_multivector, schouten
+from cayley8.calculus import exterior_derivative, homotopy_primitive, lie_derivative_multivector, schouten
 from cayley8.linalg import ExactMatrix, SingularMatrixError
-from cayley8.multiindex import DIM, basis
-from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial
+from cayley8.multiindex import DIM, INDEX, MASK, PARITY, basis, contraction, merge_sign, star_sign
+from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, x
 from cayley8.spin7 import project4
-from cayley8.tensor import FORM, MULTIVECTOR, GradedTensor
+from cayley8.tensor import (
+    FORM, MULTIVECTOR, GradedTensor, contract, dx, hodge, inner, pullback_linear, sharp, wedge,
+)
 
 # -- polynomials ----------------------------------------------------------------
 
@@ -146,6 +154,8 @@ def test_ring_operations_build_no_fraction(monkeypatch):
     a = Polynomial({(1,) + (0,) * 7: Fraction(1, 3), (0,) * 8: Fraction(-2, 5)})
     b = Polynomial({(0, 1) + (0,) * 6: Fraction(3, 4), (2,) + (0,) * 7: 5})
     c = Fraction(2, 7)
+    s = dx(0, coeff=a) + dx(1, coeff=b)
+    t = dx(0, 1, coeff=b) + dx(1, 2, coeff=a) + dx(0, 2, coeff=c)
     built = []
     original = Fraction.__new__
 
@@ -156,9 +166,38 @@ def test_ring_operations_build_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting)
     results = [a * b, a * c, a * 3, c * a, a + b, a + 2, a + c, a - b, -a]
     results += [a.diff(i) for i in range(DIM)]
+    results += [Polynomial.sum_of_products([(1, a, b), (-3, b, a), (2, a, a)])]
+    products = [wedge(s, t), wedge(s, s), contract(sharp(s), t), contract(sharp(t), t)]
+    results += [inner(s, s), inner(t, t)]
     assert built == []
     monkeypatch.undo()
     assert dict(results[0].terms) == (Reference(dict(a.terms)) * Reference(dict(b.terms))).terms
+    assert products[0] == reference_tensor.wedge(s, t) and products[1].is_zero()
+    assert products[2] == reference_tensor.contract(sharp(s), t)
+    assert results[-1] == reference_tensor.inner(t, t) == a * a + b * b + c * c
+
+
+def test_sum_of_products_cancels_to_the_canonical_zero():
+    third = Polynomial.from_quotients([((1,) + (0,) * 7, 1, 3)])
+    half = Polynomial.from_quotients([((0, 1) + (0,) * 6, 1, 2)])
+    sixth = Polynomial.from_quotients([((1,) + (0,) * 7, 1, 6)])
+    total = Polynomial.sum_of_products([(1, third, half), (-1, sixth, x(1))])
+    assert (total._nums, total._den) == ({}, 1)
+    assert Polynomial.sum_of_products([]) == Polynomial.zero()
+    # what is left after the cancellation is reduced by one gcd
+    total = Polynomial.sum_of_products([(1, third, half), (-1, sixth, x(1)), (6, sixth, half)])
+    assert (total._nums, total._den) == ({1 << 112 | 1 << 96: 1}, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), term_dicts, term_dicts), max_size=5), st.booleans())
+def test_sum_of_products_matches_reference(triples, cancel):
+    if cancel:  # every product also enters with the opposite sign
+        triples = triples + [(-sign, a, b) for sign, a, b in reversed(triples)]
+    expected = Reference({})
+    for sign, a, b in triples:
+        expected = expected + Reference(a) * Reference(b) * sign
+    assert_same(Polynomial.sum_of_products([(sign, Polynomial(a), Polynomial(b)) for sign, a, b in triples]), expected)
 
 
 def test_exponent_cap():
@@ -175,6 +214,11 @@ def test_exponent_cap():
     # the guard bit of one field never leaks into its neighbours
     lower = Polynomial.variable(4, MAX_EXPONENT) * Polynomial.variable(3)
     assert sorted(lower.terms) == [(0, 0, 0, 1, MAX_EXPONENT, 0, 0, 0)]
+    # the grouped tensor kernel checks the guard bits of every product it sums
+    with pytest.raises(ExponentOverflow):
+        wedge(dx(0, coeff=x(3) ** MAX_EXPONENT), dx(1, coeff=x(3)))
+    with pytest.raises(ExponentOverflow):  # also when the overflowing products cancel
+        Polynomial.sum_of_products([(1, top, x(3)), (-1, top, x(3))])
 
 
 # -- matrices ----------------------------------------------------------------
@@ -283,3 +327,99 @@ def test_multivector_lie_derivative_matches_slot_expansion(x, data):
 def test_homotopy_primitive_matches_slot_expansion(k, data):
     for beta in (data.draw(tensors(FORM, k, max_terms=6)), GradedTensor.zero(FORM, k)):
         assert_same_tensor(homotopy_primitive(beta), reference_calculus.homotopy_primitive(beta))
+
+
+# -- signs and tensor kernels ------------------------------------------------------
+
+
+def test_parity_table_matches_index_loops():
+    assert type(PARITY) is bytes and len(PARITY) == 1 << 16
+    for a in range(1 << DIM):
+        ia = INDEX[a]
+        assert MASK[ia] == a and sum(1 << i for i in ia) == a and list(ia) == sorted(set(ia))
+        assert star_sign(ia) == reference_multiindex.star_sign(ia)
+        for b in range(1 << DIM):
+            ib = INDEX[b]
+            assert PARITY[a << 8 | b] == sum(j < i for i in ia for j in ib) % 2
+            assert merge_sign(ia, ib) == reference_multiindex.merge_sign(ia, ib)
+            assert contraction(ia, ib) == reference_multiindex.contraction(ia, ib)
+
+
+def rotated(t: GradedTensor) -> GradedTensor:
+    """A partner whose pairing with ``t`` cancels: coefficients (f, g) on two keys become (g, -f)."""
+    items = sorted(t.terms.items())
+    out = {}
+    for (k1, f), (k2, g) in zip(items[::2], items[1::2]):
+        out[k1], out[k2] = g, -f
+    return GradedTensor(t.variance, t.degree, out)
+
+
+@pytest.mark.parametrize("p", range(DIM + 1))
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_wedge_and_contract_match_pair_loops(p, data):
+    a = data.draw(tensors(FORM, p))
+    zero = a + (-a)
+    for q in range(DIM + 1):
+        b = data.draw(tensors(FORM, q))
+        for u, v in ((a, b), (zero, b), (a, b + (-b))):
+            assert_same_tensor(wedge(u, v), reference_tensor.wedge(u, v))
+            assert_same_tensor(wedge(sharp(u), sharp(v)), reference_tensor.wedge(sharp(u), sharp(v)))
+            if p <= q:
+                assert_same_tensor(contract(sharp(u), v), reference_tensor.contract(sharp(u), v))
+    # products that cancel inside one output key
+    if p % 2:
+        assert wedge(a, a).is_zero()
+        assert_same_tensor(wedge(a, a), reference_tensor.wedge(a, a))
+    partner = rotated(a)
+    assert contract(sharp(a), partner).is_zero()
+    assert_same_tensor(contract(sharp(a), partner), reference_tensor.contract(sharp(a), partner))
+
+
+@pytest.mark.parametrize("p", range(DIM + 1))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_inner_hodge_and_d_match_pair_loops(p, data):
+    a = data.draw(tensors(FORM, p, max_terms=6))
+    b = data.draw(tensors(FORM, p, max_terms=6))
+    for u, v in ((a, b), (a, a), (a, a + (-a)), (a, rotated(a))):
+        new, ref = inner(u, v), reference_tensor.inner(u, v)
+        assert (new._nums, new._den) == (ref._nums, ref._den)
+    assert inner(a, rotated(a)).is_zero()
+    for t in (a, sharp(a), a + (-a)):
+        assert_same_tensor(hodge(t), reference_tensor.hodge(t))
+    da = exterior_derivative(a)
+    assert_same_tensor(da, reference_tensor.exterior_derivative(a))
+    # d(d a) = 0: the mixed partials cancel inside each output key
+    assert_same_tensor(exterior_derivative(da), reference_tensor.exterior_derivative(da))
+    assert exterior_derivative(da).is_zero()
+
+
+# coefficients of total degree at most 2, so that a substitution stays small
+quadratic_exponents = st.lists(st.integers(0, DIM - 1), max_size=2).map(lambda v: tuple(v.count(i) for i in range(DIM)))
+quadratic_polynomials = st.dictionaries(quadratic_exponents, coefficients, min_size=1, max_size=3).map(Polynomial)
+
+
+@st.composite
+def invertible_matrices(draw):
+    """Triangular with a nonzero diagonal and sparse wide entries, rows maybe reversed."""
+    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        rows[i][i] = draw(coefficients.filter(bool))
+        for j in range(i + 1, DIM):
+            if draw(st.integers(0, 3)) == 0:
+                rows[i][j] = draw(coefficients)
+    return rows[::-1] if draw(st.booleans()) else rows
+
+
+@pytest.mark.parametrize("p", range(DIM + 1))
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_pullback_matches_pair_loops(p, data):
+    keys = st.sampled_from(basis(p))
+    terms = st.dictionaries(keys, quadratic_polynomials, min_size=1, max_size=min(3, len(basis(p))))
+    matrix = data.draw(invertible_matrices())
+    for variance in (FORM, MULTIVECTOR):
+        t = GradedTensor(variance, p, data.draw(terms))
+        for u in (t, t + (-t)):
+            assert_same_tensor(pullback_linear(matrix, u), reference_tensor.pullback_linear(matrix, u))

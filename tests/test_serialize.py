@@ -93,6 +93,12 @@ class TestErrors:
         with pytest.raises(ParseError, match=r"\$\.degree"):
             document_to_tensor(doc(degree="two"))
 
+    @pytest.mark.parametrize("degree", [-1, 9, 12])
+    def test_degree_outside_the_exterior_algebra(self, degree):
+        # an empty term list would otherwise load as a zero tensor of that degree
+        with pytest.raises(ParseError, match=r"^\$\.degree: .*0\.\.8"):
+            document_to_tensor(doc(degree=degree, terms=[]))
+
     def test_idx_length_mismatch_reports_location(self):
         with pytest.raises(ParseError, match=r"terms\[0\]\.idx"):
             document_to_tensor(doc(terms=[{"idx": [0], "coeff": coeff_one()}]))
