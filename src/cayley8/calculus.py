@@ -35,7 +35,7 @@ from functools import cache
 from .multiindex import DIM, MASK, PARITY
 from .polynomial import Polynomial
 from .tensor import (
-    FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch,
+    FORM, MULTIVECTOR, ONE, DegreeMismatch, GradedTensor, VarianceMismatch,
     _grouped_sum, contract, flat, hodge, sharp, wedge,
 )
 
@@ -48,7 +48,6 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
     """
     if beta.variance != FORM:
         raise VarianceMismatch("exterior derivative acts on forms")
-    one = Polynomial.one()
     groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in beta.terms.items():
         m = MASK[idx]
@@ -58,7 +57,7 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
                 continue
             g = poly.diff(i)
             if g:
-                groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], g, one))
+                groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], g, ONE))
     return GradedTensor._raw(FORM, beta.degree + 1, _grouped_sum(groups))
 
 

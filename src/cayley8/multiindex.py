@@ -13,10 +13,13 @@ which is the parity of moving the entries of ``b`` past those of ``a``:
 * wedge of disjoint ``a``, ``b``: ``PARITY[a << 8 | b]`` (``merge_sign``);
 * contraction of ``q`` into ``f`` (``q`` a subset): ``PARITY[q << 8 | f ^ q]``
   (``contraction``);
-* Hodge star: ``PARITY[m << 8 | 255 ^ m]`` (``star_sign``).
+* Hodge star: ``PARITY[m << 8 | 255 ^ m]`` (``star_sign``);
+* sorting a sequence (``canonicalize``): index ``i`` after the indices of
+  the mask ``seen`` adds ``PARITY[seen << 8 | 1 << i]``.
 
-Only ``canonicalize``, which sorts arbitrary index sequences, counts
-inversions itself.
+``merge_sign`` and ``contraction`` have no caller in this package (the
+kernels read the table); ``bench/spans.py`` counts calls through them until
+its counters move to the tensor operations (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -77,23 +80,21 @@ def canonicalize(indices: Iterable[int]) -> tuple[MultiIndex, int]:
 
     Returns ``(sorted_tuple, sign)`` where ``sign`` is the parity of the
     sorting permutation, or ``0`` when an index repeats (the alternating
-    tensor with a repeated index vanishes).
+    tensor with a repeated index vanishes).  One walk: index ``i`` passes
+    the earlier entries above it, ``PARITY[seen << 8 | 1 << i]`` of them mod 2.
     """
-    idx = list(indices)
+    idx = tuple(indices)
+    seen = parity = repeated = 0
     for i in idx:
         if not isinstance(i, int) or not 0 <= i < DIM:
             raise ValueError(f"index {i!r} outside 0..{DIM - 1}")
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j] < idx[j - 1]:
-            idx[j], idx[j - 1] = idx[j - 1], idx[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+        bit = 1 << i
+        repeated |= seen & bit
+        parity ^= PARITY[seen << 8 | bit]
+        seen |= bit
+    if repeated:
+        return tuple(sorted(idx)), 0
+    return INDEX[seen], 1 - 2 * parity
 
 
 def merge_sign(a: MultiIndex, b: MultiIndex) -> tuple[MultiIndex, int]:

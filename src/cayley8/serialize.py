@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from collections import defaultdict
 from typing import Any
 
-from .multiindex import DIM, canonicalize
+from .multiindex import DIM, MASK, canonicalize
 from .polynomial import MAX_EXPONENT, Polynomial
-from .tensor import FORM, MULTIVECTOR, GradedTensor, _accumulate
+from .tensor import FORM, MULTIVECTOR, ONE, DegreeMismatch, GradedTensor, _grouped_sum
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
@@ -102,7 +103,7 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
     if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= DIM:
         raise ParseError(f"degree must be an integer in 0..{DIM}, got {degree!r}", f"{location}.degree")
     raw_terms = _expect_type(doc.get("terms", []), list, f"{location}.terms")
-    accumulated: dict[tuple[int, ...], Polynomial] = {}
+    groups: defaultdict[int, list] = defaultdict(list)
     for n, term in enumerate(raw_terms):
         here = f"{location}.terms[{n}]"
         _expect_type(term, dict, here)
@@ -123,11 +124,13 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
                     stacklevel=2,
                 )
             continue
-        _accumulate(accumulated, key, sign, coeff)
-    return GradedTensor._raw(variance, degree, accumulated)
+        groups[MASK[key]].append((sign, coeff, ONE))
+    return GradedTensor._raw(variance, degree, _grouped_sum(groups))
 
 
 def tensor_to_document(t: GradedTensor) -> dict[str, Any]:
+    if not 0 <= t.degree <= DIM:
+        raise DegreeMismatch(f"no document for a tensor of degree {t.degree}: documents hold degrees 0..{DIM}")
     return {
         "variance": t.variance,
         "degree": t.degree,

@@ -13,6 +13,7 @@ first use everything is read-only and freely shareable between threads.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -20,7 +21,7 @@ from typing import Iterable
 
 from .calculus import exterior_derivative, homotopy_primitive
 from .linalg import ExactMatrix
-from .multiindex import MultiIndex, basis, basis_position
+from .multiindex import MASK, MultiIndex, basis, basis_position
 from .polynomial import Polynomial, as_polynomial
 from .tensor import (
     FORM,
@@ -28,7 +29,7 @@ from .tensor import (
     DegreeMismatch,
     GradedTensor,
     VarianceMismatch,
-    _accumulate,
+    _grouped_sum,
     contract,
     dx,
     flat,
@@ -159,11 +160,8 @@ class DecompositionReport:
                 out["4_27_selfdual"] = hodge(part) - part
                 out["4_27_wedge_psi"] = wedge(part, psi)
                 # sum of squares, zero iff every pairing vanishes
-                squares = Polynomial.zero()
-                for gen in seven_part_generators():
-                    pairing = inner(part, gen)
-                    squares = squares + pairing * pairing
-                out["4_27_wedge_7part"] = squares
+                pairings = [inner(part, gen) for gen in seven_part_generators()]
+                out["4_27_wedge_7part"] = Polynomial.sum_of_products([(1, p, p) for p in pairings])
             elif name == "4_35":
                 out[name] = hodge(part) + part
             else:  # pragma: no cover - unknown labels never constructed
@@ -220,14 +218,14 @@ def _seven_part_project(sigma: GradedTensor) -> GradedTensor:
     The generators are so(8) acting on Psi (kernel: the 21-part of the
     two-forms), and their Gram matrix G satisfies G @ G = 32 G.
     """
-    out: dict[MultiIndex, Polynomial] = {}
+    groups: defaultdict[int, list] = defaultdict(list)
     for gen in seven_part_generators():
         pairing = inner(sigma, gen) * Fraction(1, 32)
         if pairing.is_zero():
             continue
         for idx, coeff in gen.terms.items():
-            _accumulate(out, idx, 1, coeff * pairing)
-    return GradedTensor._raw(FORM, 4, out)
+            groups[MASK[idx]].append((1, coeff, pairing))
+    return GradedTensor._raw(FORM, 4, _grouped_sum(groups))
 
 
 def project4(sigma: GradedTensor) -> DecompositionReport:
@@ -304,9 +302,10 @@ def three_form_operator_matrix() -> ExactMatrix:
 
 def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Fraction | int) -> int:
     """Exact dimension of ker(matrix - eigenvalue I)."""
-    n = matrix.nrows
-    shifted = matrix - ExactMatrix.identity(n) * Fraction(eigenvalue)
-    return shifted.nullity()
+    if matrix.nrows != matrix.ncols:
+        raise ValueError(f"eigenspace of a non-square {matrix.nrows}x{matrix.ncols} matrix")
+    shift = Fraction(eigenvalue)
+    return ExactMatrix(row[:i] + [row[i] - shift] + row[i + 1 :] for i, row in enumerate(matrix.rows)).nullity()
 
 
 # -- inverses, sections, solvers ---------------------------------------------

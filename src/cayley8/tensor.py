@@ -21,15 +21,15 @@ gives ``PARITY[q << 8 | f ^ q]`` on index masks.
 
 Signed accumulation
 -------------------
-Bilinear products (``wedge``, ``contract``) run the single pair loop
-:func:`_bilinear`.  It groups the term pairs by output key and calls
-:meth:`~cayley8.polynomial.Polynomial.sum_of_products` once per key, so each
-output coefficient is one Polynomial built in one pass over its products,
-not a chain of per-pair products and sums.  ``inner`` is one such sum and
-``exterior_derivative`` groups its derivatives the same way.  A key whose
-sum cancels is dropped, as is a key that cancels in :func:`_accumulate`,
-the one-term-at-a-time adder of the linear operations, so no stored tensor
-ever holds a zero coefficient.
+Every sum of terms ends in :func:`_grouped_sum`: ``(sign, a, b)`` triples
+grouped by output index mask, one
+:meth:`~cayley8.polynomial.Polynomial.sum_of_products` per group, so each
+output coefficient is one Polynomial built in one pass over its products.
+``wedge`` and ``contract`` feed it the term pairs of :func:`_bilinear`,
+``exterior_derivative`` its derivatives, and the linear sums (constructor,
+``+``, ``-``, ``pullback_linear``, the document loader) ``(sign, poly, ONE)``
+triples; a group of one such triple keeps ``poly``.  ``inner`` is one sum.
+A group that cancels is dropped, so no tensor holds a zero coefficient.
 
 Values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads without locking.
@@ -83,7 +83,7 @@ class GradedTensor:
             raise VarianceMismatch(f"unknown variance {variance!r}")
         if not isinstance(degree, int):
             raise DegreeMismatch(f"degree must be an integer, got {degree!r}")
-        clean: dict[MultiIndex, Polynomial] = {}
+        groups: defaultdict[int, list] = defaultdict(list)
         if terms:
             if not 0 <= degree <= DIM:
                 raise DegreeMismatch(f"nonzero tensor of impossible degree {degree}")
@@ -98,10 +98,10 @@ class GradedTensor:
                     raise DegreeMismatch(
                         f"index {tuple(idx)} has length {len(key)}, expected {degree}"
                     )
-                _accumulate(clean, key, sign, poly)
+                groups[MASK[key]].append((sign, poly, ONE))
         object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _grouped_sum(groups))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GradedTensor is immutable")
@@ -163,29 +163,30 @@ class GradedTensor:
 
     # -- linear structure ------------------------------------------------
 
-    def _check_addable(self, other: "GradedTensor") -> None:
+    def _combine(self, other: "GradedTensor", sign: int) -> "GradedTensor":
+        """``self + sign * other``, one ``(sign, poly, ONE)`` triple per term."""
+        if not isinstance(other, GradedTensor):
+            return NotImplemented
         if self.variance != other.variance:
             raise VarianceMismatch("cannot add a form and a multivector")
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise DegreeMismatch(f"cannot add degrees {self.degree} and {other.degree}")
+        groups: defaultdict[int, list] = defaultdict(list)
+        for idx, poly in self.terms.items():
+            groups[MASK[idx]].append((1, poly, ONE))
+        for idx, poly in other.terms.items():
+            groups[MASK[idx]].append((sign, poly, ONE))
+        degree = other.degree if self.is_zero() else self.degree
+        return GradedTensor._raw(self.variance, degree, _grouped_sum(groups))
 
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
-        if not isinstance(other, GradedTensor):
-            return NotImplemented
-        self._check_addable(other)
-        out = dict(self.terms)
-        for idx, poly in other.terms.items():
-            _accumulate(out, idx, 1, poly)
-        degree = other.degree if self.is_zero() else self.degree
-        return GradedTensor._raw(self.variance, degree, out)
+        return self._combine(other, 1)
 
     def __neg__(self) -> "GradedTensor":
         return GradedTensor._raw(self.variance, self.degree, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "GradedTensor") -> "GradedTensor":
-        if not isinstance(other, GradedTensor):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, scalar: Coefficient) -> "GradedTensor":
         poly = as_polynomial(scalar)
@@ -234,18 +235,8 @@ def scalar_tensor(poly: Coefficient, variance: str = FORM) -> GradedTensor:
 
 # -- signed accumulation -----------------------------------------------------
 
-
-def _accumulate(out: dict[MultiIndex, Polynomial], key: MultiIndex, sign: int, poly: Polynomial) -> None:
-    """Add ``sign * poly`` into ``out[key]``; a coefficient that cancels is dropped."""
-    if sign < 0:
-        poly = -poly
-    acc = out.get(key)
-    total = poly if acc is None else acc + poly
-    if total.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = total
-
+#: The second factor of every ``(sign, poly, ONE)`` triple of a linear sum.
+ONE = Polynomial.one()
 
 #: Pair rules of :func:`_bilinear`: the part of a's mask that b's mask must
 #: share.  Wedge pairs are disjoint, a contracted multivector lies inside the form.
@@ -253,10 +244,17 @@ DISJOINT, INSIDE = 0, 255
 
 
 def _grouped_sum(groups: Mapping[int, list]) -> dict[MultiIndex, Polynomial]:
-    """One ``Polynomial.sum_of_products`` per output mask; a sum that cancels is dropped."""
+    """One ``Polynomial.sum_of_products`` per output mask; a sum that cancels is dropped.
+
+    A lone ``(sign, poly, ONE)`` triple keeps ``poly`` (negated for sign -1).
+    """
     out: dict[MultiIndex, Polynomial] = {}
     for key, triples in groups.items():
-        poly = Polynomial.sum_of_products(triples)
+        if len(triples) == 1 and triples[0][2] is ONE:
+            sign, poly, _ = triples[0]
+            poly = poly if sign > 0 else -poly
+        else:
+            poly = Polynomial.sum_of_products(triples)
         if poly:
             out[INDEX[key]] = poly
     return out
@@ -400,11 +398,11 @@ def pullback_linear(matrix, t: GradedTensor) -> GradedTensor:
         GradedTensor(t.variance, 1, {(j,): frame_rows[i][j] for j in range(DIM)})
         for i in range(DIM)
     ]
-    out: dict[MultiIndex, Polynomial] = {}
+    groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in t.terms.items():
         term = scalar_tensor(poly.compose_linear(rows), t.variance)
         for i in idx:
             term = wedge(term, images[i])
         for key, coeff in term.terms.items():
-            _accumulate(out, key, 1, coeff)
-    return GradedTensor._raw(t.variance, t.degree, out)
+            groups[MASK[key]].append((1, coeff, ONE))
+    return GradedTensor._raw(t.variance, t.degree, _grouped_sum(groups))

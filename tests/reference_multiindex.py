@@ -2,14 +2,34 @@
 
 These are the index loops that computed every sign before the 64 KB
 ``PARITY`` table replaced them: ``merge_sign`` merges two sorted tuples and
-counts the entries of ``a`` that each entry of ``b`` jumps over, and
+counts the entries of ``a`` that each entry of ``b`` jumps over,
 ``contraction`` removes the entries of the multivector index from the form
-index one at a time, smallest first, counting each one's slot.
+index one at a time, smallest first, counting each one's slot, and
+``canonicalize`` insertion-sorts an arbitrary sequence, flipping the sign
+at every swap.
 """
 
 from __future__ import annotations
 
 from cayley8.multiindex import DIM, MultiIndex
+
+
+def canonicalize(indices) -> tuple[MultiIndex, int]:
+    idx = list(indices)
+    for i in idx:
+        if not isinstance(i, int) or not 0 <= i < DIM:
+            raise ValueError(f"index {i!r} outside 0..{DIM - 1}")
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j] < idx[j - 1]:
+            idx[j], idx[j - 1] = idx[j - 1], idx[j]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return tuple(idx), 0
+    return tuple(idx), sign
 
 
 def merge_sign(a: MultiIndex, b: MultiIndex) -> tuple[MultiIndex, int]:

@@ -7,17 +7,20 @@ kernel: every term pair gets its sign from the index loops of
 added into its output key one at a time, and a key is dropped as soon as
 its coefficient cancels.  Linear substitution into coefficients builds its
 images through the ``Fraction``-mapping constructor, as it used to.
+``construct``, ``combine`` and ``document_to_tensor`` are the same
+one-term-at-a-time ``_accumulate`` path for the ``GradedTensor``
+constructor, ``+``/``-`` and the document loader, on valid input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from reference_multiindex import complement, contraction, merge_sign, star_sign
+from reference_multiindex import canonicalize, complement, contraction, merge_sign, star_sign
 
 from cayley8.linalg import ExactMatrix
 from cayley8.multiindex import DIM, MultiIndex
-from cayley8.polynomial import Polynomial, _unpack
+from cayley8.polynomial import Polynomial, _unpack, as_polynomial
 from cayley8.tensor import FORM, MULTIVECTOR, GradedTensor
 
 
@@ -30,6 +33,35 @@ def _accumulate(out: dict[MultiIndex, Polynomial], key: MultiIndex, sign: int, p
         out.pop(key, None)
     else:
         out[key] = total
+
+
+def construct(variance: str, degree: int, terms) -> GradedTensor:
+    out: dict[MultiIndex, Polynomial] = {}
+    for idx, coeff in terms.items():
+        poly = as_polynomial(coeff)
+        key, sign = canonicalize(idx)
+        if sign and poly:
+            assert len(key) == degree
+            _accumulate(out, key, sign, poly)
+    return GradedTensor._raw(variance, degree, out)
+
+
+def combine(a: GradedTensor, b: GradedTensor, sign: int) -> GradedTensor:
+    """``a + sign * b``."""
+    out = dict(a.terms)
+    for idx, poly in b.terms.items():
+        _accumulate(out, idx, sign, poly)
+    return GradedTensor._raw(a.variance, b.degree if a.is_zero() else a.degree, out)
+
+
+def document_to_tensor(doc) -> GradedTensor:
+    out: dict[MultiIndex, Polynomial] = {}
+    for term in doc["terms"]:
+        poly = Polynomial.from_quotients((m["exp"], int(m["num"]), int(m["den"])) for m in term["coeff"])
+        key, sign = canonicalize(term["idx"])
+        if sign:
+            _accumulate(out, key, sign, poly)
+    return GradedTensor._raw(doc["variance"], doc["degree"], out)
 
 
 def _bilinear(a: GradedTensor, b: GradedTensor, pair) -> dict[MultiIndex, Polynomial]:

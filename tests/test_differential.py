@@ -18,9 +18,16 @@ the index loops of ``reference_multiindex.py`` on all 65,536 mask pairs,
 and the grouped tensor kernels (``wedge``, ``contract``, ``inner``,
 ``hodge``, ``exterior_derivative``, ``pullback_linear``) with the pair loops
 of ``reference_tensor.py``, on operands whose products cancel.
+``canonicalize`` (one walk over ``PARITY``) is compared with the insertion
+sort of ``reference_multiindex.py`` on every sequence of length 0..4 and on
+every table entry it can read, and the linear sums (the ``GradedTensor``
+constructor, ``+``, ``-`` and ``document_to_tensor``) with the
+one-term-at-a-time ``_accumulate`` of ``reference_tensor.py``.
 """
 
+import warnings
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -36,9 +43,10 @@ from reference_polynomial import Polynomial as Reference
 
 from cayley8.calculus import exterior_derivative, homotopy_primitive, lie_derivative_multivector, schouten
 from cayley8.linalg import ExactMatrix, SingularMatrixError
-from cayley8.multiindex import DIM, INDEX, MASK, PARITY, basis, contraction, merge_sign, star_sign
+from cayley8.multiindex import DIM, INDEX, MASK, PARITY, basis, canonicalize, contraction, merge_sign, star_sign
 from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, x
-from cayley8.spin7 import project4
+from cayley8.serialize import document_to_tensor, polynomial_to_document
+from cayley8.spin7 import eigenspace_dimension, project4
 from cayley8.tensor import (
     FORM, MULTIVECTOR, GradedTensor, contract, dx, hodge, inner, pullback_linear, sharp, wedge,
 )
@@ -255,9 +263,18 @@ def test_matrix_kernels_match_dense_reference(rows, data):
     assert m.rank() == len(pivots)
     assert m.nullspace() == reference_linalg.nullspace(rows)
     right = data.draw(sparse_matrices(nrows=m.ncols))
-    product = (m @ ExactMatrix(right)).rows
-    assert product == reference_linalg.matmul(rows, right)
-    assert_fraction_rows(product)
+    matrix_product = (m @ ExactMatrix(right)).rows
+    assert matrix_product == reference_linalg.matmul(rows, right)
+    assert_fraction_rows(matrix_product)
+    if m.nrows != m.ncols:
+        with pytest.raises(ValueError):
+            eigenspace_dimension(m, 0)
+        return
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    for ev in (0, data.draw(st.sampled_from(diagonal)), data.draw(entries)):
+        shifted = [[v - ev * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        assert eigenspace_dimension(m, ev) == m.ncols - len(reference_linalg.rref(shifted)[1])
+    assert m.rows == rows  # the shift works on a copy
 
 
 @settings(max_examples=40, deadline=None)
@@ -423,3 +440,85 @@ def test_pullback_matches_pair_loops(p, data):
         t = GradedTensor(variance, p, data.draw(terms))
         for u in (t, t + (-t)):
             assert_same_tensor(pullback_linear(matrix, u), reference_tensor.pullback_linear(matrix, u))
+
+
+# -- canonicalize and the linear sums ------------------------------------------------
+
+
+def test_canonicalize_matches_insertion_sort_exhaustively():
+    sequences = [seq for n in range(5) for seq in product(range(DIM), repeat=n)]
+    assert len(sequences) == 4681
+    # every PARITY entry canonicalize reads: index i after the indices of any mask
+    sequences += [INDEX[m] + (i,) for m in range(1 << DIM) for i in range(DIM)]
+    for seq in sequences:
+        assert canonicalize(seq) == reference_multiindex.canonicalize(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, DIM - 1), max_size=8), st.permutations(range(DIM))))
+def test_canonicalize_matches_insertion_sort(seq):
+    assert canonicalize(seq) == reference_multiindex.canonicalize(seq)
+    assert canonicalize(iter(seq)) == canonicalize(seq)
+
+
+# zero and empty coefficients, rationals and polynomials with denominators up to 10**6
+linear_coefficients = st.one_of(
+    st.just(0), st.just(Polynomial()), coefficients, st.integers(-3, 3),
+    st.dictionaries(low_exponents, coefficients, max_size=3).map(Polynomial),
+)
+
+
+@st.composite
+def index_terms(draw, degree):
+    """``(index sequence, coefficient)`` pairs: unsorted, repeated and cancelling keys."""
+    sequence = st.lists(st.integers(0, DIM - 1), min_size=degree, max_size=degree).map(tuple)
+    pairs = draw(st.lists(st.tuples(sequence, linear_coefficients), max_size=6))
+    for key, coeff in list(pairs):
+        if degree >= 2 and draw(st.booleans()):  # the odd transposition cancels key
+            pairs.append(((key[1], key[0]) + key[2:], coeff))
+        if draw(st.integers(0, 3)) == 0:  # the same key again
+            pairs.append((key, draw(linear_coefficients)))
+    return pairs
+
+
+def assert_linear(new: GradedTensor, ref: GradedTensor) -> None:
+    assert_same_tensor(new, ref)
+    assert all(new.terms.values()), "a zero coefficient was stored"
+
+
+def as_document(variance, degree, pairs):
+    terms = [{"idx": list(k), "coeff": polynomial_to_document(Polynomial() + c)} for k, c in pairs]
+    return {"variance": variance, "degree": degree, "terms": terms}
+
+
+@pytest.mark.parametrize("degree", range(DIM + 1))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_linear_sums_match_accumulate(degree, data):
+    variance = data.draw(st.sampled_from([FORM, MULTIVECTOR]))
+    pairs_a, pairs_b = data.draw(index_terms(degree)), data.draw(index_terms(degree))
+    a = GradedTensor(variance, degree, dict(pairs_a))
+    b = GradedTensor(variance, degree, dict(pairs_b))
+    assert_linear(a, reference_tensor.construct(variance, degree, dict(pairs_a)))
+    assert_linear(b, reference_tensor.construct(variance, degree, dict(pairs_b)))
+    zero = GradedTensor.zero(variance, (degree + 3) % (DIM + 1))
+    for u, v in ((a, b), (b, a), (a, a), (a, zero), (zero, a), (zero, zero)):
+        assert_linear(u + v, reference_tensor.combine(u, v, 1))
+        assert_linear(u - v, reference_tensor.combine(u, v, -1))
+    # a key met once keeps its Polynomial
+    assert all((a + zero).terms[k] is p for k, p in a.terms.items())
+    doc = as_document(variance, degree, pairs_a + pairs_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a repeated index warns
+        assert_linear(document_to_tensor(doc), reference_tensor.document_to_tensor(doc))
+
+
+def test_linear_sums_cancel_duplicate_keys():
+    p = Polynomial({(1, 0, 0, 0, 0, 0, 0, 0): Fraction(3, 10**6)})
+    assert GradedTensor(FORM, 2, {(0, 1): p, (1, 0): p}).terms == {}
+    assert GradedTensor(FORM, 2, {(1, 0): p}).terms == {(0, 1): -p}
+    doc = as_document(FORM, 2, [((0, 1), p), ((1, 0), p), ((2, 3), 0), ((3, 2), p)])
+    assert document_to_tensor(doc).terms == {(2, 3): -p}
+    t = GradedTensor(FORM, 2, {(0, 1): p, (2, 3): 1})
+    assert (t - t).terms == {} and (t - t).degree == 2
+    assert (t - GradedTensor(FORM, 2, {(1, 0): p})).terms == {(0, 1): p * 2, (2, 3): 1}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayley8.calculus import codifferential, exterior_derivative
 from cayley8.polynomial import Polynomial
 from cayley8.serialize import (
     ParseError,
@@ -14,7 +15,7 @@ from cayley8.serialize import (
     serialize_tensor,
     tensor_to_document,
 )
-from cayley8.tensor import FORM, MULTIVECTOR, GradedTensor, dx, mv
+from cayley8.tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, dx, mv, unit, vol
 
 
 def doc(variance="form", degree=2, terms=None):
@@ -53,6 +54,20 @@ class TestRoundTrip:
         )
         # -dx01 + dx01 = 0
         assert parse_tensor(text).is_zero()
+
+    @pytest.mark.parametrize(
+        ("tensor", "degree"),
+        [(lambda: exterior_derivative(vol()), 9), (lambda: codifferential(unit()), -1)],
+        ids=["d-vol", "delta-unit"],
+    )
+    def test_zero_tensor_outside_0_8_has_no_document(self, tensor, degree):
+        # the loader rejects such degrees, so the writer refuses them too
+        t = tensor()
+        assert t.is_zero() and t.degree == degree
+        with pytest.raises(DegreeMismatch, match=rf"degree {degree}\b"):
+            tensor_to_document(t)
+        with pytest.raises(DegreeMismatch, match=rf"degree {degree}\b"):
+            serialize_tensor(t)
 
     def test_big_integers_survive(self):
         huge = 10**40 + 7
