@@ -1,49 +1,128 @@
 """Exact rational matrices with rank, kernel, and inverse queries.
 
-Rows are dense lists of ``fractions.Fraction``, but the matrices built here
-are mostly zeros (the 56x56 three-form operator has 392 nonzero entries of
-3,136), so the kernels skip them: a product walks only the nonzero entries
-of the right factor's rows, and Gauss-Jordan elimination divides and
-eliminates only over the pivot row's nonzero columns.  Matrices top out
-around 70x70.  Results of the expensive queries are cached on the instance,
-and instances are treated as immutable once built.
+A matrix is stored as integer numerators over one shared positive
+denominator, the layout ``Polynomial`` uses: each row is a dict from column
+to a nonzero numerator, and the form is canonical (the gcd of every
+numerator and the denominator is 1, and a zero matrix has denominator 1), so
+equal matrices have equal fields.  The matrices built here are mostly zeros
+(the 56x56 three-form operator has 392 nonzero entries of 3,136) and top out
+around 70x70.
+
+``+``, ``-``, scalar ``*``, ``@`` (each nonzero of a left row walks one right
+row) and the sum of ``trace`` run on Python ints.  ``rref`` is fraction-free
+Gauss-Jordan elimination (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968): a row
+``b`` in the pivot column becomes ``(a/g) row - (b/g) pivot_row`` with
+``g = gcd(a, b)``, then is divided by its content, so an echelon entry is a
+numerator over its row's pivot.  ``rank``, ``nullity``, ``nullspace`` and
+``inverse`` all read that elimination through ``rref``.  ``rows``,
+``rref()[0]``, ``nullspace()``, ``column()`` and ``trace()`` give
+``fractions.Fraction`` values; ``rows`` and ``rref()[0]`` are built on first
+use and cached, and instances are treated as immutable once built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable
 
 from .polynomial import Rational, as_fraction
+
+IntRow = dict[int, int]
+
+_ZERO = Fraction(0)
 
 
 class SingularMatrixError(ValueError):
     """Raised when inverting a matrix without full rank."""
 
 
-class ExactMatrix:
-    """Dense matrix over the rationals."""
+def _quotient(value: Rational) -> tuple[int, int]:
+    """``(numerator, denominator)`` of an exact rational; an int builds no ``Fraction``."""
+    if isinstance(value, int):
+        return int(value), 1
+    q = as_fraction(value)  # a Fraction passes through, anything else is a TypeError
+    return q.numerator, q.denominator
 
-    __slots__ = ("rows", "nrows", "ncols", "_rref", "_pivots")
+
+def _fraction_rows(rows: list[IntRow], dens: Sequence[int], ncols: int) -> list[list[Fraction]]:
+    """Dense ``Fraction`` rows, entry ``(i, j)`` equal to ``rows[i][j] / dens[i]``."""
+    out = []
+    for row, den in zip(rows, dens):
+        dense = [_ZERO] * ncols
+        for j, v in row.items():
+            dense[j] = Fraction(v, den)
+        out.append(dense)
+    return out
+
+
+class _LazyRows(Sequence):
+    """The list ``_fraction_rows(*args)``, built on first use."""
+
+    __slots__ = ("_args", "_rows")
+
+    def __init__(self, *args):
+        self._args = args
+        self._rows = None
+
+    def _get(self) -> list[list[Fraction]]:
+        if self._rows is None:
+            self._rows = _fraction_rows(*self._args)
+        return self._rows
+
+    def __getitem__(self, i):
+        return self._get()[i]
+
+    def __len__(self) -> int:
+        return len(self._get())
+
+    def __eq__(self, other: object) -> bool:
+        return self._get() == (other._get() if isinstance(other, _LazyRows) else other)
+
+
+class ExactMatrix:
+    """Matrix over the rationals: sparse integer rows over one denominator."""
+
+    __slots__ = ("_nums", "_den", "nrows", "ncols", "_rows", "_echelon", "_pivots", "_reduced")
 
     def __init__(self, rows: Iterable[Sequence[Rational]]):
-        data = [[as_fraction(v) for v in row] for row in rows]
+        data = [list(row) for row in rows]
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        self.rows = data
-        self.nrows = len(data)
-        self.ncols = width
-        self._rref: list[list[Fraction]] | None = None
-        self._pivots: list[int] | None = None
+        entries = [(i, j) + _quotient(v) for i, row in enumerate(data) for j, v in enumerate(row)]
+        made = ExactMatrix.from_quotients((len(data), width), entries)
+        _fill(self, made._nums, made._den, width)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def from_quotients(
+        cls, shape: tuple[int, int], quotients: Iterable[tuple[int, int, int, int]]
+    ) -> "ExactMatrix":
+        """Zero matrix of ``shape`` plus ``num/den`` at ``(i, j)`` per ``(i, j, num, den)``; ``den`` nonzero."""
+        nrows, ncols = shape
+        if nrows < 1:
+            raise ValueError("matrix needs at least one row")
+        quotients = list(quotients)
+        den = lcm(*(d for _, _, _, d in quotients))
+        rows: list[IntRow] = [{} for _ in range(nrows)]
+        for i, j, n, d in quotients:
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+            row = rows[i]
+            row[j] = row.get(j, 0) + n * (den // d)  # a negative d flips the sign
+        return _reduced([{j: v for j, v in row.items() if v} for row in rows], den, ncols)
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix needs at least one row")
+        return _reduced([{i: 1} for i in range(n)], 1, n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Rational]]) -> "ExactMatrix":
@@ -51,12 +130,29 @@ class ExactMatrix:
         nrows = len(columns[0])
         return cls([[columns[j][i] for j in range(ncols)] for i in range(nrows)])
 
+    # -- views -------------------------------------------------------------
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """Dense ``Fraction`` rows, built on first use."""
+        if self._rows is None:
+            self._rows = _fraction_rows(self._nums, [self._den] * self.nrows, self.ncols)
+        return self._rows
+
+    def column(self, j: int) -> list[Fraction]:
+        den = self._den
+        return [Fraction(row[j], den) if j in row else _ZERO for row in self._nums]
+
+    def abs_entry_sum(self) -> Fraction:
+        """L1 mass of the entries; zero iff the matrix is zero."""
+        return Fraction(sum(abs(v) for row in self._nums for v in row.values()), self._den)
+
     # -- basic algebra ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return (self.ncols, self._den, self._nums) == (other.ncols, other._den, other._nums)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -64,36 +160,53 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """``self + sign * other`` over the lcm of the two denominators."""
         self._check_same_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        out = []
+        for ra, rb in zip(self._nums, other._nums):
+            row = {j: sa * v for j, v in ra.items()}
+            for j, v in rb.items():
+                w = row.get(j, 0) + sb * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            out.append(row)
+        return _reduced(out, den, self.ncols)
 
     def __mul__(self, scalar: Rational) -> "ExactMatrix":
-        c = as_fraction(scalar)
-        return ExactMatrix([[c * v for v in row] for row in self.rows])
+        num, den = _quotient(scalar)
+        rows = [{j: num * v for j, v in row.items()} if num else {} for row in self._nums]
+        return _reduced(rows, den * self._den, self.ncols)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        sparse = [[(k, b) for k, b in enumerate(row) if b] for row in other.rows]
+        right = other._nums
         out = []
-        for row in self.rows:
-            acc = [Fraction(0)] * other.ncols
-            for a, entries in zip(row, sparse):
-                if a:
-                    for k, b in entries:
-                        acc[k] += a * b
-            out.append(acc)
-        return ExactMatrix(out)
+        for row in self._nums:
+            acc: IntRow = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return _reduced(out, self._den * other._den, other.ncols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,10 +215,7 @@ class ExactMatrix:
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
-
-    def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.rows]
+        return Fraction(sum(row.get(i, 0) for i, row in enumerate(self._nums)), self._den)
 
     def _check_same_shape(self, other: "ExactMatrix") -> None:
         if self.shape != other.shape:
@@ -113,35 +223,53 @@ class ExactMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form and pivot column list (cached)."""
-        if self._rref is None:
-            m = [row[:] for row in self.rows]
+    def rref(self) -> tuple[Sequence[list[Fraction]], list[int]]:
+        """Reduced row echelon form and pivot column list (cached).
+
+        The form is a sequence of ``Fraction`` rows, built on first use from
+        the integer echelon rows; the pivot list is ready at once.
+        """
+        if self._pivots is None:
+            m = [dict(row) for row in self._nums]
+            nrows = self.nrows
             pivots: list[int] = []
             r = 0
             for c in range(self.ncols):
-                pivot_row = next((i for i in range(r, self.nrows) if m[i][c]), None)
+                pivot_row = next((i for i in range(r, nrows) if c in m[i]), None)
                 if pivot_row is None:
                     continue
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-                row = m[r]
-                pivot = row[c]
-                support = [j for j, v in enumerate(row) if v]
-                for j in support:
-                    row[j] /= pivot
-                for i in range(self.nrows):
+                pivot = m[pivot_row]
+                a = pivot[c]
+                if a < 0:  # pivots are positive, so a pivot of 1 never scales a target row
+                    a = -a
+                    pivot = {j: -v for j, v in pivot.items()}
+                m[pivot_row] = m[r]
+                m[r] = pivot
+                for i in range(nrows):
                     target = m[i]
-                    factor = target[c]
-                    if i != r and factor:
-                        for j in support:
-                            target[j] -= factor * row[j]
+                    b = target.get(c)
+                    if b is None or i == r:
+                        continue
+                    g = gcd(a, b)
+                    ag, bg = a // g, b // g
+                    row = {j: ag * v for j, v in target.items()} if ag != 1 else target
+                    for j, v in pivot.items():
+                        w = row.get(j, 0) - bg * v
+                        if w:
+                            row[j] = w
+                        else:
+                            del row[j]
+                    content = gcd(*row.values())
+                    m[i] = {j: v // content for j, v in row.items()} if content > 1 else row
                 pivots.append(c)
                 r += 1
-                if r == self.nrows:
+                if r == nrows:
                     break
-            self._rref = m
+            self._echelon = m
             self._pivots = pivots
-        return self._rref, self._pivots  # type: ignore[return-value]
+            pivot_values = [m[k][c] for k, c in enumerate(pivots)] + [1] * (nrows - len(pivots))
+            self._reduced = _LazyRows(m, pivot_values, self.ncols)
+        return self._reduced, self._pivots  # type: ignore[return-value]
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -151,33 +279,73 @@ class ExactMatrix:
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the kernel, one vector per free column."""
-        rref, pivots = self.rref()
+        _, pivots = self.rref()
+        echelon = self._echelon
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.ncols
+        for f in range(self.ncols):
+            if f in pivot_set:
+                continue
+            vec = [_ZERO] * self.ncols
             vec[f] = Fraction(1)
             for r, c in enumerate(pivots):
-                vec[c] = -rref[r][f]
+                v = echelon[r].get(f)
+                if v:
+                    vec[c] = Fraction(-v, echelon[r][c])
             basis.append(vec)
         return basis
 
     def inverse(self) -> "ExactMatrix":
+        """``N/den`` inverts to ``den`` times the right half of the echelon form of ``[N | I]``."""
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square matrices invert")
         n = self.nrows
-        identity = ExactMatrix.identity(n).rows
-        aug = ExactMatrix([row + unit for row, unit in zip(self.rows, identity)])
-        rref, pivots = aug.rref()
+        aug = _reduced([{**row, n + i: 1} for i, row in enumerate(self._nums)], 1, 2 * n)
+        _, pivots = aug.rref()
         if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return ExactMatrix([row[n:] for row in rref])
+        dens = [row[k] for k, row in enumerate(aug._echelon)]
+        den = lcm(*dens)
+        out = [
+            {j - n: v * self._den * (den // p) for j, v in row.items() if j >= n}
+            for row, p in zip(aug._echelon, dens)
+        ]
+        return _reduced(out, den, n)
 
     def column_span_equals(self, other: "ExactMatrix") -> bool:
         """Whether two matrices with equal row counts span the same column space."""
         if self.nrows != other.nrows:
             raise ValueError("column spaces live in different ambient dimensions")
-        joined = ExactMatrix([ra + rb for ra, rb in zip(self.rows, other.rows)])
+        width = self.ncols
+        joined = _reduced(
+            [{**ra, **{width + j: v for j, v in rb.items()}} for ra, rb in zip(self._nums, other._nums)],
+            1,
+            width + other.ncols,
+        )
         r = self.rank()
         return r == other.rank() == joined.rank()
+
+
+def _fill(matrix: ExactMatrix, nums: list[IntRow], den: int, ncols: int) -> None:
+    matrix._nums = nums
+    matrix._den = den
+    matrix.nrows = len(nums)
+    matrix.ncols = ncols
+    matrix._rows = None
+    matrix._echelon = None
+    matrix._pivots = None
+    matrix._reduced = None
+
+
+def _reduced(rows: list[IntRow], den: int, ncols: int) -> ExactMatrix:
+    """A matrix from nonzero numerators over a positive denominator, made canonical."""
+    if not any(rows):
+        den = 1
+    elif den != 1:
+        g = gcd(den, *(v for row in rows for v in row.values()))
+        if g != 1:
+            den //= g
+            rows = [{j: v // g for j, v in row.items()} for row in rows]
+    out = ExactMatrix.__new__(ExactMatrix)
+    _fill(out, rows, den, ncols)
+    return out

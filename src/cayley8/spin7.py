@@ -22,7 +22,7 @@ from typing import Iterable
 from .calculus import exterior_derivative, homotopy_primitive
 from .linalg import ExactMatrix
 from .multiindex import MASK, MultiIndex, basis, basis_position
-from .polynomial import Polynomial, as_polynomial
+from .polynomial import Polynomial, Rational, as_polynomial
 from .tensor import (
     FORM,
     MULTIVECTOR,
@@ -266,13 +266,15 @@ def decompose(t: GradedTensor) -> DecompositionReport:
 
 def structure_matrix(images: Iterable[GradedTensor], degree: int) -> ExactMatrix:
     """Column j holds the constant coefficients of ``images[j]`` on the degree-``degree`` basis."""
-    columns = []
-    for image in images:
-        column = [Fraction(0)] * len(basis(degree))
+    entries = []
+    ncols = 0
+    for j, image in enumerate(images):
+        ncols = j + 1
         for idx, poly in image.terms.items():
-            column[basis_position(idx)] = poly.constant_value()
-        columns.append(column)
-    return ExactMatrix.from_columns(columns)
+            if not poly.is_constant():
+                raise ValueError("polynomial is not constant")
+            entries += [(basis_position(idx), j, num, den) for _, num, den in poly.quotients()]
+    return ExactMatrix.from_quotients((len(basis(degree)), ncols), entries)
 
 
 @cache
@@ -300,12 +302,11 @@ def three_form_operator_matrix() -> ExactMatrix:
     return structure_matrix((three_form_operator(dx(*idx)) for idx in basis(3)), 3)
 
 
-def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Fraction | int) -> int:
+def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Rational) -> int:
     """Exact dimension of ker(matrix - eigenvalue I)."""
     if matrix.nrows != matrix.ncols:
         raise ValueError(f"eigenspace of a non-square {matrix.nrows}x{matrix.ncols} matrix")
-    shift = Fraction(eigenvalue)
-    return ExactMatrix(row[:i] + [row[i] - shift] + row[i + 1 :] for i, row in enumerate(matrix.rows)).nullity()
+    return (matrix - ExactMatrix.identity(matrix.nrows) * eigenvalue).nullity()
 
 
 # -- inverses, sections, solvers ---------------------------------------------

@@ -6,11 +6,11 @@ reports an exact rational residual mass.
 
 The check contract: a check body is a generator.  It draws its random inputs
 from ``ctx.rng`` and yields each residual piece - a tensor, polynomial,
-rational or int that is zero exactly when the identity holds on that
-instance.  The registry (:func:`run_checks`) does the rest: it seeds one RNG
-per check from ``(seed, check id)``, so checks are independent of each other
-and of the scope they run in; it sums the mass of every yielded piece; and it
-times the whole check.  Identical invocations therefore produce identical
+matrix, rational or int that is zero exactly when the identity holds on
+that instance.  The registry (:func:`run_checks`) does the rest: it seeds one
+RNG per check from ``(seed, check id)``, so checks are independent of each
+other and of the scope they run in; it sums the mass of every yielded piece;
+and it times the whole check.  Identical invocations therefore produce identical
 reports apart from timing.
 
 A mutation mode (flipping the sign of the Hodge star on one degree) is
@@ -174,7 +174,7 @@ def contraction_oracle(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
 # -- residual helpers ---------------------------------------------------------
 
 #: One residual piece yielded by a check body; zero when the identity holds.
-Piece = GradedTensor | Polynomial | Fraction | int
+Piece = GradedTensor | Polynomial | ExactMatrix | Fraction | int
 Check = Callable[[CheckContext], Iterator[Piece]]
 
 
@@ -184,6 +184,8 @@ def _mass(piece: Piece) -> Fraction:
         return piece.coeff_l1()
     if isinstance(piece, Polynomial):
         return piece.abs_coeff_sum()
+    if isinstance(piece, ExactMatrix):
+        return piece.abs_entry_sum()
     return abs(Fraction(piece))
 
 
@@ -399,8 +401,7 @@ def _check_two_form_spectrum(ctx: CheckContext) -> Iterator[Piece]:
     yield eigenspace_dimension(t_matrix, -3) - 7
     yield eigenspace_dimension(t_matrix, 1) - 21
     yield t_matrix.trace()
-    combo = t_matrix @ t_matrix + t_matrix * 2 - ExactMatrix.identity(28) * 3
-    yield from (v for row in combo.rows for v in row)
+    yield t_matrix @ t_matrix + t_matrix * 2 - ExactMatrix.identity(28) * 3
 
 
 def _check_three_form_split(ctx: CheckContext) -> Iterator[Piece]:
@@ -416,8 +417,7 @@ def _check_three_form_spectrum(ctx: CheckContext) -> Iterator[Piece]:
     yield eigenspace_dimension(s_matrix, -7) - 8
     yield eigenspace_dimension(s_matrix, 0) - 48
     yield s_matrix.trace() + 56
-    combo = s_matrix @ s_matrix + s_matrix * 7
-    yield from (v for row in combo.rows for v in row)
+    yield s_matrix @ s_matrix + s_matrix * 7
 
 
 def _check_four_form_split(ctx: CheckContext) -> Iterator[Piece]:

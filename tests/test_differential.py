@@ -4,9 +4,10 @@
 denominator) is compared through its ``terms`` view with the tuple-and-
 ``Fraction`` polynomial of ``reference_polynomial.py``.  Coefficients range
 over wide denominators, because the shared denominator is where the two
-kernels differ.  ``ExactMatrix`` (zero-skipping product and elimination)
-is compared with the dense kernels of ``reference_linalg.py`` on sparse
-rational matrices up to 56x56, singular ones included.  The 7-part of
+kernels differ.  ``ExactMatrix`` (integer rows over one denominator,
+fraction-free elimination) is compared with the dense kernels of
+``reference_linalg.py`` and with entry-by-entry ``Fraction`` arithmetic on
+sparse rational matrices up to 56x56, singular ones included.  The 7-part of
 ``project4`` (a sum over the 28 generators) is compared with the 70x70 Gram
 projector of ``reference_spin7.py`` on polynomial four-forms.  The
 Schouten bracket (Koszul's formula), the multivector Lie derivative and the
@@ -46,7 +47,10 @@ from cayley8.linalg import ExactMatrix, SingularMatrixError
 from cayley8.multiindex import DIM, INDEX, MASK, PARITY, basis, canonicalize, contraction, merge_sign, star_sign
 from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, x
 from cayley8.serialize import document_to_tensor, polynomial_to_document
-from cayley8.spin7 import eigenspace_dimension, project4
+from cayley8.spin7 import (
+    eigenspace_dimension, map_matrix, project4, structure_matrix, three_form_operator_matrix, two_form_operator,
+    two_form_operator_matrix,
+)
 from cayley8.tensor import (
     FORM, MULTIVECTOR, GradedTensor, contract, dx, hodge, inner, pullback_linear, sharp, wedge,
 )
@@ -266,15 +270,76 @@ def test_matrix_kernels_match_dense_reference(rows, data):
     matrix_product = (m @ ExactMatrix(right)).rows
     assert matrix_product == reference_linalg.matmul(rows, right)
     assert_fraction_rows(matrix_product)
+    # entrywise kernels, against one Fraction operation per entry
+    other = data.draw(sparse_matrices(nrows=m.nrows, ncols=m.ncols))
+    scalar = data.draw(st.sampled_from([Fraction(0), Fraction(1)]) | entries)
+    entrywise = {
+        "+": ((m + ExactMatrix(other)).rows, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(rows, other)]),
+        "-": ((m - ExactMatrix(other)).rows, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(rows, other)]),
+        "*": ((m * scalar).rows, [[scalar * a for a in row] for row in rows]),
+        "r*": ((scalar * m).rows, [[a * scalar for a in row] for row in rows]),
+        "self - self": ((m - m).rows, [[Fraction(0)] * m.ncols for _ in rows]),
+    }
+    for name, (got, expected) in entrywise.items():
+        assert got == expected, name
+        assert_fraction_rows(got)
+    for j in range(m.ncols):
+        assert m.column(j) == [row[j] for row in rows]
+        assert_fraction_rows([m.column(j)])
+    assert (m == ExactMatrix(other)) == (rows == other)
+    assert m == ExactMatrix([[v * 1 for v in row] for row in rows]) == m * 1
+    assert m == ExactMatrix.from_columns([list(col) for col in zip(*rows)])
+    assert m.abs_entry_sum() == sum((abs(v) for row in rows for v in row), Fraction(0))
+    joined = [ra + rb for ra, rb in zip(rows, other)]
+    same_span = len(reference_linalg.rref(rows)[1]) == len(reference_linalg.rref(other)[1]) == len(
+        reference_linalg.rref(joined)[1]
+    )
+    assert m.column_span_equals(ExactMatrix(other)) == same_span
+    assert m.column_span_equals(m * (abs(scalar) + 1))  # a nonzero multiple spans the same columns
     if m.nrows != m.ncols:
         with pytest.raises(ValueError):
             eigenspace_dimension(m, 0)
         return
+    assert m.trace() == sum((row[i] for i, row in enumerate(rows)), Fraction(0))
+    assert type(m.trace()) is Fraction
     diagonal = [row[i] for i, row in enumerate(rows)]
     for ev in (0, data.draw(st.sampled_from(diagonal)), data.draw(entries)):
         shifted = [[v - ev * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
         assert eigenspace_dimension(m, ev) == m.ncols - len(reference_linalg.rref(shifted)[1])
     assert m.rows == rows  # the shift works on a copy
+
+
+def test_matrix_kernels_build_no_fraction(monkeypatch):
+    matrices = [map_matrix(k) for k in (1, 2, 3)] + [two_form_operator_matrix(), three_form_operator_matrix()]
+    t_matrix, s_matrix = matrices[3:]
+    images = [two_form_operator(dx(*idx)) for idx in basis(2)]
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    fresh = [m * 1 for m in matrices]  # equal matrices with no cached elimination
+    ranks = [m.rank() for m in fresh]
+    nullities = [m.nullity() for m in fresh]
+    spectra = [eigenspace_dimension(t_matrix, -3), eigenspace_dimension(t_matrix, 1)]
+    spectra += [eigenspace_dimension(s_matrix, -7), eigenspace_dimension(s_matrix, 0)]
+    residuals = [
+        t_matrix @ t_matrix + t_matrix * 2 - ExactMatrix.identity(28) * 3,
+        s_matrix @ s_matrix + s_matrix * 7,
+        map_matrix(3) @ map_matrix(1) + ExactMatrix.identity(8) * 7,
+    ]
+    equal = [a == b for a, b in zip(fresh, matrices)]
+    equal += [structure_matrix(images, 2) == t_matrix, map_matrix(2) == t_matrix, t_matrix * -1 == t_matrix]
+    assert built == []
+    monkeypatch.undo()
+    assert ranks == [8, 28, 8, 28, 8]
+    assert nullities == [0, 0, 48, 0, 48]
+    assert spectra == [7, 21, 8, 48]
+    assert [r.abs_entry_sum() for r in residuals] == [0, 0, 0]
+    assert equal == [True] * 7 + [False]
 
 
 @settings(max_examples=40, deadline=None)

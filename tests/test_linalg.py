@@ -67,3 +67,63 @@ def test_rref_cached_and_consistent():
     assert pivots == [0, 1]
     assert rref == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert m.rref()[0] is rref
+
+
+@pytest.mark.parametrize("operand", [3, Fraction(1, 2), [[1, 0], [0, 1]]])
+def test_operators_reject_non_matrices(operand):
+    m = ExactMatrix.identity(2)
+    with pytest.raises(TypeError):
+        m @ operand
+    with pytest.raises(TypeError):
+        operand @ m
+    with pytest.raises(TypeError):
+        m + operand
+    with pytest.raises(TypeError):
+        operand + m
+    with pytest.raises(TypeError):
+        m - operand
+    with pytest.raises(TypeError):
+        operand - m
+
+
+@pytest.mark.parametrize("scalar", [1.0, "2", None])
+def test_scalars_must_be_exact(scalar):
+    with pytest.raises(TypeError):
+        ExactMatrix.identity(2) * scalar
+    with pytest.raises(TypeError):
+        ExactMatrix([[scalar]])
+
+
+def test_canonical_form():
+    """One denominator, no common factor with the numerators: equal matrices compare equal."""
+    half = ExactMatrix([[Fraction(1, 2), Fraction(3, 4)], [0, Fraction(-5, 6)]])
+    assert (half._den, half._nums) == (12, [{0: 6, 1: 9}, {1: -10}])
+    assert half * 12 == ExactMatrix([[6, 9], [0, -10]])
+    assert half * 12 * Fraction(1, 12) == half
+    assert half - half == ExactMatrix([[0, 0], [0, 0]])
+    zero = half * 0
+    assert (zero._den, zero._nums) == (1, [{}, {}])
+    assert zero != ExactMatrix([[0, 0, 0], [0, 0, 0]])  # the shape counts
+    assert half.abs_entry_sum() == Fraction(1, 2) + Fraction(3, 4) + Fraction(5, 6)
+
+
+def test_from_quotients():
+    m = ExactMatrix.from_quotients((2, 3), [(0, 2, 1, 3), (1, 0, -2, 4), (0, 2, 1, 6), (1, 1, 5, -1)])
+    assert m == ExactMatrix([[0, 0, Fraction(1, 2)], [Fraction(-1, 2), -5, 0]])
+    assert ExactMatrix.from_quotients((2, 2), []) == ExactMatrix([[0, 0], [0, 0]])
+    with pytest.raises(IndexError):
+        ExactMatrix.from_quotients((2, 2), [(2, 0, 1, 1)])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_quotients((0, 2), [])
+
+
+def test_rref_of_negative_and_scaled_pivots():
+    m = ExactMatrix([[0, -2, 4, Fraction(2, 3)], [-3, 6, 0, 1], [3, -8, 4, 0]])
+    rref, pivots = m.rref()
+    assert pivots == [0, 1, 3]
+    assert rref == [
+        [1, 0, -4, 0],
+        [0, 1, -2, 0],
+        [0, 0, 0, 1],
+    ]
+    assert m.nullspace() == [[Fraction(4), Fraction(2), Fraction(1), Fraction(0)]]

@@ -103,7 +103,13 @@ class TestProject2:
         t_matrix = two_form_operator_matrix()
         assert eigenspace_dimension(t_matrix, -3) == 7
         assert eigenspace_dimension(t_matrix, 1) == 21
+        assert eigenspace_dimension(t_matrix, Fraction(-3)) == 7
         assert t_matrix.trace() == 0
+
+    @pytest.mark.parametrize("value", [1.0, 0.5, "-3"])
+    def test_eigenvalue_must_be_exact(self, value):
+        with pytest.raises(TypeError):
+            eigenspace_dimension(two_form_operator_matrix(), value)
 
     def test_idempotent(self, make_tensor):
         beta = make_tensor(FORM, 2)
@@ -221,6 +227,18 @@ class TestMapMatrices:
     def test_invalid_degree(self):
         with pytest.raises(DegreeMismatch):
             map_matrix(4)
+
+    def test_structure_matrix_entries(self):
+        images = [dx(0, 1) * Fraction(3, 4) - dx(1, 2) * 2, GradedTensor.zero(FORM, 2), dx(0, 2) * Fraction(-1, 6)]
+        matrix = structure_matrix(images, 2)
+        assert matrix.shape == (28, 3)
+        expected = [[Fraction(0)] * 3 for _ in range(28)]
+        expected[basis(2).index((0, 1))][0] = Fraction(3, 4)
+        expected[basis(2).index((1, 2))][0] = Fraction(-2)
+        expected[basis(2).index((0, 2))][2] = Fraction(-1, 6)
+        assert matrix.rows == expected
+        with pytest.raises(ValueError, match="not constant"):
+            structure_matrix([dx(0, 1, coeff=x(3))], 2)
 
     def test_degree_two_matrix_is_wedge_operator(self):
         assert map_matrix(2) == two_form_operator_matrix()
