@@ -8,6 +8,7 @@ failing check, 2 on usage or parse errors and on an exponent above
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -222,7 +223,9 @@ def cmd_verify(args) -> int:
     return 0 if report["overall_status"] == "pass" else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cayley8",
         description="Exact exterior calculus on R^8 with the canonical Cayley four-form.",

@@ -13,12 +13,15 @@ row) and the sum of ``trace`` run on Python ints.  ``rref`` is fraction-free
 Gauss-Jordan elimination (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968): a row
 ``b`` in the pivot column becomes ``(a/g) row - (b/g) pivot_row`` with
-``g = gcd(a, b)``, then is divided by its content, so an echelon entry is a
-numerator over its row's pivot.  ``rank``, ``nullity``, ``nullspace`` and
-``inverse`` all read that elimination through ``rref``.  ``rows``,
-``rref()[0]``, ``nullspace()``, ``column()`` and ``trace()`` give
-``fractions.Fraction`` values; ``rows`` and ``rref()[0]`` are built on first
-use and cached, and instances are treated as immutable once built.
+``g = gcd(a, b)``, then is divided by its content, so an echelon row is a
+numerator over its pivot; scaling each row to the lcm of the pivots puts the
+reduced form over one denominator.  ``rank``, ``nullity``, ``nullspace``
+and ``inverse`` all read that elimination through ``rref``, and every query
+answers with an ``ExactMatrix`` or an int: ``rref()[0]`` is a matrix, and
+``nullspace()`` is the matrix whose columns are the kernel basis.  Only
+``rows`` (built on first use and cached), ``column()``, ``trace()`` and
+``abs_entry_sum()`` give ``fractions.Fraction`` values.  Instances are
+treated as immutable once built.
 """
 
 from __future__ import annotations
@@ -47,45 +50,10 @@ def _quotient(value: Rational) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _fraction_rows(rows: list[IntRow], dens: Sequence[int], ncols: int) -> list[list[Fraction]]:
-    """Dense ``Fraction`` rows, entry ``(i, j)`` equal to ``rows[i][j] / dens[i]``."""
-    out = []
-    for row, den in zip(rows, dens):
-        dense = [_ZERO] * ncols
-        for j, v in row.items():
-            dense[j] = Fraction(v, den)
-        out.append(dense)
-    return out
-
-
-class _LazyRows(Sequence):
-    """The list ``_fraction_rows(*args)``, built on first use."""
-
-    __slots__ = ("_args", "_rows")
-
-    def __init__(self, *args):
-        self._args = args
-        self._rows = None
-
-    def _get(self) -> list[list[Fraction]]:
-        if self._rows is None:
-            self._rows = _fraction_rows(*self._args)
-        return self._rows
-
-    def __getitem__(self, i):
-        return self._get()[i]
-
-    def __len__(self) -> int:
-        return len(self._get())
-
-    def __eq__(self, other: object) -> bool:
-        return self._get() == (other._get() if isinstance(other, _LazyRows) else other)
-
-
 class ExactMatrix:
     """Matrix over the rationals: sparse integer rows over one denominator."""
 
-    __slots__ = ("_nums", "_den", "nrows", "ncols", "_rows", "_echelon", "_pivots", "_reduced")
+    __slots__ = ("_nums", "_den", "nrows", "ncols", "_rows", "_rref")
 
     def __init__(self, rows: Iterable[Sequence[Rational]]):
         data = [list(row) for row in rows]
@@ -136,7 +104,14 @@ class ExactMatrix:
     def rows(self) -> list[list[Fraction]]:
         """Dense ``Fraction`` rows, built on first use."""
         if self._rows is None:
-            self._rows = _fraction_rows(self._nums, [self._den] * self.nrows, self.ncols)
+            den = self._den
+            rows = []
+            for row in self._nums:
+                dense = [_ZERO] * self.ncols
+                for j, v in row.items():
+                    dense[j] = Fraction(v, den)
+                rows.append(dense)
+            self._rows = rows
         return self._rows
 
     def column(self, j: int) -> list[Fraction]:
@@ -223,13 +198,9 @@ class ExactMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self) -> tuple[Sequence[list[Fraction]], list[int]]:
-        """Reduced row echelon form and pivot column list (cached).
-
-        The form is a sequence of ``Fraction`` rows, built on first use from
-        the integer echelon rows; the pivot list is ready at once.
-        """
-        if self._pivots is None:
+    def rref(self) -> tuple["ExactMatrix", list[int]]:
+        """Reduced row echelon form and pivot column list (cached)."""
+        if self._rref is None:
             m = [dict(row) for row in self._nums]
             nrows = self.nrows
             pivots: list[int] = []
@@ -265,11 +236,14 @@ class ExactMatrix:
                 r += 1
                 if r == nrows:
                     break
-            self._echelon = m
-            self._pivots = pivots
-            pivot_values = [m[k][c] for k, c in enumerate(pivots)] + [1] * (nrows - len(pivots))
-            self._reduced = _LazyRows(m, pivot_values, self.ncols)
-        return self._reduced, self._pivots  # type: ignore[return-value]
+            # echelon row k is over its pivot; the rows past the rank are empty
+            den = lcm(*(m[k][c] for k, c in enumerate(pivots)))
+            for k, c in enumerate(pivots):
+                scale = den // m[k][c]
+                if scale != 1:
+                    m[k] = {j: v * scale for j, v in m[k].items()}
+            self._rref = (_reduced(m, den, self.ncols), pivots)
+        return self._rref
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -277,23 +251,17 @@ class ExactMatrix:
     def nullity(self) -> int:
         return self.ncols - self.rank()
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the kernel, one vector per free column."""
-        _, pivots = self.rref()
-        echelon = self._echelon
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            vec = [_ZERO] * self.ncols
-            vec[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v = echelon[r].get(f)
-                if v:
-                    vec[c] = Fraction(-v, echelon[r][c])
-            basis.append(vec)
-        return basis
+    def nullspace(self) -> "ExactMatrix":
+        """Kernel basis as the columns of an ``ncols x nullity`` matrix, one per free column."""
+        reduced, pivots = self.rref()
+        free = sorted(set(range(self.ncols)) - set(pivots))
+        out: list[IntRow] = [{} for _ in range(self.ncols)]
+        for k, f in enumerate(free):
+            out[f][k] = reduced._den
+            for row, c in zip(reduced._nums, pivots):
+                if f in row:
+                    out[c][k] = -row[f]
+        return _reduced(out, reduced._den, len(free))
 
     def inverse(self) -> "ExactMatrix":
         """``N/den`` inverts to ``den`` times the right half of the echelon form of ``[N | I]``."""
@@ -301,16 +269,11 @@ class ExactMatrix:
             raise SingularMatrixError("only square matrices invert")
         n = self.nrows
         aug = _reduced([{**row, n + i: 1} for i, row in enumerate(self._nums)], 1, 2 * n)
-        _, pivots = aug.rref()
+        reduced, pivots = aug.rref()
         if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        dens = [row[k] for k, row in enumerate(aug._echelon)]
-        den = lcm(*dens)
-        out = [
-            {j - n: v * self._den * (den // p) for j, v in row.items() if j >= n}
-            for row, p in zip(aug._echelon, dens)
-        ]
-        return _reduced(out, den, n)
+        out = [{j - n: v * self._den for j, v in row.items() if j >= n} for row in reduced._nums]
+        return _reduced(out, reduced._den, n)
 
     def column_span_equals(self, other: "ExactMatrix") -> bool:
         """Whether two matrices with equal row counts span the same column space."""
@@ -332,9 +295,7 @@ def _fill(matrix: ExactMatrix, nums: list[IntRow], den: int, ncols: int) -> None
     matrix.nrows = len(nums)
     matrix.ncols = ncols
     matrix._rows = None
-    matrix._echelon = None
-    matrix._pivots = None
-    matrix._reduced = None
+    matrix._rref = None
 
 
 def _reduced(rows: list[IntRow], den: int, ncols: int) -> ExactMatrix:

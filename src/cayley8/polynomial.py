@@ -16,12 +16,13 @@ exponent vectors", CASC 2007, also used by FLINT's ``fmpz_mpoly``):
   equal polynomials have equal fields.
 
 Ring operations and ``diff`` run on ints alone.  :meth:`Polynomial.sum_of_products`
-holds the one monomial-product loop: ``sum(sign * a * b)`` over many pairs
-goes into one numerator dict over one common denominator, with one guard
-check and one gcd, and ``a * b`` is the sum of one product.  The tensor
-kernels call it once per output coefficient.  ``terms`` is a read-only view
-from exponent tuples to ``fractions.Fraction``, built on first use.  No
-floating point appears anywhere.
+holds the one accumulation loop: ``sum(sign * a * b)`` over many pairs goes
+into one numerator dict over one common denominator, with one guard check
+and one gcd.  ``a * b`` is the sum of one product, and ``a + b`` the sum of
+``a * ONE`` and ``b * ONE`` with :data:`ONE` the unit polynomial.  The
+tensor kernels call it once per output coefficient.  ``terms`` is a
+read-only view from exponent tuples to ``fractions.Fraction``, built on
+first use.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -247,27 +248,7 @@ class Polynomial:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "Polynomial | Rational") -> "Polynomial":
-        other = as_polynomial(other)
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        da, db = self._den, other._den
-        if da == db:
-            out = dict(self._nums)
-            scale = 1
-        else:
-            g = gcd(da, db)
-            scale = da // g
-            out = {k: v * (db // g) for k, v in self._nums.items()}
-        get = out.get
-        for k, v in other._nums.items():
-            total = get(k, 0) + v * scale
-            if total:
-                out[k] = total
-            else:
-                del out[k]
-        return _reduced(out, db * scale)
+        return Polynomial.sum_of_products(((1, self, ONE), (1, as_polynomial(other), ONE)))
 
     __radd__ = __add__
 
@@ -347,6 +328,10 @@ class Polynomial:
                     term = term * images[i] ** e
             out = out + term
         return out._scaled(1, self._den)
+
+
+#: The unit polynomial, second factor of every ``(sign, poly, ONE)`` triple of a linear sum.
+ONE = Polynomial.one()
 
 
 def as_polynomial(value: "Polynomial | Rational") -> Polynomial:

@@ -28,7 +28,8 @@ output coefficient is one Polynomial built in one pass over its products.
 ``wedge`` and ``contract`` feed it the term pairs of :func:`_bilinear`,
 ``exterior_derivative`` its derivatives, and the linear sums (constructor,
 ``+``, ``-``, ``pullback_linear``, the document loader) ``(sign, poly, ONE)``
-triples; a group of one such triple keeps ``poly``.  ``inner`` is one sum.
+triples, :data:`~cayley8.polynomial.ONE` being the unit polynomial; a group
+of one such triple keeps ``poly``.  ``inner`` is one sum.
 A group that cancels is dropped, so no tensor holds a zero coefficient.
 
 Values are immutable after construction and all operations are pure, so
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .multiindex import DIM, FULL, INDEX, MASK, PARITY, MultiIndex, canonicalize, complement, star_sign
-from .polynomial import Polynomial, Rational, as_fraction, as_polynomial
+from .polynomial import ONE, Polynomial, Rational, as_fraction, as_polynomial
 
 FORM = "form"
 MULTIVECTOR = "multivector"
@@ -198,9 +199,6 @@ class GradedTensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: Rational) -> "GradedTensor":
-        return self * (Fraction(1) / as_fraction(scalar))
-
     def __xor__(self, other: "GradedTensor") -> "GradedTensor":
         return wedge(self, other)
 
@@ -234,9 +232,6 @@ def scalar_tensor(poly: Coefficient, variance: str = FORM) -> GradedTensor:
 
 
 # -- signed accumulation -----------------------------------------------------
-
-#: The second factor of every ``(sign, poly, ONE)`` triple of a linear sum.
-ONE = Polynomial.one()
 
 #: Pair rules of :func:`_bilinear`: the part of a's mask that b's mask must
 #: share.  Wedge pairs are disjoint, a contracted multivector lies inside the form.

@@ -17,7 +17,6 @@ from cayley8.calculus import (
     lie_derivative,
     schouten,
 )
-from cayley8.linalg import ExactMatrix
 from cayley8.multiindex import DIM, basis
 from cayley8.polynomial import Polynomial, x
 from cayley8.spin7 import (
@@ -108,11 +107,9 @@ def test_criterion_02_map_ranks():
     residual += _mass(eigenspace_dimension(degree2, 1) - 21)
     degree3 = map_matrix(3)
     residual += _mass(degree3.rank() - 8, degree3.nullity() - 48)
-    kernel = ExactMatrix.from_columns(degree3.nullspace())
     psi = cayley_form()
     wedge_map = structure_matrix([wedge(GradedTensor(FORM, 3, {idx: 1}), psi) for idx in basis(3)], 7)
-    annihilator = ExactMatrix.from_columns(wedge_map.nullspace())
-    residual += _mass(0 if kernel.column_span_equals(annihilator) else 1)
+    residual += _mass(0 if degree3.nullspace().column_span_equals(wedge_map.nullspace()) else 1)
     _report(2, "contraction-map ranks, spectrum, and kernel", residual)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from decimal import Decimal
@@ -296,3 +297,28 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        usage = capsys.readouterr().out
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, captured = run(capsys, "rank-report", "--format", "json")
+        assert code == 0 and json.loads(captured.out)["maps"]
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--scope", "nowhere"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == usage
+        assert built == []

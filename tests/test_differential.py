@@ -48,8 +48,8 @@ from cayley8.multiindex import DIM, INDEX, MASK, PARITY, basis, canonicalize, co
 from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, x
 from cayley8.serialize import document_to_tensor, polynomial_to_document
 from cayley8.spin7 import (
-    eigenspace_dimension, map_matrix, project4, structure_matrix, three_form_operator_matrix, two_form_operator,
-    two_form_operator_matrix,
+    cayley_form, eigenspace_dimension, map_matrix, project4, structure_matrix, three_form_operator_matrix,
+    two_form_operator, two_form_operator_matrix,
 )
 from cayley8.tensor import (
     FORM, MULTIVECTOR, GradedTensor, contract, dx, hodge, inner, pullback_linear, sharp, wedge,
@@ -262,10 +262,22 @@ def assert_fraction_rows(rows) -> None:
 def test_matrix_kernels_match_dense_reference(rows, data):
     m = ExactMatrix(rows)
     reduced, pivots = m.rref()
-    assert (reduced, pivots) == reference_linalg.rref(rows)
-    assert_fraction_rows(reduced)
+    assert (reduced.rows, pivots) == reference_linalg.rref(rows)
+    assert_fraction_rows(reduced.rows)
+    assert m.rref() is m.rref()
     assert m.rank() == len(pivots)
-    assert m.nullspace() == reference_linalg.nullspace(rows)
+    # stacked on the identity, every matrix has full column rank: an ncols x 0 kernel
+    stacked = rows + [[Fraction(int(i == j)) for j in range(m.ncols)] for i in range(m.ncols)]
+    for matrix, dense in ((m, rows), (ExactMatrix(stacked), stacked)):
+        kernel = matrix.nullspace()
+        expected = reference_linalg.nullspace(dense)
+        assert kernel.shape == (matrix.ncols, len(expected))
+        assert [kernel.column(k) for k in range(kernel.ncols)] == expected
+        assert_fraction_rows(kernel.rows)
+        assert (matrix @ kernel).abs_entry_sum() == 0
+        assert kernel.column_span_equals(ExactMatrix([[0]] * matrix.ncols)) == (not expected)
+        assert kernel.column_span_equals(kernel * 3)
+    assert ExactMatrix(stacked).nullity() == 0
     right = data.draw(sparse_matrices(nrows=m.ncols))
     matrix_product = (m @ ExactMatrix(right)).rows
     assert matrix_product == reference_linalg.matmul(rows, right)
@@ -313,6 +325,7 @@ def test_matrix_kernels_build_no_fraction(monkeypatch):
     matrices = [map_matrix(k) for k in (1, 2, 3)] + [two_form_operator_matrix(), three_form_operator_matrix()]
     t_matrix, s_matrix = matrices[3:]
     images = [two_form_operator(dx(*idx)) for idx in basis(2)]
+    wedge_images = [wedge(dx(*idx), cayley_form()) for idx in basis(3)]
     built = []
     original = Fraction.__new__
 
@@ -333,8 +346,23 @@ def test_matrix_kernels_build_no_fraction(monkeypatch):
     ]
     equal = [a == b for a, b in zip(fresh, matrices)]
     equal += [structure_matrix(images, 2) == t_matrix, map_matrix(2) == t_matrix, t_matrix * -1 == t_matrix]
+    fresh = [m * 1 for m in matrices]
+    reduced = [m.rref()[0] for m in fresh]
+    kernels = [m.nullspace() for m in fresh]
+    inverses = [fresh[1].inverse(), fresh[3].inverse()]
+    spans = [
+        kernels[2].column_span_equals(structure_matrix(wedge_images, 7).nullspace()),
+        kernels[2].column_span_equals(kernels[4]),  # both are the 48-dimensional part
+        kernels[2].column_span_equals(reduced[4]),
+        reduced[1].column_span_equals(ExactMatrix.identity(28)),
+    ]
     assert built == []
     monkeypatch.undo()
+    assert [r.rank() for r in reduced] == [8, 28, 8, 28, 8]
+    assert [k.shape for k in kernels] == [(8, 0), (28, 0), (56, 48), (28, 0), (56, 48)]
+    assert [(m @ k).abs_entry_sum() for m, k in zip(matrices, kernels)] == [0] * 5
+    assert [inverses[0] @ matrices[1], inverses[1] @ matrices[3]] == [ExactMatrix.identity(28)] * 2
+    assert spans == [True, True, False, True]
     assert ranks == [8, 28, 8, 28, 8]
     assert nullities == [0, 0, 48, 0, 48]
     assert spectra == [7, 21, 8, 48]

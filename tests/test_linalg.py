@@ -14,8 +14,9 @@ def test_rank_and_nullity():
 
 def test_nullspace_vectors_annihilate():
     m = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    for vec in m.nullspace():
-        assert (m @ ExactMatrix.from_columns([vec])).rows == [[Fraction(0)]] * m.nrows
+    kernel = m.nullspace()
+    assert kernel.shape == (3, 1)
+    assert (m @ kernel).rows == [[Fraction(0)]] * m.nrows
 
 
 def test_inverse_roundtrip():
@@ -65,8 +66,10 @@ def test_rref_cached_and_consistent():
     m = ExactMatrix([[0, 2], [1, 0]])
     rref, pivots = m.rref()
     assert pivots == [0, 1]
-    assert rref == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert rref == ExactMatrix.identity(2)
+    assert rref.rows == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert m.rref()[0] is rref
+    assert m.rref() is m.rref()
 
 
 @pytest.mark.parametrize("operand", [3, Fraction(1, 2), [[1, 0], [0, 1]]])
@@ -121,9 +124,9 @@ def test_rref_of_negative_and_scaled_pivots():
     m = ExactMatrix([[0, -2, 4, Fraction(2, 3)], [-3, 6, 0, 1], [3, -8, 4, 0]])
     rref, pivots = m.rref()
     assert pivots == [0, 1, 3]
-    assert rref == [
+    assert rref.rows == [
         [1, 0, -4, 0],
         [0, 1, -2, 0],
         [0, 0, 0, 1],
     ]
-    assert m.nullspace() == [[Fraction(4), Fraction(2), Fraction(1), Fraction(0)]]
+    assert m.nullspace() == ExactMatrix([[4], [2], [1], [0]])

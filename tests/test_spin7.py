@@ -90,7 +90,7 @@ class TestProject2:
     def test_pure_eigenvector_input(self):
         t_matrix = two_form_operator_matrix()
         shifted = t_matrix - ExactMatrix.identity(28) * Fraction(-3)
-        vec = shifted.nullspace()[0]
+        vec = shifted.nullspace().column(0)
         beta = GradedTensor(
             FORM, 2, {idx: vec[n] for n, idx in enumerate(basis(2)) if vec[n]}
         )
@@ -130,7 +130,7 @@ class TestProject3:
 
     def test_annihilator_is_pure_48_part(self):
         s_matrix = three_form_operator_matrix()
-        vec = s_matrix.nullspace()[0]
+        vec = s_matrix.nullspace().column(0)
         eta = GradedTensor(
             FORM, 3, {idx: vec[n] for n, idx in enumerate(basis(3)) if vec[n]}
         )
@@ -244,11 +244,11 @@ class TestMapMatrices:
         assert map_matrix(2) == two_form_operator_matrix()
 
     def test_kernel_matches_wedge_annihilator(self):
-        kernel = ExactMatrix.from_columns(map_matrix(3).nullspace())
+        kernel = map_matrix(3).nullspace()
         psi = cayley_form()
         wedge_map = structure_matrix([wedge(GradedTensor(FORM, 3, {idx: 1}), psi) for idx in basis(3)], 7)
-        annihilator = ExactMatrix.from_columns(wedge_map.nullspace())
-        assert kernel.column_span_equals(annihilator)
+        assert kernel.shape == wedge_map.nullspace().shape == (56, 48)
+        assert kernel.column_span_equals(wedge_map.nullspace())
 
     def test_matrix_agrees_with_contract(self, make_tensor):
         matrix = map_matrix(2)
@@ -292,7 +292,7 @@ class TestInverseAndSection:
     def test_eigenspace_specialization(self):
         t_matrix = two_form_operator_matrix()
         shifted = t_matrix - ExactMatrix.identity(28) * Fraction(-3)
-        vec = shifted.nullspace()[0]
+        vec = shifted.nullspace().column(0)
         beta = GradedTensor(
             FORM, 2, {idx: vec[n] for n, idx in enumerate(basis(2)) if vec[n]}
         )
