@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .calculus import exterior_derivative, homotopy_pair
@@ -18,6 +17,7 @@ from .serialize import (
     ParseError,
     decode_json,
     document_to_tensor,
+    json_text,
     polynomial_to_document,
     tensor_to_document,
 )
@@ -49,8 +49,7 @@ def _load_json(path: str):
 
 def _emit(payload, fmt: str, text_renderer) -> None:
     if fmt == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(payload) + "\n")
     else:
         text_renderer(payload)
 

@@ -1,4 +1,4 @@
-"""Lossless JSON interchange for tensors.
+"""Lossless JSON interchange for tensors, and the one indented JSON writer.
 
 The document layout keeps integers as decimal strings so arbitrary
 precision survives any JSON implementation::
@@ -15,6 +15,9 @@ precision survives any JSON implementation::
 Index lists may arrive unsorted; they canonicalize on load with the
 permutation sign absorbed into the coefficient.  A repeated index collapses
 the term to zero and emits a warning.
+
+:func:`json_text` writes every ``--format json`` output of the command line:
+``json.dumps(value, indent=2)`` byte for byte, in one pass over the value.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ import json
 import re
 import warnings
 from collections import defaultdict
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable
 
 from .multiindex import DIM, MASK, canonicalize
 from .polynomial import MAX_EXPONENT, Polynomial
 from .tensor import FORM, MULTIVECTOR, ONE, DegreeMismatch, GradedTensor, _grouped_sum
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_INFINITY = float("inf")
 
 
 class ParseError(ValueError):
@@ -155,5 +160,86 @@ def parse_tensor(text: str) -> GradedTensor:
     return document_to_tensor(decode_json(text))
 
 
-def serialize_tensor(t: GradedTensor, *, indent: int | None = None) -> str:
-    return json.dumps(tensor_to_document(t), indent=indent)
+def serialize_tensor(t: GradedTensor) -> str:
+    return json.dumps(tensor_to_document(t))
+
+
+def json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder, a chain of
+    generators yielding one chunk per token. This writer appends one chunk
+    per line to a list and joins it once. Strings go through the function
+    ``json`` uses with ``ensure_ascii``, and ints and floats through
+    ``int.__repr__`` and ``float.__repr__`` as in ``json``. A dict key that is
+    not a ``str``, or a value that is not a dict, list, tuple, str, int,
+    float, bool or None, raises ``TypeError``.
+    """
+    chunks: list[str] = []
+    _write(value, chunks.append, "\n")
+    return "".join(chunks)
+
+
+def _write(value: Any, put: Callable[[str], None], newline: str) -> None:
+    """Append the text of ``value`` with ``put``, ``newline`` being "\\n" and the line's indent.
+
+    Plain ``str`` and ``int`` members are written in the container loops; any
+    other member goes through the recursion, which writes scalars last.
+    """
+    if isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            cls = item.__class__
+            if cls is str:
+                put(sep + _quote(key) + ": " + _quote(item))
+            elif cls is int:
+                put(sep + _quote(key) + ": " + int.__repr__(item))
+            else:
+                put(sep + _quote(key) + ": ")
+                _write(item, put, inner)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            cls = item.__class__
+            if cls is int:
+                put(sep + int.__repr__(item))
+            elif cls is str:
+                put(sep + _quote(item))
+            else:
+                put(sep)
+                _write(item, put, inner)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(value, str):
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            put("NaN")
+        elif value == _INFINITY:
+            put("Infinity")
+        elif value == -_INFINITY:
+            put("-Infinity")
+        else:
+            put(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

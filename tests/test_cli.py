@@ -322,3 +322,63 @@ class TestUsageErrors:
         assert info.value.code == 0
         assert capsys.readouterr().out == usage
         assert built == []
+
+
+def _json_commands(tmp_path):
+    """One ``--format json`` argv per subcommand, with its expected exit code."""
+    from cayley8.spin7 import cayley_form
+
+    two_form = write_doc(tmp_path / "b.json", tensor_to_document(dx(0, 1, coeff=x(2) * x(5) - 3)))
+    pair = write_doc(
+        tmp_path / "pair.json",
+        {"multivector": tensor_to_document(mv(0, 1, 2)), "form": tensor_to_document(cayley_form())},
+    )
+    one_form = write_doc(tmp_path / "alpha.json", tensor_to_document(dx(0, coeff=x(1))))
+    function = write_doc(tmp_path / "f.json", tensor_to_document(scalar_tensor(x(3) * x(3))))
+    return {
+        "decompose": (["decompose", "--input", two_form], 0),
+        "contract": (["contract", "--input", pair], 0),
+        "solve-cayley2": (["solve", "cayley2", "--input", one_form], 0),
+        "solve-cayley3": (["solve", "cayley3", "--input", function], 0),
+        "primitive": (["primitive", "--input", two_form], 0),
+        "rank-report": (["rank-report"], 0),
+        # floats (elapsed_s) and null (note, mutation)
+        "verify-core": (["verify", "--scope", "core", "--cases", "1"], 0),
+        # the exit-1 path of a failing report
+        "verify-mutated": (["verify", "--scope", "spin7", "--cases", "1", "--mutate-hodge", "4"], 1),
+    }
+
+
+class TestJsonOutput:
+    """``--format json`` prints ``json.dumps(payload, indent=2)`` and a newline, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "decompose",
+            "contract",
+            "solve-cayley2",
+            "solve-cayley3",
+            "primitive",
+            "rank-report",
+            "verify-core",
+            "verify-mutated",
+        ],
+    )
+    def test_output_is_json_dumps_indent_2(self, name, tmp_path, capsys):
+        argv, status = _json_commands(tmp_path)[name]
+        code, captured = run(capsys, *argv, "--format", "json")
+        assert code == status
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
+
+    def test_pure_python_encoder_is_not_used(self, tmp_path, capsys, monkeypatch):
+        # json.dump(..., indent=2) builds its encoder with _make_iterencode
+        argv, _ = _json_commands(tmp_path)["decompose"]
+        code, captured = run(capsys, *argv, "--format", "json")
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert run(capsys, *argv, "--format", "json") == (0, captured)

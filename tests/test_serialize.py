@@ -1,3 +1,4 @@
+import enum
 import json
 import warnings
 from fractions import Fraction
@@ -11,6 +12,7 @@ from cayley8.polynomial import Polynomial
 from cayley8.serialize import (
     ParseError,
     document_to_tensor,
+    json_text,
     parse_tensor,
     serialize_tensor,
     tensor_to_document,
@@ -206,3 +208,56 @@ def test_parse_tensor_returns_a_tensor_or_raises_parse_error(value):
         except ParseError:
             return
     assert isinstance(result, GradedTensor)
+
+
+# -- json_text: json.dumps(value, indent=2), byte for byte ---------------------------
+
+# every code point, lone surrogates included, plus the characters JSON escapes
+writer_strings = st.one_of(
+    st.text(st.characters(blacklist_categories=())),
+    st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')),
+)
+writer_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, -1e-300, 5e-324]),
+    writer_strings,
+    st.sampled_from([[], {}, ()]),
+)
+writer_values = st.recursive(
+    writer_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(writer_strings, inner, max_size=6),
+    ),
+    max_leaves=60,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(writer_values)
+    def test_matches_json_dumps_indent_2(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    def test_bool_is_not_an_int_and_int_subclasses_print_their_value(self):
+        class Colour(enum.IntEnum):
+            RED = 3
+
+        value = {"flags": [True, False], "colour": Colour.RED, "list": [Colour.RED, True]}
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, [{"ok": {None: 0}}], {(0, 1): 2}, {True: 1}])
+    def test_non_str_key_raises_type_error(self, value):
+        with pytest.raises(TypeError, match="keys must be str"):
+            json_text(value)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, [Fraction(3)], {"a": {"b": {0}}}, b"bytes"])
+    def test_non_json_value_raises_type_error(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text(value)
+
