@@ -115,6 +115,8 @@ class ExactMatrix:
         return self._rows
 
     def column(self, j: int) -> list[Fraction]:
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
         den = self._den
         return [Fraction(row[j], den) if j in row else _ZERO for row in self._nums]
 

@@ -20,9 +20,11 @@ holds the one accumulation loop: ``sum(sign * a * b)`` over many pairs goes
 into one numerator dict over one common denominator, with one guard check
 and one gcd.  ``a * b`` is the sum of one product, and ``a + b`` the sum of
 ``a * ONE`` and ``b * ONE`` with :data:`ONE` the unit polynomial.  The
-tensor kernels call it once per output coefficient.  ``terms`` is a
-read-only view from exponent tuples to ``fractions.Fraction``, built on
-first use.  No floating point appears anywhere.
+tensor kernels call it once per output coefficient, and
+:meth:`Polynomial.compose`, the substitution ``x_i -> images[i]``, calls it
+once.  ``terms`` is a read-only view from exponent tuples to
+``fractions.Fraction``, built on first use.  No floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import struct
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -288,6 +290,8 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to coordinate ``i``."""
+        if not 0 <= i < DIM:
+            raise ValueError(f"variable index {i} outside 0..{DIM - 1}")
         shift = _SHIFTS[i]
         step = 1 << shift
         out = {}
@@ -310,24 +314,20 @@ class Polynomial:
             total += value
         return total / self._den
 
-    def compose_linear(self, rows: list[list[Fraction]]) -> "Polynomial":
-        """Substitute ``x_i -> sum_j rows[i][j] * x_j``."""
-        images = [
-            Polynomial.from_quotients(
-                (tuple(int(m == j) for m in range(DIM)), r.numerator, r.denominator)
-                for j, r in enumerate(rows[i])
-                if r
-            )
-            for i in range(DIM)
-        ]
-        out = Polynomial.zero()
+    def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
+        """Substitute ``x_i -> images[i]`` for a sequence of eight polynomials.
+
+        Each term ``v x^e`` contributes the triple ``(v, rest, last)`` with
+        ``rest * last`` the product of its substituted factors, so the whole
+        substitution is one :meth:`sum_of_products`.
+        """
+        if len(images) != DIM:
+            raise ValueError(f"compose needs {DIM} images, got {len(images)}")
+        triples = []
         for key, v in self._nums.items():
-            term = _wrap({0: v}, 1)
-            for i, e in enumerate(_unpack(key)):
-                if e:
-                    term = term * images[i] ** e
-            out = out + term
-        return out._scaled(1, self._den)
+            *factors, last = [images[i] for i, e in enumerate(_unpack(key)) for _ in range(e)] or [ONE]
+            triples.append((v, reduce(mul, factors) if factors else ONE, last))
+        return Polynomial.sum_of_products(triples)._scaled(1, self._den)
 
 
 #: The unit polynomial, second factor of every ``(sign, poly, ONE)`` triple of a linear sum.

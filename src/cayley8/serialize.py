@@ -34,7 +34,6 @@ from .polynomial import MAX_EXPONENT, Polynomial
 from .tensor import FORM, MULTIVECTOR, ONE, DegreeMismatch, GradedTensor, _grouped_sum
 
 _DECIMAL = re.compile(r"-?[0-9]+")
-_INFINITY = float("inf")
 
 
 class ParseError(ValueError):
@@ -169,11 +168,12 @@ def json_text(value: Any) -> str:
 
     With an indent, ``json.dumps`` runs the pure-Python encoder, a chain of
     generators yielding one chunk per token. This writer appends one chunk
-    per line to a list and joins it once. Strings go through the function
-    ``json`` uses with ``ensure_ascii``, and ints and floats through
-    ``int.__repr__`` and ``float.__repr__`` as in ``json``. A dict key that is
-    not a ``str``, or a value that is not a dict, list, tuple, str, int,
-    float, bool or None, raises ``TypeError``.
+    per line to a list and joins it once. Plain ``str`` and ``int`` members
+    of a container are written inline, through the function ``json`` uses
+    with ``ensure_ascii`` and ``int.__repr__``; every other scalar goes
+    through ``json.dumps`` itself. A dict key that is not a ``str``, or a
+    value that is not a dict, list, tuple, str, int, float, bool or None,
+    raises ``TypeError``.
     """
     chunks: list[str] = []
     _write(value, chunks.append, "\n")
@@ -184,7 +184,7 @@ def _write(value: Any, put: Callable[[str], None], newline: str) -> None:
     """Append the text of ``value`` with ``put``, ``newline`` being "\\n" and the line's indent.
 
     Plain ``str`` and ``int`` members are written in the container loops; any
-    other member goes through the recursion, which writes scalars last.
+    other member goes through the recursion, which hands scalars to ``json.dumps``.
     """
     if isinstance(value, dict):
         if not value:
@@ -222,24 +222,5 @@ def _write(value: Any, put: Callable[[str], None], newline: str) -> None:
                 _write(item, put, inner)
             sep = "," + inner
         put(newline + "]")
-    elif isinstance(value, str):
-        put(_quote(value))
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif isinstance(value, int):
-        put(int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            put("NaN")
-        elif value == _INFINITY:
-            put("Infinity")
-        elif value == -_INFINITY:
-            put("-Infinity")
-        else:
-            put(float.__repr__(value))
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        put(json.dumps(value))

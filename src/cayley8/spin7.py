@@ -14,7 +14,7 @@ first use everything is read-only and freely shareable between threads.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable
@@ -117,7 +117,6 @@ class DecompositionReport:
     input: GradedTensor
     components: dict[str, GradedTensor]
     flattened_from_multivector: bool = False
-    witnesses: dict[str, GradedTensor] = field(default_factory=dict)
 
     def residual(self) -> GradedTensor:
         total = GradedTensor.zero(FORM, self.input.degree)
@@ -146,7 +145,8 @@ class DecompositionReport:
             elif name == "2_21":
                 out[name] = two_form_operator(part) - part
             elif name == "3_8":
-                witness = self.witnesses["3_8_vector"]
+                # the 8-part is w _| Psi with the witness w = -sharp(star(Psi ^ eta))/7
+                witness = sharp(hodge(wedge(psi, self.input))) * Fraction(-1, 7)
                 out[name] = part - contract(witness, psi)
             elif name == "3_48":
                 out[name] = wedge(part, psi)
@@ -189,14 +189,8 @@ def project2(beta: GradedTensor) -> DecompositionReport:
 def project3(eta: GradedTensor) -> DecompositionReport:
     """Split a three-form into its 8- and 48-dimensional components."""
     _expect(eta, FORM, 3)
-    psi = cayley_form()
     part8 = three_form_operator(eta) * Fraction(-1, 7)
-    part48 = eta - part8
-    # the 8-part is w _| Psi for the witness w below
-    witness = sharp(hodge(wedge(psi, eta))) * Fraction(-1, 7)
-    return DecompositionReport(
-        eta, {"3_8": part8, "3_48": part48}, witnesses={"3_8_vector": witness}
-    )
+    return DecompositionReport(eta, {"3_8": part8, "3_48": eta - part8})
 
 
 @cache
@@ -255,9 +249,7 @@ def decompose(t: GradedTensor) -> DecompositionReport:
     else:
         raise DegreeMismatch(f"no decomposition for degree {form.degree}")
     if flattened:
-        report = DecompositionReport(
-            report.input, report.components, True, report.witnesses
-        )
+        report = DecompositionReport(report.input, report.components, True)
     return report
 
 

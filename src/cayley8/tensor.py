@@ -32,6 +32,14 @@ triples, :data:`~cayley8.polynomial.ONE` being the unit polynomial; a group
 of one such triple keeps ``poly``.  ``inner`` is one sum.
 A group that cancels is dropped, so no tensor holds a zero coefficient.
 
+Linear pullback
+---------------
+A linear map is an 8x8 :class:`~cayley8.linalg.ExactMatrix` ``A``.
+:func:`pullback_linear` sends ``dx^i`` to row ``i`` of ``A``, ``e_j`` to
+column ``j`` of ``A^-1``, and each coefficient through
+:meth:`~cayley8.polynomial.Polynomial.compose` with
+``x_i -> sum_j A[i][j] x_j``.
+
 Values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads without locking.
 """
@@ -42,8 +50,9 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .linalg import ExactMatrix, SingularMatrixError
 from .multiindex import DIM, FULL, INDEX, MASK, PARITY, MultiIndex, canonicalize, complement, star_sign
-from .polynomial import ONE, Polynomial, Rational, as_fraction, as_polynomial
+from .polynomial import ONE, Polynomial, Rational, as_polynomial
 
 FORM = "form"
 MULTIVECTOR = "multivector"
@@ -356,46 +365,34 @@ def inner(a: GradedTensor, b: GradedTensor) -> Polynomial:
 # -- linear pullback -------------------------------------------------------
 
 
-def _as_rows(matrix) -> list[list[Fraction]]:
-    rows = [[as_fraction(v) for v in row] for row in matrix]
-    if len(rows) != DIM or any(len(r) != DIM for r in rows):
-        raise ValueError(f"expected an {DIM}x{DIM} matrix")
-    return rows
-
-
-def _invert_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    from .linalg import ExactMatrix, SingularMatrixError  # local import, no cycle
-
-    try:
-        return ExactMatrix(rows).inverse().rows
-    except SingularMatrixError:
-        raise SingularMatrixError(
-            "pullback of a multivector needs an invertible matrix"
-        ) from None
-
-
-def pullback_linear(matrix, t: GradedTensor) -> GradedTensor:
-    """Pull a tensor back along the linear map x -> A x.
+def pullback_linear(matrix: ExactMatrix, t: GradedTensor) -> GradedTensor:
+    """Pull a tensor back along the linear map x -> A x, ``A`` an 8x8 ``ExactMatrix``.
 
     For forms this is the usual pullback (no invertibility needed).  For
     multivector fields it is the pullback of vector fields along the map,
     which requires A to be invertible.  Functorial contravariantly:
     ``pullback(A @ B) = pullback(B) o pullback(A)``; commutes with wedge.
     """
-    rows = _as_rows(matrix)
+    if not isinstance(matrix, ExactMatrix):
+        raise TypeError(f"pullback_linear needs an ExactMatrix, got {type(matrix).__name__}")
+    if matrix.shape != (DIM, DIM):
+        raise ValueError(f"expected an {DIM}x{DIM} matrix, got {matrix.nrows}x{matrix.ncols}")
+    rows = matrix.rows
     if t.variance == FORM:
-        frame_rows = rows  # dx^i pulls back to sum_j A[i][j] dx^j
+        frame = rows  # dx^i pulls back to sum_j A[i][j] dx^j
     else:
-        inv = _invert_rows(rows)
-        # e_j pulls back to column j of A^-1
-        frame_rows = [[inv[i][j] for i in range(DIM)] for j in range(DIM)]
-    images = [
-        GradedTensor(t.variance, 1, {(j,): frame_rows[i][j] for j in range(DIM)})
-        for i in range(DIM)
-    ]
+        try:
+            inverse = matrix.inverse()
+        except SingularMatrixError:
+            raise SingularMatrixError("pullback of a multivector needs an invertible matrix") from None
+        frame = [inverse.column(j) for j in range(DIM)]  # e_j pulls back to column j of A^-1
+    images = [GradedTensor(t.variance, 1, {(j,): c for j, c in enumerate(row)}) for row in frame]
+    # x_i pulls back to sum_j A[i][j] x_j
+    units = [tuple(int(m == j) for m in range(DIM)) for j in range(DIM)]
+    coordinates = [Polynomial(dict(zip(units, row))) for row in rows]
     groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in t.terms.items():
-        term = scalar_tensor(poly.compose_linear(rows), t.variance)
+        term = scalar_tensor(poly.compose(coordinates), t.variance)
         for i in idx:
             term = wedge(term, images[i])
         for key, coeff in term.terms.items():

@@ -288,25 +288,24 @@ def _identity_cases(ctx: CheckContext, which: int, max_l: int) -> Iterator[Piece
 def _check_pullback_functorial(ctx: CheckContext) -> Iterator[Piece]:
     rng = ctx.rng
     for _ in range(max(1, ctx.cases // 8)):
-        a = [[random_fraction(rng) if rng.random() < 0.3 else Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
-        b = [[random_fraction(rng) if rng.random() < 0.3 else Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
-        ab = (ExactMatrix(a) @ ExactMatrix(b)).rows
+        a, b = (
+            ExactMatrix([[random_fraction(rng) if rng.random() < 0.3 else int(i == j) for j in range(DIM)] for i in range(DIM)])
+            for _ in range(2)
+        )
         k = rng.randint(0, 3)
         beta = random_tensor(rng, FORM, k)
-        yield pullback_linear(ab, beta) - pullback_linear(b, pullback_linear(a, beta))
+        yield pullback_linear(a @ b, beta) - pullback_linear(b, pullback_linear(a, beta))
         gamma = random_tensor(rng, FORM, rng.randint(0, 2))
         yield pullback_linear(a, wedge(beta, gamma)) - wedge(
             pullback_linear(a, beta), pullback_linear(a, gamma)
         )
 
 
-def _rotation_matrix() -> list[list[Fraction]]:
-    rows = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
-    rows[0][0] = Fraction(3, 5)
-    rows[0][1] = Fraction(-4, 5)
-    rows[1][0] = Fraction(4, 5)
-    rows[1][1] = Fraction(3, 5)
-    return rows
+def _rotation_matrix() -> ExactMatrix:
+    rows = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    rows[0][:2] = [Fraction(3, 5), Fraction(-4, 5)]
+    rows[1][:2] = [Fraction(4, 5), Fraction(3, 5)]
+    return ExactMatrix(rows)
 
 
 def _check_pullback_rotation_star(ctx: CheckContext) -> Iterator[Piece]:

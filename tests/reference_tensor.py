@@ -6,7 +6,9 @@ kernel: every term pair gets its sign from the index loops of
 ``reference_multiindex.py``, is multiplied into its own ``Polynomial`` and
 added into its output key one at a time, and a key is dropped as soon as
 its coefficient cancels.  Linear substitution into coefficients builds its
-images through the ``Fraction``-mapping constructor, as it used to.
+images through the ``Fraction``-mapping constructor, as it used to, and
+``pullback_linear`` takes the dense ``Fraction`` rows that the library took
+before a linear map became an 8x8 ``ExactMatrix``.
 ``construct``, ``combine`` and ``document_to_tensor`` are the same
 one-term-at-a-time ``_accumulate`` path for the ``GradedTensor``
 constructor, ``+``/``-`` and the document loader, on valid input.

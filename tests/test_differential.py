@@ -147,7 +147,21 @@ def sparse_rows(draw):
 @given(st.dictionaries(st.tuples(*[st.integers(0, 2) for _ in range(DIM)]), coefficients, max_size=3), sparse_rows())
 def test_compose_linear_matches_reference(terms, rows):
     a, ra = pair(terms)
-    assert_same(a.compose_linear(rows), ra.compose_linear(rows))
+    images = [sum((r * x(j) for j, r in enumerate(row)), Polynomial.zero()) for row in rows]
+    assert_same(a.compose(images), ra.compose_linear(rows))
+
+
+# polynomials of degree at most 2 in each variable, so a substitution stays small
+low_polynomials = st.dictionaries(st.tuples(*[st.integers(0, 2) for _ in range(DIM)]), coefficients, max_size=3).map(Polynomial)
+
+
+@settings(max_examples=40, deadline=None)
+@given(low_polynomials, st.lists(low_polynomials, min_size=DIM, max_size=DIM), st.randoms(use_true_random=False))
+def test_compose_evaluates_as_substitution(p, images, rnd):
+    composed = p.compose(images)
+    for _ in range(3):
+        point = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)) for _ in range(DIM)]
+        assert composed.evaluate(point) == p.evaluate([g.evaluate(point) for g in images])
 
 
 @settings(max_examples=60, deadline=None)
@@ -532,7 +546,7 @@ def test_pullback_matches_pair_loops(p, data):
     for variance in (FORM, MULTIVECTOR):
         t = GradedTensor(variance, p, data.draw(terms))
         for u in (t, t + (-t)):
-            assert_same_tensor(pullback_linear(matrix, u), reference_tensor.pullback_linear(matrix, u))
+            assert_same_tensor(pullback_linear(ExactMatrix(matrix), u), reference_tensor.pullback_linear(matrix, u))
 
 
 # -- canonicalize and the linear sums ------------------------------------------------

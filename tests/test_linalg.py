@@ -130,3 +130,11 @@ def test_rref_of_negative_and_scaled_pivots():
         [0, 0, 0, 1],
     ]
     assert m.nullspace() == ExactMatrix([[4], [2], [1], [0]])
+
+
+def test_column_index_range():
+    m = ExactMatrix([[1, 2], [3, 4]])
+    assert m.column(0) == [1, 3] and m.column(1) == [2, 4]
+    for j in (-1, 2, 5):
+        with pytest.raises(IndexError, match=f"column {j} outside 0..1"):
+            m.column(j)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cayley8.polynomial import Polynomial, x
+from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, x
 
 exponents = st.tuples(*[st.integers(0, 2) for _ in range(8)])
 coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -67,10 +67,15 @@ def test_evaluate_needs_eight_coordinates():
         Polynomial.one().evaluate([1, 2, 3])
 
 
+def linear_images(rows):
+    """x_i -> sum_j rows[i][j] * x_j as eight polynomials."""
+    return [sum((r * x(j) for j, r in enumerate(row)), Polynomial.zero()) for row in rows]
+
+
 def test_compose_linear_identity():
     rows = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
     p = x(0) * x(5) + 3 * x(2)
-    assert p.compose_linear(rows) == p
+    assert p.compose(linear_images(rows)) == p
 
 
 def test_compose_linear_scaling_and_mixing():
@@ -78,9 +83,45 @@ def test_compose_linear_scaling_and_mixing():
     rows[0][0] = Fraction(2)
     rows[1][0] = Fraction(1)  # row i is the image of x_i
     p = x(0)
-    assert p.compose_linear(rows) == 2 * x(0)
+    assert p.compose(linear_images(rows)) == 2 * x(0)
     q = x(1)
-    assert q.compose_linear(rows) == x(0) + x(1)
+    assert q.compose(linear_images(rows)) == x(0) + x(1)
+
+
+def test_compose_substitutes_polynomials():
+    images = [x(i) for i in range(8)]
+    images[0] = x(1) * x(1) + Fraction(1, 2)
+    images[3] = Polynomial.constant(2)
+    p = x(0) * x(0) * x(3) + Fraction(1, 3) * x(5)
+    assert p.compose(images) == 2 * (x(1) ** 4 + x(1) * x(1) + Fraction(1, 4)) + Fraction(1, 3) * x(5)
+    assert Polynomial.constant(Fraction(-7, 2)).compose(images) == Fraction(-7, 2)
+    assert Polynomial.zero().compose(images).is_zero()
+
+
+def test_compose_needs_eight_images():
+    for n in (0, 7, 9):
+        with pytest.raises(ValueError, match="compose needs 8 images"):
+            x(0).compose([x(0)] * n)
+
+
+def test_compose_past_max_exponent_overflows():
+    half = MAX_EXPONENT // 2 + 1
+    images = [x(i) for i in range(8)]
+    images[2] = images[3] = Polynomial.variable(4, half)
+    # x2 alone substitutes to x4^half; x2^2 and x2 x3 would need x4^(2 half), above the cap
+    assert x(2).compose(images) == Polynomial.variable(4, half)
+    with pytest.raises(ExponentOverflow):
+        (x(2) * x(2)).compose(images)
+    with pytest.raises(ExponentOverflow):
+        (x(2) * x(3) + 1).compose(images)
+
+
+def test_diff_index_range():
+    p = x(0) * x(7)
+    assert p.diff(0) == x(7) and p.diff(7) == x(0)
+    for i in (-1, 8, -8):
+        with pytest.raises(ValueError, match=f"variable index {i} outside 0..7"):
+            p.diff(i)
 
 
 def test_abs_coeff_sum():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,39 @@ class TestProject4:
         assert report.components["4_7"] == sigma
         for name in ("4_1", "4_27", "4_35"):
             assert report.components[name].is_zero()
+
+
+#: Each component of project2/3/4 and the defining residuals that read it.
+DEFINING_RESIDUALS = {
+    "2_7": ["2_7"],
+    "2_21": ["2_21"],
+    "3_8": ["3_8"],
+    "3_48": ["3_48"],
+    "4_1": ["4_1"],
+    "4_7": ["4_7", "4_7_selfdual"],
+    "4_27": ["4_27_selfdual", "4_27_wedge_psi", "4_27_wedge_7part"],
+    "4_35": ["4_35"],
+}
+
+
+class TestDefiningResidualsCanFail:
+    @pytest.mark.parametrize("name", sorted(DEFINING_RESIDUALS))
+    def test_perturbed_component(self, name, make_tensor):
+        degree = int(name[0])
+        report = decompose(make_tensor(FORM, degree))
+        assert all(r.is_zero() for r in report.defining_residuals().values())
+        delta = dx(*range(degree))
+        if degree == 4:  # dx0123 has no 7-part
+            delta = delta + seven_part_generators()[0]
+        part = report.components[name] + delta
+        perturbed = dataclasses.replace(report, components={**report.components, name: part})
+        residuals = perturbed.defining_residuals()
+        assert sorted(residuals) == sorted(r for n in report.components for r in DEFINING_RESIDUALS[n])
+        for residual_name, residual in residuals.items():
+            if residual_name in DEFINING_RESIDUALS[name]:
+                assert not residual.is_zero(), residual_name
+            else:
+                assert residual.is_zero(), residual_name
 
 
 class TestDecomposeDispatch:

@@ -192,63 +192,65 @@ class TestInner:
 
 
 class TestPullback:
-    def identity_rows(self):
-        return [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
+    def matrix(self, entries=None):
+        """The 8x8 identity with the ``{(i, j): value}`` entries set, as an ``ExactMatrix``."""
+        rows = [[int(i == j) for j in range(8)] for i in range(8)]
+        for (i, j), value in (entries or {}).items():
+            rows[i][j] = value
+        return ExactMatrix(rows)
 
     def test_identity(self, make_tensor):
         beta = make_tensor(FORM, 2)
-        assert pullback_linear(self.identity_rows(), beta) == beta
+        assert pullback_linear(self.matrix(), beta) == beta
 
     def test_diagonal_scaling(self):
-        rows = self.identity_rows()
-        rows[0][0] = Fraction(2)
-        assert pullback_linear(rows, dx(0, 1)) == dx(0, 1) * 2
+        assert pullback_linear(self.matrix({(0, 0): 2}), dx(0, 1)) == dx(0, 1) * 2
 
     def test_functorial(self, make_tensor, rng):
-        a = self.identity_rows()
-        b = self.identity_rows()
-        a[0][3] = Fraction(1, 2)
-        b[2][1] = Fraction(-3)
-        ab = (ExactMatrix(a) @ ExactMatrix(b)).rows
+        a = self.matrix({(0, 3): Fraction(1, 2)})
+        b = self.matrix({(2, 1): -3})
         beta = make_tensor(FORM, 2)
-        assert pullback_linear(ab, beta) == pullback_linear(b, pullback_linear(a, beta))
+        assert pullback_linear(a @ b, beta) == pullback_linear(b, pullback_linear(a, beta))
 
     def test_commutes_with_wedge(self, make_tensor):
-        rows = self.identity_rows()
-        rows[4][5] = Fraction(7, 3)
+        matrix = self.matrix({(4, 5): Fraction(7, 3)})
         a, b = make_tensor(FORM, 1), make_tensor(FORM, 2)
-        assert pullback_linear(rows, wedge(a, b)) == wedge(
-            pullback_linear(rows, a), pullback_linear(rows, b)
+        assert pullback_linear(matrix, wedge(a, b)) == wedge(
+            pullback_linear(matrix, a), pullback_linear(matrix, b)
         )
 
     def test_rotation_commutes_with_hodge(self, make_tensor):
-        rows = self.identity_rows()
-        rows[0][0], rows[0][1] = Fraction(3, 5), Fraction(-4, 5)
-        rows[1][0], rows[1][1] = Fraction(4, 5), Fraction(3, 5)
+        matrix = self.matrix(
+            {(0, 0): Fraction(3, 5), (0, 1): Fraction(-4, 5), (1, 0): Fraction(4, 5), (1, 1): Fraction(3, 5)}
+        )
         for k in (1, 2, 4):
             beta = make_tensor(FORM, k)
-            assert hodge(pullback_linear(rows, beta)) == pullback_linear(rows, hodge(beta))
+            assert hodge(pullback_linear(matrix, beta)) == pullback_linear(matrix, hodge(beta))
 
     def test_contraction_invariance(self, make_tensor):
-        rows = self.identity_rows()
-        rows[0][1] = Fraction(5)
-        rows[3][3] = Fraction(1, 2)
+        matrix = self.matrix({(0, 1): 5, (3, 3): Fraction(1, 2)})
         q = make_tensor(MULTIVECTOR, 2)
         beta = make_tensor(FORM, 3)
         assert contract(
-            pullback_linear(rows, q), pullback_linear(rows, beta)
-        ) == pullback_linear(rows, contract(q, beta))
+            pullback_linear(matrix, q), pullback_linear(matrix, beta)
+        ) == pullback_linear(matrix, contract(q, beta))
 
     def test_singular_pushforward_errors(self):
-        rows = self.identity_rows()
-        rows[0][0] = Fraction(0)
-        with pytest.raises(SingularMatrixError):
-            pullback_linear(rows, mv(0, 1))
+        matrix = self.matrix({(0, 0): 0})
+        with pytest.raises(SingularMatrixError, match="needs an invertible matrix"):
+            pullback_linear(matrix, mv(0, 1))
         # forms do not need invertibility
-        assert pullback_linear(rows, dx(0)).is_zero()
+        assert pullback_linear(matrix, dx(0)).is_zero()
 
     def test_coefficients_compose(self):
-        rows = self.identity_rows()
-        rows[0][0] = Fraction(2)
         beta = dx(1, coeff=x(0))
-        assert pullback_linear(rows, beta) == dx(1, coeff=2 * x(0))
+        assert pullback_linear(self.matrix({(0, 0): 2}), beta) == dx(1, coeff=2 * x(0))
+
+    def test_only_an_eight_by_eight_exact_matrix(self):
+        rows = [[int(i == j) for j in range(8)] for i in range(8)]
+        with pytest.raises(TypeError, match="needs an ExactMatrix, got list"):
+            pullback_linear(rows, dx(0))
+        with pytest.raises(ValueError, match="expected an 8x8 matrix, got 7x8"):
+            pullback_linear(ExactMatrix(rows[:7]), dx(0))
+        with pytest.raises(ValueError, match="expected an 8x8 matrix, got 8x7"):
+            pullback_linear(ExactMatrix([row[:7] for row in rows]), mv(0))
