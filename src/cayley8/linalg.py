@@ -9,19 +9,21 @@ equal matrices have equal fields.  The matrices built here are mostly zeros
 around 70x70.
 
 ``+``, ``-``, scalar ``*``, ``@`` (each nonzero of a left row walks one right
-row) and the sum of ``trace`` run on Python ints.  ``rref`` is fraction-free
-Gauss-Jordan elimination (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968): a row
-``b`` in the pivot column becomes ``(a/g) row - (b/g) pivot_row`` with
-``g = gcd(a, b)``, then is divided by its content, so an echelon row is a
-numerator over its pivot; scaling each row to the lcm of the pivots puts the
-reduced form over one denominator.  ``rank``, ``nullity``, ``nullspace``
-and ``inverse`` all read that elimination through ``rref``, and every query
-answers with an ``ExactMatrix`` or an int: ``rref()[0]`` is a matrix, and
-``nullspace()`` is the matrix whose columns are the kernel basis.  Only
-``rows`` (built on first use and cached), ``column()``, ``trace()`` and
-``abs_entry_sum()`` give ``fractions.Fraction`` values.  Instances are
-treated as immutable once built.
+row), ``transpose`` and the sum of ``trace`` run on Python ints.  ``rref``
+is fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968): a row ``b`` in the pivot column becomes
+``(a/g) row - (b/g) pivot_row`` with ``g = gcd(a, b)``, then is divided by
+its content, so an echelon row is a numerator over its pivot; scaling each
+row to the lcm of the pivots puts the reduced form over one denominator.
+``rank``, ``nullity``, ``nullspace`` and ``inverse`` all read that
+elimination through ``rref``, and every query answers with an
+``ExactMatrix`` or an int: ``rref()[0]`` is a matrix, and ``nullspace()``
+is the matrix whose columns are the kernel basis.  Only ``rows`` (built on
+first use and cached), ``column()``, ``trace()`` and ``abs_entry_sum()``
+give ``fractions.Fraction`` values; ``quotients()`` lists the nonzero
+entries as integer quotients.  Instances are treated as immutable once
+built.
 """
 
 from __future__ import annotations
@@ -120,6 +122,16 @@ class ExactMatrix:
         den = self._den
         return [Fraction(row[j], den) if j in row else _ZERO for row in self._nums]
 
+    def quotients(self) -> list[tuple[int, int, int, int]]:
+        """``(i, j, num, den)`` per nonzero entry, row by row, each quotient in lowest terms."""
+        den = self._den
+        out = []
+        for i, row in enumerate(self._nums):
+            for j, v in row.items():
+                g = gcd(v, den)
+                out.append((i, j, v // g, den // g))
+        return out
+
     def abs_entry_sum(self) -> Fraction:
         """L1 mass of the entries; zero iff the matrix is zero."""
         return Fraction(sum(abs(v) for row in self._nums for v in row.values()), self._den)
@@ -184,6 +196,13 @@ class ExactMatrix:
                     acc[j] = acc.get(j, 0) + a * b
             out.append({j: v for j, v in acc.items() if v})
         return _reduced(out, self._den * other._den, other.ncols)
+
+    def transpose(self) -> "ExactMatrix":
+        out: list[IntRow] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._nums):
+            for j, v in row.items():
+                out[j][i] = v
+        return _reduced(out, self._den, self.nrows)
 
     @property
     def shape(self) -> tuple[int, int]:

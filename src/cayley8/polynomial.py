@@ -15,16 +15,19 @@ exponent vectors", CASC 2007, also used by FLINT's ``fmpz_mpoly``):
   and the denominator is 1, and the zero polynomial has denominator 1, so
   equal polynomials have equal fields.
 
-Ring operations and ``diff`` run on ints alone.  :meth:`Polynomial.sum_of_products`
-holds the one accumulation loop: ``sum(sign * a * b)`` over many pairs goes
-into one numerator dict over one common denominator, with one guard check
-and one gcd.  ``a * b`` is the sum of one product, and ``a + b`` the sum of
-``a * ONE`` and ``b * ONE`` with :data:`ONE` the unit polynomial.  The
-tensor kernels call it once per output coefficient, and
-:meth:`Polynomial.compose`, the substitution ``x_i -> images[i]``, calls it
-once.  ``terms`` is a read-only view from exponent tuples to
-``fractions.Fraction``, built on first use.  No floating point appears
-anywhere.
+Ring operations and ``diff`` run on ints alone.
+:meth:`Polynomial.sum_of_products` holds the one accumulation loop:
+``sum(sign * a * b)`` over many pairs goes into one numerator dict over one
+common denominator, with one guard check and one gcd.  A triple with a
+constant factor is a scaled copy of the other factor: it adds no keys, and
+a sum of such copies needs no guard check.  ``a * b`` is the sum of one
+product, and ``a + b`` the sum of ``a * ONE`` and ``b * ONE`` with
+:data:`ONE` the unit polynomial.  The tensor kernels call it once per
+output coefficient, and :meth:`Polynomial.compose`, the substitution
+``x_i -> images[i]``, calls it once after building each distinct power
+``images[i] ** e`` by square and multiply.  ``terms`` is a read-only view
+from exponent tuples to ``fractions.Fraction``, built on first use.  No
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -133,7 +136,10 @@ class Polynomial:
         The one monomial-product loop of the class: every product goes into
         one numerator dict over the lcm of the denominators, then one guard
         check covers every key produced (also keys that later cancel) and
-        one gcd reduces the sum.
+        one gcd reduces the sum.  A triple with a constant factor adds a
+        scaled copy of the other factor at its own keys; only a product of
+        two non-constants can pass :data:`MAX_EXPONENT`, so a sum of such
+        copies skips the guard check.
         """
         den = 1
         for _, a, b in triples:
@@ -142,17 +148,24 @@ class Polynomial:
                 den = lcm(den, d)
         out: dict[int, int] = {}
         get = out.get
+        products = False  # whether some triple multiplied two non-constants
         for sign, a, b in triples:
             scale = sign * den // (a._den * b._den)
             a, b = a._nums, b._nums
-            if len(a) < len(b):
+            if len(a) < len(b) or len(a) == 1 and 0 in a:
                 a, b = b, a
+            if len(b) == 1 and 0 in b:  # a constant factor: a scaled copy of a, keys unchanged
+                vb = b[0] * scale
+                for ka, va in a.items():
+                    out[ka] = get(ka, 0) + va * vb
+                continue
+            products = True
             for kb, vb in b.items():
                 vb *= scale
                 for ka, va in a.items():
                     k = ka + kb
                     out[k] = get(k, 0) + va * vb
-        if reduce(or_, out, 0) & GUARD:
+        if products and reduce(or_, out, 0) & GUARD:
             raise ExponentOverflow(f"a product has an exponent above MAX_EXPONENT = {MAX_EXPONENT}")
         if 0 in out.values():
             out = {k: v for k, v in out.items() if v}
@@ -276,15 +289,23 @@ class Polynomial:
         """``num/den`` times this polynomial, ``den`` positive."""
         if not num:
             return _wrap({}, 1)
+        if den == 1 and (num == 1 or num == -1):
+            return self if num == 1 else -self
         return _reduced({k: v * num for k, v in self._nums.items()}, self._den * den)
 
     def __pow__(self, n: int) -> "Polynomial":
+        """Square and multiply: at most ``2 * ceil(log2(n))`` products."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        out = None
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:  # no square past the top bit, which could pass the cap needlessly
+                base = base * base
+        return Polynomial.one() if out is None else out
 
     # -- calculus ----------------------------------------------------------
 
@@ -318,15 +339,23 @@ class Polynomial:
         """Substitute ``x_i -> images[i]`` for a sequence of eight polynomials.
 
         Each term ``v x^e`` contributes the triple ``(v, rest, last)`` with
-        ``rest * last`` the product of its substituted factors, so the whole
-        substitution is one :meth:`sum_of_products`.
+        ``rest * last`` the product of its substituted powers
+        ``images[i] ** e_i``, so the whole substitution is one
+        :meth:`sum_of_products`; each distinct power is built once.
         """
         if len(images) != DIM:
             raise ValueError(f"compose needs {DIM} images, got {len(images)}")
+        powers: dict[tuple[int, int], Polynomial] = {}
         triples = []
         for key, v in self._nums.items():
-            *factors, last = [images[i] for i, e in enumerate(_unpack(key)) for _ in range(e)] or [ONE]
-            triples.append((v, reduce(mul, factors) if factors else ONE, last))
+            factors = []
+            for i, e in enumerate(_unpack(key)):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i] ** e
+                    factors.append(powers[i, e])
+            *rest, last = factors or [ONE]
+            triples.append((v, reduce(mul, rest) if rest else ONE, last))
         return Polynomial.sum_of_products(triples)._scaled(1, self._den)
 
 

@@ -9,11 +9,29 @@ and the pointwise norm identities exposed through :func:`identity_report`.
 Each structure map has one home here; :func:`structure_matrix` builds its
 exact matrix from the images of basis tensors, cached immutably, so after
 first use everything is read-only and freely shareable between threads.
+
+Every field operator with constant coefficients applies one such matrix to
+the polynomial coordinates of its argument through
+:func:`cayley8.tensor.apply_matrix`, each matrix built on first use from the
+wedge, Hodge and contraction kernels:
+
+- :func:`two_form_operator` applies T = star(Psi ^ .) on two-forms;
+  :func:`project2` applies (I - T)/4 and (3I + T)/4;
+- :func:`three_form_operator` applies star(Psi ^ .) from three-forms to
+  one-forms, then from one-forms to three-forms; :func:`project3` takes
+  -1/7 of it;
+- :func:`project4` applies pi_7 = G G^T/32 (G the matrix of
+  :func:`seven_part_generators`) and pi_35 = (I - star)/2;
+- :func:`psi2_inverse` applies the inverse of ``map_matrix(2)``, and
+  :func:`psi3_section` -1/7 star(Psi ^ .) on one-forms.
+
+Among the defining residuals, the two-form parts apply T, the 7-part pi_7
+and the 27-part G^T; the 8-part goes through the wedge, Hodge and
+contraction kernels themselves.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -21,7 +39,7 @@ from typing import Iterable
 
 from .calculus import exterior_derivative, homotopy_primitive
 from .linalg import ExactMatrix
-from .multiindex import MASK, MultiIndex, basis, basis_position
+from .multiindex import MultiIndex, basis, basis_position
 from .polynomial import Polynomial, Rational, as_polynomial
 from .tensor import (
     FORM,
@@ -29,7 +47,7 @@ from .tensor import (
     DegreeMismatch,
     GradedTensor,
     VarianceMismatch,
-    _grouped_sum,
+    apply_matrix,
     contract,
     dx,
     flat,
@@ -90,14 +108,14 @@ def cayley_form() -> GradedTensor:
 def two_form_operator(beta: GradedTensor) -> GradedTensor:
     """T(beta) = star(Psi ^ beta) on two-forms; eigenvalues -3 and +1."""
     _expect(beta, FORM, 2)
-    return hodge(wedge(cayley_form(), beta))
+    return apply_matrix(two_form_operator_matrix(), beta, 2, FORM)
 
 
 def three_form_operator(eta: GradedTensor) -> GradedTensor:
     """S(eta) = star(Psi ^ star(Psi ^ eta)) on three-forms; spectrum {-7, 0}."""
     _expect(eta, FORM, 3)
-    psi = cayley_form()
-    return hodge(wedge(psi, hodge(wedge(psi, eta))))
+    image = apply_matrix(_wedge_star_matrix(3), eta, 1, FORM)  # star(Psi ^ eta), a one-form
+    return apply_matrix(_wedge_star_matrix(1), image, 3, FORM)
 
 
 def _expect(t: GradedTensor, variance: str, degree: int) -> None:
@@ -136,7 +154,12 @@ class DecompositionReport:
         return out
 
     def defining_residuals(self) -> dict[str, "GradedTensor | Polynomial"]:
-        """Exact residual of each component's defining equation(s)."""
+        """Exact residual of each component's defining equation(s).
+
+        Two-form parts go through T, the 8-part through the wedge, Hodge and
+        contraction kernels, and the four-form 7- and 27-parts through pi_7
+        and G^T.
+        """
         psi = cayley_form()
         out: dict[str, GradedTensor | Polynomial] = {}
         for name, part in self.components.items():
@@ -154,14 +177,15 @@ class DecompositionReport:
                 scale = inner(part, psi) * Fraction(1, 14)
                 out[name] = part - psi * scale
             elif name == "4_7":
-                out[name] = _seven_part_project(part) - part
+                out[name] = apply_matrix(_projector("4_7"), part, 4, FORM) - part
                 out["4_7_selfdual"] = hodge(part) - part
             elif name == "4_27":
                 out["4_27_selfdual"] = hodge(part) - part
                 out["4_27_wedge_psi"] = wedge(part, psi)
-                # sum of squares, zero iff every pairing vanishes
-                pairings = [inner(part, gen) for gen in seven_part_generators()]
-                out["4_27_wedge_7part"] = Polynomial.sum_of_products([(1, p, p) for p in pairings])
+                # the pairings with the 28 generators as a two-form; its square
+                # norm is zero iff every pairing vanishes
+                pairings = apply_matrix(_generator_pairings(), part, 2, FORM)
+                out["4_27_wedge_7part"] = inner(pairings, pairings)
             elif name == "4_35":
                 out[name] = hodge(part) + part
             else:  # pragma: no cover - unknown labels never constructed
@@ -180,9 +204,8 @@ class DecompositionReport:
 def project2(beta: GradedTensor) -> DecompositionReport:
     """Split a two-form into its 7- and 21-dimensional components."""
     _expect(beta, FORM, 2)
-    image = two_form_operator(beta)
-    part7 = (beta - image) * Fraction(1, 4)
-    part21 = (beta * 3 + image) * Fraction(1, 4)
+    part7 = apply_matrix(_projector("2_7"), beta, 2, FORM)
+    part21 = apply_matrix(_projector("2_21"), beta, 2, FORM)
     return DecompositionReport(beta, {"2_7": part7, "2_21": part21})
 
 
@@ -206,30 +229,13 @@ def seven_part_generators() -> tuple[GradedTensor, ...]:
     return tuple(gens)
 
 
-def _seven_part_project(sigma: GradedTensor) -> GradedTensor:
-    """pi_7(sigma) = 1/32 sum_g <sigma, g> g over the 28 generators g.
-
-    The generators are so(8) acting on Psi (kernel: the 21-part of the
-    two-forms), and their Gram matrix G satisfies G @ G = 32 G.
-    """
-    groups: defaultdict[int, list] = defaultdict(list)
-    for gen in seven_part_generators():
-        pairing = inner(sigma, gen) * Fraction(1, 32)
-        if pairing.is_zero():
-            continue
-        for idx, coeff in gen.terms.items():
-            groups[MASK[idx]].append((1, coeff, pairing))
-    return GradedTensor._raw(FORM, 4, _grouped_sum(groups))
-
-
 def project4(sigma: GradedTensor) -> DecompositionReport:
     """Split a four-form into its 1-, 7-, 27-, and 35-dimensional components."""
     _expect(sigma, FORM, 4)
     psi = cayley_form()
-    starred = hodge(sigma)
-    part35 = (sigma - starred) * Fraction(1, 2)
+    part35 = apply_matrix(_projector("4_35"), sigma, 4, FORM)
     part1 = psi * (inner(sigma, psi) * Fraction(1, 14))
-    part7 = _seven_part_project(sigma)
+    part7 = apply_matrix(_projector("4_7"), sigma, 4, FORM)
     part27 = sigma - part1 - part7 - part35
     return DecompositionReport(
         sigma, {"4_1": part1, "4_7": part7, "4_27": part27, "4_35": part35}
@@ -283,15 +289,65 @@ def map_matrix(k: int) -> ExactMatrix:
 
 
 @cache
+def _wedge_star_matrix(k: int) -> ExactMatrix:
+    """Matrix of alpha -> star(Psi ^ alpha) from k-forms to (4-k)-forms, k = 1, 2, 3.
+
+    Built from the wedge and Hodge kernels: 56x8, 28x28 (T), 8x56.
+    """
+    psi = cayley_form()
+    return structure_matrix((hodge(wedge(psi, dx(*idx))) for idx in basis(k)), 4 - k)
+
+
 def two_form_operator_matrix() -> ExactMatrix:
     """28x28 matrix of T(beta) = star(Psi ^ beta)."""
-    return structure_matrix((two_form_operator(dx(*idx)) for idx in basis(2)), 2)
+    return _wedge_star_matrix(2)
 
 
 @cache
 def three_form_operator_matrix() -> ExactMatrix:
-    """56x56 matrix of S(eta) = star(Psi ^ star(Psi ^ eta))."""
-    return structure_matrix((three_form_operator(dx(*idx)) for idx in basis(3)), 3)
+    """56x56 matrix of S(eta) = star(Psi ^ star(Psi ^ eta)), built from the kernels."""
+    psi = cayley_form()
+    return structure_matrix((hodge(wedge(psi, hodge(wedge(psi, dx(*idx))))) for idx in basis(3)), 3)
+
+
+@cache
+def _projector(name: str) -> ExactMatrix:
+    """Matrix of the projection onto the component ``name``, built on first use.
+
+    ``2_7`` = (I - T)/4 and ``2_21`` = (3I + T)/4 on two-forms; on
+    four-forms ``4_7`` = G G^T/32, G the 70x28 matrix of the generators
+    (their Gram matrix is 32 times a projector), and ``4_35`` = (I - star)/2.
+    """
+    if name in ("2_7", "2_21"):
+        t_matrix = two_form_operator_matrix()
+        identity = ExactMatrix.identity(t_matrix.nrows)
+        image = identity - t_matrix if name == "2_7" else identity * 3 + t_matrix
+        return image * Fraction(1, 4)
+    if name == "4_7":
+        pairings = _generator_pairings()
+        return pairings.transpose() @ pairings * Fraction(1, 32)
+    if name == "4_35":
+        star = structure_matrix((hodge(dx(*idx)) for idx in basis(4)), 4)
+        return (ExactMatrix.identity(star.nrows) - star) * Fraction(1, 2)
+    raise KeyError(name)
+
+
+@cache
+def _generator_pairings() -> ExactMatrix:
+    """28x70 matrix G^T: row j pairs a four-form with generator j."""
+    return structure_matrix(seven_part_generators(), 4).transpose()
+
+
+@cache
+def _psi2_inverse_matrix() -> ExactMatrix:
+    """28x28 inverse of the contraction map on two-multivectors."""
+    return map_matrix(2).inverse()
+
+
+@cache
+def _psi3_section_matrix() -> ExactMatrix:
+    """56x8 matrix -1/7 star(Psi ^ .) from one-forms to three-(multi)vectors."""
+    return _wedge_star_matrix(1) * Fraction(-1, 7)
 
 
 def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Rational) -> int:
@@ -307,22 +363,22 @@ def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Rational) -> int:
 def psi2_inverse(beta: GradedTensor) -> GradedTensor:
     """The unique two-multivector Q with Q _| Psi = beta.
 
-    Built from the eigenspace split: Q = sharp(-1/3 beta_7 + beta_21).
+    Applies the inverse of ``map_matrix(2)``; on the eigenspace split this
+    is Q = sharp(-1/3 beta_7 + beta_21).
     """
-    report = project2(beta)
-    return sharp(
-        report.components["2_7"] * Fraction(-1, 3) + report.components["2_21"]
-    )
+    _expect(beta, FORM, 2)
+    return apply_matrix(_psi2_inverse_matrix(), beta, 2, MULTIVECTOR)
 
 
 def psi3_section(alpha: GradedTensor) -> GradedTensor:
     """A three-multivector Q with Q _| Psi = alpha (the canonical section).
 
-    Q = -1/7 sharp(sharp(alpha) _| Psi); its flat lies in the 8-dimensional
-    component, so this is the section with vanishing 48-part.
+    Q = -1/7 sharp(sharp(alpha) _| Psi) = -1/7 sharp(star(Psi ^ alpha)); its
+    flat lies in the 8-dimensional component, so this is the section with
+    vanishing 48-part.
     """
     _expect(alpha, FORM, 1)
-    return sharp(contract(sharp(alpha), cayley_form())) * Fraction(-1, 7)
+    return apply_matrix(_psi3_section_matrix(), alpha, 3, MULTIVECTOR)
 
 
 def triple_product(q: GradedTensor) -> GradedTensor:

@@ -45,14 +45,14 @@ from reference_polynomial import Polynomial as Reference
 from cayley8.calculus import exterior_derivative, homotopy_primitive, lie_derivative_multivector, schouten
 from cayley8.linalg import ExactMatrix, SingularMatrixError
 from cayley8.multiindex import DIM, INDEX, MASK, PARITY, basis, canonicalize, contraction, merge_sign, star_sign
-from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, x
+from cayley8.polynomial import MAX_EXPONENT, ONE, ExponentOverflow, Polynomial, x
 from cayley8.serialize import document_to_tensor, polynomial_to_document
 from cayley8.spin7 import (
-    cayley_form, eigenspace_dimension, map_matrix, project4, structure_matrix, three_form_operator_matrix,
-    two_form_operator, two_form_operator_matrix,
+    DecompositionReport, cayley_form, eigenspace_dimension, map_matrix, project2, project3, project4, psi2_inverse, psi3_section,
+    structure_matrix, three_form_operator, three_form_operator_matrix, two_form_operator, two_form_operator_matrix,
 )
 from cayley8.tensor import (
-    FORM, MULTIVECTOR, GradedTensor, contract, dx, hodge, inner, pullback_linear, sharp, wedge,
+    FORM, MULTIVECTOR, GradedTensor, apply_matrix, contract, dx, hodge, inner, pullback_linear, sharp, wedge,
 )
 
 # -- polynomials ----------------------------------------------------------------
@@ -215,8 +215,13 @@ def test_sum_of_products_cancels_to_the_canonical_zero():
     assert (total._nums, total._den) == ({1 << 112 | 1 << 96: 1}, 2)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), term_dicts, term_dicts), max_size=5), st.booleans())
+# constant factors take the scaled-copy branch of sum_of_products
+constant_dicts = coefficients.map(lambda c: {(0,) * DIM: c})
+factors = st.one_of(term_dicts, constant_dicts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), factors, factors), max_size=5), st.booleans())
 def test_sum_of_products_matches_reference(triples, cancel):
     if cancel:  # every product also enters with the opposite sign
         triples = triples + [(-sign, a, b) for sign, a, b in reversed(triples)]
@@ -245,6 +250,21 @@ def test_exponent_cap():
         wedge(dx(0, coeff=x(3) ** MAX_EXPONENT), dx(1, coeff=x(3)))
     with pytest.raises(ExponentOverflow):  # also when the overflowing products cancel
         Polynomial.sum_of_products([(1, top, x(3)), (-1, top, x(3))])
+    # a constant factor scales a capped monomial without raising, on either side
+    three = Polynomial.constant(3)
+    scaled = Polynomial.sum_of_products([(1, top, three), (2, Polynomial.constant(Fraction(1, 2)), top), (-1, ONE, top)])
+    assert scaled == top * 3
+    assert top * three == three * top == top * 3
+    # beside such a copy, a product past the cap still raises
+    with pytest.raises(ExponentOverflow):
+        Polynomial.sum_of_products([(1, top, three), (1, x(3), top)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(small_exponents, coefficients, max_size=3), st.integers(0, 9))
+def test_power_matches_repeated_multiplication(terms, n):
+    a, ra = pair(terms)
+    assert_same(a**n, ra**n)
 
 
 # -- matrices ----------------------------------------------------------------
@@ -407,6 +427,54 @@ def test_seven_part_matches_gram_projector(coefficients):
     expected = reference_spin7.seven_part(sigma)
     assert report.components["4_7"] == expected
     assert report.components["4_27"] == sigma - report.components["4_1"] - expected - report.components["4_35"]
+
+
+# -- the Spin(7) operators as cached matrices ------------------------------------
+
+
+def polynomial_forms(degree, max_terms=6):
+    """Forms of one degree, zero included, with wide polynomial coefficients."""
+    terms = st.dictionaries(st.sampled_from(basis(degree)), term_dicts, max_size=min(max_terms, len(basis(degree))))
+    return terms.map(lambda t: GradedTensor(FORM, degree, {idx: Polynomial(c) for idx, c in t.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_forms(2), polynomial_forms(3), polynomial_forms(1))
+def test_field_operators_match_kernel_bodies(beta, eta, alpha):
+    assert_same_tensor(two_form_operator(beta), reference_spin7.two_form_operator(beta))
+    assert_same_tensor(three_form_operator(eta), reference_spin7.three_form_operator(eta))
+    assert_same_tensor(psi2_inverse(beta), reference_spin7.psi2_inverse(beta))
+    assert_same_tensor(psi3_section(alpha), reference_spin7.psi3_section(alpha))
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_projections_match_kernel_bodies(degree, data):
+    form = data.draw(polynomial_forms(degree))
+    new = {2: project2, 3: project3, 4: project4}[degree](form)
+    ref = {2: reference_spin7.project2, 3: reference_spin7.project3, 4: reference_spin7.project4}[degree](form)
+    assert list(new.components) == list(ref.components)
+    for name, part in ref.components.items():
+        assert_same_tensor(new.components[name], part)
+    # the residuals vanish on the split itself, so compare them on arbitrary components too
+    arbitrary = DecompositionReport(form, {name: data.draw(polynomial_forms(degree)) for name in ref.components})
+    for report in (new, arbitrary):
+        residuals = report.defining_residuals()
+        expected = reference_spin7.defining_residuals(report)
+        assert sorted(residuals) == sorted(expected)
+        for name, value in expected.items():
+            assert type(residuals[name]) is type(value) and residuals[name] == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, DIM), st.integers(0, DIM), st.data())
+def test_apply_matrix_matches_dense_rows(source, target, data):
+    matrix = ExactMatrix(data.draw(sparse_matrices(len(basis(target)), len(basis(source)))))
+    t = data.draw(polynomial_forms(source))
+    for variance in (FORM, MULTIVECTOR):
+        expected = reference_spin7.apply_matrix(matrix, t, target, variance)
+        assert_same_tensor(apply_matrix(matrix, t, target, variance), expected)
 
 
 # -- calculus -------------------------------------------------------------------

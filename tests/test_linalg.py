@@ -138,3 +138,14 @@ def test_column_index_range():
     for j in (-1, 2, 5):
         with pytest.raises(IndexError, match=f"column {j} outside 0..1"):
             m.column(j)
+
+
+def test_transpose_and_quotients():
+    m = ExactMatrix([[Fraction(2, 3), 0, -1], [0, Fraction(1, 6), 0]])
+    assert m.quotients() == [(0, 0, 2, 3), (0, 2, -1, 1), (1, 1, 1, 6)]
+    assert ExactMatrix.from_quotients(m.shape, m.quotients()) == m
+    t = m.transpose()
+    assert t.shape == (3, 2)
+    assert t.rows == [list(col) for col in zip(*m.rows)]
+    assert t.transpose() == m
+    assert ExactMatrix([[0, 0]]).quotients() == []

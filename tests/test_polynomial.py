@@ -116,6 +116,58 @@ def test_compose_past_max_exponent_overflows():
         (x(2) * x(3) + 1).compose(images)
 
 
+def count_sums(monkeypatch) -> list[int]:
+    """Count the calls of ``Polynomial.sum_of_products`` from now on."""
+    calls = []
+    original = Polynomial.sum_of_products
+
+    def counting(triples):
+        calls.append(1)
+        return original(triples)
+
+    monkeypatch.setattr(Polynomial, "sum_of_products", staticmethod(counting))
+    return calls
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 255, 256, 4097, 16000, MAX_EXPONENT])
+def test_power_squares_and_multiplies(e, monkeypatch):
+    bound = 2 * (e - 1).bit_length()  # 2 ceil(log2 e)
+    calls = count_sums(monkeypatch)
+    assert x(0) ** e == Polynomial.variable(0, e)
+    assert len(calls) <= bound
+    calls.clear()
+    identity = [x(i) for i in range(8)]
+    assert Polynomial.variable(0, e).compose(identity) == Polynomial.variable(0, e)
+    assert len(calls) <= max(bound, 1)  # the powers, then the one sum
+
+
+def test_compose_builds_each_power_once(monkeypatch):
+    images = [x(i) + 1 for i in range(8)]
+    p = x(0) ** 40 * x(1) + x(0) ** 40 * x(2) + x(0) ** 40
+    expected = sum(((x(0) + 1) ** 40 * g for g in (x(1) + 1, x(2) + 1, 1)), Polynomial.zero())
+    calls = count_sums(monkeypatch)
+    assert p.compose(images) == expected
+    # (x0 + 1)^40 once (5 squares, 1 multiply), then the rests and the one sum
+    assert len(calls) == 6 + 1
+
+
+def test_power_edge_cases():
+    assert x(0) ** 0 == Polynomial.one()
+    assert Polynomial.zero() ** 0 == Polynomial.one()
+    assert Polynomial.zero() ** 5 == Polynomial.zero()
+    assert Polynomial.constant(Fraction(-1, 2)) ** 3 == Fraction(-1, 8)
+    with pytest.raises(ValueError, match="negative power"):
+        x(0) ** -1
+    # the top bit is never squared past: x^MAX_EXPONENT is reached, one more overflows
+    with pytest.raises(ExponentOverflow):
+        x(0) ** (MAX_EXPONENT + 1)
+    # a power inside compose past the cap overflows too
+    images = [x(i) for i in range(8)]
+    images[2] = Polynomial.variable(4, MAX_EXPONENT // 3 + 1)
+    with pytest.raises(ExponentOverflow):
+        Polynomial.variable(2, 3).compose(images)
+
+
 def test_diff_index_range():
     p = x(0) * x(7)
     assert p.diff(0) == x(7) and p.diff(7) == x(0)

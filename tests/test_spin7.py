@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cayley8 import spin7
 from cayley8.calculus import exterior_derivative, codifferential
 from cayley8.linalg import ExactMatrix
 from cayley8.multiindex import basis
@@ -297,6 +298,39 @@ class TestMapMatrices:
             FORM, 2, {idx: image_coords[n] for n, idx in enumerate(basis(2))}
         )
         assert image == contract(q, cayley_form())
+
+
+class TestCachedOperatorMatrices:
+    def test_three_form_operator_factors_through_one_forms(self):
+        # S = M1 M3, M3 = star(Psi ^ .) on three-forms and M1 on one-forms; S is built from the kernels
+        m1, m3 = spin7._wedge_star_matrix(1), spin7._wedge_star_matrix(3)
+        assert (m1.shape, m3.shape) == ((56, 8), (8, 56))
+        assert three_form_operator_matrix() == m1 @ m3
+
+    def test_two_form_parts_are_complementary_projectors(self):
+        p7, p21 = spin7._projector("2_7"), spin7._projector("2_21")
+        identity = ExactMatrix.identity(28)
+        assert p7 + p21 == identity
+        assert p7 @ p7 == p7 and p21 @ p21 == p21 and (p7 @ p21).abs_entry_sum() == 0
+        assert (p7.rank(), p21.rank()) == (7, 21)
+
+    def test_four_form_parts_are_orthogonal_projectors(self):
+        p7, p35 = spin7._projector("4_7"), spin7._projector("4_35")
+        assert p7 @ p7 == p7 and p35 @ p35 == p35 and (p7 @ p35).abs_entry_sum() == 0
+        assert p7 == p7.transpose() and p35 == p35.transpose()
+        assert (p7.rank(), p35.rank()) == (7, 35)
+        assert spin7._generator_pairings().transpose() == structure_matrix(seven_part_generators(), 4)
+        with pytest.raises(KeyError):
+            spin7._projector("3_8")
+
+    def test_inverse_and_section_matrices(self):
+        assert spin7._psi2_inverse_matrix() @ map_matrix(2) == ExactMatrix.identity(28)
+        assert map_matrix(3) @ spin7._psi3_section_matrix() == ExactMatrix.identity(8)
+
+    def test_operators_reject_other_degrees(self):
+        for op, degree in ((two_form_operator, 3), (psi2_inverse, 1), (psi3_section, 2)):
+            with pytest.raises(DegreeMismatch):
+                op(dx(*range(degree)))
 
 
 class TestInverseAndSection:

@@ -3,13 +3,16 @@ from fractions import Fraction
 import pytest
 
 from cayley8.linalg import ExactMatrix, SingularMatrixError
-from cayley8.polynomial import Polynomial, x
+from cayley8.multiindex import basis_position
+from cayley8.polynomial import ONE, Polynomial, x
 from cayley8.tensor import (
     FORM,
     MULTIVECTOR,
     DegreeMismatch,
     GradedTensor,
     VarianceMismatch,
+    _grouped_sum,
+    apply_matrix,
     contract,
     dx,
     flat,
@@ -254,3 +257,59 @@ class TestPullback:
             pullback_linear(ExactMatrix(rows[:7]), dx(0))
         with pytest.raises(ValueError, match="expected an 8x8 matrix, got 8x7"):
             pullback_linear(ExactMatrix([row[:7] for row in rows]), mv(0))
+
+
+class TestSignedAccumulation:
+    def test_lone_triple_keeps_its_integer_factor(self):
+        # mask 3 is the index (0, 1)
+        assert _grouped_sum({3: [(3, x(0), ONE)]}) == {(0, 1): x(0) * 3}
+        assert _grouped_sum({3: [(-2, x(0), ONE)]}) == {(0, 1): x(0) * -2}
+        assert _grouped_sum({3: [(-1, x(0), ONE)]}) == {(0, 1): -x(0)}
+
+    def test_lone_triple_with_a_constant_factor(self):
+        half = Polynomial.constant(Fraction(1, 2))
+        assert _grouped_sum({3: [(1, x(0), half)]}) == {(0, 1): x(0) * Fraction(1, 2)}
+        assert _grouped_sum({3: [(-4, x(0), half)]}) == {(0, 1): x(0) * -2}
+        # a unit factor keeps the coefficient itself
+        p = x(0) + x(1)
+        assert _grouped_sum({3: [(-1, p, Polynomial.constant(-1))]})[(0, 1)] is p
+        assert _grouped_sum({3: [(2, p, Polynomial.zero())]}) == {}
+
+    def test_scalar_multiple(self):
+        t = dx(0, 1, coeff=x(0) + Fraction(1, 3)) + dx(2, 3, coeff=x(1))
+        assert (t * 3).terms == {(0, 1): 3 * x(0) + 1, (2, 3): 3 * x(1)}
+        assert t * Fraction(3, 1) == t * Polynomial.constant(3) == 3 * t
+        assert t * Fraction(-3, 2) == t * Polynomial.constant(Fraction(-3, 2))
+        assert (t * 0).is_zero() and (t * 0).degree == 2
+
+
+class TestApplyMatrix:
+    def test_transposition_of_coordinates(self):
+        # coordinates (a, b, c) of a one-form to a two-form (b on dx01, -a on dx12)
+        entries = [(0, 1, 1, 1), (basis_position((1, 2)), 0, -1, 1)]
+        matrix = ExactMatrix.from_quotients((28, 8), entries)
+        alpha = dx(0, coeff=x(3)) + dx(1, coeff=x(4)) + dx(2, coeff=x(5))
+        assert apply_matrix(matrix, alpha, 2, FORM) == dx(0, 1, coeff=x(4)) - dx(1, 2, coeff=x(3))
+        image = apply_matrix(matrix, alpha, 2, MULTIVECTOR)
+        assert (image.variance, image.degree) == (MULTIVECTOR, 2)
+
+    def test_zero_input(self):
+        matrix = ExactMatrix.identity(28)
+        out = apply_matrix(matrix, GradedTensor.zero(FORM, 5), 2, MULTIVECTOR)
+        assert out.is_zero() and (out.variance, out.degree) == (MULTIVECTOR, 2)
+
+    def test_shape_must_fit_the_degrees(self):
+        with pytest.raises(DegreeMismatch, match="does not map degree 1 to degree 2"):
+            apply_matrix(ExactMatrix.identity(8), dx(0), 2, FORM)
+        with pytest.raises(DegreeMismatch, match="does not map degree 2 to degree 2"):
+            apply_matrix(ExactMatrix.identity(8), dx(0, 1), 2, FORM)
+
+    def test_layout_follows_the_matrix(self):
+        # two matrices built in turn each get their own layout
+        alpha = dx(0, coeff=x(0))
+        assert apply_matrix(ExactMatrix.identity(8) * 2, alpha, 1, FORM) == alpha * 2
+        assert apply_matrix(ExactMatrix.identity(8) * 3, alpha, 1, FORM) == alpha * 3
+        # the same matrix read as 1 -> 1 and as 7 -> 7
+        reverse = ExactMatrix.from_quotients((8, 8), [(i, 7 - i, 1, 1) for i in range(8)])
+        assert apply_matrix(reverse, dx(0), 1, FORM) == dx(7)
+        assert apply_matrix(reverse, dx(1, 2, 3, 4, 5, 6, 7), 7, FORM) == dx(0, 1, 2, 3, 4, 5, 6)

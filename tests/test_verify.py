@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cayley8 import verify
+from cayley8 import spin7, verify
 from cayley8.calculus import HomotopyPrimitive
+from cayley8.linalg import ExactMatrix
 from cayley8.tensor import FORM, GradedTensor
 from cayley8.verify import (
     CHECKS,
@@ -155,6 +156,52 @@ def test_homotopy_closed_primitive_catches_a_zero_primitive(seed, monkeypatch):
     report = run_checks(scope="core", seed=seed, cases=1)
     by_id = {check["check_id"]: check for check in report["checks"]}
     assert by_id["homotopy_closed_primitive"]["status"] == "fail"
+
+
+#: Each cached operator matrix of spin7: (builder, its argument or None, the
+#: spin7 checks that read it).  Two-form parts, the factors of S, pi_7 and
+#: pi_35, the generator pairings, psi2^-1 and the psi3 section.
+CACHED_OPERATORS = [
+    ("_wedge_star_matrix", 2, {"two_form_split"}),
+    ("_wedge_star_matrix", 1, {"three_form_split"}),
+    ("_wedge_star_matrix", 3, {"three_form_split"}),
+    ("_projector", "2_7", {"two_form_split"}),
+    ("_projector", "2_21", {"two_form_split"}),
+    ("_projector", "4_7", {"four_form_split"}),
+    ("_projector", "4_35", {"four_form_split"}),
+    ("_generator_pairings", None, {"four_form_split"}),
+    ("_psi2_inverse_matrix", None, {"psi2_inverse_roundtrip"}),
+    ("_psi3_section_matrix", None, {"psi3_section_surjective"}),
+]
+
+
+#: The checks of the projections, psi2^-1 and the psi3 section.
+OPERATOR_CHECKS = {"two_form_split", "three_form_split", "four_form_split", "psi2_inverse_roundtrip", "psi3_section_surjective"}
+
+
+@pytest.mark.parametrize("builder, key, checks", CACHED_OPERATORS)
+def test_perturbed_operator_matrix_fails_its_checks(builder, key, checks, monkeypatch):
+    # other checks feed a wrong operator's output to solvers that raise on it
+    monkeypatch.setattr(verify, "CHECKS", [c for c in CHECKS if c[0] in OPERATOR_CHECKS])
+
+    def failing() -> set[str]:
+        report = run_checks(scope="spin7", seed=0, cases=16)
+        assert len(report["checks"]) == len(OPERATOR_CHECKS)
+        return {check["check_id"] for check in report["checks"] if check["status"] == "fail"}
+
+    # the clean run also builds every cache, so none is built from a perturbed matrix
+    assert failing() == set()
+    original = getattr(spin7, builder)
+    matrix = original() if key is None else original(key)
+    perturbed = matrix + ExactMatrix.from_quotients(matrix.shape, [(0, 0, 1, 1)])  # entry (0, 0) moves by 1
+
+    def patched(*args):
+        return perturbed if args == (() if key is None else (key,)) else original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spin7, builder, patched)
+        assert checks <= failing()
+    assert failing() == set()
 
 
 def test_scope_filtering():
