@@ -9,7 +9,9 @@ equal matrices have equal fields.  The matrices built here are mostly zeros
 around 70x70.
 
 ``+``, ``-``, scalar ``*``, ``@`` (each nonzero of a left row walks one right
-row), ``transpose`` and the sum of ``trace`` run on Python ints.  ``rref``
+row), ``transpose`` and the sum of ``trace`` run on Python ints.  The
+columns of a matrix are the rows of its transpose, built on first use and
+cached both ways, so ``m.transpose().transpose() is m``.  ``rref``
 is fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
 1968): a row ``b`` in the pivot column becomes
@@ -21,9 +23,8 @@ elimination through ``rref``, and every query answers with an
 ``ExactMatrix`` or an int: ``rref()[0]`` is a matrix, and ``nullspace()``
 is the matrix whose columns are the kernel basis.  Only ``rows`` (built on
 first use and cached), ``column()``, ``trace()`` and ``abs_entry_sum()``
-give ``fractions.Fraction`` values; ``quotients()`` lists the nonzero
-entries as integer quotients.  Instances are treated as immutable once
-built.
+give ``fractions.Fraction`` values.  Instances are treated as immutable
+once built.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _quotient(value: Rational) -> tuple[int, int]:
 class ExactMatrix:
     """Matrix over the rationals: sparse integer rows over one denominator."""
 
-    __slots__ = ("_nums", "_den", "nrows", "ncols", "_rows", "_rref")
+    __slots__ = ("_nums", "_den", "nrows", "ncols", "_rows", "_rref", "_transpose")
 
     def __init__(self, rows: Iterable[Sequence[Rational]]):
         data = [list(row) for row in rows]
@@ -121,16 +122,6 @@ class ExactMatrix:
             raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
         den = self._den
         return [Fraction(row[j], den) if j in row else _ZERO for row in self._nums]
-
-    def quotients(self) -> list[tuple[int, int, int, int]]:
-        """``(i, j, num, den)`` per nonzero entry, row by row, each quotient in lowest terms."""
-        den = self._den
-        out = []
-        for i, row in enumerate(self._nums):
-            for j, v in row.items():
-                g = gcd(v, den)
-                out.append((i, j, v // g, den // g))
-        return out
 
     def abs_entry_sum(self) -> Fraction:
         """L1 mass of the entries; zero iff the matrix is zero."""
@@ -198,11 +189,15 @@ class ExactMatrix:
         return _reduced(out, self._den * other._den, other.ncols)
 
     def transpose(self) -> "ExactMatrix":
-        out: list[IntRow] = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self._nums):
-            for j, v in row.items():
-                out[j][i] = v
-        return _reduced(out, self._den, self.nrows)
+        """The transpose (cached); its rows are the columns of this matrix."""
+        if self._transpose is None:
+            out: list[IntRow] = [{} for _ in range(self.ncols)]
+            for i, row in enumerate(self._nums):
+                for j, v in row.items():
+                    out[j][i] = v
+            self._transpose = _reduced(out, self._den, self.nrows)
+            self._transpose._transpose = self
+        return self._transpose
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -317,6 +312,7 @@ def _fill(matrix: ExactMatrix, nums: list[IntRow], den: int, ncols: int) -> None
     matrix.ncols = ncols
     matrix._rows = None
     matrix._rref = None
+    matrix._transpose = None
 
 
 def _reduced(rows: list[IntRow], den: int, ncols: int) -> ExactMatrix:

@@ -19,8 +19,9 @@ Ring operations and ``diff`` run on ints alone.
 :meth:`Polynomial.sum_of_products` holds the one accumulation loop:
 ``sum(sign * a * b)`` over many pairs goes into one numerator dict over one
 common denominator, with one guard check and one gcd.  A triple with a
-constant factor is a scaled copy of the other factor: it adds no keys, and
-a sum of such copies needs no guard check.  ``a * b`` is the sum of one
+constant factor is a scaled copy of the other factor: it adds no keys, a
+sum of such copies needs no guard check, and a sum of one such triple is
+the other factor scaled, no loop at all.  ``a * b`` is the sum of one
 product, and ``a + b`` the sum of ``a * ONE`` and ``b * ONE`` with
 :data:`ONE` the unit polynomial.  The tensor kernels call it once per
 output coefficient, and :meth:`Polynomial.compose`, the substitution
@@ -139,8 +140,16 @@ class Polynomial:
         one gcd reduces the sum.  A triple with a constant factor adds a
         scaled copy of the other factor at its own keys; only a product of
         two non-constants can pass :data:`MAX_EXPONENT`, so a sum of such
-        copies skips the guard check.
+        copies skips the guard check.  A lone such triple is the other
+        factor scaled by ``sign`` times the constant: that factor itself
+        (or its negation) when the scale is 1 (or -1).
         """
+        if len(triples) == 1:  # a lone product with a constant factor is a scaled copy
+            sign, a, b = triples[0]
+            if b.is_constant():
+                return a._scaled(sign * b._nums.get(0, 0), b._den)
+            if a.is_constant():
+                return b._scaled(sign * a._nums.get(0, 0), a._den)
         den = 1
         for _, a, b in triples:
             d = a._den * b._den

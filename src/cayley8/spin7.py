@@ -6,9 +6,10 @@ matrices of the contraction maps on multivector fields, their inverses and
 sections, the triple product, the Cayley (Hamiltonian) multivector solvers,
 and the pointwise norm identities exposed through :func:`identity_report`.
 
-Each structure map has one home here; :func:`structure_matrix` builds its
-exact matrix from the images of basis tensors, cached immutably, so after
-first use everything is read-only and freely shareable between threads.
+Each structure map has one home here; its exact matrix is
+:func:`cayley8.tensor.structure_matrix` of the images of basis tensors,
+cached immutably, so after first use everything is read-only and freely
+shareable between threads.
 
 Every field operator with constant coefficients applies one such matrix to
 the polynomial coordinates of its argument through
@@ -35,11 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable
 
 from .calculus import exterior_derivative, homotopy_primitive
 from .linalg import ExactMatrix
-from .multiindex import MultiIndex, basis, basis_position
+from .multiindex import MultiIndex, basis
 from .polynomial import Polynomial, Rational, as_polynomial
 from .tensor import (
     FORM,
@@ -55,6 +55,7 @@ from .tensor import (
     inner,
     mv,
     sharp,
+    structure_matrix,
     vol,
     wedge,
 )
@@ -260,19 +261,6 @@ def decompose(t: GradedTensor) -> DecompositionReport:
 
 
 # -- structure maps as exact matrices ---------------------------------------
-
-
-def structure_matrix(images: Iterable[GradedTensor], degree: int) -> ExactMatrix:
-    """Column j holds the constant coefficients of ``images[j]`` on the degree-``degree`` basis."""
-    entries = []
-    ncols = 0
-    for j, image in enumerate(images):
-        ncols = j + 1
-        for idx, poly in image.terms.items():
-            if not poly.is_constant():
-                raise ValueError("polynomial is not constant")
-            entries += [(basis_position(idx), j, num, den) for _, num, den in poly.quotients()]
-    return ExactMatrix.from_quotients((len(basis(degree)), ncols), entries)
 
 
 @cache

@@ -30,13 +30,18 @@ output coefficient is one Polynomial built in one pass over its products.
 ``+``, ``-``, ``pullback_linear``, the document loader) ``(sign, poly, ONE)``
 triples, :data:`~cayley8.polynomial.ONE` being the unit polynomial.
 :func:`apply_matrix` sends the coefficient vector of a tensor through a
-constant :class:`~cayley8.linalg.ExactMatrix`: one ``(1, coeff, entry)``
-triple per nonzero entry of a column the tensor has a coefficient on, read
-from a column layout cached per matrix.  A group of one triple whose
-factor ``b`` is a constant builds no sum: it is ``a`` scaled by
-``sign * b``, which is ``a`` itself (or ``-a``) for a unit.  ``inner`` is
-one sum, and a tensor times a rational scales each coefficient.  A group
-that cancels is dropped, so no tensor holds a zero coefficient.
+constant :class:`~cayley8.linalg.ExactMatrix` of integers over one
+denominator ``den``: one ``(entry, coeff, 1/den)`` triple per nonzero
+integer entry of a column the tensor has a coefficient on, that column
+being a row of the matrix's cached transpose.  ``inner`` is one sum, and
+a tensor times a rational scales each coefficient.  A group that cancels
+is dropped, so no tensor holds a zero coefficient.
+
+Tensor coordinates
+------------------
+Row (or column) ``i`` of a matrix on degree ``k`` is ``basis(k)[i]``:
+:func:`structure_matrix` builds the matrix of a map from the images of
+basis tensors, and :func:`apply_matrix` sends coordinates back through it.
 
 Linear pullback
 ---------------
@@ -57,7 +62,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .linalg import ExactMatrix, SingularMatrixError
-from .multiindex import DIM, FULL, INDEX, MASK, PARITY, MultiIndex, basis, canonicalize, complement, star_sign
+from .multiindex import DIM, FULL, INDEX, MASK, PARITY, MultiIndex, basis, basis_position, canonicalize, complement, star_sign
 from .polynomial import ONE, Polynomial, Rational, as_polynomial
 
 FORM = "form"
@@ -261,74 +266,13 @@ DISJOINT, INSIDE = 0, 255
 
 
 def _grouped_sum(groups: Mapping[int, list]) -> dict[MultiIndex, Polynomial]:
-    """One ``Polynomial.sum_of_products`` per output mask; a sum that cancels is dropped.
-
-    A lone ``(sign, poly, c)`` triple with ``c`` constant builds no sum: it
-    is ``poly`` scaled by ``sign * c``, which keeps ``poly`` itself (or its
-    negation) when ``sign * c`` is 1 (or -1).
-    """
+    """One ``Polynomial.sum_of_products`` per output mask; a sum that cancels is dropped."""
     out: dict[MultiIndex, Polynomial] = {}
     for key, triples in groups.items():
-        if len(triples) == 1 and triples[0][2].is_constant():
-            sign, poly, factor = triples[0]
-            poly = poly._scaled(sign * factor._nums.get(0, 0), factor._den)
-        else:
-            poly = Polynomial.sum_of_products(triples)
+        poly = Polynomial.sum_of_products(triples)
         if poly:
             out[INDEX[key]] = poly
     return out
-
-
-#: Column layouts of the matrices given to :func:`apply_matrix`, by ``id`` and
-#: degrees.  Each value holds its matrix, so no id is reused while it is kept.
-_LAYOUTS: dict[tuple[int, int, int], tuple[ExactMatrix, dict[int, list]]] = {}
-
-#: Layouts kept at most; past it the cache starts afresh.
-_MAX_LAYOUTS = 64
-
-
-def _column_layout(matrix: ExactMatrix, source: int, target: int) -> dict[int, list]:
-    """Mask of the ``j``-th ``source`` index -> ``(mask, entry)`` per nonzero of column ``j``.
-
-    Row ``i`` of ``matrix`` is the ``i``-th basis index of degree ``target``,
-    and each entry is a constant polynomial, built once per distinct value.
-    """
-    cached = _LAYOUTS.get((id(matrix), source, target))
-    if cached is not None:
-        return cached[1]
-    cols, rows = basis(source), basis(target)
-    if (len(rows), len(cols)) != matrix.shape:
-        raise DegreeMismatch(
-            f"a {matrix.nrows}x{matrix.ncols} matrix does not map degree {source} to degree {target}"
-        )
-    entries: dict[tuple[int, int], Polynomial] = {}
-    layout: dict[int, list] = {MASK[idx]: [] for idx in cols}
-    for i, j, num, den in matrix.quotients():
-        if (num, den) not in entries:
-            entries[num, den] = Polynomial.constant(Fraction(num, den))
-        layout[MASK[cols[j]]].append((MASK[rows[i]], entries[num, den]))
-    if len(_LAYOUTS) >= _MAX_LAYOUTS:
-        _LAYOUTS.clear()
-    _LAYOUTS[id(matrix), source, target] = (matrix, layout)
-    return layout
-
-
-def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: str) -> GradedTensor:
-    """The tensor of ``variance`` and ``degree`` whose coordinates are ``matrix`` times those of ``t``.
-
-    Coordinates run over the lexicographic bases of :func:`cayley8.multiindex.basis`:
-    columns over that of ``t.degree``, rows over that of ``degree``.  Each
-    term of ``t`` adds one ``(1, coeff, entry)`` triple per nonzero entry of
-    its column, all summed in one :func:`_grouped_sum`.
-    """
-    if not t.terms:
-        return GradedTensor.zero(variance, degree)
-    layout = _column_layout(matrix, t.degree, degree)
-    groups: defaultdict[int, list] = defaultdict(list)
-    for idx, poly in t.terms.items():
-        for key, entry in layout[MASK[idx]]:
-            groups[key].append((1, poly, entry))
-    return GradedTensor._raw(variance, degree, _grouped_sum(groups))
 
 
 def _bilinear(a: GradedTensor, b: GradedTensor, rule: int) -> dict[MultiIndex, Polynomial]:
@@ -349,6 +293,47 @@ def _bilinear(a: GradedTensor, b: GradedTensor, rule: int) -> dict[MultiIndex, P
                 key = ma ^ mb
                 groups[key].append((1 - 2 * PARITY[row | key & mb], pa, pb))
     return _grouped_sum(groups)
+
+
+# -- tensor coordinates ------------------------------------------------------
+
+def structure_matrix(images: Iterable[GradedTensor], degree: int) -> ExactMatrix:
+    """Column j holds the constant coefficients of ``images[j]`` on the degree-``degree`` basis."""
+    entries = []
+    ncols = 0
+    for j, image in enumerate(images):
+        ncols = j + 1
+        for idx, poly in image.terms.items():
+            if not poly.is_constant():
+                raise ValueError("polynomial is not constant")
+            entries += [(basis_position(idx), j, num, den) for _, num, den in poly.quotients()]
+    return ExactMatrix.from_quotients((len(basis(degree)), ncols), entries)
+
+
+def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: str) -> GradedTensor:
+    """The tensor of ``variance`` and ``degree`` whose coordinates are ``matrix`` times those of ``t``.
+
+    Coordinates run over the lexicographic bases of :func:`cayley8.multiindex.basis`,
+    as in :func:`structure_matrix`: columns over that of ``t.degree``, rows
+    over that of ``degree``.  The matrix is integer numerators over one
+    denominator ``den``; the term of ``t`` at column ``j`` adds one
+    ``(entry, coeff, 1/den)`` triple per nonzero integer entry of row ``j``
+    of the transpose, all summed in one :func:`_grouped_sum`.
+    """
+    if not t.terms:
+        return GradedTensor.zero(variance, degree)
+    rows = basis(degree)
+    if (len(rows), len(basis(t.degree))) != matrix.shape:
+        raise DegreeMismatch(
+            f"a {matrix.nrows}x{matrix.ncols} matrix does not map degree {t.degree} to degree {degree}"
+        )
+    columns = matrix.transpose()._nums
+    scale = ONE._scaled(1, matrix._den)
+    groups: defaultdict[int, list] = defaultdict(list)
+    for idx, poly in t.terms.items():
+        for i, entry in columns[basis_position(idx)].items():
+            groups[MASK[rows[i]]].append((entry, poly, scale))
+    return GradedTensor._raw(variance, degree, _grouped_sum(groups))
 
 
 # -- core operations -------------------------------------------------------

@@ -10,8 +10,9 @@ matrix, rational or int that is zero exactly when the identity holds on
 that instance.  The registry (:func:`run_checks`) does the rest: it seeds one
 RNG per check from ``(seed, check id)``, so checks are independent of each
 other and of the scope they run in; it sums the mass of every yielded piece;
-and it times the whole check.  Identical invocations therefore produce identical
-reports apart from timing.
+it fails a check whose body raises a ``ValueError``, keeping the rest of the
+report; and it times the whole check.  Identical invocations therefore
+produce identical reports apart from timing.
 
 A mutation mode (flipping the sign of the Hodge star on one degree) is
 wired through the check context; it exists to demonstrate that the suite is
@@ -391,6 +392,9 @@ def _check_cayley_wedge_self(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _check_two_form_split(ctx: CheckContext) -> Iterator[Piece]:
+    # every basis two-form first, so each column of both projectors is read
+    for idx in basis(2):
+        yield from project2(dx(*idx)).residuals().values()
     for _ in range(ctx.cases):
         yield from project2(random_tensor(ctx.rng, FORM, 2)).residuals().values()
 
@@ -467,6 +471,10 @@ def _check_map_rank_three(ctx: CheckContext) -> Iterator[Piece]:
 
 def _check_psi2_roundtrip(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
+    # every dx^{ij} and e_i ^ e_j first, so each column of the inverse is read
+    for idx in basis(2):
+        yield contract(psi2_inverse(dx(*idx)), psi) - dx(*idx)
+        yield psi2_inverse(contract(mv(*idx), psi)) - mv(*idx)
     for _ in range(ctx.cases):
         beta = random_tensor(ctx.rng, FORM, 2)
         yield contract(psi2_inverse(beta), psi) - beta
@@ -799,7 +807,9 @@ def run_checks(
 
     Each check gets its own RNG keyed by ``(seed, check id)``; its residual
     is the summed mass of the pieces it yields, and its ``elapsed_s`` covers
-    both the body and that sum.
+    both the body and that sum.  A check body that raises a ``ValueError``
+    (the base of every shape, solver and overflow error here) fails with
+    the mass yielded so far and a note naming the exception.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
@@ -813,18 +823,24 @@ def run_checks(
         if scope != "all" and check_scope != scope:
             continue
         ctx = CheckContext(rng=random.Random(f"{seed}:{check_id}"), cases=cases, star=star)
+        note, mass, raised = NOTES.get(check_id, ""), Fraction(0), False
         start = time.perf_counter()
-        mass = sum((_mass(piece) for piece in check(ctx)), Fraction(0))
+        try:
+            for piece in check(ctx):
+                mass += _mass(piece)
+        except ValueError as exc:  # a solver or shape check refused what a broken operator gave it
+            raised = True
+            note = "; ".join(filter(None, (note, f"raised {type(exc).__name__}: {exc}")))
         elapsed = time.perf_counter() - start
         results.append(
             CheckResult(
                 check_id=check_id,
                 anchor=anchor,
                 scope=check_scope,
-                status="pass" if mass == 0 else "fail",
+                status="fail" if raised or mass else "pass",
                 residual=str(mass),
                 elapsed_s=round(elapsed, 6),
-                note=NOTES.get(check_id, ""),
+                note=note,
             )
         )
     failed = [r for r in results if r.status == "fail"]

@@ -5,7 +5,9 @@ from decimal import Decimal
 
 import pytest
 
+from cayley8 import spin7
 from cayley8.cli import main
+from cayley8.linalg import ExactMatrix
 from cayley8.serialize import ParseError, parse_tensor, tensor_to_document
 from cayley8.tensor import dx, mv, scalar_tensor
 from cayley8.polynomial import MAX_EXPONENT, x
@@ -159,6 +161,23 @@ class TestVerify:
         payload = json.loads(captured.out)
         assert payload["overall_status"] == "fail"
         assert payload["mutation"] == {"op": "hodge", "degree": 2}
+
+    def test_raising_check_exits_one_with_a_report(self, capsys, monkeypatch):
+        matrix = spin7._psi2_inverse_matrix()
+        moved = matrix + ExactMatrix.from_quotients(matrix.shape, [(0, 0, 1, 1)])
+        monkeypatch.setattr(spin7, "_psi2_inverse_matrix", lambda: moved)
+        code, captured = run(capsys, "verify", "--scope", "spin7", "--cases", "16", "--format", "json")
+        assert code == 1
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["overall_status"] == "fail"
+        by_id = {check["check_id"]: check for check in payload["checks"]}
+        assert by_id["cayley_potential_roundtrip"]["note"].startswith("raised NotLocallyCayleyError")
+
+    def test_argument_error_exits_two(self, capsys):
+        code, captured = run(capsys, "verify", "--mutate-hodge", "9")
+        assert code == 2
+        assert captured.out == "" and "mutation degree must be in 0..8" in captured.err
 
     def test_deterministic_reports(self, capsys):
         _, first = run(

@@ -142,10 +142,18 @@ def test_column_index_range():
 
 def test_transpose_and_quotients():
     m = ExactMatrix([[Fraction(2, 3), 0, -1], [0, Fraction(1, 6), 0]])
-    assert m.quotients() == [(0, 0, 2, 3), (0, 2, -1, 1), (1, 1, 1, 6)]
-    assert ExactMatrix.from_quotients(m.shape, m.quotients()) == m
     t = m.transpose()
     assert t.shape == (3, 2)
     assert t.rows == [list(col) for col in zip(*m.rows)]
     assert t.transpose() == m
-    assert ExactMatrix([[0, 0]]).quotients() == []
+
+
+def test_transpose_is_a_cached_view():
+    m = ExactMatrix([[Fraction(2, 3), 0, -1], [0, Fraction(1, 6), 0]])
+    t = m.transpose()
+    assert m.transpose() is t
+    assert t.transpose() is m
+    # built from its other side first, the involution holds too
+    s = ExactMatrix([[1, 2], [3, 4]]).transpose().transpose()
+    assert s.transpose().transpose() is s
+    assert ExactMatrix([[0, 0]]).transpose() == ExactMatrix([[0], [0]])

@@ -151,6 +151,24 @@ def test_compose_builds_each_power_once(monkeypatch):
     assert len(calls) == 6 + 1
 
 
+def test_lone_product_with_a_constant_factor_is_a_scaled_copy():
+    p = x(0) + x(1)
+    half = Polynomial.constant(Fraction(1, 2))
+    assert Polynomial.sum_of_products([(-4, p, half)]) == p * -2
+    assert Polynomial.sum_of_products([(3, half, p)]) == p * Fraction(3, 2)
+    # a unit factor, on either side, keeps the polynomial itself
+    assert Polynomial.sum_of_products([(-1, p, Polynomial.constant(-1))]) is p
+    assert Polynomial.sum_of_products([(1, Polynomial.one(), p)]) is p
+    five = Polynomial.constant(5)
+    assert Polynomial.sum_of_products([(-1, five, Polynomial.constant(-1))]) is five
+    assert Polynomial.sum_of_products([(2, p, Polynomial.zero())]) == Polynomial.zero()
+    assert Polynomial.sum_of_products([(5, half, Polynomial.constant(3))]) == Fraction(15, 2)
+    # past the cap a lone product of two non-constants still overflows
+    top = Polynomial.variable(3, MAX_EXPONENT)
+    with pytest.raises(ExponentOverflow):
+        Polynomial.sum_of_products([(1, top, x(3))])
+
+
 def test_power_edge_cases():
     assert x(0) ** 0 == Polynomial.one()
     assert Polynomial.zero() ** 0 == Polynomial.one()

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+import reference_spin7
 
 from cayley8.linalg import ExactMatrix, SingularMatrixError
-from cayley8.multiindex import basis_position
+from cayley8 import spin7
+from cayley8.multiindex import basis, basis_position
 from cayley8.polynomial import ONE, Polynomial, x
 from cayley8.tensor import (
     FORM,
@@ -22,11 +25,12 @@ from cayley8.tensor import (
     musical,
     pullback_linear,
     sharp,
+    structure_matrix,
     unit,
     vol,
     wedge,
 )
-from cayley8.verify import contraction_oracle
+from cayley8.verify import contraction_oracle, random_tensor
 
 
 class TestConstruction:
@@ -313,3 +317,47 @@ class TestApplyMatrix:
         reverse = ExactMatrix.from_quotients((8, 8), [(i, 7 - i, 1, 1) for i in range(8)])
         assert apply_matrix(reverse, dx(0), 1, FORM) == dx(7)
         assert apply_matrix(reverse, dx(1, 2, 3, 4, 5, 6, 7), 7, FORM) == dx(0, 1, 2, 3, 4, 5, 6)
+
+    def test_common_denominator_and_negative_entries(self):
+        # entries -3/2, 5/6 and -1/3 over the denominator 6, on one-forms and seven-forms
+        matrix = ExactMatrix.from_quotients((8, 8), [(0, 0, -3, 2), (2, 0, 5, 6), (7, 3, -1, 3), (1, 1, 1, 1)])
+        assert matrix.transpose().rows[0][2] == Fraction(5, 6)
+        alpha = dx(0, coeff=x(1) * 2) + dx(1, coeff=Fraction(1, 5)) + dx(3, coeff=x(0) + 3)
+        expected = (
+            dx(0, coeff=x(1) * -3) + dx(2, coeff=x(1) * Fraction(5, 3)) + dx(1, coeff=Fraction(1, 5))
+            + dx(7, coeff=(x(0) + 3) * Fraction(-1, 3))
+        )
+        assert apply_matrix(matrix, alpha, 1, FORM) == expected
+        # read as 7 -> 7: column j is the j-th seven-form, dx(0..7 without 7 - j)
+        seven = basis(7)
+        sigma = GradedTensor(FORM, 7, {seven[0]: x(2), seven[3]: -1})
+        image = apply_matrix(matrix, sigma, 7, MULTIVECTOR)
+        assert image == GradedTensor(
+            MULTIVECTOR, 7, {seven[0]: x(2) * Fraction(-3, 2), seven[2]: x(2) * Fraction(5, 6), seven[7]: Fraction(1, 3)}
+        )
+        for t, degree in ((alpha, 1), (sigma, 7)):
+            assert apply_matrix(matrix, t, degree, FORM) == reference_spin7.apply_matrix(matrix, t, degree, FORM)
+
+    def test_many_matrices_built_applied_and_dropped(self):
+        # nothing is kept per matrix, so a new matrix at a reused address reads its own entries
+        rng = random.Random(14)
+        for n in range(200):
+            source, target = rng.choice([(1, 1), (2, 2), (1, 3), (3, 1), (4, 4)])
+            shape = (len(basis(target)), len(basis(source)))
+            entries = [
+                (rng.randrange(shape[0]), rng.randrange(shape[1]), rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 12))
+            ]
+            matrix = ExactMatrix.from_quotients(shape, entries)
+            t = random_tensor(rng, FORM, source, max_terms=4)
+            assert apply_matrix(matrix, t, target, FORM) == reference_spin7.apply_matrix(matrix, t, target, FORM), n
+            del matrix
+
+    def test_structure_matrix_is_the_inverse_convention(self):
+        # column j of structure_matrix holds images[j], and apply_matrix maps basis j back to it
+        images = [wedge(dx(j), dx((j + 1) % 8)) * (j - 3) + dx(0, 7, coeff=Fraction(1, j + 1)) for j in range(8)]
+        matrix = structure_matrix(images, 2)
+        assert matrix.shape == (28, 8)
+        for j, image in enumerate(images):
+            assert apply_matrix(matrix, dx(j), 2, FORM) == image
+        assert spin7.structure_matrix is structure_matrix

@@ -175,33 +175,70 @@ CACHED_OPERATORS = [
 ]
 
 
-#: The checks of the projections, psi2^-1 and the psi3 section.
-OPERATOR_CHECKS = {"two_form_split", "three_form_split", "four_form_split", "psi2_inverse_roundtrip", "psi3_section_surjective"}
+def perturbed(builder, key, entry=(0, 0)):
+    """A patch of ``builder`` serving its cached matrix for ``key`` with ``entry`` moved by 1."""
+    original = getattr(spin7, builder)
+    matrix = original() if key is None else original(key)
+    moved = matrix + ExactMatrix.from_quotients(matrix.shape, [(*entry, 1, 1)])
+
+    def patched(*args):
+        return moved if args == (() if key is None else (key,)) else original(*args)
+
+    return patched
+
+
+def failing(cases: int = 16) -> set[str]:
+    report = run_checks(scope="spin7", seed=0, cases=cases)
+    return {check["check_id"] for check in report["checks"] if check["status"] == "fail"}
 
 
 @pytest.mark.parametrize("builder, key, checks", CACHED_OPERATORS)
 def test_perturbed_operator_matrix_fails_its_checks(builder, key, checks, monkeypatch):
-    # other checks feed a wrong operator's output to solvers that raise on it
-    monkeypatch.setattr(verify, "CHECKS", [c for c in CHECKS if c[0] in OPERATOR_CHECKS])
-
-    def failing() -> set[str]:
-        report = run_checks(scope="spin7", seed=0, cases=16)
-        assert len(report["checks"]) == len(OPERATOR_CHECKS)
-        return {check["check_id"] for check in report["checks"] if check["status"] == "fail"}
-
     # the clean run also builds every cache, so none is built from a perturbed matrix
     assert failing() == set()
-    original = getattr(spin7, builder)
-    matrix = original() if key is None else original(key)
-    perturbed = matrix + ExactMatrix.from_quotients(matrix.shape, [(0, 0, 1, 1)])  # entry (0, 0) moves by 1
-
-    def patched(*args):
-        return perturbed if args == (() if key is None else (key,)) else original(*args)
-
     with monkeypatch.context() as patch:
-        patch.setattr(spin7, builder, patched)
+        patch.setattr(spin7, builder, perturbed(builder, key))
         assert checks <= failing()
     assert failing() == set()
+
+
+# each entry sits in a column that the one seeded draw at seed 0 does not read
+@pytest.mark.parametrize(
+    "builder, key, entry, check",
+    [("_psi2_inverse_matrix", None, (0, 0), "psi2_inverse_roundtrip"), ("_projector", "2_7", (27, 27), "two_form_split")],
+)
+def test_basis_sweep_reads_every_column_at_one_case(builder, key, entry, check, monkeypatch):
+    assert failing(cases=1) == set()
+    monkeypatch.setattr(spin7, builder, perturbed(builder, key, entry))
+    assert check in failing(cases=1)
+
+
+def test_raising_check_fails_and_keeps_the_report(monkeypatch):
+    # with psi2^-1 perturbed, the potential of a Cayley 2-field is refused: that check
+    # fails with the mass it yielded so far, and every other check still reports
+    assert failing() == set()
+    monkeypatch.setattr(spin7, "_psi2_inverse_matrix", perturbed("_psi2_inverse_matrix", None))
+    report = run_checks(scope="spin7", seed=0, cases=16)
+    by_id = {check["check_id"]: check for check in report["checks"]}
+    assert len(by_id) == sum(1 for c in CHECKS if c[2] == "spin7")
+    raised = by_id["cayley_potential_roundtrip"]
+    assert raised["status"] == "fail"
+    assert raised["note"].startswith("raised NotLocallyCayleyError: multivector field is not locally Cayley")
+    assert report["overall_status"] == "fail"
+    assert by_id["cayley_fn_constant"]["note"] == verify.NOTES["cayley_fn_constant"]
+
+
+def test_raising_check_keeps_its_static_note(monkeypatch):
+    def raising(ctx):
+        yield 3
+        raise spin7.NotLocallyCayleyError(GradedTensor.zero(FORM, 3))
+
+    monkeypatch.setattr(verify, "CHECKS", [("cayley_fn_constant", "anchor", "spin7", raising)])
+    (check,) = run_checks(scope="spin7", cases=1)["checks"]
+    assert (check["status"], check["residual"]) == ("fail", "3")
+    assert check["note"] == verify.NOTES["cayley_fn_constant"] + "; raised NotLocallyCayleyError: " + (
+        "multivector field is not locally Cayley; d(Q _| Psi) has L1 coefficient mass 0"
+    )
 
 
 def test_scope_filtering():
