@@ -21,14 +21,17 @@ Ring operations and ``diff`` run on ints alone.
 common denominator, with one guard check and one gcd.  A triple with a
 constant factor is a scaled copy of the other factor: it adds no keys, a
 sum of such copies needs no guard check, and a sum of one such triple is
-the other factor scaled, no loop at all.  ``a * b`` is the sum of one
-product, and ``a + b`` the sum of ``a * ONE`` and ``b * ONE`` with
-:data:`ONE` the unit polynomial.  The tensor kernels call it once per
-output coefficient, and :meth:`Polynomial.compose`, the substitution
-``x_i -> images[i]``, calls it once after building each distinct power
-``images[i] ** e`` by square and multiply.  ``terms`` is a read-only view
-from exponent tuples to ``fractions.Fraction``, built on first use.  No
-floating point appears anywhere.
+the other factor scaled, no loop at all.  A triple ``(sign, p, p)`` is a
+square: each cross pair of terms is multiplied once and doubled, so
+``p * p``, ``p ** n`` and the norms ``inner(t, t)`` take about half the
+products.  ``a * b`` is the sum of one product, and ``a + b`` the sum of
+``a * ONE`` and ``b * ONE`` with :data:`ONE` the unit polynomial.  The
+tensor kernels call it once per output coefficient, and
+:meth:`Polynomial.compose`, the substitution ``x_i -> images[i]``, calls it
+once after building each distinct power ``images[i] ** e`` by square and
+multiply.  ``terms`` is a read-only view from exponent tuples to
+``fractions.Fraction``, built on first use.  No floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -142,7 +145,12 @@ class Polynomial:
         two non-constants can pass :data:`MAX_EXPONENT`, so a sum of such
         copies skips the guard check.  A lone such triple is the other
         factor scaled by ``sign`` times the constant: that factor itself
-        (or its negation) when the scale is 1 (or -1).
+        (or its negation) when the scale is 1 (or -1).  A triple whose two
+        factors are one non-constant object is a square: each diagonal pair
+        ``(t, t)`` is added once and each cross pair ``(s, t)`` once,
+        doubled, instead of twice.  A field ``s + t`` of a cross key is at
+        most ``2 * max(s, t)``, that field of a diagonal key, so a cross
+        pair passes the cap only where a diagonal pair does too.
         """
         if len(triples) == 1:  # a lone product with a constant factor is a scaled copy
             sign, a, b = triples[0]
@@ -169,6 +177,17 @@ class Polynomial:
                     out[ka] = get(ka, 0) + va * vb
                 continue
             products = True
+            if a is b:  # a square: each diagonal pair once, each cross pair once and doubled
+                items = list(a.items())
+                twice = 2 * scale
+                for i, (ka, va) in enumerate(items):
+                    k = ka + ka
+                    out[k] = get(k, 0) + va * va * scale
+                    va *= twice
+                    for kb, vb in items[i + 1 :]:
+                        k = ka + kb
+                        out[k] = get(k, 0) + va * vb
+                continue
             for kb, vb in b.items():
                 vb *= scale
                 for ka, va in a.items():

@@ -33,9 +33,11 @@ triples, :data:`~cayley8.polynomial.ONE` being the unit polynomial.
 constant :class:`~cayley8.linalg.ExactMatrix` of integers over one
 denominator ``den``: one ``(entry, coeff, 1/den)`` triple per nonzero
 integer entry of a column the tensor has a coefficient on, that column
-being a row of the matrix's cached transpose.  ``inner`` is one sum, and
-a tensor times a rational scales each coefficient.  A group that cancels
-is dropped, so no tensor holds a zero coefficient.
+being a row of the matrix's cached transpose.  ``inner`` is one sum; in
+``inner(t, t)`` each triple is a square ``(1, p, p)``, which takes each
+cross pair of terms once.  A tensor times a rational scales each
+coefficient.  A group that cancels is dropped, so no tensor holds a zero
+coefficient.
 
 Tensor coordinates
 ------------------
@@ -89,7 +91,10 @@ class GradedTensor:
     ``terms`` maps strictly increasing index tuples of length ``degree`` to
     nonzero polynomials.  Degrees outside 0..8 are allowed only for the zero
     tensor (the exterior algebra vanishes there), which lets operations like
-    ``d`` on top degree return an honest zero instead of erroring.
+    ``d`` on top degree return an honest zero instead of erroring.  A bool
+    degree raises :class:`DegreeMismatch`, as a document's does on loading.
+    Internal constructors wrap finished term dicts with :meth:`_raw`, which
+    writes the slots through their own setters.
     """
 
     __slots__ = ("variance", "degree", "terms")
@@ -100,10 +105,7 @@ class GradedTensor:
         degree: int,
         terms: Mapping[Iterable[int], Coefficient] | None = None,
     ):
-        if variance not in (FORM, MULTIVECTOR):
-            raise VarianceMismatch(f"unknown variance {variance!r}")
-        if not isinstance(degree, int):
-            raise DegreeMismatch(f"degree must be an integer, got {degree!r}")
+        GradedTensor._check_shape(variance, degree)
         groups: defaultdict[int, list] = defaultdict(list)
         if terms:
             if not 0 <= degree <= DIM:
@@ -120,12 +122,20 @@ class GradedTensor:
                         f"index {tuple(idx)} has length {len(key)}, expected {degree}"
                     )
                 groups[MASK[key]].append((sign, poly, ONE))
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", _grouped_sum(groups))
+        _set_variance(self, variance)
+        _set_degree(self, degree)
+        _set_terms(self, _grouped_sum(groups))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GradedTensor is immutable")
+
+    @staticmethod
+    def _check_shape(variance: str, degree: int) -> None:
+        """Raise unless ``variance`` is a variance and ``degree`` an int that is not a bool."""
+        if variance not in (FORM, MULTIVECTOR):
+            raise VarianceMismatch(f"unknown variance {variance!r}")
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise DegreeMismatch(f"degree must be an integer, got {degree!r}")
 
     # -- constructors --------------------------------------------------
 
@@ -137,9 +147,9 @@ class GradedTensor:
     def _raw(cls, variance: str, degree: int, terms: dict[MultiIndex, Polynomial]) -> "GradedTensor":
         """Wrap ``terms`` as they are: sorted keys of length ``degree``, no zeros."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "variance", variance)
-        object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "terms", terms)
+        _set_variance(out, variance)
+        _set_degree(out, degree)
+        _set_terms(out, terms)
         return out
 
     # -- inspection ----------------------------------------------------
@@ -228,6 +238,10 @@ class GradedTensor:
 
     def __xor__(self, other: "GradedTensor") -> "GradedTensor":
         return wedge(self, other)
+
+
+# The slots' own setters: they write past ``GradedTensor.__setattr__``, which refuses.
+_set_variance, _set_degree, _set_terms = (GradedTensor.__dict__[name].__set__ for name in GradedTensor.__slots__)
 
 
 # -- basis helpers --------------------------------------------------------

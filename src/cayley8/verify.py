@@ -14,6 +14,11 @@ it fails a check whose body raises a ``ValueError``, keeping the rest of the
 report; and it times the whole check.  Identical invocations therefore
 produce identical reports apart from timing.
 
+The seeded generators draw through one loop, :func:`_below`, that consumes
+exactly what ``randrange``, ``randint`` and ``choice`` would, and build
+packed polynomial fields and tensors directly, so the reports match those
+of generators calling ``random`` and the constructors.
+
 A mutation mode (flipping the sign of the Hodge star on one degree) is
 wired through the check context; it exists to demonstrate that the suite is
 sensitive, i.e. that no identity passes vacuously.
@@ -36,7 +41,7 @@ from .calculus import (
 )
 from .linalg import ExactMatrix
 from .multiindex import DIM, basis
-from .polynomial import Polynomial
+from .polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, _SHIFTS, _reduced
 from .spin7 import (
     CAYLEY_FUNCTION_CONSTANT,
     cayley2_constraint,
@@ -110,6 +115,26 @@ class CheckResult:
 
 
 _NONZERO_NUMERATORS = tuple(i for i in range(-9, 10) if i)
+#: ``_STEPS[i]`` added to a packed monomial key raises the exponent of ``x_i`` by one.
+_STEPS = tuple(1 << shift for shift in _SHIFTS)
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from ``range(n)`` that consumes what ``rng.randrange(n)`` does.
+
+    ``randrange``, ``randint`` and ``choice`` of a ``random.Random`` all
+    draw through ``getrandbits(n.bit_length())``, repeated until the draw
+    is below ``n``; this is that loop without their argument handling.
+    An empty range raises, as theirs do: ``getrandbits(0)`` is always 0,
+    so the loop would never end.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -119,16 +144,31 @@ def random_fraction(rng: random.Random) -> Fraction:
 def random_polynomial(rng: random.Random, max_degree: int = 2, max_terms: int = 3) -> Polynomial:
     """Up to ``max_terms`` random monomials with ``random_fraction`` coefficients.
 
-    Draws exactly as summing ``random_fraction`` values would, but builds
-    the sum from integer quotients.
+    Each term draws its number of variable factors, the variable of each
+    factor, a numerator and a denominator, exactly as ``randint``,
+    ``randrange`` and ``choice`` would.  Its packed key grows by one
+    ``_STEPS`` entry per factor, and the terms are summed over the lcm of
+    their denominators.  A ``max_degree`` above :data:`MAX_EXPONENT`
+    raises :class:`ExponentOverflow` before any draw, since a field could
+    pass the cap.
     """
-    quotients = []
-    for _ in range(rng.randint(1, max_terms)):
-        exp = [0] * DIM
-        for _ in range(rng.randint(0, max_degree)):
-            exp[rng.randrange(DIM)] += 1
-        quotients.append((exp, rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 3)))
-    return Polynomial.from_quotients(quotients)
+    if max_degree > MAX_EXPONENT:
+        raise ExponentOverflow(f"max_degree {max_degree} above MAX_EXPONENT = {MAX_EXPONENT}")
+    drawn = []
+    den = 1
+    for _ in range(1 + _below(rng, max_terms)):
+        key = 0
+        for _ in range(_below(rng, max_degree + 1)):
+            key += _STEPS[_below(rng, DIM)]
+        num = _NONZERO_NUMERATORS[_below(rng, len(_NONZERO_NUMERATORS))]
+        d = 1 + _below(rng, 3)
+        if den % d:  # 1, 2 and 3: the lcm of distinct ones is their product
+            den *= d
+        drawn.append((key, num, d))
+    nums: dict[int, int] = {}
+    for key, num, d in drawn:
+        nums[key] = nums.get(key, 0) + num * (den // d)
+    return _reduced({k: v for k, v in nums.items() if v}, den)
 
 
 def random_tensor(
@@ -138,11 +178,19 @@ def random_tensor(
     max_terms: int = 5,
     max_poly_degree: int = 2,
 ) -> GradedTensor:
+    """Up to ``max_terms`` ``random_polynomial`` coefficients on basis indices of ``degree``.
+
+    Draws exactly as filling a dict ``{rng.choice(basis(degree)): poly}``
+    and passing it to the constructor would, and wraps the nonzero
+    coefficients as they are; a bad shape raises after the draws, as the
+    constructor would.
+    """
     keys = basis(degree)
     terms: dict[tuple[int, ...], Polynomial] = {}
-    for _ in range(rng.randint(1, min(max_terms, len(keys)))):
-        terms[rng.choice(keys)] = random_polynomial(rng, max_poly_degree)
-    return GradedTensor(variance, degree, terms)
+    for _ in range(1 + _below(rng, min(max_terms, len(keys)))):
+        terms[keys[_below(rng, len(keys))]] = random_polynomial(rng, max_poly_degree)
+    GradedTensor._check_shape(variance, degree)
+    return GradedTensor._raw(variance, degree, {idx: poly for idx, poly in terms.items() if poly})
 
 
 def random_vector_field(rng: random.Random) -> GradedTensor:
@@ -813,6 +861,9 @@ def run_checks(
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
+    for name, value in (("seed", seed), ("cases", cases), ("star_flip_degree", star_flip_degree)):
+        if isinstance(value, bool):  # a bool is an int: True would run one case, False flip degree 0
+            raise ValueError(f"{name} must be an integer, not the bool {value}")
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
     if star_flip_degree is not None and not 0 <= star_flip_degree <= DIM:

@@ -4,7 +4,11 @@
 denominator) is compared through its ``terms`` view with the tuple-and-
 ``Fraction`` polynomial of ``reference_polynomial.py``.  Coefficients range
 over wide denominators, because the shared denominator is where the two
-kernels differ.  ``ExactMatrix`` (integer rows over one denominator,
+kernels differ.  Squares (a ``(sign, p, p)`` triple among others,
+``p * p``, ``p ** n`` and ``inner(t, t)``, which take each cross pair of
+terms once) are compared with the reference products too, and their guard
+check with that of the general product loop near half the exponent cap.
+``ExactMatrix`` (integer rows over one denominator,
 fraction-free elimination) is compared with the dense kernels of
 ``reference_linalg.py`` and with entry-by-entry ``Fraction`` arithmetic on
 sparse rational matrices up to 56x56, singular ones included.  The 7-part of
@@ -265,6 +269,77 @@ def test_exponent_cap():
 def test_power_matches_repeated_multiplication(terms, n):
     a, ra = pair(terms)
     assert_same(a**n, ra**n)
+
+
+# -- squares: a (sign, p, p) triple takes each cross pair of terms once, doubled
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), factors, factors, st.booleans()), max_size=5))
+def test_sum_of_products_with_squares_matches_reference(rows):
+    triples, expected = [], Reference({})
+    for sign, a, b, square in rows:
+        if square:  # one object as both factors
+            b = a
+            pa = pb = Polynomial(a)
+        else:
+            pa, pb = Polynomial(a), Polynomial(b)
+        triples.append((sign, pa, pb))
+        expected = expected + Reference(a) * Reference(b) * sign
+    assert_same(Polynomial.sum_of_products(triples), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts, st.integers(-3, 3))
+def test_squares_match_reference(terms, sign):
+    # powers square too: test_power_matches_repeated_multiplication covers p ** n
+    a, ra = pair(terms)
+    assert_same(a * a, ra * ra)
+    assert_same(Polynomial.sum_of_products([(sign, a, a)]), ra * ra * sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, DIM).flatmap(lambda k: st.tuples(tensors(FORM, k, max_terms=5), tensors(MULTIVECTOR, k, max_terms=5))))
+def test_inner_square_matches_reference(pair_of_tensors):
+    for t in pair_of_tensors:
+        expected = Reference({})
+        for poly in t.terms.values():
+            expected = expected + Reference(dict(poly.terms)) * Reference(dict(poly.terms))
+        assert_same(inner(t, t), expected)
+
+
+def test_square_exponent_cap():
+    half = MAX_EXPONENT // 2 + 1  # 16384: its square has a field of 32768
+    with pytest.raises(ExponentOverflow):
+        Polynomial.variable(0, half) * Polynomial.variable(0, half)
+    big = Polynomial.variable(0, half)
+    with pytest.raises(ExponentOverflow):
+        big * big
+    with pytest.raises(ExponentOverflow):
+        (big + x(1)) ** 2
+    with pytest.raises(ExponentOverflow):
+        inner(dx(0, coeff=big + x(1)), dx(0, coeff=big + x(1)))
+    below = Polynomial.variable(0, half - 1)
+    assert below * below == Polynomial.variable(0, MAX_EXPONENT - 1)
+    assert dict(((below + x(1)) ** 2).terms) == {
+        (MAX_EXPONENT - 1,) + (0,) * 7: 1, (half - 1, 1) + (0,) * 6: 2, (0, 2) + (0,) * 6: 1,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(MAX_EXPONENT // 2 - 300, MAX_EXPONENT // 2 + 300), min_size=1, max_size=4, unique=True))
+def test_square_raises_exactly_when_the_product_of_a_copy_does(powers):
+    """A cross field s + t is at most 2 max(s, t): the square's guard check misses no overflow."""
+    p = Polynomial.sum_of_products([(1, Polynomial.variable(0, e), ONE) for e in powers])
+    copy = p + 0  # equal fields, another object: the general product loop
+    assert copy is not p and copy == p
+    try:
+        expected = p * copy
+    except ExponentOverflow:
+        with pytest.raises(ExponentOverflow):
+            p * p
+    else:
+        assert_same(p * p, Reference(dict(expected.terms)))
 
 
 # -- matrices ----------------------------------------------------------------

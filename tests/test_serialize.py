@@ -33,6 +33,18 @@ class TestRoundTrip:
         t = dx(0, 1)
         assert parse_tensor(serialize_tensor(t)) == t
 
+    def test_low_degrees_round_trip_as_integers(self):
+        for t in (dx(0), GradedTensor(MULTIVECTOR, 0, {(): 2}), GradedTensor.zero(FORM, 0), GradedTensor.zero(FORM, 1)):
+            text = serialize_tensor(t)
+            assert type(json.loads(text)["degree"]) is int
+            back = parse_tensor(text)
+            assert back == t and back.degree == t.degree
+        # a bool degree, which the loader refuses, never gets into a tensor to be written
+        with pytest.raises(ParseError, match="degree must be an integer"):
+            parse_tensor(json.dumps(doc(degree=True)))
+        with pytest.raises(DegreeMismatch, match="degree must be an integer"):
+            GradedTensor(FORM, True, {(0,): 1})
+
     def test_corpus(self, make_tensor):
         for variance in (FORM, MULTIVECTOR):
             for degree in (0, 1, 3, 8):

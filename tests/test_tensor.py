@@ -55,6 +55,16 @@ class TestConstruction:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             dx(0).degree = 3
+        with pytest.raises(AttributeError):
+            (dx(0) + dx(1)).terms = {}
+
+    @pytest.mark.parametrize("degree", [True, False])
+    def test_bool_degree_rejected(self, degree):
+        # a bool is an int, but a document with "degree": true does not load
+        with pytest.raises(DegreeMismatch, match="integer"):
+            GradedTensor(FORM, degree, {tuple(range(degree)): 1})
+        with pytest.raises(DegreeMismatch, match="integer"):
+            GradedTensor.zero(MULTIVECTOR, degree)
 
     def test_coefficient_lookup_with_sign(self):
         t = dx(0, 1, coeff=3)

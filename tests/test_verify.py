@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference_verify
 from cayley8 import spin7, verify
 from cayley8.calculus import HomotopyPrimitive
 from cayley8.linalg import ExactMatrix
-from cayley8.tensor import FORM, GradedTensor
+from cayley8.multiindex import DIM
+from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial
+from cayley8.tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch
 from cayley8.verify import (
     CHECKS,
     SCOPES,
@@ -291,3 +295,114 @@ def test_report_shape():
             "elapsed_s",
             "note",
         }
+
+
+@pytest.mark.parametrize("name", ["seed", "cases", "star_flip_degree"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_arguments_rejected(name, flag):
+    # True would run one case or seed 1, False would flip the star on degree 0
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_checks(scope="core", **{"cases": 1, name: flag})
+
+
+# -- the seeded generators against the bodies they replaced ----------------------
+
+
+def _fields(value):
+    """Everything a generated value holds, in its stored order."""
+    if isinstance(value, Polynomial):
+        return value._den, list(value._nums.items())
+    return value.variance, value.degree, [(idx, _fields(poly)) for idx, poly in value.terms.items()]
+
+
+def _draw_both(name, *args, calls=12, seeds=range(4)):
+    """``calls`` draws of ``verify.name(rng, *args)`` and of its reference, from equal seeds."""
+    new_fn, ref_fn = getattr(verify, name), getattr(reference_verify, name)
+    for seed in seeds:
+        new_rng, ref_rng = random.Random(f"{seed}:{name}"), random.Random(f"{seed}:{name}")
+        for _ in range(calls):
+            new, ref = new_fn(new_rng, *args), ref_fn(ref_rng, *args)
+            assert _fields(new) == _fields(ref), (seed, args)
+            assert new_rng.getstate() == ref_rng.getstate(), (seed, args)
+
+
+@pytest.mark.parametrize("max_degree", range(4))
+@pytest.mark.parametrize("max_terms", range(1, 5))
+def test_random_polynomial_draws_as_its_reference(max_degree, max_terms):
+    _draw_both("random_polynomial", max_degree, max_terms)
+
+
+@pytest.mark.parametrize("degree", range(DIM + 1))
+@pytest.mark.parametrize("variance", [FORM, MULTIVECTOR])
+def test_random_tensor_draws_as_its_reference(variance, degree):
+    _draw_both("random_tensor", variance, degree)
+    for max_terms in (1, 2, 5, 70):
+        for max_poly_degree in (0, 2, 3):
+            _draw_both("random_tensor", variance, degree, max_terms, max_poly_degree, calls=3, seeds=range(2))
+
+
+def test_vector_fields_and_decomposables_draw_as_their_reference():
+    _draw_both("random_vector_field")
+    for degree in range(5):
+        _draw_both("random_decomposable", degree, calls=3)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("random_tensor", (FORM, 9)),
+        ("random_tensor", (FORM, -1)),
+        ("random_tensor", ("field", 2)),
+        ("random_tensor", (FORM, True)),
+        ("random_tensor", (FORM, 2, 0)),
+        ("random_polynomial", (2, 0)),
+        ("random_polynomial", (-1, 3)),
+        ("random_polynomial", (-2, 3)),
+    ],
+)
+def test_generators_raise_as_their_reference(name, args):
+    new_rng, ref_rng = random.Random(name), random.Random(name)
+    with pytest.raises(ValueError) as ref_error:
+        getattr(reference_verify, name)(ref_rng, *args)
+    with pytest.raises(type(ref_error.value)):
+        getattr(verify, name)(new_rng, *args)
+    assert new_rng.getstate() == ref_rng.getstate()
+
+
+def test_generator_errors_are_shape_errors():
+    rng = random.Random(0)
+    with pytest.raises(VarianceMismatch):
+        verify.random_tensor(rng, "field", 2)
+    with pytest.raises(DegreeMismatch):
+        verify.random_tensor(rng, FORM, True)
+    state = rng.getstate()
+    with pytest.raises(ExponentOverflow):  # a field could pass the cap: refused before any draw
+        verify.random_polynomial(rng, MAX_EXPONENT + 1)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n", [*range(1, 40), 64, 70, 255, 256, 257, 10**20, 2**70])
+def test_below_draws_as_randrange(n):
+    mine, theirs = random.Random(n), random.Random(n)
+    for _ in range(30):
+        assert verify._below(mine, n) == theirs.randrange(n)
+        assert mine.getstate() == theirs.getstate()
+
+
+class _BoundedBits(random.Random):
+    """A ``Random`` whose 100th ``getrandbits`` call raises, so an endless draw loop fails, not hangs."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls >= 100:
+            raise RuntimeError("the draw loop does not end")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_below_an_empty_range_raises(n):
+    # getrandbits(0) is always 0, never below 0: an unchecked loop would spin forever
+    with pytest.raises(ValueError, match="empty range"):
+        verify._below(_BoundedBits(0), n)
