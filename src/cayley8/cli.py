@@ -13,14 +13,7 @@ import sys
 
 from .calculus import exterior_derivative, homotopy_pair
 from .polynomial import ExponentOverflow
-from .serialize import (
-    ParseError,
-    decode_json,
-    document_to_tensor,
-    json_text,
-    polynomial_to_document,
-    tensor_to_document,
-)
+from .serialize import ParseError, decode_json, document_to_tensor, json_text
 from .spin7 import (
     cayley2_constraint,
     cayley_2mvf_for,
@@ -32,7 +25,7 @@ from .spin7 import (
     three_form_operator_matrix,
     two_form_operator_matrix,
 )
-from .tensor import FORM, TensorError, contract, scalar_tensor
+from .tensor import FORM, MULTIVECTOR, TensorError, contract, scalar_tensor
 from .verify import SCOPES, _mass, run_checks
 
 
@@ -56,17 +49,15 @@ def _emit(payload, fmt: str, text_renderer) -> None:
 
 def cmd_decompose(args) -> int:
     tensor = document_to_tensor(_load_json(args.input))
+    if tensor.degree not in (2, 3, 4):
+        raise ParseError(f"decompose expects degree 2, 3 or 4, got {tensor.degree}", "$.degree")
     report = decompose(tensor)
     norms = report.norms()
     payload = {
-        "input": tensor_to_document(tensor),
+        "input": tensor,
         "flattened_from_multivector": report.flattened_from_multivector,
-        "components": {
-            name: tensor_to_document(part) for name, part in sorted(report.components.items())
-        },
-        "norms": {
-            name: polynomial_to_document(norm) for name, norm in sorted(norms.items())
-        },
+        "components": dict(sorted(report.components.items())),
+        "norms": dict(sorted(norms.items())),
         "residuals": {name: str(_mass(value)) for name, value in report.residuals().items()},
     }
 
@@ -88,8 +79,14 @@ def cmd_contract(args) -> int:
         raise ParseError('expected an object {"multivector": ..., "form": ...}')
     q = document_to_tensor(doc["multivector"], "$.multivector")
     beta = document_to_tensor(doc["form"], "$.form")
+    for t, location, variance in ((q, "$.multivector", MULTIVECTOR), (beta, "$.form", FORM)):
+        if t.variance != variance:
+            raise ParseError(f"expected a {variance} document, got a {t.variance}", f"{location}.variance")
+    if q.degree > beta.degree:
+        message = f"cannot contract a degree-{q.degree} multivector into a degree-{beta.degree} form"
+        raise ParseError(message, "$.multivector.degree")
     result = contract(q, beta)
-    payload = {"result": tensor_to_document(result)}
+    payload = {"result": result}
     _emit(payload, args.format, lambda p: print(repr(result)))
     return 0
 
@@ -115,8 +112,8 @@ def cmd_solve(args) -> int:
         residuals = {"contraction": str((contract(q, psi) - target).coeff_l1())}
     payload = {
         "kind": args.kind,
-        "result": tensor_to_document(q),
-        "target": tensor_to_document(target),
+        "result": q,
+        "target": target,
         "residuals": residuals,
     }
 
@@ -135,7 +132,7 @@ def cmd_primitive(args) -> int:
         raise ParseError("primitive expects a form of degree >= 1")
     pair = homotopy_pair(tensor)
     payload = {
-        "primitive": tensor_to_document(pair.primitive),
+        "primitive": pair.primitive,
         "homotopy_residual": str(pair.identity_residual().coeff_l1()),
         "exactness_residual": str(pair.exactness_residual().coeff_l1()),
     }

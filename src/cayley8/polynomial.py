@@ -109,6 +109,15 @@ def _reduced(nums: dict[int, int], den: int) -> "Polynomial":
     return _wrap(nums, den)
 
 
+def _summed(packed: list[tuple[int, int, int]]) -> "Polynomial":
+    """Sum of ``num/den`` times monomial ``key`` over ``(key, num, den)`` triples; ``den`` nonzero."""
+    den = lcm(*(d for _, _, d in packed))
+    nums: dict[int, int] = {}
+    for key, n, d in packed:
+        nums[key] = nums.get(key, 0) + n * (den // d)  # a negative d flips the sign
+    return _reduced({k: v for k, v in nums.items() if v}, den)
+
+
 class Polynomial:
     """Finitely supported map from exponent tuples to rationals."""
 
@@ -126,12 +135,7 @@ class Polynomial:
     @classmethod
     def from_quotients(cls, quotients: Iterable[tuple[Exponents, int, int]]) -> "Polynomial":
         """Sum of ``num/den * x^exp`` over ``(exp, num, den)`` triples; ``den`` nonzero."""
-        packed = [(_pack(exp), n, d) for exp, n, d in quotients]
-        den = lcm(*(d for _, _, d in packed))
-        nums: dict[int, int] = {}
-        for key, n, d in packed:
-            nums[key] = nums.get(key, 0) + n * (den // d)  # a negative d flips the sign
-        return _reduced({k: v for k, v in nums.items() if v}, den)
+        return _summed([(_pack(exp), n, d) for exp, n, d in quotients])
 
     @staticmethod
     def sum_of_products(triples: Sequence[tuple[int, "Polynomial", "Polynomial"]]) -> "Polynomial":

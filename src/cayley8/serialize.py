@@ -14,14 +14,23 @@ precision survives any JSON implementation::
 
 Index lists may arrive unsorted; they canonicalize on load with the
 permutation sign absorbed into the coefficient.  A repeated index collapses
-the term to zero and emits a warning.
+the term to zero and emits a warning.  Loading takes one pass over a term
+whose index is a list of plain ints in range and whose monomials are well
+formed, packing each exponent list as it goes; anything else takes the
+located parse, which names the first node at fault.  Both give the same
+tensor, error and warning.
 
 :func:`json_text` writes every ``--format json`` output of the command line:
 ``json.dumps(value, indent=2)`` byte for byte, in one pass over the value.
+A :class:`GradedTensor` or :class:`Polynomial` in the value is written as
+the text of its document (:func:`tensor_to_document`,
+:func:`polynomial_to_document`) straight from its packed terms, one ``%``
+format per monomial, with no document built.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import warnings
@@ -30,10 +39,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 from .multiindex import DIM, MASK, canonicalize
-from .polynomial import MAX_EXPONENT, Polynomial
+from .polynomial import MAX_EXPONENT, Polynomial, _pack, _summed
 from .tensor import FORM, MULTIVECTOR, ONE, DegreeMismatch, GradedTensor, _grouped_sum
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_INT = {int}
 
 
 class ParseError(ValueError):
@@ -66,6 +76,37 @@ def _parse_integer(value: Any, location: str) -> int:
 
 
 def document_to_polynomial(doc: Any, location: str = "$") -> Polynomial:
+    packed = _packed_monomials(doc)
+    return _located_polynomial(doc, location) if packed is None else _summed(packed)
+
+
+def _packed_monomials(doc: Any) -> list[tuple[int, int, int]] | None:
+    """``(key, num, den)`` per monomial of a well-formed coefficient list, else None.
+
+    Well formed: each monomial is a dict whose ``exp`` is a list of eight
+    plain ints in 0..MAX_EXPONENT and whose ``num`` and ``den`` are decimal
+    strings, ``den`` not 0.  Any other list takes :func:`_located_polynomial`,
+    which names the offending node.
+    """
+    if doc.__class__ is not list:
+        return None
+    packed = []
+    match = _DECIMAL.fullmatch
+    try:
+        for mono in doc:
+            if mono.__class__ is not dict:
+                return None
+            exp, num, den = mono["exp"], mono["num"], mono.get("den", "1")
+            if exp.__class__ is not list or {*map(type, exp)} != _INT or not (match(num) and match(den)):
+                return None
+            packed.append((_pack(exp), int(num), int(den)))  # _pack checks the length and range
+    except (KeyError, TypeError, ValueError):  # ValueError: a bad exponent, or past the digit limit
+        return None
+    return packed if all(den for _, _, den in packed) else None
+
+
+def _located_polynomial(doc: Any, location: str) -> Polynomial:
+    """The polynomial of a coefficient list, or a :class:`ParseError` naming the first node at fault."""
     _expect_type(doc, list, location)
     quotients: list[tuple[tuple[int, ...], int, int]] = []
     for n, mono in enumerate(doc):
@@ -109,22 +150,19 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
     raw_terms = _expect_type(doc.get("terms", []), list, f"{location}.terms")
     groups: defaultdict[int, list] = defaultdict(list)
     for n, term in enumerate(raw_terms):
-        here = f"{location}.terms[{n}]"
-        _expect_type(term, dict, here)
-        idx = _expect_type(term.get("idx"), list, f"{here}.idx")
-        indices = tuple(_parse_integer(i, f"{here}.idx[{j}]") for j, i in enumerate(idx))
-        if len(indices) != degree:
-            raise ParseError(
-                f"idx has length {len(indices)} but degree is {degree}", f"{here}.idx"
-            )
-        if any(not 0 <= i < DIM for i in indices):
-            raise ParseError(f"index outside 0..{DIM - 1}", f"{here}.idx")
-        coeff = document_to_polynomial(term.get("coeff", []), f"{here}.coeff")
+        idx = term.get("idx") if term.__class__ is dict else None
+        packed = None
+        if idx.__class__ is list and len(idx) == degree and {*map(type, idx)} <= _INT and all(0 <= i < DIM for i in idx):
+            packed = _packed_monomials(term.get("coeff", []))
+        if packed is None:
+            indices, coeff = _located_term(term, degree, f"{location}.terms[{n}]")
+        else:
+            indices, coeff = tuple(idx), _summed(packed)
         key, sign = canonicalize(indices)
         if sign == 0:
             if not coeff.is_zero():
                 warnings.warn(
-                    f"{here}: repeated index {indices} collapses the term to zero",
+                    f"{location}.terms[{n}]: repeated index {indices} collapses the term to zero",
                     stacklevel=2,
                 )
             continue
@@ -132,12 +170,28 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
     return GradedTensor._raw(variance, degree, _grouped_sum(groups))
 
 
-def tensor_to_document(t: GradedTensor) -> dict[str, Any]:
+def _located_term(term: Any, degree: int, here: str) -> tuple[tuple[int, ...], Polynomial]:
+    """A term's indices and coefficient, or a :class:`ParseError` naming the node at fault."""
+    _expect_type(term, dict, here)
+    idx = _expect_type(term.get("idx"), list, f"{here}.idx")
+    indices = tuple(_parse_integer(i, f"{here}.idx[{j}]") for j, i in enumerate(idx))
+    if len(indices) != degree:
+        raise ParseError(f"idx has length {len(indices)} but degree is {degree}", f"{here}.idx")
+    if any(not 0 <= i < DIM for i in indices):
+        raise ParseError(f"index outside 0..{DIM - 1}", f"{here}.idx")
+    return indices, document_to_polynomial(term.get("coeff", []), f"{here}.coeff")
+
+
+def _document_degree(t: GradedTensor) -> int:
     if not 0 <= t.degree <= DIM:
         raise DegreeMismatch(f"no document for a tensor of degree {t.degree}: documents hold degrees 0..{DIM}")
+    return t.degree
+
+
+def tensor_to_document(t: GradedTensor) -> dict[str, Any]:
     return {
         "variance": t.variance,
-        "degree": t.degree,
+        "degree": _document_degree(t),
         "terms": [
             {"idx": list(idx), "coeff": polynomial_to_document(poly)}
             for idx, poly in t.sorted_terms()
@@ -164,16 +218,21 @@ def serialize_tensor(t: GradedTensor) -> str:
 
 
 def json_text(value: Any) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte.
+    """``json.dumps(value, indent=2)``, byte for byte, with tensors and polynomials as their documents.
 
     With an indent, ``json.dumps`` runs the pure-Python encoder, a chain of
     generators yielding one chunk per token. This writer appends one chunk
     per line to a list and joins it once. Plain ``str`` and ``int`` members
     of a container are written inline, through the function ``json`` uses
     with ``ensure_ascii`` and ``int.__repr__``; every other scalar goes
-    through ``json.dumps`` itself. A dict key that is not a ``str``, or a
-    value that is not a dict, list, tuple, str, int, float, bool or None,
-    raises ``TypeError``.
+    through ``json.dumps`` itself. A ``GradedTensor`` or ``Polynomial``
+    anywhere in the value is written as ``json.dumps`` would write its
+    document at that depth: each monomial is one ``%`` format of a template
+    cached per indent, over the terms of ``Polynomial.quotients()``. A
+    tensor of a degree outside 0..8 raises ``DegreeMismatch``, as
+    :func:`tensor_to_document` does. A dict key that is not a ``str``, or
+    any other value that is not a dict, list, tuple, str, int, float, bool
+    or None, raises ``TypeError``.
     """
     chunks: list[str] = []
     _write(value, chunks.append, "\n")
@@ -222,5 +281,41 @@ def _write(value: Any, put: Callable[[str], None], newline: str) -> None:
                 _write(item, put, inner)
             sep = "," + inner
         put(newline + "]")
+    elif isinstance(value, GradedTensor):
+        put(_tensor_text(value, newline))
+    elif isinstance(value, Polynomial):
+        put(_polynomial_text(value, newline))
     else:
         put(json.dumps(value))
+
+
+@functools.cache
+def _monomial_template(newline: str) -> str:
+    """One monomial's document at ``newline``: ``%d`` for its 8 exponents, then num and den."""
+    key, entry = newline + "  ", newline + "    "
+    exp = "[" + entry + ("," + entry).join(["%d"] * DIM) + key + "]"
+    return "{" + key + '"exp": ' + exp + "," + key + '"num": "%d",' + key + '"den": "%d"' + newline + "}"
+
+
+def _polynomial_text(poly: Polynomial, newline: str) -> str:
+    """``polynomial_to_document(poly)`` as ``json.dumps(indent=2)`` writes it at ``newline``."""
+    if poly.is_zero():
+        return "[]"
+    inner = newline + "  "
+    template = _monomial_template(inner)
+    monomials = [template % (*exp, num, den) for exp, num, den in poly.quotients()]
+    return "[" + inner + ("," + inner).join(monomials) + newline + "]"
+
+
+def _tensor_text(t: GradedTensor, newline: str) -> str:
+    """``tensor_to_document(t)`` as ``json.dumps(indent=2)`` writes it at ``newline``."""
+    degree = _document_degree(t)
+    key, term, term_key, entry = (newline + "  " * n for n in range(1, 5))
+    terms = [
+        "{" + term_key + '"idx": '
+        + ("[" + entry + ("," + entry).join(map(str, idx)) + term_key + "]" if idx else "[]")
+        + "," + term_key + '"coeff": ' + _polynomial_text(poly, term_key) + term + "}"
+        for idx, poly in t.sorted_terms()
+    ]
+    head = "{" + key + '"variance": ' + _quote(t.variance) + "," + key + f'"degree": {degree},' + key + '"terms": '
+    return head + ("[" + term + ("," + term).join(terms) + key + "]" if terms else "[]") + newline + "}"

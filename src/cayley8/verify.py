@@ -26,6 +26,7 @@ sensitive, i.e. that no identity passes vacuously.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -845,6 +846,13 @@ NOTES = {
 }
 
 
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def run_checks(
     scope: str = "all",
     seed: int = 0,
@@ -864,6 +872,9 @@ def run_checks(
     for name, value in (("seed", seed), ("cases", cases), ("star_flip_degree", star_flip_degree)):
         if isinstance(value, bool):  # a bool is an int: True would run one case, False flip degree 0
             raise ValueError(f"{name} must be an integer, not the bool {value}")
+    cases = _index("cases", cases)  # 1.5 would reach range() in a check body; 2.5 flips no degree
+    if star_flip_degree is not None:
+        star_flip_degree = _index("star_flip_degree", star_flip_degree)
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
     if star_flip_degree is not None and not 0 <= star_flip_degree <= DIM:

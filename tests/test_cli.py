@@ -52,7 +52,7 @@ class TestDecompose:
         path = write_doc(tmp_path / "b.json", tensor_to_document(dx(0)))
         code, captured = run(capsys, "decompose", "--input", path)
         assert code == 2
-        assert "error" in captured.err
+        assert captured.err == "error: $.degree: decompose expects degree 2, 3 or 4, got 1\n"
 
 
 class TestContract:
@@ -76,6 +76,19 @@ class TestContract:
         path = write_doc(tmp_path / "bad.json", {"form": tensor_to_document(dx(0))})
         code, captured = run(capsys, "contract", "--input", path)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "multivector, form, error",
+        [
+            (dx(0), dx(1), "$.multivector.variance: expected a multivector document, got a form"),
+            (mv(0), mv(1), "$.form.variance: expected a form document, got a multivector"),
+            (mv(0, 1), dx(2), "$.multivector.degree: cannot contract a degree-2 multivector into a degree-1 form"),
+        ],
+    )
+    def test_mismatched_pair_is_a_located_error(self, tmp_path, capsys, multivector, form, error):
+        payload = {"multivector": tensor_to_document(multivector), "form": tensor_to_document(form)}
+        code, captured = run(capsys, "contract", "--input", write_doc(tmp_path / "pair.json", payload))
+        assert (code, captured.err, captured.out) == (2, f"error: {error}\n", "")
 
 
 class TestSolve:

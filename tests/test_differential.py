@@ -28,8 +28,13 @@ sort of ``reference_multiindex.py`` on every sequence of length 0..4 and on
 every table entry it can read, and the linear sums (the ``GradedTensor``
 constructor, ``+``, ``-`` and ``document_to_tensor``) with the
 one-term-at-a-time ``_accumulate`` of ``reference_tensor.py``.
+``json_text`` on values holding tensors and polynomials is compared with
+``json.dumps(indent=2)`` of their plain documents, and the loader's
+one-pass path with the located parse, through the references of
+``documents.py``.
 """
 
+import json
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -44,13 +49,15 @@ import reference_linalg
 import reference_multiindex
 import reference_spin7
 import reference_tensor
+from documents import as_documents, json_values, load_outcome, located_outcome, near_valid_documents
 from reference_polynomial import Polynomial as Reference
 
 from cayley8.calculus import exterior_derivative, homotopy_primitive, lie_derivative_multivector, schouten
 from cayley8.linalg import ExactMatrix, SingularMatrixError
 from cayley8.multiindex import DIM, INDEX, MASK, PARITY, basis, canonicalize, contraction, merge_sign, star_sign
 from cayley8.polynomial import MAX_EXPONENT, ONE, ExponentOverflow, Polynomial, x
-from cayley8.serialize import document_to_tensor, polynomial_to_document
+from cayley8 import serialize
+from cayley8.serialize import ParseError, document_to_polynomial, document_to_tensor, json_text, polynomial_to_document
 from cayley8.spin7 import (
     DecompositionReport, cayley_form, eigenspace_dimension, map_matrix, project2, project3, project4, psi2_inverse, psi3_section,
     structure_matrix, three_form_operator, three_form_operator_matrix, two_form_operator, two_form_operator_matrix,
@@ -772,3 +779,106 @@ def test_linear_sums_cancel_duplicate_keys():
     t = GradedTensor(FORM, 2, {(0, 1): p, (2, 3): 1})
     assert (t - t).terms == {} and (t - t).degree == 2
     assert (t - GradedTensor(FORM, 2, {(1, 0): p})).terms == {(0, 1): p * 2, (2, 3): 1}
+
+
+# -- serialize: the writer against the plain documents, the loader against the located parse --
+
+
+def nested(value, depth):
+    """``value`` inside ``depth`` alternating dicts and lists, among plain members."""
+    for level in range(depth):
+        value = {"n": level, "value": value, "s": "x"} if level % 2 else [level, value, None]
+    return value
+
+
+@pytest.mark.parametrize("degree", range(DIM + 1))
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_json_text_of_tensors_matches_json_dumps_of_documents(degree, data):
+    variance = data.draw(st.sampled_from([FORM, MULTIVECTOR]))
+    t = data.draw(st.one_of(tensors(variance, degree, max_terms=4), st.just(GradedTensor.zero(variance, degree))))
+    p = data.draw(term_dicts.map(Polynomial))  # the zero polynomial, negative numerators, den > 1
+    for depth in range(5):
+        for value in (t, p, {"t": t, "p": p, "zero": Polynomial()}, [p, t, 3]):
+            assert json_text(nested(value, depth)) == json.dumps(nested(as_documents(value), depth), indent=2)
+
+
+def test_json_text_of_edge_tensors():
+    scalar = GradedTensor(FORM, 0, {(): Polynomial({(0,) * DIM: Fraction(-7, 3), (1,) + (0,) * 7: 5})})
+    wide = dx(0, 1, coeff=Fraction(-(10**200), 3))
+    for value in (scalar, wide, GradedTensor.zero(MULTIVECTOR, 0), Polynomial(), [Polynomial(), {}]):
+        for depth in range(5):
+            assert json_text(nested(value, depth)) == json.dumps(nested(as_documents(value), depth), indent=2)
+    assert '"idx": []' in json_text(scalar) and '"num": "-7"' in json_text(scalar)
+    assert json_text(Polynomial()) == "[]"
+
+
+def assert_same_load(doc, location="$"):
+    assert load_outcome(doc, location) == located_outcome(doc, location)
+
+
+def polynomial_outcome(load, doc):
+    try:
+        p = load(doc, "$.c")
+    except ParseError as exc:
+        return str(exc)
+    return p._nums, p._den
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_valid_documents(), json_values))
+def test_document_to_tensor_matches_located_parse(doc):
+    assert_same_load(doc)
+    assert_same_load(doc, "$.form")
+    terms = doc.get("terms") if isinstance(doc, dict) else None
+    for term in terms if isinstance(terms, list) else []:
+        coeff = term.get("coeff") if isinstance(term, dict) else term
+        assert polynomial_outcome(document_to_polynomial, coeff) == polynomial_outcome(serialize._located_polynomial, coeff)
+
+
+def monomial(exp=(0, 1, 0, 0, 0, 0, 0, 2), num="-3", den="4"):
+    return {"exp": list(exp), "num": num, "den": den}
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        [monomial(exp=(True,) + (0,) * 7)],  # a bool is an int to struct, not to the format
+        [monomial(exp=(1.0,) + (0,) * 7)],
+        [monomial(exp=(MAX_EXPONENT + 1,) + (0,) * 7)],
+        [monomial(exp=(65536,) + (0,) * 7)],
+        [monomial(exp=(-1,) + (0,) * 7)],
+        [monomial(exp=(0,) * 7)],
+        [monomial(exp=(0,) * 9)],
+        [{"exp": tuple([0] * 8), "num": "1", "den": "1"}],
+        [monomial(num=7)],
+        [monomial(num="1_0")],
+        [monomial(num=" 7 ")],
+        [monomial(den="0")],
+        [monomial(den="-0")],
+        [monomial(den="-6")],
+        [monomial(), monomial(den="0")],
+        [{"exp": [0] * 8, "num": "5"}],
+        [{"exp": [0] * 8, "den": "5"}],
+        [monomial(num="7" * 5000)],
+        [monomial(), "x"],
+        "",
+        {},
+        [],
+    ],
+)
+def test_document_to_polynomial_matches_located_parse_on_edge_cases(coeff):
+    assert polynomial_outcome(document_to_polynomial, coeff) == polynomial_outcome(serialize._located_polynomial, coeff)
+    doc = {"variance": "form", "degree": 2, "terms": [{"idx": [1, 0], "coeff": coeff}]}
+    assert_same_load(doc)
+
+
+@pytest.mark.parametrize("idx", [[0, 8], [-1, 2], [True, 2], [1.0, 2], [0], [0, 1, 2], "01", None, [3, 3], [2, 1]])
+def test_document_to_tensor_matches_located_parse_on_index_edge_cases(idx):
+    assert_same_load({"variance": "form", "degree": 2, "terms": [{"idx": idx, "coeff": [monomial()]}]})
+
+
+def test_well_formed_documents_take_the_one_pass_path():
+    # the differential tests above would pass vacuously if nothing took the fast path
+    assert serialize._packed_monomials([monomial(), monomial(den="-6"), {"exp": [0] * 8, "num": "5"}]) is not None
+    assert serialize._packed_monomials([]) == []

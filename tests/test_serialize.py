@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from documents import json_values, near_valid_documents
+
 from cayley8.calculus import codifferential, exterior_derivative
 from cayley8.polynomial import Polynomial
 from cayley8.serialize import (
@@ -82,6 +84,8 @@ class TestRoundTrip:
             tensor_to_document(t)
         with pytest.raises(DegreeMismatch, match=rf"degree {degree}\b"):
             serialize_tensor(t)
+        with pytest.raises(DegreeMismatch, match=rf"degree {degree}\b"):
+            json_text({"result": t})
 
     def test_big_integers_survive(self):
         huge = 10**40 + 7
@@ -162,51 +166,6 @@ def test_document_shape():
         "terms": [
             {"idx": [0, 2], "coeff": [{"exp": [0] * 8, "num": "3", "den": "2"}]}
         ],
-    }
-
-
-# JSON values from dict, list, str, int, bool and None, with the document's own
-# keys and words mixed in so that some draws get deep into the parser.
-json_leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(10**30), 10**30),
-    st.integers(-2, 9),
-    st.text(max_size=8),
-    st.sampled_from(["form", "multivector", "0", "1", "-3", "8", "32768", "1_0", " 2"]),
-)
-json_keys = st.one_of(st.sampled_from(["variance", "degree", "terms", "idx", "coeff", "exp", "num", "den"]), st.text(max_size=4))
-json_values = st.recursive(
-    json_leaves,
-    lambda inner: st.one_of(st.lists(inner, max_size=9), st.dictionaries(json_keys, inner, max_size=5)),
-    max_leaves=40,
-)
-
-
-@st.composite
-def near_valid_documents(draw):
-    """The document's own shape; each field is valid except one time in ten."""
-
-    def field(valid):
-        return draw(valid if draw(st.integers(0, 9)) else json_values)
-
-    def monomial():
-        decimal = st.integers(-99, 99).map(str)
-        exp = st.lists(st.integers(0, 3), min_size=8, max_size=8)
-        return {"exp": field(exp), "num": field(decimal), "den": field(decimal)}
-
-    degree = draw(st.integers(0, 8))
-    terms = [
-        {
-            "idx": field(st.lists(st.integers(0, 7), min_size=degree, max_size=degree)),
-            "coeff": [monomial() for _ in range(draw(st.integers(0, 3)))],
-        }
-        for _ in range(draw(st.integers(0, 4)))
-    ]
-    return {
-        "variance": field(st.sampled_from(["form", "multivector"])),
-        "degree": field(st.just(degree)),
-        "terms": terms,
     }
 
 

@@ -297,6 +297,18 @@ def test_report_shape():
         }
 
 
+def test_fractional_mutation_degree_rejected():
+    # no tensor has degree 2.5: the mutation would flip nothing and every check would pass
+    with pytest.raises(ValueError, match="star_flip_degree must be an integer, got 2.5"):
+        run_checks(scope="core", cases=1, star_flip_degree=2.5)
+
+
+def test_fractional_cases_rejected():
+    # 1.5 cases used to reach range() in a check body and escape as a TypeError
+    with pytest.raises(ValueError, match="cases must be an integer, got 1.5"):
+        run_checks(scope="core", cases=1.5)
+
+
 @pytest.mark.parametrize("name", ["seed", "cases", "star_flip_degree"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_bool_arguments_rejected(name, flag):
