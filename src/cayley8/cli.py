@@ -40,6 +40,11 @@ def _load_json(path: str):
     return decode_json(text, path)
 
 
+def _wrong_shape(tensor, message: str) -> ParseError:
+    """``message`` at ``$.variance`` for a multivector, else at ``$.degree``."""
+    return ParseError(message, "$.variance" if tensor.variance != FORM else "$.degree")
+
+
 def _emit(payload, fmt: str, text_renderer) -> None:
     if fmt == "json":
         sys.stdout.write(json_text(payload) + "\n")
@@ -96,7 +101,7 @@ def cmd_solve(args) -> int:
     psi = cayley_form()
     if args.kind == "cayley2":
         if tensor.variance != FORM or tensor.degree != 1:
-            raise ParseError("cayley2 expects a one-form document")
+            raise _wrong_shape(tensor, "cayley2 expects a one-form document")
         q = cayley_2mvf_for(tensor)
         target = exterior_derivative(tensor)
         residuals = {
@@ -105,7 +110,7 @@ def cmd_solve(args) -> int:
         }
     else:
         if tensor.variance != FORM or tensor.degree != 0:
-            raise ParseError("cayley3 expects a degree-0 form (polynomial) document")
+            raise _wrong_shape(tensor, "cayley3 expects a degree-0 form (polynomial) document")
         f = tensor.coefficient(())
         q = cayley_3mvf_for(f)
         target = exterior_derivative(scalar_tensor(f))
@@ -129,7 +134,7 @@ def cmd_solve(args) -> int:
 def cmd_primitive(args) -> int:
     tensor = document_to_tensor(_load_json(args.input))
     if tensor.variance != FORM or tensor.degree < 1:
-        raise ParseError("primitive expects a form of degree >= 1")
+        raise _wrong_shape(tensor, "primitive expects a form of degree >= 1")
     pair = homotopy_pair(tensor)
     payload = {
         "primitive": pair.primitive,

@@ -14,11 +14,11 @@ precision survives any JSON implementation::
 
 Index lists may arrive unsorted; they canonicalize on load with the
 permutation sign absorbed into the coefficient.  A repeated index collapses
-the term to zero and emits a warning.  Loading takes one pass over a term
-whose index is a list of plain ints in range and whose monomials are well
-formed, packing each exponent list as it goes; anything else takes the
-located parse, which names the first node at fault.  Both give the same
-tensor, error and warning.
+the term to zero and emits a warning.  Loading is one walk over the terms
+and their monomials.  A well-formed index list or monomial is taken as it
+is, each exponent list packed on the spot; any other node goes through its
+located body (:func:`_located_idx`, :func:`_located_monomial`), which
+accepts it or raises a :class:`ParseError` naming the first node at fault.
 
 :func:`json_text` writes every ``--format json`` output of the command line:
 ``json.dumps(value, indent=2)`` byte for byte, in one pass over the value.
@@ -76,57 +76,52 @@ def _parse_integer(value: Any, location: str) -> int:
 
 
 def document_to_polynomial(doc: Any, location: str = "$") -> Polynomial:
-    packed = _packed_monomials(doc)
-    return _located_polynomial(doc, location) if packed is None else _summed(packed)
+    return _polynomial(doc, lambda: location)
 
 
-def _packed_monomials(doc: Any) -> list[tuple[int, int, int]] | None:
-    """``(key, num, den)`` per monomial of a well-formed coefficient list, else None.
+def _polynomial(doc: Any, where: Callable[[], str]) -> Polynomial:
+    """The polynomial of the coefficient list at ``where()``, called only for a node the guard rejects.
 
-    Well formed: each monomial is a dict whose ``exp`` is a list of eight
-    plain ints in 0..MAX_EXPONENT and whose ``num`` and ``den`` are decimal
-    strings, ``den`` not 0.  Any other list takes :func:`_located_polynomial`,
-    which names the offending node.
+    The guard takes a dict whose ``exp`` is a list of eight plain ints in
+    0..MAX_EXPONENT and whose ``num`` and ``den`` are decimal strings,
+    ``den`` not 0; any other monomial goes through :func:`_located_monomial`.
     """
-    if doc.__class__ is not list:
-        return None
-    packed = []
+    if not isinstance(doc, list):
+        _expect_type(doc, list, where())
     match = _DECIMAL.fullmatch
-    try:
-        for mono in doc:
-            if mono.__class__ is not dict:
-                return None
-            exp, num, den = mono["exp"], mono["num"], mono.get("den", "1")
-            if exp.__class__ is not list or {*map(type, exp)} != _INT or not (match(num) and match(den)):
-                return None
-            packed.append((_pack(exp), int(num), int(den)))  # _pack checks the length and range
-    except (KeyError, TypeError, ValueError):  # ValueError: a bad exponent, or past the digit limit
-        return None
-    return packed if all(den for _, _, den in packed) else None
-
-
-def _located_polynomial(doc: Any, location: str) -> Polynomial:
-    """The polynomial of a coefficient list, or a :class:`ParseError` naming the first node at fault."""
-    _expect_type(doc, list, location)
-    quotients: list[tuple[tuple[int, ...], int, int]] = []
+    packed = []
     for n, mono in enumerate(doc):
-        here = f"{location}[{n}]"
-        _expect_type(mono, dict, here)
-        exp = _expect_type(mono.get("exp"), list, f"{here}.exp")
-        if len(exp) != DIM:
-            raise ParseError(f"exponent tuple needs {DIM} entries, got {len(exp)}", f"{here}.exp")
-        exponents = tuple(_parse_integer(e, f"{here}.exp[{i}]") for i, e in enumerate(exp))
-        if any(e < 0 for e in exponents):
-            raise ParseError("negative exponent", f"{here}.exp")
-        for i, e in enumerate(exponents):
-            if e > MAX_EXPONENT:
-                raise ParseError(f"exponent {e} above MAX_EXPONENT = {MAX_EXPONENT}", f"{here}.exp[{i}]")
-        num = _parse_integer(mono.get("num"), f"{here}.num")
-        den = _parse_integer(mono.get("den", "1"), f"{here}.den")
-        if den == 0:
-            raise ParseError("zero denominator", f"{here}.den")
-        quotients.append((exponents, num, den))
-    return Polynomial.from_quotients(quotients)
+        try:
+            exp, num, den = mono["exp"], mono["num"], mono.get("den", "1")
+            if (
+                mono.__class__ is dict and exp.__class__ is list and {*map(type, exp)} == _INT
+                and match(num) and match(den) and (d := int(den))
+            ):
+                packed.append((_pack(exp), int(num), d))  # _pack checks the length and range
+                continue
+        except (KeyError, TypeError, ValueError):  # ValueError: a bad exponent, or past the digit limit
+            pass
+        packed.append(_located_monomial(mono, f"{where()}[{n}]"))
+    return _summed(packed)
+
+
+def _located_monomial(mono: Any, here: str) -> tuple[int, int, int]:
+    """``(key, num, den)`` of a monomial, or a :class:`ParseError` naming the first node at fault."""
+    _expect_type(mono, dict, here)
+    exp = _expect_type(mono.get("exp"), list, f"{here}.exp")
+    if len(exp) != DIM:
+        raise ParseError(f"exponent tuple needs {DIM} entries, got {len(exp)}", f"{here}.exp")
+    exponents = tuple(_parse_integer(e, f"{here}.exp[{i}]") for i, e in enumerate(exp))
+    if any(e < 0 for e in exponents):
+        raise ParseError("negative exponent", f"{here}.exp")
+    for i, e in enumerate(exponents):
+        if e > MAX_EXPONENT:
+            raise ParseError(f"exponent {e} above MAX_EXPONENT = {MAX_EXPONENT}", f"{here}.exp[{i}]")
+    num = _parse_integer(mono.get("num"), f"{here}.num")
+    den = _parse_integer(mono.get("den", "1"), f"{here}.den")
+    if den == 0:
+        raise ParseError("zero denominator", f"{here}.den")
+    return _pack(exponents), num, den
 
 
 def polynomial_to_document(poly: Polynomial) -> list[dict[str, Any]]:
@@ -151,13 +146,11 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
     groups: defaultdict[int, list] = defaultdict(list)
     for n, term in enumerate(raw_terms):
         idx = term.get("idx") if term.__class__ is dict else None
-        packed = None
         if idx.__class__ is list and len(idx) == degree and {*map(type, idx)} <= _INT and all(0 <= i < DIM for i in idx):
-            packed = _packed_monomials(term.get("coeff", []))
-        if packed is None:
-            indices, coeff = _located_term(term, degree, f"{location}.terms[{n}]")
+            indices = tuple(idx)
         else:
-            indices, coeff = tuple(idx), _summed(packed)
+            indices = _located_idx(term, degree, f"{location}.terms[{n}]")
+        coeff = _polynomial(term.get("coeff", []), lambda: f"{location}.terms[{n}].coeff")
         key, sign = canonicalize(indices)
         if sign == 0:
             if not coeff.is_zero():
@@ -170,8 +163,8 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
     return GradedTensor._raw(variance, degree, _grouped_sum(groups))
 
 
-def _located_term(term: Any, degree: int, here: str) -> tuple[tuple[int, ...], Polynomial]:
-    """A term's indices and coefficient, or a :class:`ParseError` naming the node at fault."""
+def _located_idx(term: Any, degree: int, here: str) -> tuple[int, ...]:
+    """A term's indices, or a :class:`ParseError` naming the node at fault."""
     _expect_type(term, dict, here)
     idx = _expect_type(term.get("idx"), list, f"{here}.idx")
     indices = tuple(_parse_integer(i, f"{here}.idx[{j}]") for j, i in enumerate(idx))
@@ -179,7 +172,7 @@ def _located_term(term: Any, degree: int, here: str) -> tuple[tuple[int, ...], P
         raise ParseError(f"idx has length {len(indices)} but degree is {degree}", f"{here}.idx")
     if any(not 0 <= i < DIM for i in indices):
         raise ParseError(f"index outside 0..{DIM - 1}", f"{here}.idx")
-    return indices, document_to_polynomial(term.get("coeff", []), f"{here}.coeff")
+    return indices
 
 
 def _document_degree(t: GradedTensor) -> int:

@@ -872,6 +872,7 @@ def run_checks(
     for name, value in (("seed", seed), ("cases", cases), ("star_flip_degree", star_flip_degree)):
         if isinstance(value, bool):  # a bool is an int: True would run one case, False flip degree 0
             raise ValueError(f"{name} must be an integer, not the bool {value}")
+    seed = _index("seed", seed)  # 1.5, "7" or None would seed the RNG through its str() and land in the report
     cases = _index("cases", cases)  # 1.5 would reach range() in a check body; 2.5 flips no degree
     if star_flip_degree is not None:
         star_flip_degree = _index("star_flip_degree", star_flip_degree)

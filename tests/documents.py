@@ -1,18 +1,19 @@
-"""Tensor documents for the tests: Hypothesis strategies and the two reference paths.
+"""Tensor documents for the tests: Hypothesis strategies and the two references.
 
 ``near_valid_documents`` draws the document's own shape with each field
 invalid about one time in ``odds`` (ten by default).  ``as_documents`` turns
 every ``GradedTensor`` and ``Polynomial`` inside a value into its plain
-document, the reference for ``json_text``; ``located_outcome`` loads a document through the located
-parse alone, the reference for the loader's one-pass path.
+document, the reference for ``json_text``; ``located_outcome`` loads a
+document through the located parse of ``reference_serialize.py``, the
+reference for the loader's guarded walk.
 """
 
 import warnings
-from unittest import mock
 
 from hypothesis import strategies as st
 
-from cayley8 import serialize
+import reference_serialize
+
 from cayley8.polynomial import Polynomial
 from cayley8.serialize import ParseError, document_to_tensor, polynomial_to_document, tensor_to_document
 from cayley8.tensor import GradedTensor
@@ -75,12 +76,12 @@ def as_documents(value):
     return value
 
 
-def load_outcome(doc, location="$"):
-    """What ``document_to_tensor`` gives: the tensor's fields or the error, and the warnings."""
+def load_outcome(doc, location="$", load=document_to_tensor):
+    """What ``load`` gives: the tensor's fields or the error, and the warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            t = document_to_tensor(doc, location)
+            t = load(doc, location)
             result = (t.variance, t.degree, t.terms)
         except ParseError as exc:
             result = ("ParseError", str(exc))
@@ -88,6 +89,5 @@ def load_outcome(doc, location="$"):
 
 
 def located_outcome(doc, location="$"):
-    """:func:`load_outcome` with the one-pass path turned off, so every node goes the located way."""
-    with mock.patch.object(serialize, "_packed_monomials", lambda doc: None):
-        return load_outcome(doc, location)
+    """:func:`load_outcome` of the reference loader, which takes every node the located way."""
+    return load_outcome(doc, location, reference_serialize.document_to_tensor)

@@ -115,6 +115,19 @@ class TestSolve:
         code, _ = run(capsys, "solve", "cayley2", "--input", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kind, tensor, error",
+        [
+            ("cayley2", dx(0, 1), "$.degree: cayley2 expects a one-form document"),
+            ("cayley2", mv(0), "$.variance: cayley2 expects a one-form document"),
+            ("cayley3", dx(0, 1), "$.degree: cayley3 expects a degree-0 form (polynomial) document"),
+            ("cayley3", scalar_tensor(x(3), "multivector"), "$.variance: cayley3 expects a degree-0 form (polynomial) document"),
+        ],
+    )
+    def test_wrong_shape_is_a_located_error(self, tmp_path, capsys, kind, tensor, error):
+        code, captured = run(capsys, "solve", kind, "--input", write_doc(tmp_path / "t.json", tensor_to_document(tensor)))
+        assert (code, captured.err, captured.out) == (2, f"error: {error}\n", "")
+
 
 class TestPrimitive:
     def test_closed_form(self, tmp_path, capsys):
@@ -128,6 +141,15 @@ class TestPrimitive:
     def test_degree_zero_rejected(self, function_file, capsys):
         code, _ = run(capsys, "primitive", "--input", function_file)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "tensor, location",
+        [(scalar_tensor(x(3)), "$.degree"), (mv(0, 1), "$.variance")],
+    )
+    def test_wrong_shape_is_a_located_error(self, tmp_path, capsys, tensor, location):
+        code, captured = run(capsys, "primitive", "--input", write_doc(tmp_path / "t.json", tensor_to_document(tensor)))
+        error = f"error: {location}: primitive expects a form of degree >= 1\n"
+        assert (code, captured.err, captured.out) == (2, error, "")
 
 
 class TestRankReport:

@@ -5,8 +5,8 @@ Each run goes through ``cli.main`` with ``--format json``.  Exit 0 must print
 must be written exactly as ``json.dumps(indent=2)`` writes it with each
 tensor and polynomial in it replaced by its plain document.  Exit 2 must
 print one ``error: $...: message`` line naming a node of the input, and
-nothing on stdout.  On every input document the loader's one-pass path
-must agree with the located parse.
+nothing on stdout.  On every input document the loader must agree with
+the located parse of ``reference_serialize.py``.
 """
 
 import contextlib

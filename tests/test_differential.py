@@ -30,8 +30,9 @@ constructor, ``+``, ``-`` and ``document_to_tensor``) with the
 one-term-at-a-time ``_accumulate`` of ``reference_tensor.py``.
 ``json_text`` on values holding tensors and polynomials is compared with
 ``json.dumps(indent=2)`` of their plain documents, and the loader's
-one-pass path with the located parse, through the references of
-``documents.py``.
+guarded walk with the located parse of ``reference_serialize.py``, through
+the references of ``documents.py``; its guard must take exactly the
+coefficient lists that the one-pass path before it took.
 """
 
 import json
@@ -39,6 +40,7 @@ import warnings
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,7 @@ from hypothesis import strategies as st
 import reference_calculus
 import reference_linalg
 import reference_multiindex
+import reference_serialize
 import reference_spin7
 import reference_tensor
 from documents import as_documents, json_values, load_outcome, located_outcome, near_valid_documents
@@ -825,6 +828,29 @@ def polynomial_outcome(load, doc):
     return p._nums, p._den
 
 
+class Refused(Exception):
+    pass
+
+
+def refuse(node, *location):
+    raise Refused(location)
+
+
+def guard_takes(coeff):
+    """Whether the loader takes every monomial of ``coeff`` without its located body."""
+    with mock.patch.object(serialize, "_located_monomial", refuse):
+        try:
+            document_to_polynomial(coeff)
+        except (Refused, ParseError):  # ParseError: not a list
+            return False
+    return True
+
+
+def assert_same_polynomial_load(coeff):
+    assert polynomial_outcome(document_to_polynomial, coeff) == polynomial_outcome(reference_serialize.document_to_polynomial, coeff)
+    assert guard_takes(coeff) == (reference_serialize.packed_monomials(coeff) is not None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(near_valid_documents(), json_values))
 def test_document_to_tensor_matches_located_parse(doc):
@@ -832,8 +858,7 @@ def test_document_to_tensor_matches_located_parse(doc):
     assert_same_load(doc, "$.form")
     terms = doc.get("terms") if isinstance(doc, dict) else None
     for term in terms if isinstance(terms, list) else []:
-        coeff = term.get("coeff") if isinstance(term, dict) else term
-        assert polynomial_outcome(document_to_polynomial, coeff) == polynomial_outcome(serialize._located_polynomial, coeff)
+        assert_same_polynomial_load(term.get("coeff") if isinstance(term, dict) else term)
 
 
 def monomial(exp=(0, 1, 0, 0, 0, 0, 0, 2), num="-3", den="4"):
@@ -868,7 +893,7 @@ def monomial(exp=(0, 1, 0, 0, 0, 0, 0, 2), num="-3", den="4"):
     ],
 )
 def test_document_to_polynomial_matches_located_parse_on_edge_cases(coeff):
-    assert polynomial_outcome(document_to_polynomial, coeff) == polynomial_outcome(serialize._located_polynomial, coeff)
+    assert_same_polynomial_load(coeff)
     doc = {"variance": "form", "degree": 2, "terms": [{"idx": [1, 0], "coeff": coeff}]}
     assert_same_load(doc)
 
@@ -878,7 +903,11 @@ def test_document_to_tensor_matches_located_parse_on_index_edge_cases(idx):
     assert_same_load({"variance": "form", "degree": 2, "terms": [{"idx": idx, "coeff": [monomial()]}]})
 
 
-def test_well_formed_documents_take_the_one_pass_path():
-    # the differential tests above would pass vacuously if nothing took the fast path
-    assert serialize._packed_monomials([monomial(), monomial(den="-6"), {"exp": [0] * 8, "num": "5"}]) is not None
-    assert serialize._packed_monomials([]) == []
+@settings(max_examples=100, deadline=None)
+@given(near_valid_documents(odds=None))
+def test_well_formed_documents_take_the_guard(doc):
+    # the differential tests above would pass vacuously if every node went the located way
+    coeff = [monomial(), monomial(den="-6"), {"exp": [0] * 8, "num": "5"}]
+    doc["terms"].append({"idx": list(range(doc["degree"]))[::-1], "coeff": coeff})
+    with mock.patch.object(serialize, "_located_monomial", refuse), mock.patch.object(serialize, "_located_idx", refuse):
+        assert load_outcome(doc) == located_outcome(doc)

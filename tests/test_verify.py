@@ -309,6 +309,13 @@ def test_fractional_cases_rejected():
         run_checks(scope="core", cases=1.5)
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", None])
+def test_non_integer_seed_rejected(seed):
+    # the RNG key is f"{seed}:{check id}", so "7" used to run the draws of seed 7 and report "seed": "7"
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        run_checks(scope="core", seed=seed, cases=1)
+
+
 @pytest.mark.parametrize("name", ["seed", "cases", "star_flip_degree"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_bool_arguments_rejected(name, flag):
