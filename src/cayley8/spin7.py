@@ -11,20 +11,23 @@ Each structure map has one home here; its exact matrix is
 cached immutably, so after first use everything is read-only and freely
 shareable between threads.
 
-Every field operator with constant coefficients applies one such matrix to
-the polynomial coordinates of its argument through
-:func:`cayley8.tensor.apply_matrix`, each matrix built on first use from the
-wedge, Hodge and contraction kernels:
+The maps of Psi are built once, as :func:`map_matrix` of Q -> Q _| Psi
+through the contraction kernel.  The same matrix is alpha -> star(Psi ^ alpha)
+on k-forms: Q _| Psi = star(flat(Q) ^ star(Psi)) holds with sign +1 on
+four-forms, and star(Psi) = Psi (registry checks ``multivector_identity_1``
+and ``cayley_self_dual``).  Every field operator with constant coefficients
+applies one cached matrix to the polynomial coordinates of its argument
+through :func:`cayley8.tensor.apply_matrix`:
 
-- :func:`two_form_operator` applies T = star(Psi ^ .) on two-forms;
+- :func:`two_form_operator` applies T = star(Psi ^ .) = ``map_matrix(2)``;
   :func:`project2` applies (I - T)/4 and (3I + T)/4;
-- :func:`three_form_operator` applies star(Psi ^ .) from three-forms to
-  one-forms, then from one-forms to three-forms; :func:`project3` takes
-  -1/7 of it;
+- :func:`three_form_operator` applies S = ``map_matrix(1) @ map_matrix(3)``,
+  star(Psi ^ .) from three-forms to one-forms and back; :func:`project3`
+  takes -1/7 of it;
 - :func:`project4` applies pi_7 = G G^T/32 (G the matrix of
   :func:`seven_part_generators`) and pi_35 = (I - star)/2;
 - :func:`psi2_inverse` applies the inverse of ``map_matrix(2)``, and
-  :func:`psi3_section` -1/7 star(Psi ^ .) on one-forms.
+  :func:`psi3_section` -1/7 ``map_matrix(1)`` on one-forms.
 
 Among the defining residuals, the two-form parts apply T, the 7-part pi_7
 and the 27-part G^T; the 8-part goes through the wedge, Hodge and
@@ -115,8 +118,8 @@ def two_form_operator(beta: GradedTensor) -> GradedTensor:
 def three_form_operator(eta: GradedTensor) -> GradedTensor:
     """S(eta) = star(Psi ^ star(Psi ^ eta)) on three-forms; spectrum {-7, 0}."""
     _expect(eta, FORM, 3)
-    image = apply_matrix(_wedge_star_matrix(3), eta, 1, FORM)  # star(Psi ^ eta), a one-form
-    return apply_matrix(_wedge_star_matrix(1), image, 3, FORM)
+    image = apply_matrix(map_matrix(3), eta, 1, FORM)  # star(Psi ^ eta), a one-form
+    return apply_matrix(map_matrix(1), image, 3, FORM)
 
 
 def _expect(t: GradedTensor, variance: str, degree: int) -> None:
@@ -268,7 +271,8 @@ def map_matrix(k: int) -> ExactMatrix:
     """Matrix of Q -> Q _| Psi from degree-k multivectors to (4-k)-forms.
 
     Rows run over the lexicographic basis of (4-k)-forms, columns over the
-    basis of k-multivectors; shapes 56x8, 28x28, 8x56 for k = 1, 2, 3.
+    basis of k-multivectors; shapes 56x8, 28x28, 8x56 for k = 1, 2, 3.  Read
+    with k-form columns, it is also the matrix of alpha -> star(Psi ^ alpha).
     """
     if k not in (1, 2, 3):
         raise DegreeMismatch("contraction maps exist for degrees 1, 2, 3")
@@ -276,26 +280,15 @@ def map_matrix(k: int) -> ExactMatrix:
     return structure_matrix((contract(mv(*idx), psi) for idx in basis(k)), 4 - k)
 
 
-@cache
-def _wedge_star_matrix(k: int) -> ExactMatrix:
-    """Matrix of alpha -> star(Psi ^ alpha) from k-forms to (4-k)-forms, k = 1, 2, 3.
-
-    Built from the wedge and Hodge kernels: 56x8, 28x28 (T), 8x56.
-    """
-    psi = cayley_form()
-    return structure_matrix((hodge(wedge(psi, dx(*idx))) for idx in basis(k)), 4 - k)
-
-
 def two_form_operator_matrix() -> ExactMatrix:
-    """28x28 matrix of T(beta) = star(Psi ^ beta)."""
-    return _wedge_star_matrix(2)
+    """28x28 matrix of T(beta) = star(Psi ^ beta), which is ``map_matrix(2)``."""
+    return map_matrix(2)
 
 
 @cache
 def three_form_operator_matrix() -> ExactMatrix:
-    """56x56 matrix of S(eta) = star(Psi ^ star(Psi ^ eta)), built from the kernels."""
-    psi = cayley_form()
-    return structure_matrix((hodge(wedge(psi, hodge(wedge(psi, dx(*idx))))) for idx in basis(3)), 3)
+    """56x56 matrix of S(eta) = star(Psi ^ star(Psi ^ eta)), ``map_matrix(1) @ map_matrix(3)``."""
+    return map_matrix(1) @ map_matrix(3)
 
 
 @cache
@@ -334,8 +327,8 @@ def _psi2_inverse_matrix() -> ExactMatrix:
 
 @cache
 def _psi3_section_matrix() -> ExactMatrix:
-    """56x8 matrix -1/7 star(Psi ^ .) from one-forms to three-(multi)vectors."""
-    return _wedge_star_matrix(1) * Fraction(-1, 7)
+    """56x8 matrix -1/7 star(Psi ^ .) = -1/7 ``map_matrix(1)``, one-forms to three-vectors."""
+    return map_matrix(1) * Fraction(-1, 7)
 
 
 def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Rational) -> int:

@@ -236,9 +236,6 @@ class GradedTensor:
 
     __rmul__ = __mul__
 
-    def __xor__(self, other: "GradedTensor") -> "GradedTensor":
-        return wedge(self, other)
-
 
 # The slots' own setters: they write past ``GradedTensor.__setattr__``, which refuses.
 _set_variance, _set_degree, _set_terms = (GradedTensor.__dict__[name].__set__ for name in GradedTensor.__slots__)

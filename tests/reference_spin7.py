@@ -5,7 +5,9 @@ cached exact matrix through ``tensor.apply_matrix``.  The functions here are
 the bodies those operators had before: T and S through the ``wedge`` and
 ``hodge`` kernels, the four-form 7-part as a sum over the 28 generators,
 ``psi2_inverse`` through the eigenspace split and ``psi3_section`` through
-``contract``.
+``contract``.  ``wedge_star`` is star(Psi ^ .) on every degree, whose
+matrices ``spin7`` builds once, as the contraction matrices ``map_matrix``;
+``kernel_matrix`` builds the matrix of any of these from its basis images.
 
 ``seven_part`` is older still: the 70x70 orthogonal projector
 B (B^T B)^-1 B^T onto the span of the 28 generators, where the columns of B
@@ -23,16 +25,35 @@ from cayley8.linalg import ExactMatrix
 from cayley8.multiindex import MASK, MultiIndex, basis, basis_position
 from cayley8.polynomial import Polynomial
 from cayley8.spin7 import DecompositionReport, cayley_form, seven_part_generators
-from cayley8.tensor import FORM, GradedTensor, _grouped_sum, contract, hodge, inner, sharp, wedge
+from cayley8.tensor import (
+    FORM,
+    GradedTensor,
+    _grouped_sum,
+    contract,
+    dx,
+    hodge,
+    inner,
+    sharp,
+    structure_matrix,
+    wedge,
+)
 
 
-def two_form_operator(beta: GradedTensor) -> GradedTensor:
-    return hodge(wedge(cayley_form(), beta))
+def wedge_star(alpha: GradedTensor) -> GradedTensor:
+    """star(Psi ^ alpha) on forms of any degree; T on two-forms."""
+    return hodge(wedge(cayley_form(), alpha))
+
+
+def kernel_matrix(operator, degree: int, target: int) -> ExactMatrix:
+    """The matrix of ``operator`` from ``degree``-forms to ``target``-forms, from its basis images."""
+    return structure_matrix((operator(dx(*idx)) for idx in basis(degree)), target)
+
+
+two_form_operator = wedge_star
 
 
 def three_form_operator(eta: GradedTensor) -> GradedTensor:
-    psi = cayley_form()
-    return hodge(wedge(psi, hodge(wedge(psi, eta))))
+    return wedge_star(wedge_star(eta))
 
 
 def seven_part_sum(sigma: GradedTensor) -> GradedTensor:

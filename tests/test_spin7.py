@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_spin7
 from cayley8 import spin7
 from cayley8.calculus import exterior_derivative, codifferential
 from cayley8.linalg import ExactMatrix
@@ -276,7 +277,13 @@ class TestMapMatrices:
             structure_matrix([dx(0, 1, coeff=x(3))], 2)
 
     def test_degree_two_matrix_is_wedge_operator(self):
-        assert map_matrix(2) == two_form_operator_matrix()
+        t_matrix = reference_spin7.kernel_matrix(reference_spin7.two_form_operator, 2, 2)
+        assert two_form_operator_matrix() == t_matrix
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matrix_is_star_of_wedge_with_psi(self, k):
+        # Q _| Psi = star(flat(Q) ^ star(Psi)) with sign +1 on four-forms, and star(Psi) = Psi
+        assert map_matrix(k) == reference_spin7.kernel_matrix(reference_spin7.wedge_star, k, 4 - k)
 
     def test_kernel_matches_wedge_annihilator(self):
         kernel = map_matrix(3).nullspace()
@@ -302,10 +309,11 @@ class TestMapMatrices:
 
 class TestCachedOperatorMatrices:
     def test_three_form_operator_factors_through_one_forms(self):
-        # S = M1 M3, M3 = star(Psi ^ .) on three-forms and M1 on one-forms; S is built from the kernels
-        m1, m3 = spin7._wedge_star_matrix(1), spin7._wedge_star_matrix(3)
+        # S = M1 M3, M3 = star(Psi ^ .) on three-forms and M1 on one-forms, against the kernel build
+        m1, m3 = map_matrix(1), map_matrix(3)
         assert (m1.shape, m3.shape) == ((56, 8), (8, 56))
-        assert three_form_operator_matrix() == m1 @ m3
+        s_matrix = reference_spin7.kernel_matrix(reference_spin7.three_form_operator, 3, 3)
+        assert three_form_operator_matrix() == m1 @ m3 == s_matrix
 
     def test_two_form_parts_are_complementary_projectors(self):
         p7, p21 = spin7._projector("2_7"), spin7._projector("2_21")

@@ -97,9 +97,6 @@ class TestWedge:
             a, b, c = (make_tensor(FORM, d) for d in (1, 2, 2))
             assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
-    def test_operator_alias(self):
-        assert (dx(0) ^ dx(1)) == dx(0, 1)
-
     def test_degree_zero_multiplies(self):
         f = unit() * x(3)
         assert wedge(f, dx(0)) == dx(0, coeff=x(3))

@@ -163,12 +163,13 @@ def test_homotopy_closed_primitive_catches_a_zero_primitive(seed, monkeypatch):
 
 
 #: Each cached operator matrix of spin7: (builder, its argument or None, the
-#: spin7 checks that read it).  Two-form parts, the factors of S, pi_7 and
-#: pi_35, the generator pairings, psi2^-1 and the psi3 section.
+#: spin7 checks that read it).  T and the factors of S (all ``map_matrix``),
+#: the two-form parts, pi_7 and pi_35, the generator pairings, psi2^-1 and
+#: the psi3 section.
 CACHED_OPERATORS = [
-    ("_wedge_star_matrix", 2, {"two_form_split"}),
-    ("_wedge_star_matrix", 1, {"three_form_split"}),
-    ("_wedge_star_matrix", 3, {"three_form_split"}),
+    ("map_matrix", 2, {"two_form_split"}),
+    ("map_matrix", 1, {"three_form_split"}),
+    ("map_matrix", 3, {"three_form_split"}),
     ("_projector", "2_7", {"two_form_split"}),
     ("_projector", "2_21", {"two_form_split"}),
     ("_projector", "4_7", {"four_form_split"}),
@@ -204,6 +205,14 @@ def test_perturbed_operator_matrix_fails_its_checks(builder, key, checks, monkey
         patch.setattr(spin7, builder, perturbed(builder, key))
         assert checks <= failing()
     assert failing() == set()
+
+
+def test_perturbed_registry_map_matrix_fails_map_rank_two(monkeypatch):
+    # verify holds its own map_matrix name; only the check that compares it with
+    # the wedge-and-Hodge build of star(Psi ^ .) on two-forms reads it at degree 2
+    assert failing() == set()
+    monkeypatch.setattr(verify, "map_matrix", perturbed("map_matrix", 2))
+    assert failing() == {"map_rank_two"}
 
 
 # each entry sits in a column that the one seeded draw at seed 0 does not read
