@@ -6,8 +6,8 @@ form along a multivector field, and the Schouten-Nijenhuis bracket.
 
 Sign conventions:
 
-* codifferential: ``delta = -star d star`` on every degree (dimension 8 is
-  even, so no degree-dependent sign is needed);
+* codifferential: ``delta = -star d star`` on every degree, 0 included
+  (dimension 8 is even, so no degree-dependent sign is needed);
 * Schouten bracket, defined on a decomposable first argument by::
 
       [u1 ^ ... ^ ul, Q] = sum_i (-1)**(i+1) u1 ^ ... ^ ui-hat ^ ... ^ ul ^ L_{ui} Q
@@ -21,9 +21,10 @@ The bracket is computed by Koszul's formula, as the failure of the
 divergence ``-sharp delta flat`` to be a derivation; the cone primitive is a
 contraction with the Euler field.  Only ``exterior_derivative`` walks index
 positions, and it reads its signs from the ``multiindex.PARITY`` table; no
-other operator here computes a permutation sign.  The differential test against the
-expansion above (``tests/reference_calculus.py``) pins the equality on every
-pair of degrees.
+other operator here computes a permutation sign.  The differential test
+against the expansion above (``tests/reference_calculus.py``) pins the
+equality on every pair of degrees.  No operator branches on degrees outside
+0..8, where the tensor kernels return zero tensors.
 """
 
 from __future__ import annotations
@@ -62,11 +63,9 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
 
 
 def codifferential(beta: GradedTensor) -> GradedTensor:
-    """delta = -star d star; returns the zero tensor on degree 0."""
+    """delta = -star d star; on a function it is the zero tensor of degree -1."""
     if beta.variance != FORM:
         raise VarianceMismatch("codifferential acts on forms")
-    if beta.degree == 0:
-        return GradedTensor.zero(FORM, -1)
     return -hodge(exterior_derivative(hodge(beta)))
 
 
@@ -126,21 +125,15 @@ def homotopy_pair(beta: GradedTensor) -> HomotopyPrimitive:
 def lie_derivative(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
     """Lie derivative of a form along a multivector field.
 
-    Computed literally as ``Q _| d(beta) - (-1)^q d(Q _| beta)``; degree
-    underflow returns the zero tensor.
+    Computed literally as ``Q _| d(beta) - (-1)^q d(Q _| beta)``; a term
+    whose contraction underflows is the zero form.
     """
     if q.variance != MULTIVECTOR:
         raise VarianceMismatch("lie_derivative expects a multivector field")
     if beta.variance != FORM:
         raise VarianceMismatch("lie_derivative expects a form")
-    degree = beta.degree - q.degree + 1
-    if q.degree > beta.degree + 1:
-        return GradedTensor.zero(FORM, degree)
     first = contract(q, exterior_derivative(beta))
-    if q.degree > beta.degree:
-        second = GradedTensor.zero(FORM, degree)
-    else:
-        second = exterior_derivative(contract(q, beta))
+    second = exterior_derivative(contract(q, beta))
     return first - second if q.degree % 2 == 0 else first + second
 
 

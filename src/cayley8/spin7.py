@@ -456,6 +456,8 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
         return {"residual": lhs - volume * (inner(x, x) * 7)}
     if name == "decomposable_minus6":
         u, v = inputs
+        _expect(u, MULTIVECTOR, 1)
+        _expect(v, MULTIVECTOR, 1)
         q = wedge(u, v)
         image = contract(q, psi)
         lhs = wedge(image, wedge(image, psi))

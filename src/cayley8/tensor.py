@@ -5,7 +5,10 @@ A :class:`GradedTensor` is a single-degree alternating tensor, tagged either
 map from sorted multi-indices to :class:`~cayley8.polynomial.Polynomial`
 coefficients.  The metric is the flat Euclidean one with orientation
 vol = dx0^...^dx7, so the musical isomorphisms leave coefficients untouched
-and the Hodge star is pure index combinatorics.
+and the Hodge star is pure index combinatorics.  Outside degrees 0..8, where
+the algebra vanishes, each kernel returns the zero tensor of its formula's
+degree without a branch: no masks are disjoint past degree 8, none of a
+multivector lies inside a form of lower degree, a zero has no terms to star.
 
 Contraction order
 -----------------
@@ -90,8 +93,8 @@ class GradedTensor:
 
     ``terms`` maps strictly increasing index tuples of length ``degree`` to
     nonzero polynomials.  Degrees outside 0..8 are allowed only for the zero
-    tensor (the exterior algebra vanishes there), which lets operations like
-    ``d`` on top degree return an honest zero instead of erroring.  A bool
+    tensor, which operations return there instead of erroring (``d`` on top
+    degree, ``contract`` into a form of lower degree).  A bool
     degree raises :class:`DegreeMismatch`, as a document's does on loading.
     Internal constructors wrap finished term dicts with :meth:`_raw`, which
     writes the slots through their own setters.
@@ -351,29 +354,22 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
 
 
 def wedge(a: GradedTensor, b: GradedTensor) -> GradedTensor:
-    """Exterior product; degrees beyond 8 collapse to the zero tensor."""
+    """Exterior product; past degree 8 no two masks are disjoint, so the result is zero."""
     if a.variance != b.variance:
         raise VarianceMismatch("wedge of a form with a multivector is undefined")
-    degree = a.degree + b.degree
-    if degree > DIM:
-        return GradedTensor.zero(a.variance, degree)
-    return GradedTensor._raw(a.variance, degree, _bilinear(a, b, DISJOINT))
+    return GradedTensor._raw(a.variance, a.degree + b.degree, _bilinear(a, b, DISJOINT))
 
 
 def contract(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
     """Interior product of a multivector into a form (coefficients multiply).
 
-    Degree drops by ``q.degree``; raises :class:`DegreeMismatch` when the
-    multivector degree exceeds the form degree.
+    Degree drops by ``q.degree``, below 0 for a multivector of higher degree
+    than the form, whose contraction is then the zero form.
     """
     if q.variance != MULTIVECTOR:
         raise VarianceMismatch("first argument of contract must be a multivector")
     if beta.variance != FORM:
         raise VarianceMismatch("second argument of contract must be a form")
-    if q.degree > beta.degree:
-        raise DegreeMismatch(
-            f"cannot contract a degree-{q.degree} multivector into a degree-{beta.degree} form"
-        )
     return GradedTensor._raw(FORM, beta.degree - q.degree, _bilinear(q, beta, INSIDE))
 
 
@@ -384,10 +380,6 @@ def hodge(beta: GradedTensor) -> GradedTensor:
     same combinatorics).  Satisfies star(star(b)) = (-1)^k b in this even
     dimension and b ^ star(b) = <b, b> vol for forms.
     """
-    if not 0 <= beta.degree <= DIM:
-        if beta.is_zero():
-            return GradedTensor.zero(beta.variance, DIM - beta.degree)
-        raise DegreeMismatch(f"hodge undefined on degree {beta.degree}")
     out: dict[MultiIndex, Polynomial] = {}
     for idx, poly in beta.terms.items():
         sign = star_sign(idx)

@@ -392,14 +392,13 @@ def _check_homotopy_identity(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _check_homotopy_closed(ctx: CheckContext) -> Iterator[Piece]:
-    # a fixed closed form first: a random draw can have d = 0 and yield nothing
+    # a fixed nonzero closed form first: every random draw may have d = 0
     yield homotopy_pair(dx(0, 1)).exactness_residual()
     rng = ctx.rng
     for _ in range(ctx.cases):
         k = rng.randint(0, DIM - 1)
         closed = exterior_derivative(random_tensor(rng, FORM, k, max_poly_degree=3))
-        if not closed.is_zero():
-            yield homotopy_pair(closed).exactness_residual()
+        yield homotopy_pair(closed).exactness_residual()
 
 
 # -- Cayley form checks -------------------------------------------------------

@@ -22,9 +22,11 @@ from cayley8.tensor import (
     VarianceMismatch,
     contract,
     dx,
+    hodge,
     mv,
     scalar_tensor,
     unit,
+    vol,
     wedge,
 )
 
@@ -111,6 +113,33 @@ class TestHomotopyPrimitive:
         assert e.coefficient((5,)) == x(5)
 
 
+@pytest.mark.parametrize("operation, variance, degree", [
+    (lambda: wedge(dx(0, 1, 2, 3, 4), dx(4, 5, 6, 7)), FORM, 9),
+    (lambda: wedge(vol(), dx(0, coeff=x(1))), FORM, 9),
+    (lambda: wedge(mv(0, 1, 2, 3, 4, 5), mv(5, 6, 7)), MULTIVECTOR, 9),
+    (lambda: contract(mv(0, 1), dx(0)), FORM, -1),
+    (lambda: contract(mv(0, 1, 2, coeff=x(0)), unit()), FORM, -3),
+    (lambda: hodge(GradedTensor.zero(FORM, -1)), FORM, 9),
+    (lambda: hodge(GradedTensor.zero(MULTIVECTOR, 9)), MULTIVECTOR, -1),
+    (lambda: codifferential(scalar_tensor(x(0) * x(3))), FORM, -1),
+    (lambda: codifferential(unit()), FORM, -1),
+    # q.degree - beta.degree = 1, 2, 3: the second term underflows; a closed form also
+    # kills the first
+    (lambda: lie_derivative(mv(0, 1, coeff=x(0)), dx(2, coeff=x(2))), FORM, 0),
+    (lambda: lie_derivative(mv(0, 1, 2, coeff=x(0)), dx(3, coeff=x(1))), FORM, -1),
+    (lambda: lie_derivative(mv(0, 1, 2, 3), scalar_tensor(x(0) * x(1))), FORM, -3),
+], ids=[
+    "wedge_5_4", "wedge_vol_1", "wedge_multivector_6_3", "contract_2_into_1",
+    "contract_3_into_0", "hodge_zero_minus1", "hodge_zero_9", "codifferential_function",
+    "codifferential_unit", "lie_difference_1", "lie_difference_2", "lie_difference_3",
+])
+def test_zero_outside_degrees_0_to_8(operation, variance, degree):
+    # the formula's degree, with no branch in the operator: beta.degree - q.degree + 1 for lie
+    result = operation()
+    assert result.is_zero()
+    assert (result.variance, result.degree) == (variance, degree)
+
+
 class TestLieDerivative:
     def test_constant_form_along_constant_field(self):
         assert lie_derivative(mv(0), dx(0)).is_zero()
@@ -127,6 +156,9 @@ class TestLieDerivative:
         beta = dx(2, coeff=x(1))
         expected = contract(q, exterior_derivative(beta))
         assert lie_derivative(q, beta) == expected
+        # a nonzero case, of the formula's degree 0
+        result = lie_derivative(mv(1, 2, coeff=x(0)), dx(2, coeff=x(1)))
+        assert result == scalar_tensor(x(0)) and result.degree == 0
 
     def test_commutation_with_d(self, make_tensor):
         for q_deg in (1, 2, 3):

@@ -39,6 +39,7 @@ from cayley8.tensor import (
     MULTIVECTOR,
     DegreeMismatch,
     GradedTensor,
+    VarianceMismatch,
     contract,
     dx,
     flat,
@@ -335,6 +336,16 @@ class TestCachedOperatorMatrices:
         assert spin7._psi2_inverse_matrix() @ map_matrix(2) == ExactMatrix.identity(28)
         assert map_matrix(3) @ spin7._psi3_section_matrix() == ExactMatrix.identity(8)
 
+    def test_map_matrix_relations(self):
+        m1 = map_matrix(1)
+        assert map_matrix(3) == m1.transpose() * -1
+        assert map_matrix(2) == map_matrix(2).transpose()
+        assert m1.transpose() @ m1 == ExactMatrix.identity(8) * 7
+        # psi2_inverse's sharp(-beta_7/3 + beta_21) as one matrix: map_matrix(2) is -3 on
+        # the 7-part and 1 on the 21-part, so (map_matrix(2) + 2)/3 is -1/3 and 1 there
+        expected = (map_matrix(2) + ExactMatrix.identity(28) * 2) * Fraction(1, 3)
+        assert spin7._psi2_inverse_matrix() == expected
+
     def test_operators_reject_other_degrees(self):
         for op, degree in ((two_form_operator, 3), (psi2_inverse, 1), (psi3_section, 2)):
             with pytest.raises(DegreeMismatch):
@@ -515,6 +526,17 @@ class TestIdentityReport:
 
     def test_minus6_basis(self):
         assert identity_report("decomposable_minus6", mv(0), mv(1))["residual"].is_zero()
+
+    @pytest.mark.parametrize("error, u, v", [
+        (DegreeMismatch, mv(0, 1), mv(2)),
+        (DegreeMismatch, mv(2), mv(0, 1)),
+        (VarianceMismatch, dx(0), mv(1)),
+        (VarianceMismatch, mv(0), dx(1)),
+    ])
+    def test_minus6_rejects_other_inputs(self, error, u, v):
+        # a wrong shape is refused, not reported as a failed identity
+        with pytest.raises(error):
+            identity_report("decomposable_minus6", u, v)
 
     def test_norm_split_three_basis_values(self):
         report = identity_report("norm_split_three", mv(0, 1, 2))

@@ -110,9 +110,10 @@ class TestContract:
         # (e0 ^ e1) _| dx012 applies e0 first: e1 _| (e0 _| dx012) = dx2
         assert contract(mv(0, 1), dx(0, 1, 2)) == dx(2)
 
-    def test_degree_error(self):
-        with pytest.raises(DegreeMismatch):
-            contract(mv(0, 1), dx(0))
+    def test_higher_degree_multivector_gives_zero(self):
+        result = contract(mv(0, 1), dx(0))
+        assert result.is_zero()
+        assert (result.variance, result.degree) == (FORM, -1)
 
     def test_variance_checks(self):
         with pytest.raises(VarianceMismatch):
