@@ -33,33 +33,32 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 
-from .multiindex import DIM, MASK, PARITY
+from .multiindex import DIM, INDEX, MASK, PARITY
 from .polynomial import Polynomial
 from .tensor import (
-    FORM, MULTIVECTOR, ONE, DegreeMismatch, GradedTensor, VarianceMismatch,
-    _grouped_sum, contract, flat, hodge, sharp, wedge,
+    FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch,
+    _linear_sums, contract, flat, hodge, sharp, wedge,
 )
 
 
 def exterior_derivative(beta: GradedTensor) -> GradedTensor:
     """d: degree k forms to degree k+1 forms; d(d(beta)) = 0.
 
-    ``d(f dx^I) = sum_i (d_i f) dx^i ^ dx^I``; the terms of each output key
-    are summed at once, ``dx^i ^ dx^I`` signed by ``PARITY[1 << i << 8 | I]``.
+    ``d(f dx^I) = sum_i (d_i f) dx^i ^ dx^I``, ``d_i f`` taken only for the
+    variables ``f`` has (``Polynomial.variable_mask``); the terms of each
+    output key are one ``Polynomial.linear_sum`` of ``(sign, d_i f)`` pairs,
+    ``dx^i ^ dx^I`` signed by ``PARITY[1 << i << 8 | I]``.  A key met by one
+    derivative keeps that Polynomial (or its negation), with no sum.
     """
     if beta.variance != FORM:
         raise VarianceMismatch("exterior derivative acts on forms")
     groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in beta.terms.items():
         m = MASK[idx]
-        for i in range(DIM):
+        for i in INDEX[poly.variable_mask() & ~m]:  # elsewhere d_i f or dx^i ^ dx^idx vanishes
             bit = 1 << i
-            if m & bit:  # dx^i ^ dx^idx vanishes
-                continue
-            g = poly.diff(i)
-            if g:
-                groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], g, ONE))
-    return GradedTensor._raw(FORM, beta.degree + 1, _grouped_sum(groups))
+            groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], poly.diff(i)))
+    return GradedTensor._raw(FORM, beta.degree + 1, _linear_sums(groups))
 
 
 def codifferential(beta: GradedTensor) -> GradedTensor:

@@ -15,8 +15,16 @@ exponent vectors", CASC 2007, also used by FLINT's ``fmpz_mpoly``):
   and the denominator is 1, and the zero polynomial has denominator 1, so
   equal polynomials have equal fields.
 
-Ring operations and ``diff`` run on ints alone.
-:meth:`Polynomial.sum_of_products` holds the one accumulation loop:
+Ring operations and ``diff`` run on ints alone, in two accumulation
+loops.  :meth:`Polynomial.linear_sum` holds the linear one:
+``sum(c * p) / den`` over ``(c, p)`` pairs, ``c`` an int, scales each
+``p`` into one numerator dict over one common denominator, with one zero
+filter and one gcd; a scaled copy adds no exponents, so it needs no guard
+check, and a lone pair is ``p`` scaled, no loop at all.  ``a + b`` and
+``a - b`` are sums of two pairs, and the tensor kernels call it once per
+output coefficient of their linear work (``+``, ``-``, ``d``,
+``apply_matrix``, the constructor and the document loader).
+:meth:`Polynomial.sum_of_products` holds the products:
 ``sum(sign * a * b)`` over many pairs goes into one numerator dict over one
 common denominator, with one guard check and one gcd.  A triple with a
 constant factor is a scaled copy of the other factor: it adds no keys, a
@@ -24,12 +32,11 @@ sum of such copies needs no guard check, and a sum of one such triple is
 the other factor scaled, no loop at all.  A triple ``(sign, p, p)`` is a
 square: each cross pair of terms is multiplied once and doubled, so
 ``p * p``, ``p ** n`` and the norms ``inner(t, t)`` take about half the
-products.  ``a * b`` is the sum of one product, and ``a + b`` the sum of
-``a * ONE`` and ``b * ONE`` with :data:`ONE` the unit polynomial.  The
-tensor kernels call it once per output coefficient, and
-:meth:`Polynomial.compose`, the substitution ``x_i -> images[i]``, calls it
-once after building each distinct power ``images[i] ** e`` by square and
-multiply.  ``terms`` is a read-only view from exponent tuples to
+products.  ``a * b`` is the sum of one product.  The tensor products call
+it once per output coefficient, and :meth:`Polynomial.compose`, the
+substitution ``x_i -> images[i]``, calls it once after building each
+distinct power ``images[i] ** e`` by square and multiply.  ``terms`` is a
+read-only view from exponent tuples to
 ``fractions.Fraction``, built on first use.  No floating point appears
 anywhere.
 """
@@ -138,6 +145,34 @@ class Polynomial:
         return _summed([(_pack(exp), n, d) for exp, n, d in quotients])
 
     @staticmethod
+    def linear_sum(pairs: Sequence[tuple[int, "Polynomial"]], den: int = 1) -> "Polynomial":
+        """``sum(c * p) / den`` over a sequence of ``(c, p)``, ``c`` an int and ``den`` positive.
+
+        The integer kernel of every linear sum: the numerators of each ``p``
+        scaled into one dict over the lcm of the denominators, then one
+        zero filter and one gcd.  A scaled copy adds no exponents, so no
+        guard check is needed.  A lone pair is ``p`` scaled, which is ``p``
+        itself (or its negation) when ``c / den`` is 1 (or -1).
+        """
+        if len(pairs) < 2:
+            return pairs[0][1]._scaled(pairs[0][0], den) if pairs else _wrap({}, 1)
+        common = 1
+        for _, p in pairs:
+            if common % p._den:
+                common = lcm(common, p._den)
+        c, p = pairs[0]  # the first pair is copied, the rest are added in
+        scale = c * (common // p._den)
+        out = dict(p._nums) if scale == 1 else {k: v * scale for k, v in p._nums.items()}
+        get = out.get
+        for c, p in pairs[1:]:
+            scale = c * (common // p._den)
+            for k, v in p._nums.items():
+                out[k] = get(k, 0) + v * scale
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        return _reduced(out, common * den)
+
+    @staticmethod
     def sum_of_products(triples: Sequence[tuple[int, "Polynomial", "Polynomial"]]) -> "Polynomial":
         """``sum(sign * a * b)`` over a sequence of ``(sign, a, b)``, ``sign`` an int.
 
@@ -218,8 +253,8 @@ class Polynomial:
 
     @classmethod
     def variable(cls, i: int, power: int = 1) -> "Polynomial":
-        if not 0 <= i < DIM:
-            raise ValueError(f"variable index {i} outside 0..{DIM - 1}")
+        if isinstance(i, bool) or not 0 <= i < DIM:
+            raise ValueError(f"variable index {i!r} outside 0..{DIM - 1}")
         return _wrap({_pack(power if j == i else 0 for j in range(DIM)): 1}, 1)
 
     # -- inspection --------------------------------------------------------
@@ -280,6 +315,11 @@ class Polynomial:
         nums = self._nums
         return not nums or (len(nums) == 1 and 0 in nums)
 
+    def variable_mask(self) -> int:
+        """Bit ``i`` set when ``x_i`` occurs in some term: ``diff(i)`` is nonzero exactly there."""
+        fields = reduce(or_, self._nums, 0)
+        return sum(1 << i for i, shift in enumerate(_SHIFTS) if fields >> shift & _MASK)
+
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
@@ -295,7 +335,7 @@ class Polynomial:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "Polynomial | Rational") -> "Polynomial":
-        return Polynomial.sum_of_products(((1, self, ONE), (1, as_polynomial(other), ONE)))
+        return Polynomial.linear_sum(((1, self), (1, as_polynomial(other))))
 
     __radd__ = __add__
 
@@ -303,10 +343,10 @@ class Polynomial:
         return _wrap({k: -v for k, v in self._nums.items()}, self._den)
 
     def __sub__(self, other: "Polynomial | Rational") -> "Polynomial":
-        return self + (-as_polynomial(other))
+        return Polynomial.linear_sum(((1, self), (-1, as_polynomial(other))))
 
     def __rsub__(self, other: "Polynomial | Rational") -> "Polynomial":
-        return as_polynomial(other) + (-self)
+        return Polynomial.linear_sum(((1, as_polynomial(other)), (-1, self)))
 
     def __mul__(self, other: "Polynomial | Rational") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -343,8 +383,8 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to coordinate ``i``."""
-        if not 0 <= i < DIM:
-            raise ValueError(f"variable index {i} outside 0..{DIM - 1}")
+        if isinstance(i, bool) or not 0 <= i < DIM:
+            raise ValueError(f"variable index {i!r} outside 0..{DIM - 1}")
         shift = _SHIFTS[i]
         step = 1 << shift
         out = {}
@@ -391,7 +431,7 @@ class Polynomial:
         return Polynomial.sum_of_products(triples)._scaled(1, self._den)
 
 
-#: The unit polynomial, second factor of every ``(sign, poly, ONE)`` triple of a linear sum.
+#: The unit polynomial, the factor of an empty product in :meth:`Polynomial.compose`.
 ONE = Polynomial.one()
 
 

@@ -40,7 +40,7 @@ from typing import Any, Callable
 
 from .multiindex import DIM, MASK, canonicalize
 from .polynomial import MAX_EXPONENT, Polynomial, _pack, _summed
-from .tensor import FORM, MULTIVECTOR, ONE, DegreeMismatch, GradedTensor, _grouped_sum
+from .tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, _linear_sums
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 _INT = {int}
@@ -159,8 +159,8 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
                     stacklevel=2,
                 )
             continue
-        groups[MASK[key]].append((sign, coeff, ONE))
-    return GradedTensor._raw(variance, degree, _grouped_sum(groups))
+        groups[MASK[key]].append((sign, coeff))
+    return GradedTensor._raw(variance, degree, _linear_sums(groups))
 
 
 def _located_idx(term: Any, degree: int, here: str) -> tuple[int, ...]:

@@ -488,9 +488,10 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
         _expect(q, MULTIVECTOR, 3)
         _expect(df, FORM, 1)
         image = contract(q, psi)
-        report = project3(flat(q))
-        lhs = wedge(flat(q), wedge(image, psi))
-        eight_only = wedge(report.components["3_8"], wedge(image, psi))
+        form = flat(q)
+        image_psi = wedge(image, psi)
+        lhs = wedge(form, image_psi)
+        eight_only = wedge(project3(form).components["3_8"], image_psi)
         scaled = volume * (inner(df, df) * CAYLEY_FUNCTION_CONSTANT)
         return {
             "eight_part_eq": lhs - eight_only,

@@ -24,23 +24,28 @@ gives ``PARITY[q << 8 | f ^ q]`` on index masks.
 
 Signed accumulation
 -------------------
-Every sum of terms ends in :func:`_grouped_sum`: ``(sign, a, b)`` triples
-grouped by output index mask, one
-:meth:`~cayley8.polynomial.Polynomial.sum_of_products` per group, so each
-output coefficient is one Polynomial built in one pass over its products.
-``wedge`` and ``contract`` feed it the term pairs of :func:`_bilinear`,
-``exterior_derivative`` its derivatives, and the linear sums (constructor,
-``+``, ``-``, ``pullback_linear``, the document loader) ``(sign, poly, ONE)``
-triples, :data:`~cayley8.polynomial.ONE` being the unit polynomial.
-:func:`apply_matrix` sends the coefficient vector of a tensor through a
-constant :class:`~cayley8.linalg.ExactMatrix` of integers over one
-denominator ``den``: one ``(entry, coeff, 1/den)`` triple per nonzero
-integer entry of a column the tensor has a coefficient on, that column
-being a row of the matrix's cached transpose.  ``inner`` is one sum; in
-``inner(t, t)`` each triple is a square ``(1, p, p)``, which takes each
-cross pair of terms once.  A tensor times a rational scales each
-coefficient.  A group that cancels is dropped, so no tensor holds a zero
-coefficient.
+Each output coefficient is one Polynomial built in one pass, its terms
+grouped by output index mask.  Products go through :func:`_grouped_sum`:
+``(sign, a, b)`` triples, one
+:meth:`~cayley8.polynomial.Polynomial.sum_of_products` per group.
+``wedge`` and ``contract`` feed it the term pairs of :func:`_bilinear`.
+``inner`` is one such sum; in ``inner(t, t)`` each triple is a square
+``(1, p, p)``, which takes each cross pair of terms once.  Linear sums go
+through :func:`_linear_sums`: ``(c, poly)`` pairs with ``c`` an int, one
+:meth:`~cayley8.polynomial.Polynomial.linear_sum` per group, which scales
+and adds integer numerators and checks no exponent.
+``exterior_derivative`` feeds it its signed derivatives, and the
+constructor, ``pullback_linear`` and the document loader their signed
+terms.  :func:`apply_matrix` sends the coefficient vector of a tensor
+through a constant :class:`~cayley8.linalg.ExactMatrix` of integers over
+one denominator ``den``: one ``(entry, coeff)`` pair per nonzero integer
+entry of a column the tensor has a coefficient on, that column being a row
+of the matrix's cached transpose, and one linear sum over ``den`` per
+output index.  ``+`` and ``-`` copy the first operand's terms and walk the
+second's: a key of one operand keeps its Polynomial (or its negation), and
+a shared key is one two-pair linear sum, skipped when a difference is of
+two equal coefficients.  A tensor times a rational scales each coefficient.
+A group that cancels is dropped, so no tensor holds a zero coefficient.
 
 Tensor coordinates
 ------------------
@@ -68,7 +73,7 @@ from typing import Iterable, Mapping
 
 from .linalg import ExactMatrix, SingularMatrixError
 from .multiindex import DIM, FULL, INDEX, MASK, PARITY, MultiIndex, basis, basis_position, canonicalize, complement, star_sign
-from .polynomial import ONE, Polynomial, Rational, as_polynomial
+from .polynomial import Polynomial, Rational, as_polynomial
 
 FORM = "form"
 MULTIVECTOR = "multivector"
@@ -124,10 +129,10 @@ class GradedTensor:
                     raise DegreeMismatch(
                         f"index {tuple(idx)} has length {len(key)}, expected {degree}"
                     )
-                groups[MASK[key]].append((sign, poly, ONE))
+                groups[MASK[key]].append((sign, poly))
         _set_variance(self, variance)
         _set_degree(self, degree)
-        _set_terms(self, _grouped_sum(groups))
+        _set_terms(self, _linear_sums(groups))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GradedTensor is immutable")
@@ -198,20 +203,33 @@ class GradedTensor:
     # -- linear structure ------------------------------------------------
 
     def _combine(self, other: "GradedTensor", sign: int) -> "GradedTensor":
-        """``self + sign * other``, one ``(sign, poly, ONE)`` triple per term."""
+        """``self + sign * other``, ``sign`` 1 or -1.
+
+        A key of one operand keeps its Polynomial (or takes its negation);
+        a shared key is one two-pair :meth:`Polynomial.linear_sum`, skipped
+        when a difference cancels exactly, and a key that cancels is dropped.
+        """
         if not isinstance(other, GradedTensor):
             return NotImplemented
         if self.variance != other.variance:
             raise VarianceMismatch("cannot add a form and a multivector")
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise DegreeMismatch(f"cannot add degrees {self.degree} and {other.degree}")
-        groups: defaultdict[int, list] = defaultdict(list)
-        for idx, poly in self.terms.items():
-            groups[MASK[idx]].append((1, poly, ONE))
-        for idx, poly in other.terms.items():
-            groups[MASK[idx]].append((sign, poly, ONE))
+        terms = dict(self.terms)
+        for idx, q in other.terms.items():
+            p = terms.get(idx)
+            if p is None:
+                terms[idx] = q if sign > 0 else -q
+            elif sign < 0 and p._den == q._den and p._nums == q._nums:
+                del terms[idx]
+            else:
+                total = Polynomial.linear_sum(((1, p), (sign, q)))
+                if total:
+                    terms[idx] = total
+                else:
+                    del terms[idx]
         degree = other.degree if self.is_zero() else self.degree
-        return GradedTensor._raw(self.variance, degree, _grouped_sum(groups))
+        return GradedTensor._raw(self.variance, degree, terms)
 
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
         return self._combine(other, 1)
@@ -289,6 +307,16 @@ def _grouped_sum(groups: Mapping[int, list]) -> dict[MultiIndex, Polynomial]:
     return out
 
 
+def _linear_sums(groups: Mapping[int, list], den: int = 1) -> dict[MultiIndex, Polynomial]:
+    """One ``Polynomial.linear_sum(pairs, den)`` per output mask; a sum that cancels is dropped."""
+    out: dict[MultiIndex, Polynomial] = {}
+    for key, pairs in groups.items():
+        poly = Polynomial.linear_sum(pairs, den)
+        if poly:
+            out[INDEX[key]] = poly
+    return out
+
+
 def _bilinear(a: GradedTensor, b: GradedTensor, rule: int) -> dict[MultiIndex, Polynomial]:
     """Sum ``sign * pa * pb`` over the term pairs of ``a`` and ``b``, grouped by output key.
 
@@ -331,8 +359,8 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
     as in :func:`structure_matrix`: columns over that of ``t.degree``, rows
     over that of ``degree``.  The matrix is integer numerators over one
     denominator ``den``; the term of ``t`` at column ``j`` adds one
-    ``(entry, coeff, 1/den)`` triple per nonzero integer entry of row ``j``
-    of the transpose, all summed in one :func:`_grouped_sum`.
+    ``(entry, coeff)`` pair per nonzero integer entry of row ``j`` of the
+    transpose, and each output row is one ``Polynomial.linear_sum(pairs, den)``.
     """
     if not t.terms:
         return GradedTensor.zero(variance, degree)
@@ -342,12 +370,11 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
             f"a {matrix.nrows}x{matrix.ncols} matrix does not map degree {t.degree} to degree {degree}"
         )
     columns = matrix.transpose()._nums
-    scale = ONE._scaled(1, matrix._den)
     groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in t.terms.items():
         for i, entry in columns[basis_position(idx)].items():
-            groups[MASK[rows[i]]].append((entry, poly, scale))
-    return GradedTensor._raw(variance, degree, _grouped_sum(groups))
+            groups[MASK[rows[i]]].append((entry, poly))
+    return GradedTensor._raw(variance, degree, _linear_sums(groups, matrix._den))
 
 
 # -- core operations -------------------------------------------------------
@@ -451,5 +478,5 @@ def pullback_linear(matrix: ExactMatrix, t: GradedTensor) -> GradedTensor:
         for i in idx:
             term = wedge(term, images[i])
         for key, coeff in term.terms.items():
-            groups[MASK[key]].append((1, coeff, ONE))
-    return GradedTensor._raw(t.variance, t.degree, _grouped_sum(groups))
+            groups[MASK[key]].append((1, coeff))
+    return GradedTensor._raw(t.variance, t.degree, _linear_sums(groups))

@@ -12,25 +12,46 @@ codifferential:
   one slot ``e_j`` at a time by ``[X, e_j] = - sum_m (d_j X^m) e_m``;
 * ``homotopy_primitive`` expands ``E _| dx^I`` slot by slot with sign
   ``(-1)**slot`` and weights each monomial by ``1/(k + |exponent|)``.
+
+``exterior_derivative`` is the grouped body that ``d`` ran before linear
+sums had their own kernel: each derivative is a ``(sign, d_i f, ONE)``
+triple, and each output key is one ``Polynomial.sum_of_products``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from reference_multiindex import canonicalize
 from reference_tensor import _accumulate
 
-from cayley8.multiindex import DIM, MultiIndex
-from cayley8.polynomial import Polynomial
+from cayley8.multiindex import DIM, MASK, PARITY, MultiIndex
+from cayley8.polynomial import ONE, Polynomial
 from cayley8.tensor import (
     FORM,
     MULTIVECTOR,
     DegreeMismatch,
     GradedTensor,
     VarianceMismatch,
+    _grouped_sum,
     wedge,
 )
+
+
+def exterior_derivative(beta: GradedTensor) -> GradedTensor:
+    assert beta.variance == FORM
+    groups: defaultdict[int, list] = defaultdict(list)
+    for idx, poly in beta.terms.items():
+        m = MASK[idx]
+        for i in range(DIM):
+            bit = 1 << i
+            if m & bit:  # dx^i ^ dx^idx vanishes
+                continue
+            g = poly.diff(i)
+            if g:
+                groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], g, ONE))
+    return GradedTensor._raw(FORM, beta.degree + 1, _grouped_sum(groups))
 
 
 def homotopy_primitive(beta: GradedTensor) -> GradedTensor:

@@ -12,18 +12,24 @@ before a linear map became an 8x8 ``ExactMatrix``.
 ``construct``, ``combine`` and ``document_to_tensor`` are the same
 one-term-at-a-time ``_accumulate`` path for the ``GradedTensor``
 constructor, ``+``/``-`` and the document loader, on valid input.
+
+``grouped_combine`` and ``apply_matrix`` are the grouped bodies that
+``+``/``-`` and ``apply_matrix`` ran before linear sums had their own
+kernel: every term is a ``(sign, poly, ONE)`` or ``(entry, poly, 1/den)``
+triple, and each output key is one ``Polynomial.sum_of_products``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from reference_multiindex import canonicalize, complement, contraction, merge_sign, star_sign
 
 from cayley8.linalg import ExactMatrix
-from cayley8.multiindex import DIM, MultiIndex
-from cayley8.polynomial import Polynomial, _unpack, as_polynomial
-from cayley8.tensor import FORM, MULTIVECTOR, GradedTensor
+from cayley8.multiindex import DIM, MASK, MultiIndex, basis, basis_position
+from cayley8.polynomial import ONE, Polynomial, _unpack, as_polynomial
+from cayley8.tensor import FORM, MULTIVECTOR, GradedTensor, _grouped_sum
 
 
 def _accumulate(out: dict[MultiIndex, Polynomial], key: MultiIndex, sign: int, poly: Polynomial) -> None:
@@ -54,6 +60,32 @@ def combine(a: GradedTensor, b: GradedTensor, sign: int) -> GradedTensor:
     for idx, poly in b.terms.items():
         _accumulate(out, idx, sign, poly)
     return GradedTensor._raw(a.variance, b.degree if a.is_zero() else a.degree, out)
+
+
+def grouped_combine(a: GradedTensor, b: GradedTensor, sign: int) -> GradedTensor:
+    """``a + sign * b``, one ``(sign, poly, ONE)`` triple per term."""
+    groups: defaultdict[int, list] = defaultdict(list)
+    for idx, poly in a.terms.items():
+        groups[MASK[idx]].append((1, poly, ONE))
+    for idx, poly in b.terms.items():
+        groups[MASK[idx]].append((sign, poly, ONE))
+    degree = b.degree if a.is_zero() else a.degree
+    return GradedTensor._raw(a.variance, degree, _grouped_sum(groups))
+
+
+def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: str) -> GradedTensor:
+    """Coordinates of ``t`` through ``matrix``, one ``(entry, coeff, 1/den)`` triple per entry."""
+    if not t.terms:
+        return GradedTensor.zero(variance, degree)
+    rows = basis(degree)
+    assert (len(rows), len(basis(t.degree))) == matrix.shape
+    columns = matrix.transpose()._nums
+    scale = ONE._scaled(1, matrix._den)
+    groups: defaultdict[int, list] = defaultdict(list)
+    for idx, poly in t.terms.items():
+        for i, entry in columns[basis_position(idx)].items():
+            groups[MASK[rows[i]]].append((entry, poly, scale))
+    return GradedTensor._raw(variance, degree, _grouped_sum(groups))
 
 
 def document_to_tensor(doc) -> GradedTensor:

@@ -28,6 +28,11 @@ sort of ``reference_multiindex.py`` on every sequence of length 0..4 and on
 every table entry it can read, and the linear sums (the ``GradedTensor``
 constructor, ``+``, ``-`` and ``document_to_tensor``) with the
 one-term-at-a-time ``_accumulate`` of ``reference_tensor.py``.
+``Polynomial.linear_sum`` is compared with a ``Fraction`` accumulation on
+factors far past a machine word and wide denominators, and ``+``, ``-``,
+``apply_matrix`` and ``exterior_derivative`` with the grouped
+``sum_of_products`` bodies they ran before, in ``reference_tensor.py`` and
+``reference_calculus.py``.
 ``json_text`` on values holding tensors and polynomials is compared with
 ``json.dumps(indent=2)`` of their plain documents, and the loader's
 guarded walk with the located parse of ``reference_serialize.py``, through
@@ -782,6 +787,95 @@ def test_linear_sums_cancel_duplicate_keys():
     t = GradedTensor(FORM, 2, {(0, 1): p, (2, 3): 1})
     assert (t - t).terms == {} and (t - t).degree == 2
     assert (t - GradedTensor(FORM, 2, {(1, 0): p})).terms == {(0, 1): p * 2, (2, 3): 1}
+
+
+# -- linear_sum, and the kernels that use it against their grouped bodies --------------
+
+# integer factors from small to far past a machine word, and polynomials over wide denominators
+scales = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+denominators = st.one_of(st.just(1), st.integers(1, 10**6))
+
+
+def fraction_sum(pairs, den) -> dict:
+    """``sum(c * p) / den`` accumulated one ``Fraction`` at a time, zeros dropped."""
+    out: dict = {}
+    for c, p in pairs:
+        for exp, v in p.terms.items():
+            out[exp] = out.get(exp, 0) + Fraction(c) * v / den
+    return {exp: v for exp, v in out.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(scales, term_dicts.map(Polynomial)), min_size=1, max_size=5), denominators, st.booleans())
+def test_linear_sum_matches_fraction_accumulation(pairs, den, cancel):
+    if cancel:  # every pair also enters with the opposite factor
+        pairs = pairs + [(-c, p) for c, p in pairs]
+    total = Polynomial.linear_sum(pairs, den)
+    assert_same(total, Reference(fraction_sum(pairs, den)))
+    if cancel:
+        assert (total._nums, total._den) == ({}, 1)
+    c, p = pairs[0]
+    assert_same(Polynomial.linear_sum([(c, p)], den), Reference(fraction_sum([(c, p)], den)))
+
+
+def test_linear_sum_edge_cases():
+    p = Polynomial({(1,) + (0,) * 7: Fraction(3, 10**6), (0,) * 8: -2})
+    # a lone pair of factor +-1 over 1 is the polynomial or its negation; any other factor scales
+    assert Polynomial.linear_sum([(1, p)]) is p
+    assert Polynomial.linear_sum([(-1, p)]) == -p
+    assert Polynomial.linear_sum([(3, p)]) == p * 3
+    assert Polynomial.linear_sum([(-1, p)], 2) == p * Fraction(-1, 2)
+    assert Polynomial.linear_sum([(0, p)]) == Polynomial.linear_sum([]) == Polynomial.zero()
+    # a first pair of factor 1 is copied, not shared
+    total = Polynomial.linear_sum([(1, p), (1, x(2))])
+    assert total == p + x(2) and p == Polynomial({(1,) + (0,) * 7: Fraction(3, 10**6), (0,) * 8: -2})
+    # what is left after a cancellation is reduced by one gcd
+    third = Polynomial.from_quotients([((1,) + (0,) * 7, 1, 3), ((0, 1) + (0,) * 6, 1, 2)])
+    total = Polynomial.linear_sum([(1, third), (-2, Polynomial.from_quotients([((1,) + (0,) * 7, 1, 6)]))], 5)
+    assert (total._nums, total._den) == ({1 << 96: 1}, 10)
+
+
+@pytest.mark.parametrize("p", range(DIM + 1))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_linear_kernels_match_grouped_bodies(p, data):
+    a = data.draw(tensors(FORM, p, max_terms=6))
+    b = data.draw(tensors(FORM, p, max_terms=6))
+    other = GradedTensor.zero(FORM, (p + 3) % (DIM + 1))
+    # disjoint, shared, equal and opposite keys, and a zero of another degree on either side
+    for u, v in ((a, b), (a, a), (a, -a), (a, a * 3), (a, a + b), (a, other), (other, a), (other, other)):
+        for sign in (1, -1):
+            new = u + v if sign > 0 else u - v
+            assert_same_tensor(new, reference_tensor.grouped_combine(u, v, sign))
+            assert all(new.terms.values()), "a zero coefficient was stored"
+    target = data.draw(st.integers(0, DIM))
+    matrix = ExactMatrix(data.draw(sparse_matrices(len(basis(target)), len(basis(p)))))
+    # entries over a shared denominator, and the integer matrix with entries past +-1
+    for matrix in (matrix, matrix * matrix._den):
+        for t in (a, sharp(b), GradedTensor.zero(FORM, p)):
+            new = apply_matrix(matrix, t, target, t.variance)
+            assert_same_tensor(new, reference_tensor.apply_matrix(matrix, t, target, t.variance))
+            assert all(new.terms.values()), "a zero coefficient was stored"
+    for t in (a, a * -3, exterior_derivative(a), GradedTensor.zero(FORM, p)):
+        assert_same_tensor(exterior_derivative(t), reference_calculus.exterior_derivative(t))
+
+
+def test_linear_kernels_cancel_and_scale():
+    f = x(0) * Fraction(2, 3) + 1
+    t = dx(0, coeff=f) + dx(1, coeff=f) + dx(2, coeff=x(1))
+    # row 0 takes 5/6 of column 0 and -5/6 of column 1, which cancel; row 3 takes 3 times column 2 alone
+    matrix = ExactMatrix.from_quotients((8, 8), [(0, 0, 5, 6), (0, 1, -5, 6), (3, 2, 3, 1), (4, 0, 1, 6)])
+    assert matrix._den == 6
+    image = apply_matrix(matrix, t, 1, FORM)
+    assert image.terms == {(3,): x(1) * 3, (4,): f * Fraction(1, 6)}
+    assert_same_tensor(image, reference_tensor.apply_matrix(matrix, t, 1, FORM))
+    # an integer matrix whose rows each hold one entry past +-1
+    doubled = apply_matrix(ExactMatrix.identity(8) * -2, t, 1, FORM)
+    assert doubled.terms == {k: v * -2 for k, v in t.terms.items()}
+    # d of x0 x1 dx2: two lone terms, and d of d cancels inside each key
+    g = dx(2, coeff=x(0) * x(1) * 3)
+    assert exterior_derivative(g) == dx(0, 2, coeff=x(1) * 3) + dx(1, 2, coeff=x(0) * 3)
+    assert exterior_derivative(exterior_derivative(g)).terms == {}
 
 
 # -- serialize: the writer against the plain documents, the loader against the located parse --

@@ -38,6 +38,12 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize((0, 8))
 
+    @pytest.mark.parametrize("indices", [(True,), (0, True), (False, 3)])
+    def test_bool_rejected(self, indices):
+        # a bool is an int to isinstance, but no index: True is not x1
+        with pytest.raises(ValueError, match="outside 0..7"):
+            canonicalize(indices)
+
     @given(st.permutations(list(range(6))))
     def test_sign_matches_inversion_count(self, perm):
         idx, sign = canonicalize(perm)

@@ -194,6 +194,25 @@ def test_diff_index_range():
             p.diff(i)
 
 
+@pytest.mark.parametrize("i", [True, False])
+def test_variable_refuses_a_bool(i):
+    with pytest.raises(ValueError, match=f"variable index {i} outside 0..7"):
+        Polynomial.variable(i)
+
+
+@pytest.mark.parametrize("i", [True, False])
+def test_diff_refuses_a_bool(i):
+    with pytest.raises(ValueError, match=f"variable index {i} outside 0..7"):
+        (x(0) ** 2 * x(1)).diff(i)
+
+
+def test_variable_mask_marks_the_nonzero_derivatives():
+    p = x(0) ** 2 * x(5) + 3 + Polynomial.variable(7, MAX_EXPONENT)
+    assert p.variable_mask() == 1 | 1 << 5 | 1 << 7
+    assert [i for i in range(8) if p.diff(i)] == [0, 5, 7]
+    assert Polynomial.constant(4).variable_mask() == Polynomial.zero().variable_mask() == 0
+
+
 def test_abs_coeff_sum():
     p = Polynomial({(1,) + (0,) * 7: Fraction(-2, 3), (0,) * 8: 2})
     assert p.abs_coeff_sum() == Fraction(8, 3)

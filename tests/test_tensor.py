@@ -44,6 +44,11 @@ class TestConstruction:
         with pytest.raises(DegreeMismatch):
             GradedTensor(FORM, 2, {(0,): 1})
 
+    def test_bool_index_rejected(self):
+        for make in (lambda: dx(True), lambda: mv(0, True), lambda: GradedTensor(FORM, 1, {(False,): 1})):
+            with pytest.raises(ValueError, match="outside 0..7"):
+                make()
+
     def test_nonzero_out_of_range_degree_rejected(self):
         with pytest.raises(DegreeMismatch):
             GradedTensor(FORM, 9, {(0,): 1})
