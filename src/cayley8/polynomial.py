@@ -255,6 +255,8 @@ class Polynomial:
     def variable(cls, i: int, power: int = 1) -> "Polynomial":
         if isinstance(i, bool) or not 0 <= i < DIM:
             raise ValueError(f"variable index {i!r} outside 0..{DIM - 1}")
+        if isinstance(power, bool):
+            raise ValueError(f"power must be an integer, not the bool {power}")
         return _wrap({_pack(power if j == i else 0 for j in range(DIM)): 1}, 1)
 
     # -- inspection --------------------------------------------------------

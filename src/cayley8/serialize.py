@@ -21,11 +21,11 @@ located body (:func:`_located_idx`, :func:`_located_monomial`), which
 accepts it or raises a :class:`ParseError` naming the first node at fault.
 
 :func:`json_text` writes every ``--format json`` output of the command line:
-``json.dumps(value, indent=2)`` byte for byte, in one pass over the value.
-A :class:`GradedTensor` or :class:`Polynomial` in the value is written as
-the text of its document (:func:`tensor_to_document`,
-:func:`polynomial_to_document`) straight from its packed terms, one ``%``
-format per monomial, with no document built.
+``json.dumps(value, indent=2)`` byte for byte, through one recursion that
+returns the text of each value.  Its two fast paths write a
+:class:`GradedTensor` or :class:`Polynomial` as the text of its document
+(:func:`tensor_to_document`, :func:`polynomial_to_document`) straight from
+its packed terms, one ``%`` format per monomial, with no document built.
 """
 
 from __future__ import annotations
@@ -213,73 +213,54 @@ def serialize_tensor(t: GradedTensor) -> str:
 def json_text(value: Any) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, with tensors and polynomials as their documents.
 
-    With an indent, ``json.dumps`` runs the pure-Python encoder, a chain of
-    generators yielding one chunk per token. This writer appends one chunk
-    per line to a list and joins it once. Plain ``str`` and ``int`` members
-    of a container are written inline, through the function ``json`` uses
-    with ``ensure_ascii`` and ``int.__repr__``; every other scalar goes
-    through ``json.dumps`` itself. A ``GradedTensor`` or ``Polynomial``
-    anywhere in the value is written as ``json.dumps`` would write its
-    document at that depth: each monomial is one ``%`` format of a template
-    cached per indent, over the terms of ``Polynomial.quotients()``. A
-    tensor of a degree outside 0..8 raises ``DegreeMismatch``, as
-    :func:`tensor_to_document` does. A dict key that is not a ``str``, or
-    any other value that is not a dict, list, tuple, str, int, float, bool
-    or None, raises ``TypeError``.
+    One recursion, :func:`_text`, returns the text of each value: plain
+    ``str`` and ``int`` through the functions ``json`` itself uses with
+    ``ensure_ascii``, non-empty dicts, lists and tuples as their items
+    joined at the next indent, and every other value through
+    ``json.dumps``. A ``GradedTensor`` or ``Polynomial`` is written by one
+    of two fast paths, :func:`_tensor_text` and :func:`_polynomial_text`,
+    as ``json.dumps`` would write its document at that depth, straight from
+    the packed terms: nearly all the bytes of a CLI document are monomials,
+    and each is one ``%`` format of a template cached per indent, with no
+    document dict built. A tensor of a degree outside 0..8 raises
+    ``DegreeMismatch``, as :func:`tensor_to_document` does. A dict key that
+    is not a ``str``, or any other value ``json.dumps`` cannot write,
+    raises ``TypeError``.
     """
-    chunks: list[str] = []
-    _write(value, chunks.append, "\n")
-    return "".join(chunks)
+    return _text(value, "\n")
 
 
-def _write(value: Any, put: Callable[[str], None], newline: str) -> None:
-    """Append the text of ``value`` with ``put``, ``newline`` being "\\n" and the line's indent.
-
-    Plain ``str`` and ``int`` members are written in the container loops; any
-    other member goes through the recursion, which hands scalars to ``json.dumps``.
-    """
-    if isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
+def _text(value: Any, newline: str) -> str:
+    """The text of ``value``, ``newline`` being "\\n" and the indent of its line."""
+    cls = value.__class__
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return int.__repr__(value)
+    if isinstance(value, Polynomial):
+        return _polynomial_text(value, newline)
+    if isinstance(value, GradedTensor):
+        return _tensor_text(value, newline)
+    # one join per container: a tensor's text is copied once per level it is nested in
+    if isinstance(value, dict) and value:
         inner = newline + "  "
-        sep = "{" + inner
+        parts, sep = [], "{" + inner
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            cls = item.__class__
-            if cls is str:
-                put(sep + _quote(key) + ": " + _quote(item))
-            elif cls is int:
-                put(sep + _quote(key) + ": " + int.__repr__(item))
-            else:
-                put(sep + _quote(key) + ": ")
-                _write(item, put, inner)
+            parts += (sep, _quote(key), ": ", _text(item, inner))
             sep = "," + inner
-        put(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
+        parts.append(newline + "}")
+        return "".join(parts)
+    if isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
-        sep = "[" + inner
+        parts, sep = [], "[" + inner
         for item in value:
-            cls = item.__class__
-            if cls is int:
-                put(sep + int.__repr__(item))
-            elif cls is str:
-                put(sep + _quote(item))
-            else:
-                put(sep)
-                _write(item, put, inner)
+            parts += (sep, _text(item, inner))
             sep = "," + inner
-        put(newline + "]")
-    elif isinstance(value, GradedTensor):
-        put(_tensor_text(value, newline))
-    elif isinstance(value, Polynomial):
-        put(_polynomial_text(value, newline))
-    else:
-        put(json.dumps(value))
+        parts.append(newline + "]")
+        return "".join(parts)
+    return json.dumps(value)
 
 
 @functools.cache

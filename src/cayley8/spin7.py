@@ -213,10 +213,15 @@ def project2(beta: GradedTensor) -> DecompositionReport:
     return DecompositionReport(beta, {"2_7": part7, "2_21": part21})
 
 
+def _eight_part(eta: GradedTensor) -> GradedTensor:
+    """The 8-dimensional component of a three-form, -1/7 S(eta)."""
+    return three_form_operator(eta) * Fraction(-1, 7)
+
+
 def project3(eta: GradedTensor) -> DecompositionReport:
     """Split a three-form into its 8- and 48-dimensional components."""
     _expect(eta, FORM, 3)
-    part8 = three_form_operator(eta) * Fraction(-1, 7)
+    part8 = _eight_part(eta)
     return DecompositionReport(eta, {"3_8": part8, "3_48": eta - part8})
 
 
@@ -274,8 +279,8 @@ def map_matrix(k: int) -> ExactMatrix:
     basis of k-multivectors; shapes 56x8, 28x28, 8x56 for k = 1, 2, 3.  Read
     with k-form columns, it is also the matrix of alpha -> star(Psi ^ alpha).
     """
-    if k not in (1, 2, 3):
-        raise DegreeMismatch("contraction maps exist for degrees 1, 2, 3")
+    if isinstance(k, bool) or k not in (1, 2, 3):
+        raise DegreeMismatch(f"contraction maps exist for degrees 1, 2, 3, not {k!r}")
     psi = cayley_form()
     return structure_matrix((contract(mv(*idx), psi) for idx in basis(k)), 4 - k)
 
@@ -371,10 +376,17 @@ def triple_product(q: GradedTensor) -> GradedTensor:
     return sharp(contract(q, cayley_form()))
 
 
+def _expect_field(q: GradedTensor) -> None:
+    """Refuse anything but a multivector field of degree 1, 2 or 3."""
+    if q.variance != MULTIVECTOR:
+        raise VarianceMismatch(f"expected a multivector field of degree 1, 2, or 3, got a {q.variance}")
+    if q.degree not in (1, 2, 3):
+        raise DegreeMismatch(f"expected a multivector field of degree 1, 2, or 3, got degree {q.degree}")
+
+
 def is_locally_cayley(q: GradedTensor) -> bool:
     """Whether d(Q _| Psi) = 0."""
-    if q.variance != MULTIVECTOR or q.degree not in (1, 2, 3):
-        raise VarianceMismatch("expected a multivector field of degree 1, 2, or 3")
+    _expect_field(q)
     return exterior_derivative(contract(q, cayley_form())).is_zero()
 
 
@@ -384,8 +396,7 @@ def cayley_potential(q: GradedTensor) -> GradedTensor:
     On R^8 closed means exact, so the cone-operator primitive always works;
     the potential is normalized by always returning that primitive.
     """
-    if q.variance != MULTIVECTOR or q.degree not in (1, 2, 3):
-        raise VarianceMismatch("expected a multivector field of degree 1, 2, or 3")
+    _expect_field(q)
     image = contract(q, cayley_form())
     derivative = exterior_derivative(image)
     if not derivative.is_zero():
@@ -491,7 +502,7 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
         form = flat(q)
         image_psi = wedge(image, psi)
         lhs = wedge(form, image_psi)
-        eight_only = wedge(project3(form).components["3_8"], image_psi)
+        eight_only = wedge(_eight_part(form), image_psi)
         scaled = volume * (inner(df, df) * CAYLEY_FUNCTION_CONSTANT)
         return {
             "eight_part_eq": lhs - eight_only,

@@ -102,17 +102,6 @@ class CheckContext:
     star: Star
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    anchor: str
-    scope: str
-    status: str
-    residual: str
-    elapsed_s: float
-    note: str = ""
-
-
 # -- seeded sparse generators (shared with the test suite) -------------------
 
 
@@ -876,7 +865,7 @@ def run_checks(
     if star_flip_degree is not None and not 0 <= star_flip_degree <= DIM:
         raise ValueError(f"mutation degree must be in 0..{DIM}, got {star_flip_degree}")
     star = hodge if star_flip_degree is None else flipped_hodge(star_flip_degree)
-    results: list[CheckResult] = []
+    checks: list[dict] = []
     for check_id, anchor, check_scope, check in CHECKS:
         if scope != "all" and check_scope != scope:
             continue
@@ -890,18 +879,16 @@ def run_checks(
             raised = True
             note = "; ".join(filter(None, (note, f"raised {type(exc).__name__}: {exc}")))
         elapsed = time.perf_counter() - start
-        results.append(
-            CheckResult(
-                check_id=check_id,
-                anchor=anchor,
-                scope=check_scope,
-                status="fail" if raised or mass else "pass",
-                residual=str(mass),
-                elapsed_s=round(elapsed, 6),
-                note=note,
-            )
-        )
-    failed = [r for r in results if r.status == "fail"]
+        checks.append({
+            "check_id": check_id,
+            "anchor": anchor,
+            "scope": check_scope,
+            "status": "fail" if raised or mass else "pass",
+            "residual": str(mass),
+            "elapsed_s": round(elapsed, 6),
+            "note": note,
+        })
+    failed = sum(check["status"] == "fail" for check in checks)
     report = {
         "scope": scope,
         "seed": seed,
@@ -909,8 +896,8 @@ def run_checks(
         "mutation": None
         if star_flip_degree is None
         else {"op": "hodge", "degree": star_flip_degree},
-        "checks": [r.__dict__ for r in results],
-        "counts": {"pass": len(results) - len(failed), "fail": len(failed)},
+        "checks": checks,
+        "counts": {"pass": len(checks) - failed, "fail": failed},
         "overall_status": "fail" if failed else "pass",
     }
     return report

@@ -200,6 +200,12 @@ def test_variable_refuses_a_bool(i):
         Polynomial.variable(i)
 
 
+@pytest.mark.parametrize("power", [True, False])
+def test_variable_refuses_a_bool_power(power):
+    with pytest.raises(ValueError, match=f"power must be an integer, not the bool {power}"):
+        Polynomial.variable(2, power)
+
+
 @pytest.mark.parametrize("i", [True, False])
 def test_diff_refuses_a_bool(i):
     with pytest.raises(ValueError, match=f"variable index {i} outside 0..7"):

@@ -265,6 +265,11 @@ class TestMapMatrices:
         with pytest.raises(DegreeMismatch):
             map_matrix(4)
 
+    def test_bool_degree_refused(self):
+        map_matrix(1)  # the cache must not answer for True
+        with pytest.raises(DegreeMismatch, match="not True"):
+            map_matrix(True)
+
     def test_structure_matrix_entries(self):
         images = [dx(0, 1) * Fraction(3, 4) - dx(1, 2) * 2, GradedTensor.zero(FORM, 2), dx(0, 2) * Fraction(-1, 6)]
         matrix = structure_matrix(images, 2)
@@ -434,6 +439,15 @@ class TestCayleyPredicates:
 
     def test_potential_zero(self):
         assert cayley_potential(GradedTensor.zero(MULTIVECTOR, 2)).is_zero()
+
+    @pytest.mark.parametrize("predicate", [is_locally_cayley, cayley_potential])
+    @pytest.mark.parametrize(
+        "q, error",
+        [(dx(0, 1), VarianceMismatch), (mv(0, 1, 2, 3), DegreeMismatch), (GradedTensor.zero(MULTIVECTOR, 0), DegreeMismatch)],
+    )
+    def test_refuses_anything_but_a_field_of_degree_1_to_3(self, predicate, q, error):
+        with pytest.raises(error):
+            predicate(q)
 
     def test_potential_rejects_non_cayley(self):
         q = mv(0, 1, coeff=x(2))

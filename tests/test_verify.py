@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_spin7
 import reference_verify
 from cayley8 import spin7, verify
 from cayley8.calculus import HomotopyPrimitive
@@ -160,6 +161,28 @@ def test_homotopy_closed_primitive_catches_a_zero_primitive(seed, monkeypatch):
     report = run_checks(scope="core", seed=seed, cases=1)
     by_id = {check["check_id"]: check for check in report["checks"]}
     assert by_id["homotopy_closed_primitive"]["status"] == "fail"
+
+
+def cayley_fn_constant():
+    report = run_checks(scope="spin7", seed=0, cases=4)
+    (check,) = [check for check in report["checks"] if check["check_id"] == "cayley_fn_constant"]
+    return check["status"], check["residual"]
+
+
+def test_cayley_fn_constant_fails_with_the_quoted_seven(monkeypatch):
+    assert cayley_fn_constant() == ("pass", "0")
+    monkeypatch.setattr(spin7, "CAYLEY_FUNCTION_CONSTANT", 7)
+    assert cayley_fn_constant() == ("fail", "2691/2")
+
+
+def test_cayley_fn_constant_fails_with_a_zero_eight_part(monkeypatch):
+    # project3 shares the eight-part helper, so the check draws its kernel parts through the
+    # reference split and only identity_report sees the mutant.  An eight-part equal to the
+    # whole three-form is no mutant here: it passes, because eta_48 ^ Psi = 0 makes the
+    # 48-part drop against any one-form, which is what eight_part_eq asserts.
+    monkeypatch.setattr(verify, "project3", reference_spin7.project3)
+    monkeypatch.setattr(spin7, "_eight_part", lambda eta: GradedTensor.zero(FORM, 3))
+    assert cayley_fn_constant() == ("fail", "897/4")
 
 
 #: Each cached operator matrix of spin7: (builder, its argument or None, the
