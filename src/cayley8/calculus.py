@@ -36,8 +36,8 @@ from functools import cache
 from .multiindex import DIM, INDEX, MASK, PARITY
 from .polynomial import Polynomial
 from .tensor import (
-    FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch,
-    _linear_sums, contract, flat, hodge, sharp, wedge,
+    FORM, MULTIVECTOR, DegreeMismatch, GradedTensor,
+    _expect, _linear_sums, contract, flat, hodge, sharp, wedge,
 )
 
 
@@ -50,8 +50,7 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
     ``dx^i ^ dx^I`` signed by ``PARITY[1 << i << 8 | I]``.  A key met by one
     derivative keeps that Polynomial (or its negation), with no sum.
     """
-    if beta.variance != FORM:
-        raise VarianceMismatch("exterior derivative acts on forms")
+    _expect(beta, FORM)
     groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in beta.terms.items():
         m = MASK[idx]
@@ -63,8 +62,7 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
 
 def codifferential(beta: GradedTensor) -> GradedTensor:
     """delta = -star d star; on a function it is the zero tensor of degree -1."""
-    if beta.variance != FORM:
-        raise VarianceMismatch("codifferential acts on forms")
+    _expect(beta, FORM)
     return -hodge(exterior_derivative(hodge(beta)))
 
 
@@ -86,8 +84,7 @@ def homotopy_primitive(beta: GradedTensor) -> GradedTensor:
     polynomial ring.  Satisfies d(H(beta)) + H(d(beta)) = beta, hence closed
     forms get honest primitives.
     """
-    if beta.variance != FORM:
-        raise VarianceMismatch("homotopy operator acts on forms")
+    _expect(beta, FORM)
     k = beta.degree
     if k < 1:
         raise DegreeMismatch(f"a degree-{k} form has no primitive of lower degree")
@@ -127,10 +124,8 @@ def lie_derivative(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
     Computed literally as ``Q _| d(beta) - (-1)^q d(Q _| beta)``; a term
     whose contraction underflows is the zero form.
     """
-    if q.variance != MULTIVECTOR:
-        raise VarianceMismatch("lie_derivative expects a multivector field")
-    if beta.variance != FORM:
-        raise VarianceMismatch("lie_derivative expects a form")
+    _expect(q, MULTIVECTOR)
+    _expect(beta, FORM)
     first = contract(q, exterior_derivative(beta))
     second = exterior_derivative(contract(q, beta))
     return first - second if q.degree % 2 == 0 else first + second
@@ -141,10 +136,8 @@ def lie_derivative_multivector(x: GradedTensor, t: GradedTensor) -> GradedTensor
 
     ``L_X T = [X, T]``, the Schouten bracket with a vector field.
     """
-    if x.variance != MULTIVECTOR or x.degree != 1:
-        raise VarianceMismatch("lie_derivative_multivector needs a vector field")
-    if t.variance != MULTIVECTOR:
-        raise VarianceMismatch("lie_derivative_multivector acts on multivectors")
+    _expect(x, MULTIVECTOR, 1)
+    _expect(t, MULTIVECTOR)
     return schouten(x, t)
 
 
@@ -159,8 +152,8 @@ def schouten(q1: GradedTensor, q2: GradedTensor) -> GradedTensor:
     the zero tensor, so the bracket against a function reduces to
     directional derivatives, and two functions bracket to zero.
     """
-    if q1.variance != MULTIVECTOR or q2.variance != MULTIVECTOR:
-        raise VarianceMismatch("schouten bracket is defined on multivector fields")
+    _expect(q1, MULTIVECTOR)
+    _expect(q2, MULTIVECTOR)
     a, b = flat(q1), flat(q2)
     a_db = wedge(a, codifferential(b))
     koszul = wedge(codifferential(a), b) - codifferential(wedge(a, b))

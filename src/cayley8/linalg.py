@@ -91,8 +91,8 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        if n < 1:
-            raise ValueError("matrix needs at least one row")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"an identity matrix needs a positive integer size, not {n!r}")
         return _reduced([{i: 1} for i in range(n)], 1, n)
 
     @classmethod

@@ -78,6 +78,11 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _check_power(n: int) -> None:
+    if type(n) is not int:
+        raise ValueError(f"power must be an integer, not the {type(n).__name__} {n!r}")
+
+
 def _pack(exp: Iterable[int]) -> int:
     exp = tuple(exp)
     try:
@@ -118,7 +123,10 @@ def _reduced(nums: dict[int, int], den: int) -> "Polynomial":
 
 def _summed(packed: list[tuple[int, int, int]]) -> "Polynomial":
     """Sum of ``num/den`` times monomial ``key`` over ``(key, num, den)`` triples; ``den`` nonzero."""
-    den = lcm(*(d for _, _, d in packed))
+    den = 1
+    for _, _, d in packed:
+        if den % d:
+            den = lcm(den, d)
     nums: dict[int, int] = {}
     for key, n, d in packed:
         nums[key] = nums.get(key, 0) + n * (den // d)  # a negative d flips the sign
@@ -253,10 +261,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, i: int, power: int = 1) -> "Polynomial":
-        if isinstance(i, bool) or not 0 <= i < DIM:
+        if type(i) is not int or not 0 <= i < DIM:
             raise ValueError(f"variable index {i!r} outside 0..{DIM - 1}")
-        if isinstance(power, bool):
-            raise ValueError(f"power must be an integer, not the bool {power}")
+        _check_power(power)
         return _wrap({_pack(power if j == i else 0 for j in range(DIM)): 1}, 1)
 
     # -- inspection --------------------------------------------------------
@@ -369,6 +376,7 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         """Square and multiply: at most ``2 * ceil(log2(n))`` products."""
+        _check_power(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out = None
@@ -385,7 +393,7 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to coordinate ``i``."""
-        if isinstance(i, bool) or not 0 <= i < DIM:
+        if type(i) is not int or not 0 <= i < DIM:
             raise ValueError(f"variable index {i!r} outside 0..{DIM - 1}")
         shift = _SHIFTS[i]
         step = 1 << shift

@@ -49,7 +49,7 @@ from .tensor import (
     MULTIVECTOR,
     DegreeMismatch,
     GradedTensor,
-    VarianceMismatch,
+    _expect,
     apply_matrix,
     contract,
     dx,
@@ -120,13 +120,6 @@ def three_form_operator(eta: GradedTensor) -> GradedTensor:
     _expect(eta, FORM, 3)
     image = apply_matrix(map_matrix(3), eta, 1, FORM)  # star(Psi ^ eta), a one-form
     return apply_matrix(map_matrix(1), image, 3, FORM)
-
-
-def _expect(t: GradedTensor, variance: str, degree: int) -> None:
-    if t.variance != variance:
-        raise VarianceMismatch(f"expected a {variance}, got a {t.variance}")
-    if t.degree != degree and not t.is_zero():
-        raise DegreeMismatch(f"expected degree {degree}, got {t.degree}")
 
 
 # -- decomposition reports ---------------------------------------------------
@@ -279,7 +272,7 @@ def map_matrix(k: int) -> ExactMatrix:
     basis of k-multivectors; shapes 56x8, 28x28, 8x56 for k = 1, 2, 3.  Read
     with k-form columns, it is also the matrix of alpha -> star(Psi ^ alpha).
     """
-    if isinstance(k, bool) or k not in (1, 2, 3):
+    if type(k) is not int or k not in (1, 2, 3):
         raise DegreeMismatch(f"contraction maps exist for degrees 1, 2, 3, not {k!r}")
     psi = cayley_form()
     return structure_matrix((contract(mv(*idx), psi) for idx in basis(k)), 4 - k)
@@ -378,8 +371,7 @@ def triple_product(q: GradedTensor) -> GradedTensor:
 
 def _expect_field(q: GradedTensor) -> None:
     """Refuse anything but a multivector field of degree 1, 2 or 3."""
-    if q.variance != MULTIVECTOR:
-        raise VarianceMismatch(f"expected a multivector field of degree 1, 2, or 3, got a {q.variance}")
+    _expect(q, MULTIVECTOR)
     if q.degree not in (1, 2, 3):
         raise DegreeMismatch(f"expected a multivector field of degree 1, 2, or 3, got degree {q.degree}")
 

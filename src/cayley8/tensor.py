@@ -47,6 +47,15 @@ a shared key is one two-pair linear sum, skipped when a difference is of
 two equal coefficients.  A tensor times a rational scales each coefficient.
 A group that cancels is dropped, so no tensor holds a zero coefficient.
 
+Refusals
+--------
+An operator refuses a tensor argument of the wrong shape with one rule,
+written once in :func:`_expect`: variance first (:class:`VarianceMismatch`),
+then degree (:class:`DegreeMismatch`), and a zero tensor passes any
+degree.  Operators here, in ``calculus`` and in ``spin7`` call it; ``+``,
+``-``, ``wedge`` and ``inner`` call it on the second operand with the
+first's variance and, but for ``wedge`` or a zero first operand, degree.
+
 Tensor coordinates
 ------------------
 Row (or column) ``i`` of a matrix on degree ``k`` is ``basis(k)[i]``:
@@ -88,6 +97,14 @@ class VarianceMismatch(TensorError):
 
 class DegreeMismatch(TensorError):
     """Raised when tensor degrees violate an operation's contract."""
+
+
+def _expect(t: GradedTensor, variance: str, degree: int | None = None) -> None:
+    """Refuse ``t`` unless it has ``variance`` and, if given, ``degree``; a zero passes any degree."""
+    if t.variance != variance:
+        raise VarianceMismatch(f"expected a {variance}, got a {t.variance}")
+    if degree is not None and t.degree != degree and t.terms:
+        raise DegreeMismatch(f"expected degree {degree}, got {t.degree}")
 
 
 Coefficient = Polynomial | Rational
@@ -211,10 +228,7 @@ class GradedTensor:
         """
         if not isinstance(other, GradedTensor):
             return NotImplemented
-        if self.variance != other.variance:
-            raise VarianceMismatch("cannot add a form and a multivector")
-        if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
-            raise DegreeMismatch(f"cannot add degrees {self.degree} and {other.degree}")
+        _expect(other, self.variance, self.degree if self.terms else None)
         terms = dict(self.terms)
         for idx, q in other.terms.items():
             p = terms.get(idx)
@@ -382,8 +396,7 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
 
 def wedge(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     """Exterior product; past degree 8 no two masks are disjoint, so the result is zero."""
-    if a.variance != b.variance:
-        raise VarianceMismatch("wedge of a form with a multivector is undefined")
+    _expect(b, a.variance)
     return GradedTensor._raw(a.variance, a.degree + b.degree, _bilinear(a, b, DISJOINT))
 
 
@@ -393,10 +406,8 @@ def contract(q: GradedTensor, beta: GradedTensor) -> GradedTensor:
     Degree drops by ``q.degree``, below 0 for a multivector of higher degree
     than the form, whose contraction is then the zero form.
     """
-    if q.variance != MULTIVECTOR:
-        raise VarianceMismatch("first argument of contract must be a multivector")
-    if beta.variance != FORM:
-        raise VarianceMismatch("second argument of contract must be a form")
+    _expect(q, MULTIVECTOR)
+    _expect(beta, FORM)
     return GradedTensor._raw(FORM, beta.degree - q.degree, _bilinear(q, beta, INSIDE))
 
 
@@ -422,24 +433,19 @@ def musical(t: GradedTensor) -> GradedTensor:
 
 def sharp(beta: GradedTensor) -> GradedTensor:
     """Form -> multivector musical isomorphism."""
-    if beta.variance != FORM:
-        raise VarianceMismatch("sharp expects a form")
+    _expect(beta, FORM)
     return musical(beta)
 
 
 def flat(q: GradedTensor) -> GradedTensor:
     """Multivector -> form musical isomorphism."""
-    if q.variance != MULTIVECTOR:
-        raise VarianceMismatch("flat expects a multivector")
+    _expect(q, MULTIVECTOR)
     return musical(q)
 
 
 def inner(a: GradedTensor, b: GradedTensor) -> Polynomial:
     """Pointwise inner product; sorted basis indices are orthonormal."""
-    if a.variance != b.variance:
-        raise VarianceMismatch("inner product needs matching variance")
-    if a.degree != b.degree and not (a.is_zero() or b.is_zero()):
-        raise DegreeMismatch("inner product needs matching degree")
+    _expect(b, a.variance, a.degree if a.terms else None)
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     return Polynomial.sum_of_products([(1, pa, large[idx]) for idx, pa in small.items() if idx in large])
 

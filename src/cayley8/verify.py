@@ -43,7 +43,7 @@ from .calculus import (
 )
 from .linalg import ExactMatrix
 from .multiindex import DIM, basis
-from .polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, _SHIFTS, _reduced
+from .polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, _SHIFTS, _summed
 from .spin7 import (
     CAYLEY_FUNCTION_CONSTANT,
     cayley2_constraint,
@@ -138,28 +138,21 @@ def random_polynomial(rng: random.Random, max_degree: int = 2, max_terms: int = 
     Each term draws its number of variable factors, the variable of each
     factor, a numerator and a denominator, exactly as ``randint``,
     ``randrange`` and ``choice`` would.  Its packed key grows by one
-    ``_STEPS`` entry per factor, and the terms are summed over the lcm of
-    their denominators.  A ``max_degree`` above :data:`MAX_EXPONENT`
-    raises :class:`ExponentOverflow` before any draw, since a field could
-    pass the cap.
+    ``_STEPS`` entry per factor, and ``polynomial._summed`` adds the terms
+    over the lcm of their denominators.  A ``max_degree`` above
+    :data:`MAX_EXPONENT` raises :class:`ExponentOverflow` before any draw,
+    since a field could pass the cap.
     """
     if max_degree > MAX_EXPONENT:
         raise ExponentOverflow(f"max_degree {max_degree} above MAX_EXPONENT = {MAX_EXPONENT}")
     drawn = []
-    den = 1
     for _ in range(1 + _below(rng, max_terms)):
         key = 0
         for _ in range(_below(rng, max_degree + 1)):
             key += _STEPS[_below(rng, DIM)]
         num = _NONZERO_NUMERATORS[_below(rng, len(_NONZERO_NUMERATORS))]
-        d = 1 + _below(rng, 3)
-        if den % d:  # 1, 2 and 3: the lcm of distinct ones is their product
-            den *= d
-        drawn.append((key, num, d))
-    nums: dict[int, int] = {}
-    for key, num, d in drawn:
-        nums[key] = nums.get(key, 0) + num * (den // d)
-    return _reduced({k: v for k, v in nums.items() if v}, den)
+        drawn.append((key, num, 1 + _below(rng, 3)))
+    return _summed(drawn)
 
 
 def random_tensor(

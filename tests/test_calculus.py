@@ -201,8 +201,10 @@ class TestLieDerivativeMultivector:
         )
 
     def test_needs_vector_field(self):
-        with pytest.raises(VarianceMismatch):
+        with pytest.raises(DegreeMismatch):
             lie_derivative_multivector(mv(0, 1), mv(2))
+        with pytest.raises(VarianceMismatch):
+            lie_derivative_multivector(dx(0), mv(2))
 
 
 def battery(degree, coeffs=(None, 0, 2)):

@@ -97,6 +97,12 @@ def test_scalars_must_be_exact(scalar):
         ExactMatrix([[scalar]])
 
 
+@pytest.mark.parametrize("n", [True, 1.0, 0])
+def test_identity_refuses_a_non_positive_integer(n):
+    with pytest.raises(ValueError, match=f"positive integer size, not {n}"):
+        ExactMatrix.identity(n)
+
+
 def test_canonical_form():
     """One denominator, no common factor with the numerators: equal matrices compare equal."""
     half = ExactMatrix([[Fraction(1, 2), Fraction(3, 4)], [0, Fraction(-5, 6)]])

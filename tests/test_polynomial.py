@@ -194,19 +194,25 @@ def test_diff_index_range():
             p.diff(i)
 
 
-@pytest.mark.parametrize("i", [True, False])
+@pytest.mark.parametrize("i", [True, False, 1.0])
 def test_variable_refuses_a_bool(i):
     with pytest.raises(ValueError, match=f"variable index {i} outside 0..7"):
         Polynomial.variable(i)
 
 
-@pytest.mark.parametrize("power", [True, False])
+@pytest.mark.parametrize("power", [True, False, 1.5])
 def test_variable_refuses_a_bool_power(power):
-    with pytest.raises(ValueError, match=f"power must be an integer, not the bool {power}"):
+    with pytest.raises(ValueError, match=f"power must be an integer, not the {type(power).__name__} {power}"):
         Polynomial.variable(2, power)
 
 
-@pytest.mark.parametrize("i", [True, False])
+@pytest.mark.parametrize("power", [True, False, 1.5])
+def test_power_refuses_a_non_integer(power):
+    with pytest.raises(ValueError, match=f"power must be an integer, not the {type(power).__name__} {power}"):
+        x(0) ** power
+
+
+@pytest.mark.parametrize("i", [True, False, 1.0])
 def test_diff_refuses_a_bool(i):
     with pytest.raises(ValueError, match=f"variable index {i} outside 0..7"):
         (x(0) ** 2 * x(1)).diff(i)

@@ -270,6 +270,11 @@ class TestMapMatrices:
         with pytest.raises(DegreeMismatch, match="not True"):
             map_matrix(True)
 
+    def test_float_degree_refused(self):
+        map_matrix(1)
+        with pytest.raises(DegreeMismatch, match="not 1.0"):
+            map_matrix(1.0)
+
     def test_structure_matrix_entries(self):
         images = [dx(0, 1) * Fraction(3, 4) - dx(1, 2) * 2, GradedTensor.zero(FORM, 2), dx(0, 2) * Fraction(-1, 6)]
         matrix = structure_matrix(images, 2)

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 import reference_spin7
 
 from cayley8.linalg import ExactMatrix, SingularMatrixError
-from cayley8 import spin7
+from cayley8 import calculus, spin7
 from cayley8.multiindex import basis, basis_position
 from cayley8.polynomial import ONE, Polynomial, x
 from cayley8.tensor import (
@@ -374,3 +375,72 @@ class TestApplyMatrix:
         for j, image in enumerate(images):
             assert apply_matrix(matrix, dx(j), 2, FORM) == image
         assert spin7.structure_matrix is structure_matrix
+
+
+# (operator, valid arguments, position of the argument under test, the degree
+# that argument must have or None); for a pair, the degree of the other operand
+SHAPE_RULE = {
+    "contract.q": (contract, (mv(0), dx(0, 1)), 0, None),
+    "contract.beta": (contract, (mv(0), dx(0, 1)), 1, None),
+    "sharp": (sharp, (dx(0),), 0, None),
+    "flat": (flat, (mv(0),), 0, None),
+    "wedge": (wedge, (dx(0), dx(1)), 1, None),
+    "add": (operator.add, (dx(0), dx(1)), 1, 1),
+    "sub": (operator.sub, (dx(0), dx(1)), 1, 1),
+    "inner": (inner, (dx(0), dx(1)), 1, 1),
+    "exterior_derivative": (calculus.exterior_derivative, (dx(0, coeff=x(1)),), 0, None),
+    "codifferential": (calculus.codifferential, (dx(0, coeff=x(1)),), 0, None),
+    "homotopy_primitive": (calculus.homotopy_primitive, (dx(0, coeff=x(1)),), 0, None),
+    "lie_derivative.q": (calculus.lie_derivative, (mv(0, coeff=x(1)), dx(1)), 0, None),
+    "lie_derivative.beta": (calculus.lie_derivative, (mv(0, coeff=x(1)), dx(1)), 1, None),
+    "lie_derivative_multivector.x": (calculus.lie_derivative_multivector, (mv(0, coeff=x(1)), mv(1, 2)), 0, 1),
+    "lie_derivative_multivector.t": (calculus.lie_derivative_multivector, (mv(0, coeff=x(1)), mv(1, 2)), 1, None),
+    "schouten.q1": (calculus.schouten, (mv(0, coeff=x(1)), mv(1)), 0, None),
+    "schouten.q2": (calculus.schouten, (mv(0, coeff=x(1)), mv(1)), 1, None),
+    "is_locally_cayley": (spin7.is_locally_cayley, (mv(0),), 0, None),
+    "cayley_potential": (spin7.cayley_potential, (mv(0),), 0, None),
+    "two_form_operator": (spin7.two_form_operator, (dx(0, 1),), 0, 2),
+    "three_form_operator": (spin7.three_form_operator, (dx(0, 1, 2),), 0, 3),
+    "project2": (spin7.project2, (dx(0, 1),), 0, 2),
+    "project3": (spin7.project3, (dx(0, 1, 2),), 0, 3),
+    "project4": (spin7.project4, (dx(0, 1, 2, 3),), 0, 4),
+    "psi2_inverse": (spin7.psi2_inverse, (dx(0, 1),), 0, 2),
+    "psi3_section": (spin7.psi3_section, (dx(0),), 0, 1),
+    "triple_product": (spin7.triple_product, (mv(0, 1, 2),), 0, 3),
+    "cayley_2mvf_for": (spin7.cayley_2mvf_for, (dx(0),), 0, 1),
+}
+
+
+class TestShapeRule:
+    """Every operator refuses variance first, then degree; a zero passes any degree."""
+
+    @staticmethod
+    def _call(name, replacement):
+        function, args, position, _ = SHAPE_RULE[name]
+        args = list(args)
+        args[position] = replacement(args[position])
+        return function(*args)
+
+    @pytest.mark.parametrize("name", SHAPE_RULE)
+    def test_wrong_variance(self, name):
+        with pytest.raises(VarianceMismatch):
+            self._call(name, musical)
+
+    @pytest.mark.parametrize("name", [n for n, case in SHAPE_RULE.items() if case[3] is not None])
+    def test_wrong_degree(self, name):
+        def higher(t):
+            return GradedTensor(t.variance, t.degree + 1, {tuple(range(t.degree + 1)): 1})
+
+        with pytest.raises(DegreeMismatch):
+            self._call(name, higher)
+        # a zero of another degree passes; a zero of the other variance does not
+        self._call(name, lambda t: GradedTensor.zero(t.variance, t.degree + 1))
+        with pytest.raises(VarianceMismatch):
+            self._call(name, lambda t: GradedTensor.zero(musical(t).variance, t.degree + 1))
+
+    @pytest.mark.parametrize("name", ["add", "sub", "inner"])
+    def test_zero_first_operand_passes_any_degree(self, name):
+        function = SHAPE_RULE[name][0]
+        function(GradedTensor.zero(FORM, 3), dx(1))
+        with pytest.raises(VarianceMismatch):
+            function(GradedTensor.zero(MULTIVECTOR, 3), dx(1))
