@@ -11,20 +11,33 @@ around 70x70.
 ``+``, ``-``, scalar ``*``, ``@`` (each nonzero of a left row walks one right
 row), ``transpose`` and the sum of ``trace`` run on Python ints.  The
 columns of a matrix are the rows of its transpose, built on first use and
-cached both ways, so ``m.transpose().transpose() is m``.  ``rref``
-is fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
-and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968): a row ``b`` in the pivot column becomes
-``(a/g) row - (b/g) pivot_row`` with ``g = gcd(a, b)``, then is divided by
-its content, so an echelon row is a numerator over its pivot; scaling each
-row to the lcm of the pivots puts the reduced form over one denominator.
-``rank``, ``nullity``, ``nullspace`` and ``inverse`` all read that
-elimination through ``rref``, and every query answers with an
-``ExactMatrix`` or an int: ``rref()[0]`` is a matrix, and ``nullspace()``
-is the matrix whose columns are the kernel basis.  Only ``rows`` (built on
-first use and cached), ``column()``, ``trace()`` and ``abs_entry_sum()``
-give ``fractions.Fraction`` values.  Instances are treated as immutable
-once built.
+cached both ways, so ``m.transpose().transpose() is m``.
+
+Elimination is fraction-free (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968) and runs in
+two stages, each cached per matrix.  The forward pass goes through the
+columns left to right; in each, the sparsest row not yet a pivot that has
+an entry there (the first such row on a tie) becomes the pivot row, its sign
+flipped to make the pivot positive, and every other non-pivot row ``b`` in
+that column becomes ``(a/g) row - (b/g) pivot_row`` with ``g = gcd(a, b)``,
+divided by its content.  Rows that are already pivots are never touched, so
+the pass yields an echelon form and the pivot columns.  ``rref`` adds the
+back-substitution: from the last pivot upward, each pivot row clears its
+column from the pivot rows above it, so an echelon row is a numerator over
+its pivot, and scaling each row to the lcm of the pivots puts the reduced
+form over one denominator.  The reduced form is unique and stored
+canonically, so the pivot order does not show in it.  ``rank`` and
+``nullity`` (and so ``column_span_equals`` and
+``spin7.eigenspace_dimension``) read the forward pass alone; ``nullspace``
+and ``inverse`` read ``rref``.  A matrix never eliminates twice: ``rref``
+starts from a cached forward pass, and ``rank`` reads the pivots of a
+cached ``rref``.
+
+Every query answers with an ``ExactMatrix`` or an int: ``rref()[0]`` is a
+matrix, and ``nullspace()`` is the matrix whose columns are the kernel
+basis.  Only ``rows`` (built on first use and cached), ``column()``,
+``trace()`` and ``abs_entry_sum()`` give ``fractions.Fraction`` values.
+Instances are treated as immutable once built.
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ def _quotient(value: Rational) -> tuple[int, int]:
 class ExactMatrix:
     """Matrix over the rationals: sparse integer rows over one denominator."""
 
-    __slots__ = ("_nums", "_den", "nrows", "ncols", "_rows", "_rref", "_transpose")
+    __slots__ = ("_nums", "_den", "nrows", "ncols", "_rows", "_echelon", "_rref", "_transpose")
 
     def __init__(self, rows: Iterable[Sequence[Rational]]):
         data = [list(row) for row in rows]
@@ -118,8 +131,8 @@ class ExactMatrix:
         return self._rows
 
     def column(self, j: int) -> list[Fraction]:
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
+        if type(j) is not int or not 0 <= j < self.ncols:
+            raise IndexError(f"column {j!r} outside 0..{self.ncols - 1}")
         den = self._den
         return [Fraction(row[j], den) if j in row else _ZERO for row in self._nums]
 
@@ -214,55 +227,63 @@ class ExactMatrix:
 
     # -- elimination -------------------------------------------------------
 
+    def _forward(self) -> tuple[list[IntRow], list[int]]:
+        """Echelon rows and pivot columns of the forward pass (cached).
+
+        Column by column, the sparsest row not yet a pivot that has an entry
+        there (the first of them on a tie) becomes the pivot row, made
+        positive, and every other such row is cleared (and dropped if that
+        leaves it zero); a pivot row is never touched again.
+        """
+        if self._echelon is None:
+            rest = [row for row in self._nums if row]
+            echelon: list[IntRow] = []
+            pivots: list[int] = []
+            for c in range(self.ncols):
+                chosen = min((row for row in rest if c in row), key=len, default=None)
+                if chosen is None:
+                    continue
+                pivot, a = chosen, chosen[c]
+                if a < 0:  # pivots are positive, so a pivot of 1 never scales a target row
+                    pivot, a = {j: -v for j, v in chosen.items()}, -a
+                kept = []
+                for row in rest:
+                    b = row.get(c)
+                    if b is None:
+                        kept.append(row)
+                    elif row is not chosen:
+                        row = _cleared(row, b, pivot, a)
+                        if row:
+                            kept.append(row)
+                rest = kept
+                echelon.append(pivot)
+                pivots.append(c)
+                if not rest:
+                    break
+            self._echelon = (echelon, pivots)
+        return self._echelon
+
     def rref(self) -> tuple["ExactMatrix", list[int]]:
         """Reduced row echelon form and pivot column list (cached)."""
         if self._rref is None:
-            m = [dict(row) for row in self._nums]
-            nrows = self.nrows
-            pivots: list[int] = []
-            r = 0
-            for c in range(self.ncols):
-                pivot_row = next((i for i in range(r, nrows) if c in m[i]), None)
-                if pivot_row is None:
-                    continue
-                pivot = m[pivot_row]
+            echelon, pivots = self._forward()
+            m = list(echelon)
+            for k in range(len(pivots) - 1, 0, -1):  # back-substitution, from the last pivot up
+                c, pivot = pivots[k], m[k]
                 a = pivot[c]
-                if a < 0:  # pivots are positive, so a pivot of 1 never scales a target row
-                    a = -a
-                    pivot = {j: -v for j, v in pivot.items()}
-                m[pivot_row] = m[r]
-                m[r] = pivot
-                for i in range(nrows):
-                    target = m[i]
-                    b = target.get(c)
-                    if b is None or i == r:
-                        continue
-                    g = gcd(a, b)
-                    ag, bg = a // g, b // g
-                    row = {j: ag * v for j, v in target.items()} if ag != 1 else target
-                    for j, v in pivot.items():
-                        w = row.get(j, 0) - bg * v
-                        if w:
-                            row[j] = w
-                        else:
-                            del row[j]
-                    content = gcd(*row.values())
-                    m[i] = {j: v // content for j, v in row.items()} if content > 1 else row
-                pivots.append(c)
-                r += 1
-                if r == nrows:
-                    break
-            # echelon row k is over its pivot; the rows past the rank are empty
-            den = lcm(*(m[k][c] for k, c in enumerate(pivots)))
-            for k, c in enumerate(pivots):
-                scale = den // m[k][c]
-                if scale != 1:
-                    m[k] = {j: v * scale for j, v in m[k].items()}
+                for i in range(k):
+                    b = m[i].get(c)
+                    if b is not None:
+                        m[i] = _cleared(m[i], b, pivot, a)
+            # echelon row k is over its pivot; scaling puts every row over the lcm of the pivots
+            den = lcm(*(row[c] for row, c in zip(m, pivots)))
+            m = [{j: v * (den // row[c]) for j, v in row.items()} for row, c in zip(m, pivots)]
+            m += [{} for _ in range(self.nrows - len(pivots))]
             self._rref = (_reduced(m, den, self.ncols), pivots)
         return self._rref
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len((self._rref or self._forward())[1])
 
     def nullity(self) -> int:
         return self.ncols - self.rank()
@@ -311,8 +332,27 @@ def _fill(matrix: ExactMatrix, nums: list[IntRow], den: int, ncols: int) -> None
     matrix.nrows = len(nums)
     matrix.ncols = ncols
     matrix._rows = None
+    matrix._echelon = None
     matrix._rref = None
     matrix._transpose = None
+
+
+def _cleared(target: IntRow, b: int, pivot: IntRow, a: int) -> IntRow:
+    """``(a/g) target - (b/g) pivot`` over its content, ``g = gcd(a, b)``: a new row without the pivot's column.
+
+    ``a > 0`` is the entry of ``pivot`` in its pivot column, ``b`` that of ``target``.
+    """
+    g = gcd(a, b)
+    ag, bg = a // g, b // g
+    row = {j: ag * v for j, v in target.items()} if ag != 1 else dict(target)
+    for j, v in pivot.items():
+        w = row.get(j, 0) - bg * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    content = gcd(*row.values())
+    return {j: v // content for j, v in row.items()} if content > 1 else row
 
 
 def _reduced(rows: list[IntRow], den: int, ncols: int) -> ExactMatrix:

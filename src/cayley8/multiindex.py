@@ -24,7 +24,6 @@ its counters move to the tensor operations (ROADMAP item 1).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -134,19 +133,18 @@ def contraction(key_mv: MultiIndex, key_form: MultiIndex) -> tuple[MultiIndex, i
     return INDEX[rest], 1 - 2 * PARITY[mq << 8 | rest]
 
 
-@lru_cache(maxsize=None)
+_BASES: tuple[tuple[MultiIndex, ...], ...] = tuple(tuple(combinations(range(DIM), k)) for k in range(DIM + 1))
+
+_POSITIONS: tuple[dict[MultiIndex, int], ...] = tuple({idx: n for n, idx in enumerate(b)} for b in _BASES)
+
+
 def basis(k: int) -> tuple[MultiIndex, ...]:
-    """All strictly increasing k-tuples in lexicographic order."""
-    if not 0 <= k <= DIM:
-        return ()
-    return tuple(combinations(range(DIM), k))
-
-
-@lru_cache(maxsize=None)
-def _basis_positions(k: int) -> dict[MultiIndex, int]:
-    return {idx: n for n, idx in enumerate(basis(k))}
+    """All strictly increasing k-tuples in lexicographic order; none outside 0..8."""
+    if type(k) is not int:  # True would read as degree 1
+        raise ValueError(f"a basis degree must be an int, not {k!r}")
+    return _BASES[k] if 0 <= k <= DIM else ()
 
 
 def basis_position(idx: MultiIndex) -> int:
     """Position of a sorted multi-index within ``basis(len(idx))``."""
-    return _basis_positions(len(idx))[idx]
+    return _POSITIONS[len(idx)][idx]

@@ -376,6 +376,7 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
     ``(entry, coeff)`` pair per nonzero integer entry of row ``j`` of the
     transpose, and each output row is one ``Polynomial.linear_sum(pairs, den)``.
     """
+    GradedTensor._check_shape(variance, degree)
     if not t.terms:
         return GradedTensor.zero(variance, degree)
     rows = basis(degree)

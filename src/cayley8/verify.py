@@ -166,9 +166,12 @@ def random_tensor(
 
     Draws exactly as filling a dict ``{rng.choice(basis(degree)): poly}``
     and passing it to the constructor would, and wraps the nonzero
-    coefficients as they are; a bad shape raises after the draws, as the
-    constructor would.
+    coefficients as they are.  A degree that is not an int raises before any
+    draw, where ``basis`` refuses it; any other bad shape raises after the
+    draws, as the constructor would.
     """
+    if type(degree) is not int:
+        GradedTensor._check_shape(variance, degree)
     keys = basis(degree)
     terms: dict[tuple[int, ...], Polynomial] = {}
     for _ in range(1 + _below(rng, min(max_terms, len(keys)))):

@@ -3,14 +3,18 @@
 Dense fraction-by-fraction product and Gauss-Jordan elimination on lists of
 rows, as ``ExactMatrix`` computed them before it learned to skip zero
 entries.  ``nullspace`` and ``inverse`` follow the same steps as the
-methods of ``ExactMatrix`` but sit on this ``rref``.
+methods of ``ExactMatrix`` but sit on this ``rref``.  ``gauss_jordan`` is
+the integer elimination ``ExactMatrix.rref`` ran before it was split into a
+forward pass and a back-substitution: one loop that clears above and below
+every pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from cayley8.linalg import SingularMatrixError
+from cayley8.linalg import ExactMatrix, SingularMatrixError, _reduced
 
 
 def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -63,3 +67,54 @@ def inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in reduced]
+
+
+def gauss_jordan(matrix: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
+    """``ExactMatrix.rref`` as one fraction-free Gauss-Jordan loop, as it ran before.
+
+    It took the first row with an entry in each column as the pivot and
+    cleared above and below it in one pass; the forward pass and
+    back-substitution of ``ExactMatrix`` must give the same integer fields.
+    """
+    m = [dict(row) for row in matrix._nums]
+    nrows = matrix.nrows
+    pivots: list[int] = []
+    r = 0
+    for c in range(matrix.ncols):
+        pivot_row = next((i for i in range(r, nrows) if c in m[i]), None)
+        if pivot_row is None:
+            continue
+        pivot = m[pivot_row]
+        a = pivot[c]
+        if a < 0:  # pivots are positive, so a pivot of 1 never scales a target row
+            a = -a
+            pivot = {j: -v for j, v in pivot.items()}
+        m[pivot_row] = m[r]
+        m[r] = pivot
+        for i in range(nrows):
+            target = m[i]
+            b = target.get(c)
+            if b is None or i == r:
+                continue
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            row = {j: ag * v for j, v in target.items()} if ag != 1 else target
+            for j, v in pivot.items():
+                w = row.get(j, 0) - bg * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            content = gcd(*row.values())
+            m[i] = {j: v // content for j, v in row.items()} if content > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    # echelon row k is over its pivot; the rows past the rank are empty
+    den = lcm(*(m[k][c] for k, c in enumerate(pivots)))
+    for k, c in enumerate(pivots):
+        scale = den // m[k][c]
+        if scale != 1:
+            m[k] = {j: v * scale for j, v in m[k].items()}
+    return _reduced(m, den, matrix.ncols), pivots

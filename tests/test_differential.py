@@ -11,7 +11,11 @@ check with that of the general product loop near half the exponent cap.
 ``ExactMatrix`` (integer rows over one denominator,
 fraction-free elimination) is compared with the dense kernels of
 ``reference_linalg.py`` and with entry-by-entry ``Fraction`` arithmetic on
-sparse rational matrices up to 56x56, singular ones included.  The 7-part of
+sparse rational matrices up to 56x56, singular ones included; its forward
+pass and back-substitution are compared field by field with the one-loop
+Gauss-Jordan body they replaced, in either order of ``rank`` and ``rref``,
+on sparse matrices with duplicated, combined and zero rows and on the
+matrices of the structure maps.  The 7-part of
 ``project4`` (a sum over the 28 generators) is compared with the 70x70 Gram
 projector of ``reference_spin7.py`` on polynomial four-forms.  The
 Schouten bracket (Koszul's formula), the multivector Lie derivative and the
@@ -61,7 +65,7 @@ from documents import as_documents, json_values, load_outcome, located_outcome, 
 from reference_polynomial import Polynomial as Reference
 
 from cayley8.calculus import exterior_derivative, homotopy_primitive, lie_derivative_multivector, schouten
-from cayley8.linalg import ExactMatrix, SingularMatrixError
+from cayley8.linalg import ExactMatrix, SingularMatrixError, _reduced
 from cayley8.multiindex import DIM, INDEX, MASK, PARITY, basis, canonicalize, contraction, merge_sign, star_sign
 from cayley8.polynomial import MAX_EXPONENT, ONE, ExponentOverflow, Polynomial, x
 from cayley8 import serialize
@@ -504,6 +508,68 @@ def test_inverse_matches_dense_reference(rows):
             ExactMatrix(rows).inverse()
     else:
         assert ExactMatrix(rows).inverse().rows == expected
+
+
+def assert_eliminates_as_gauss_jordan(m: ExactMatrix) -> None:
+    """Forward pass plus back-substitution against the one-loop Gauss-Jordan, field by field.
+
+    Two fresh copies take the stages in either order: ``rank`` first (the
+    forward pass alone, then ``rref`` on top of it) and ``rref`` first.  The
+    echelon form itself must be row-equivalent to ``m``, each row zero left
+    of its pivot, with a positive pivot entry.
+    """
+    reduced, pivots = reference_linalg.gauss_jordan(m)
+    rank_first, rref_first = m * 1, m * 1
+    assert rank_first.rank() == len(pivots)
+    assert rank_first._rref is None  # the rank read the forward pass alone
+    for fresh in (rank_first, rref_first):
+        got, got_pivots = fresh.rref()
+        assert (got._nums, got._den, got_pivots) == (reduced._nums, reduced._den, pivots)
+        assert fresh.rank() == len(fresh.rref()[1]) == len(pivots)
+        assert fresh.nullity() == m.ncols - len(pivots)
+    echelon, echelon_pivots = rank_first._forward()
+    assert echelon_pivots == pivots
+    for row, c in zip(echelon, pivots):
+        assert min(row) == c and row[c] > 0
+    padded = echelon + [{} for _ in range(m.nrows - len(pivots))]
+    again, again_pivots = reference_linalg.gauss_jordan(_reduced(padded, 1, m.ncols))
+    assert (again._nums, again._den, again_pivots) == (reduced._nums, reduced._den, pivots)
+
+
+@st.composite
+def eliminable_matrices(draw):
+    """Sparse matrices, tall or wide, with duplicated, combined and zero rows slipped in."""
+    rows = draw(sparse_matrices(nrows=draw(st.integers(1, 24)), ncols=draw(st.integers(1, 24))))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "combine", "zero"]))
+        p, q = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+        if kind == "duplicate":
+            new = p[:]
+        elif kind == "combine":
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            new = [a * u + b * v for u, v in zip(p, q)]
+        else:
+            new = [Fraction(0)] * len(p)
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(eliminable_matrices())
+def test_elimination_matches_gauss_jordan(rows):
+    assert_eliminates_as_gauss_jordan(ExactMatrix(rows))
+
+
+def test_elimination_of_the_structure_maps_matches_gauss_jordan():
+    t_matrix, s_matrix = two_form_operator_matrix(), three_form_operator_matrix()
+    shifted = [m - ExactMatrix.identity(m.nrows) * ev for m, ev in ((s_matrix, -7), (s_matrix, 0), (t_matrix, -3), (t_matrix, 1))]
+    n = map_matrix(2)
+    augmented = _reduced([{**row, 28 + i: 1} for i, row in enumerate(n._nums)], 1, 56)  # [N | I], as inverse builds it
+    zero = ExactMatrix([[0] * 5] * 3)
+    negative = ExactMatrix([[0, -2, 4, Fraction(2, 3)], [-3, 6, 0, 1], [3, -8, 4, 0], [0, 0, 0, 0]])
+    for m in [map_matrix(k) for k in (1, 2, 3)] + [t_matrix, s_matrix] + shifted + [augmented, zero, negative]:
+        assert_eliminates_as_gauss_jordan(m)
+    assert [m.rank() for m in shifted] == [48, 56 - 48, 28 - 7, 28 - 21]
 
 
 # -- the Lambda^4_7 projection ---------------------------------------------------

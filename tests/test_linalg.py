@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cayley8 import linalg
 from cayley8.linalg import ExactMatrix, SingularMatrixError
 
 
@@ -70,6 +71,24 @@ def test_rref_cached_and_consistent():
     assert rref.rows == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert m.rref()[0] is rref
     assert m.rref() is m.rref()
+
+
+def test_each_stage_eliminates_once(monkeypatch):
+    """``rank`` runs the forward pass alone; ``rref`` adds only the back-substitution to it."""
+    cleared = []
+    original = linalg._cleared
+    monkeypatch.setattr(linalg, "_cleared", lambda *args: cleared.append(args) or original(*args))
+    m = ExactMatrix([[2, 1, 0, 1], [4, 3, 1, 0], [-2, 0, 5, 1], [2, 3, 6, 1]])  # row 3 = row 1 + row 2
+    assert (m.rank(), m.nullity()) == (3, 1)
+    forward = len(cleared)
+    assert forward > 0 and m._rref is None
+    reduced, pivots = m.rref()
+    back = len(cleared) - forward
+    assert back > 0 and pivots == [0, 1, 2]
+    assert (m.rank(), m.nullspace().shape, len(cleared)) == (3, (4, 1), forward + back)
+    fresh = m * 1  # rref first: the same two stages, once each
+    assert fresh.rref()[0] == reduced and fresh.rank() == 3
+    assert len(cleared) == 2 * (forward + back)
 
 
 @pytest.mark.parametrize("operand", [3, Fraction(1, 2), [[1, 0], [0, 1]]])
@@ -141,7 +160,7 @@ def test_rref_of_negative_and_scaled_pivots():
 def test_column_index_range():
     m = ExactMatrix([[1, 2], [3, 4]])
     assert m.column(0) == [1, 3] and m.column(1) == [2, 4]
-    for j in (-1, 2, 5):
+    for j in (-1, 2, 5, True, 1.0):
         with pytest.raises(IndexError, match=f"column {j} outside 0..1"):
             m.column(j)
 

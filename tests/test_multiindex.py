@@ -123,3 +123,11 @@ class TestBasis:
         for k in (1, 3):
             for n, idx in enumerate(basis(k)):
                 assert basis_position(idx) == n
+
+    def test_only_an_int_is_a_degree(self):
+        # a float asked before and after True: the answer may not depend on what was asked first
+        for k in (1.0, True, 1.0, False, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"basis degree must be an int, not {k!r}"):
+                basis(k)
+        assert basis(1) == tuple((i,) for i in range(DIM))
+        assert basis(-1) == basis(DIM + 1) == ()

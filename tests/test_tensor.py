@@ -376,6 +376,23 @@ class TestApplyMatrix:
             assert apply_matrix(matrix, dx(j), 2, FORM) == image
         assert spin7.structure_matrix is structure_matrix
 
+    @pytest.mark.parametrize("t", [dx(0), GradedTensor.zero(FORM, 1)], ids=["nonzero", "zero"])
+    def test_apply_matrix_refuses_a_bad_shape(self, t):
+        identity = ExactMatrix.identity(8)
+        with pytest.raises(VarianceMismatch, match="unknown variance 'foo'"):
+            apply_matrix(identity, t, 1, "foo")
+        for degree in (1.0, True):
+            with pytest.raises(DegreeMismatch, match=f"degree must be an integer, got {degree!r}"):
+                apply_matrix(identity, t, degree, FORM)
+        assert apply_matrix(identity, t, 1, FORM) == t
+
+    def test_structure_matrix_takes_an_int_degree(self):
+        images = [dx(j) for j in range(8)]
+        assert structure_matrix(images, 1) == ExactMatrix.identity(8)
+        for degree in (True, 1.0):
+            with pytest.raises(ValueError, match="basis degree must be an int"):
+                structure_matrix(images, degree)
+
 
 # (operator, valid arguments, position of the argument under test, the degree
 # that argument must have or None); for a pair, the degree of the other operand
