@@ -16,20 +16,26 @@ cached both ways, so ``m.transpose().transpose() is m``.
 Elimination is fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968) and runs in
 two stages, each cached per matrix.  The forward pass goes through the
-columns left to right; in each, the sparsest row not yet a pivot that has
-an entry there (the first such row on a tie) becomes the pivot row, its sign
-flipped to make the pivot positive, and every other non-pivot row ``b`` in
-that column becomes ``(a/g) row - (b/g) pivot_row`` with ``g = gcd(a, b)``,
-divided by its content.  Rows that are already pivots are never touched, so
-the pass yields an echelon form and the pivot columns.  ``rref`` adds the
-back-substitution: from the last pivot upward, each pivot row clears its
-column from the pivot rows above it, so an echelon row is a numerator over
-its pivot, and scaling each row to the lcm of the pivots puts the reduced
-form over one denominator.  The reduced form is unique and stored
+columns left to right, and every row not yet a pivot waits in a bucket keyed
+by its leading (smallest) column, so column ``c`` looks at its own bucket
+and no other row.  There the sparsest row (the lowest original row position
+on a tie) becomes the pivot row, its sign flipped to make the pivot
+positive, and every other row of the bucket, with ``b`` in that column,
+becomes ``(a/g) row - (b/g) pivot_row`` with ``g = gcd(a, b)``, divided by
+its content, and waits at its new leading column.  Rows that are already
+pivots are never touched, so the pass yields an echelon form and the pivot
+columns, and a block-diagonal matrix costs what its blocks cost.  ``rref``
+adds the back-substitution: from the last pivot upward, each pivot row
+clears its column from the pivot rows above it, so an echelon row is a
+numerator over its pivot, and scaling each row to the lcm of the pivots puts
+the reduced form over one denominator.  The reduced form is unique and stored
 canonically, so the pivot order does not show in it.  ``rank`` and
 ``nullity`` (and so ``column_span_equals`` and
 ``spin7.eigenspace_dimension``) read the forward pass alone; ``nullspace``
-and ``inverse`` read ``rref``.  A matrix never eliminates twice: ``rref``
+and ``inverse`` read ``rref``.  ``shifted(v)`` is ``self - v I`` built by
+copying the rows once and moving the diagonal, and ``shifted(0)`` is the
+matrix itself, so ``eigenspace_dimension(m, 0)`` reads the forward pass
+that ``m.rank()`` caches.  A matrix never eliminates twice: ``rref``
 starts from a cached forward pass, and ``rank`` reads the pivots of a
 cached ``rref``.
 
@@ -221,6 +227,32 @@ class ExactMatrix:
             raise ValueError("trace of a non-square matrix")
         return Fraction(sum(row.get(i, 0) for i, row in enumerate(self._nums)), self._den)
 
+    def shifted(self, value: Rational) -> "ExactMatrix":
+        """``self - value I`` for a square matrix: one copy of the rows with the diagonal moved.
+
+        ``shifted(0)`` is ``self``, cached eliminations and all.
+        """
+        if type(value) is bool:
+            raise ValueError(f"a shift is an exact rational, not {value!r}")
+        if self.nrows != self.ncols:
+            raise ValueError(f"eigenspace of a non-square {self.nrows}x{self.ncols} matrix")
+        num, den = _quotient(value)
+        if not num:
+            return self
+        common = lcm(self._den, den)
+        scale, shift = common // self._den, num * (common // den)
+        if scale == 1:
+            rows = [dict(row) for row in self._nums]
+        else:
+            rows = [{j: scale * v for j, v in row.items()} for row in self._nums]
+        for i, row in enumerate(rows):
+            w = row.get(i, 0) - shift
+            if w:
+                row[i] = w
+            else:
+                del row[i]
+        return _reduced(rows, common, self.ncols)
+
     def _check_same_shape(self, other: "ExactMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
@@ -230,35 +262,36 @@ class ExactMatrix:
     def _forward(self) -> tuple[list[IntRow], list[int]]:
         """Echelon rows and pivot columns of the forward pass (cached).
 
-        Column by column, the sparsest row not yet a pivot that has an entry
-        there (the first of them on a tie) becomes the pivot row, made
-        positive, and every other such row is cleared (and dropped if that
-        leaves it zero); a pivot row is never touched again.
+        Each nonzero row waits in the bucket of its leading column, tagged
+        with its row position.  At column ``c`` only that bucket has an
+        entry there: its sparsest row (the lowest position on a tie) becomes
+        the pivot row, made positive, and every other row of the bucket is
+        cleared and waits at its new leading column (or is dropped if zero);
+        a pivot row is never touched again.
         """
         if self._echelon is None:
-            rest = [row for row in self._nums if row]
+            waiting: dict[int, list[tuple[int, int, IntRow]]] = {}
+            for position, row in enumerate(self._nums):
+                if row:
+                    waiting.setdefault(min(row), []).append((len(row), position, row))
             echelon: list[IntRow] = []
             pivots: list[int] = []
             for c in range(self.ncols):
-                chosen = min((row for row in rest if c in row), key=len, default=None)
-                if chosen is None:
+                bucket = waiting.pop(c, None)
+                if bucket is None:
                     continue
-                pivot, a = chosen, chosen[c]
+                _, chosen, pivot = min(bucket)  # positions differ, so rows are never compared
+                a = pivot[c]
                 if a < 0:  # pivots are positive, so a pivot of 1 never scales a target row
-                    pivot, a = {j: -v for j, v in chosen.items()}, -a
-                kept = []
-                for row in rest:
-                    b = row.get(c)
-                    if b is None:
-                        kept.append(row)
-                    elif row is not chosen:
-                        row = _cleared(row, b, pivot, a)
+                    pivot, a = {j: -v for j, v in pivot.items()}, -a
+                for _, position, row in bucket:
+                    if position != chosen:
+                        row = _cleared(row, row[c], pivot, a)
                         if row:
-                            kept.append(row)
-                rest = kept
+                            waiting.setdefault(min(row), []).append((len(row), position, row))
                 echelon.append(pivot)
                 pivots.append(c)
-                if not rest:
+                if not waiting:
                     break
             self._echelon = (echelon, pivots)
         return self._echelon

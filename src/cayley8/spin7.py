@@ -296,18 +296,19 @@ def _projector(name: str) -> ExactMatrix:
     ``2_7`` = (I - T)/4 and ``2_21`` = (3I + T)/4 on two-forms; on
     four-forms ``4_7`` = G G^T/32, G the 70x28 matrix of the generators
     (their Gram matrix is 32 times a projector), and ``4_35`` = (I - star)/2.
+    The others are multiples of a shift: (I - T)/4 is ``T.shifted(1) * -1/4``.
     """
     if name in ("2_7", "2_21"):
         t_matrix = two_form_operator_matrix()
-        identity = ExactMatrix.identity(t_matrix.nrows)
-        image = identity - t_matrix if name == "2_7" else identity * 3 + t_matrix
-        return image * Fraction(1, 4)
+        if name == "2_7":
+            return t_matrix.shifted(1) * Fraction(-1, 4)
+        return t_matrix.shifted(-3) * Fraction(1, 4)
     if name == "4_7":
         pairings = _generator_pairings()
         return pairings.transpose() @ pairings * Fraction(1, 32)
     if name == "4_35":
         star = structure_matrix((hodge(dx(*idx)) for idx in basis(4)), 4)
-        return (ExactMatrix.identity(star.nrows) - star) * Fraction(1, 2)
+        return star.shifted(1) * Fraction(-1, 2)
     raise KeyError(name)
 
 
@@ -330,10 +331,8 @@ def _psi3_section_matrix() -> ExactMatrix:
 
 
 def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Rational) -> int:
-    """Exact dimension of ker(matrix - eigenvalue I)."""
-    if matrix.nrows != matrix.ncols:
-        raise ValueError(f"eigenspace of a non-square {matrix.nrows}x{matrix.ncols} matrix")
-    return (matrix - ExactMatrix.identity(matrix.nrows) * eigenvalue).nullity()
+    """Exact dimension of ker(matrix - eigenvalue I); eigenvalue 0 reads the matrix's own forward pass."""
+    return matrix.shifted(eigenvalue).nullity()
 
 
 # -- inverses, sections, solvers ---------------------------------------------

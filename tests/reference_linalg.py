@@ -6,7 +6,9 @@ entries.  ``nullspace`` and ``inverse`` follow the same steps as the
 methods of ``ExactMatrix`` but sit on this ``rref``.  ``gauss_jordan`` is
 the integer elimination ``ExactMatrix.rref`` ran before it was split into a
 forward pass and a back-substitution: one loop that clears above and below
-every pivot.
+every pivot.  ``forward_pass`` is the forward pass ``ExactMatrix._forward``
+ran before rows waited in buckets by leading column: every column scans
+every remaining row.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from cayley8.linalg import ExactMatrix, SingularMatrixError, _reduced
+from cayley8.linalg import ExactMatrix, IntRow, SingularMatrixError, _cleared, _reduced
 
 
 def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -118,3 +120,38 @@ def gauss_jordan(matrix: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
         if scale != 1:
             m[k] = {j: v * scale for j, v in m[k].items()}
     return _reduced(m, den, matrix.ncols), pivots
+
+
+def forward_pass(matrix: ExactMatrix) -> tuple[list[IntRow], list[int]]:
+    """``ExactMatrix._forward`` as it ran before, one scan of the remaining rows per column.
+
+    Column by column, the sparsest row not yet a pivot that has an entry
+    there (the first of them on a tie) becomes the pivot row, made
+    positive, and every other such row is cleared (and dropped if that
+    leaves it zero); a pivot row is never touched again.
+    """
+    rest = [row for row in matrix._nums if row]
+    echelon: list[IntRow] = []
+    pivots: list[int] = []
+    for c in range(matrix.ncols):
+        chosen = min((row for row in rest if c in row), key=len, default=None)
+        if chosen is None:
+            continue
+        pivot, a = chosen, chosen[c]
+        if a < 0:  # pivots are positive, so a pivot of 1 never scales a target row
+            pivot, a = {j: -v for j, v in chosen.items()}, -a
+        kept = []
+        for row in rest:
+            b = row.get(c)
+            if b is None:
+                kept.append(row)
+            elif row is not chosen:
+                row = _cleared(row, b, pivot, a)
+                if row:
+                    kept.append(row)
+        rest = kept
+        echelon.append(pivot)
+        pivots.append(c)
+        if not rest:
+            break
+    return echelon, pivots

@@ -15,7 +15,11 @@ sparse rational matrices up to 56x56, singular ones included; its forward
 pass and back-substitution are compared field by field with the one-loop
 Gauss-Jordan body they replaced, in either order of ``rank`` and ``rref``,
 on sparse matrices with duplicated, combined and zero rows and on the
-matrices of the structure maps.  The 7-part of
+matrices of the structure maps.  The forward pass (rows waiting by leading
+column) is compared field by field with the scan of every remaining row per
+column that it replaced, on those matrices, on direct sums of blocks with
+their rows shuffled together and on S - lambda I and T - lambda I; and
+``shifted`` with identity arithmetic.  The 7-part of
 ``project4`` (a sum over the 28 generators) is compared with the 70x70 Gram
 projector of ``reference_spin7.py`` on polynomial four-forms.  The
 Schouten bracket (Koszul's formula), the multivector Lie derivative and the
@@ -454,6 +458,7 @@ def test_matrix_kernels_build_no_fraction(monkeypatch):
     t_matrix, s_matrix = matrices[3:]
     images = [two_form_operator(dx(*idx)) for idx in basis(2)]
     wedge_images = [wedge(dx(*idx), cayley_form()) for idx in basis(3)]
+    halves = t_matrix * Fraction(1, 2)  # a denominator the shift must scale
     built = []
     original = Fraction.__new__
 
@@ -467,6 +472,7 @@ def test_matrix_kernels_build_no_fraction(monkeypatch):
     nullities = [m.nullity() for m in fresh]
     spectra = [eigenspace_dimension(t_matrix, -3), eigenspace_dimension(t_matrix, 1)]
     spectra += [eigenspace_dimension(s_matrix, -7), eigenspace_dimension(s_matrix, 0)]
+    int_shifts = [halves.shifted(3), halves.shifted(-1), s_matrix.shifted(-7)]
     residuals = [
         t_matrix @ t_matrix + t_matrix * 2 - ExactMatrix.identity(28) * 3,
         s_matrix @ s_matrix + s_matrix * 7,
@@ -496,6 +502,11 @@ def test_matrix_kernels_build_no_fraction(monkeypatch):
     assert spectra == [7, 21, 8, 48]
     assert [r.abs_entry_sum() for r in residuals] == [0, 0, 0]
     assert equal == [True] * 7 + [False]
+    assert int_shifts == [
+        halves - ExactMatrix.identity(28) * 3,
+        halves + ExactMatrix.identity(28),
+        s_matrix + ExactMatrix.identity(56) * 7,
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -570,6 +581,73 @@ def test_elimination_of_the_structure_maps_matches_gauss_jordan():
     for m in [map_matrix(k) for k in (1, 2, 3)] + [t_matrix, s_matrix] + shifted + [augmented, zero, negative]:
         assert_eliminates_as_gauss_jordan(m)
     assert [m.rank() for m in shifted] == [48, 56 - 48, 28 - 7, 28 - 21]
+
+
+def assert_forward_as_reference(m: ExactMatrix) -> None:
+    """The bucketed forward pass against the one-scan-per-column pass it replaced, field by field."""
+    expected = reference_linalg.forward_pass(m)
+    fresh = m * 1  # an equal matrix with no cached elimination
+    assert fresh._forward() == expected
+    assert m._forward() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(eliminable_matrices())
+def test_forward_pass_matches_reference(rows):
+    assert_forward_as_reference(ExactMatrix(rows))
+
+
+@st.composite
+def interleaved_direct_sums(draw):
+    """Direct sums of 2-4 sparse blocks, their rows shuffled together."""
+    blocks = [
+        draw(sparse_matrices(nrows=draw(st.integers(1, 8)), ncols=draw(st.integers(1, 8))))
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    ncols = sum(len(block[0]) for block in blocks)
+    rows, offset = [], 0
+    for block in blocks:
+        width = len(block[0])
+        rows += [[Fraction(0)] * offset + row + [Fraction(0)] * (ncols - offset - width) for row in block]
+        offset += width
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(interleaved_direct_sums())
+def test_forward_pass_of_direct_sums_matches_reference(rows):
+    assert_forward_as_reference(ExactMatrix(rows))
+
+
+@pytest.mark.parametrize("eigenvalue", [-7, -3, 0, 1, 2])
+def test_forward_pass_of_shifted_operators_matches_reference(eigenvalue):
+    # S - lambda I is 8 blocks of 7 and T - lambda I 7 blocks of 4, up to the order of the basis
+    for m in (three_form_operator_matrix(), two_form_operator_matrix()):
+        assert_forward_as_reference(m - ExactMatrix.identity(m.nrows) * eigenvalue)
+
+
+@st.composite
+def shifts(draw):
+    """A square sparse matrix over a denominator > 1 and a shift: an int, a ``Fraction`` or a diagonal entry."""
+    n = draw(st.integers(1, 24))
+    rows = draw(sparse_matrices(nrows=n, ncols=n))
+    # one entry +-1/q, q > 1, so the shared denominator is a multiple of q
+    i, j, q = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(2, 9))
+    rows[i][j] = Fraction(draw(st.sampled_from([-1, 1])), q)
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    value = draw(st.integers(-9, 9) | entries | st.sampled_from(diagonal))
+    return rows, value
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifts())
+def test_shifted_matches_identity_arithmetic(case):
+    rows, value = case
+    m = ExactMatrix(rows)
+    assert m._den > 1
+    assert m.shifted(value) == m - ExactMatrix.identity(m.nrows) * value
+    assert m.rows == rows  # the shift works on a copy
+    assert m.shifted(0) is m
 
 
 # -- the Lambda^4_7 projection ---------------------------------------------------

@@ -122,6 +122,28 @@ def test_identity_refuses_a_non_positive_integer(n):
         ExactMatrix.identity(n)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_shift_refuses_a_bool(value):
+    m = ExactMatrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=f"exact rational, not {value}"):
+        m.shifted(value)
+
+
+def test_shift_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="non-square 2x3"):
+        ExactMatrix([[1, 2, 3], [4, 5, 6]]).shifted(1)
+
+
+def test_shifted_moves_the_diagonal():
+    m = ExactMatrix([[1, 2], [3, Fraction(1, 2)]])
+    assert m.shifted(1) == ExactMatrix([[0, 2], [3, Fraction(-1, 2)]])
+    assert m.shifted(Fraction(1, 2)) == ExactMatrix([[Fraction(1, 2), 2], [3, 0]])
+    assert m.shifted(-2) == ExactMatrix([[3, 2], [3, Fraction(5, 2)]])
+    assert m.shifted(0) is m
+    assert ExactMatrix([[2, 0], [0, 2]]).shifted(2) == ExactMatrix([[0, 0], [0, 0]])
+    assert m == ExactMatrix([[1, 2], [3, Fraction(1, 2)]])
+
+
 def test_canonical_form():
     """One denominator, no common factor with the numerators: equal matrices compare equal."""
     half = ExactMatrix([[Fraction(1, 2), Fraction(3, 4)], [0, Fraction(-5, 6)]])

@@ -115,6 +115,23 @@ class TestProject2:
         with pytest.raises(TypeError):
             eigenspace_dimension(two_form_operator_matrix(), value)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_eigenvalue_is_not_a_bool(self, value):
+        with pytest.raises(ValueError, match=f"not {value}"):
+            eigenspace_dimension(two_form_operator_matrix(), value)
+
+    def test_eigenspace_of_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="non-square 56x8"):
+            eigenspace_dimension(map_matrix(1), 0)
+
+    def test_projectors_equal_identity_arithmetic(self):
+        t_matrix = two_form_operator_matrix()
+        star = structure_matrix((hodge(dx(*idx)) for idx in basis(4)), 4)
+        identity28, identity70 = ExactMatrix.identity(28), ExactMatrix.identity(70)
+        assert spin7._projector("2_7") == (identity28 - t_matrix) * Fraction(1, 4)
+        assert spin7._projector("2_21") == (identity28 * 3 + t_matrix) * Fraction(1, 4)
+        assert spin7._projector("4_35") == (identity70 - star) * Fraction(1, 2)
+
     def test_idempotent(self, make_tensor):
         beta = make_tensor(FORM, 2)
         part7 = project2(beta).components["2_7"]
