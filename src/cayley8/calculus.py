@@ -106,8 +106,7 @@ class HomotopyPrimitive:
 
     def identity_residual(self) -> GradedTensor:
         """d(primitive) + H(d(input)) - input; identically zero."""
-        tail = homotopy_primitive(exterior_derivative(self.input))
-        return exterior_derivative(self.primitive) + tail - self.input
+        return self.exactness_residual() + homotopy_primitive(exterior_derivative(self.input))
 
     def exactness_residual(self) -> GradedTensor:
         """d(primitive) - input; zero exactly when the input is closed."""

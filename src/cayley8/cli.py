@@ -60,7 +60,7 @@ def cmd_decompose(args) -> int:
     norms = report.norms()
     payload = {
         "input": tensor,
-        "flattened_from_multivector": report.flattened_from_multivector,
+        "flattened_from_multivector": tensor.variance == MULTIVECTOR,
         "components": dict(sorted(report.components.items())),
         "norms": dict(sorted(norms.items())),
         "residuals": {name: str(_mass(value)) for name, value in report.residuals().items()},

@@ -417,8 +417,8 @@ class Polynomial:
             total += value
         return total / self._den
 
-    def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute ``x_i -> images[i]`` for a sequence of eight polynomials.
+    def compose(self, images: Sequence["Polynomial | Rational"]) -> "Polynomial":
+        """Substitute ``x_i -> images[i]`` for a sequence of eight polynomials or exact rationals.
 
         Each term ``v x^e`` contributes the triple ``(v, rest, last)`` with
         ``rest * last`` the product of its substituted powers
@@ -427,6 +427,7 @@ class Polynomial:
         """
         if len(images) != DIM:
             raise ValueError(f"compose needs {DIM} images, got {len(images)}")
+        images = [as_polynomial(image) for image in images]
         powers: dict[tuple[int, int], Polynomial] = {}
         triples = []
         for key, v in self._nums.items():

@@ -26,7 +26,7 @@ through :func:`cayley8.tensor.apply_matrix`:
   takes -1/7 of it;
 - :func:`project4` applies pi_7 = G G^T/32 (G the matrix of
   :func:`seven_part_generators`) and pi_35 = (I - star)/2;
-- :func:`psi2_inverse` applies the inverse of ``map_matrix(2)``, and
+- :func:`psi2_inverse` applies T^-1 = (T + 2I)/3, and
   :func:`psi3_section` -1/7 ``map_matrix(1)`` on one-forms.
 
 Among the defining residuals, the two-form parts apply T, the 7-part pi_7
@@ -131,7 +131,6 @@ class DecompositionReport:
 
     input: GradedTensor
     components: dict[str, GradedTensor]
-    flattened_from_multivector: bool = False
 
     def residual(self) -> GradedTensor:
         total = GradedTensor.zero(FORM, self.input.degree)
@@ -246,19 +245,14 @@ def project4(sigma: GradedTensor) -> DecompositionReport:
 
 def decompose(t: GradedTensor) -> DecompositionReport:
     """Decompose a degree 2, 3, or 4 tensor; multivectors are flattened first."""
-    flattened = t.variance == MULTIVECTOR
-    form = flat(t) if flattened else t
+    form = flat(t) if t.variance == MULTIVECTOR else t
     if form.degree == 2:
-        report = project2(form)
-    elif form.degree == 3:
-        report = project3(form)
-    elif form.degree == 4:
-        report = project4(form)
-    else:
-        raise DegreeMismatch(f"no decomposition for degree {form.degree}")
-    if flattened:
-        report = DecompositionReport(report.input, report.components, True)
-    return report
+        return project2(form)
+    if form.degree == 3:
+        return project3(form)
+    if form.degree == 4:
+        return project4(form)
+    raise DegreeMismatch(f"no decomposition for degree {form.degree}")
 
 
 # -- structure maps as exact matrices ---------------------------------------
@@ -320,8 +314,8 @@ def _generator_pairings() -> ExactMatrix:
 
 @cache
 def _psi2_inverse_matrix() -> ExactMatrix:
-    """28x28 inverse of the contraction map on two-multivectors."""
-    return map_matrix(2).inverse()
+    """28x28 inverse (T + 2I)/3 of T = ``map_matrix(2)``, read off T^2 + 2T - 3I = 0."""
+    return map_matrix(2).shifted(-2) * Fraction(1, 3)
 
 
 @cache
@@ -341,8 +335,8 @@ def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Rational) -> int:
 def psi2_inverse(beta: GradedTensor) -> GradedTensor:
     """The unique two-multivector Q with Q _| Psi = beta.
 
-    Applies the inverse of ``map_matrix(2)``; on the eigenspace split this
-    is Q = sharp(-1/3 beta_7 + beta_21).
+    Applies T^-1 = (T + 2I)/3, T = ``map_matrix(2)``; on the eigenspace
+    split this is Q = sharp(-1/3 beta_7 + beta_21).
     """
     _expect(beta, FORM, 2)
     return apply_matrix(_psi2_inverse_matrix(), beta, 2, MULTIVECTOR)

@@ -156,10 +156,10 @@ class GradedTensor:
 
     @staticmethod
     def _check_shape(variance: str, degree: int) -> None:
-        """Raise unless ``variance`` is a variance and ``degree`` an int that is not a bool."""
+        """Raise unless ``variance`` is a variance and ``degree`` a plain int: no bool, no other subclass."""
         if variance not in (FORM, MULTIVECTOR):
             raise VarianceMismatch(f"unknown variance {variance!r}")
-        if not isinstance(degree, int) or isinstance(degree, bool):
+        if type(degree) is not int:
             raise DegreeMismatch(f"degree must be an integer, got {degree!r}")
 
     # -- constructors --------------------------------------------------

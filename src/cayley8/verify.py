@@ -545,34 +545,30 @@ def _check_seven_star(ctx: CheckContext) -> Iterator[Piece]:
 
 def _check_seven_norm(ctx: CheckContext) -> Iterator[Piece]:
     for x_field in _vector_samples(ctx):
-        yield spin7.identity_report("seven_norm", x_field)["residual"]
+        yield from spin7.identity_report("seven_norm", x_field).values()
 
 
 def _check_decomposable_minus6(ctx: CheckContext) -> Iterator[Piece]:
-    yield spin7.identity_report("decomposable_minus6", mv(0), mv(1))["residual"]
+    yield from spin7.identity_report("decomposable_minus6", mv(0), mv(1)).values()
     for _ in range(ctx.cases):
         u = random_vector_field(ctx.rng)
         v = random_vector_field(ctx.rng)
-        yield spin7.identity_report("decomposable_minus6", u, v)["residual"]
+        yield from spin7.identity_report("decomposable_minus6", u, v).values()
 
 
 def _check_norm_split_minus27(ctx: CheckContext) -> Iterator[Piece]:
     for _ in range(ctx.cases):
         q = random_tensor(ctx.rng, MULTIVECTOR, 2)
-        yield spin7.identity_report("norm_split_minus27", q)["residual"]
+        yield from spin7.identity_report("norm_split_minus27", q).values()
 
 
 def _check_norm_split_three(ctx: CheckContext) -> Iterator[Piece]:
-    report = spin7.identity_report("norm_split_three", mv(0, 1, 2))
-    yield report["eight_part"]
-    yield report["large_part"]
+    yield from spin7.identity_report("norm_split_three", mv(0, 1, 2)).values()
     rep3 = project3(flat(mv(0, 1, 2)))
     yield inner(rep3.components["3_8"], rep3.components["3_8"]) - Fraction(1, 7)
     yield inner(rep3.components["3_48"], rep3.components["3_48"]) - Fraction(6, 7)
     for _ in range(ctx.cases):
-        report = spin7.identity_report("norm_split_three", random_decomposable(ctx.rng, 3))
-        yield report["eight_part"]
-        yield report["large_part"]
+        yield from spin7.identity_report("norm_split_three", random_decomposable(ctx.rng, 3)).values()
 
 
 def _check_coexact_seven(ctx: CheckContext) -> Iterator[Piece]:
@@ -597,10 +593,7 @@ def _check_cayley_fn_constant(ctx: CheckContext) -> Iterator[Piece]:
         eta = random_tensor(rng, FORM, 3)
         kernel_part = sharp(project3(eta).components["3_48"])
         q = cayley_3mvf_for(f, kernel_part=kernel_part)
-        report = spin7.identity_report("cayley_fn", q, df)
-        yield report["eight_part_eq"]
-        yield report["scalar"]
-        yield report["image"]
+        yield from spin7.identity_report("cayley_fn", q, df).values()
 
 
 def _check_cayley2_constraint(ctx: CheckContext) -> Iterator[Piece]:

@@ -98,6 +98,15 @@ def test_compose_substitutes_polynomials():
     assert Polynomial.zero().compose(images).is_zero()
 
 
+def test_compose_takes_rational_images():
+    p = x(0) * x(1) + 3
+    assert p.compose([1] * 8) == 4
+    assert p.compose([Fraction(1, 2), x(2)] + [0] * 6) == Fraction(1, 2) * x(2) + 3
+    # an inexact image is refused, even for a variable that p does not contain
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        p.compose([x(0)] * 7 + [1.5])
+
+
 def test_compose_needs_eight_images():
     for n in (0, 7, 9):
         with pytest.raises(ValueError, match="compose needs 8 images"):

@@ -261,7 +261,6 @@ class TestDefiningResidualsCanFail:
 class TestDecomposeDispatch:
     def test_multivector_is_flattened(self):
         report = decompose(mv(0, 1))
-        assert report.flattened_from_multivector
         assert report.input == dx(0, 1)
 
     def test_unsupported_degree(self):
@@ -362,6 +361,20 @@ class TestCachedOperatorMatrices:
     def test_inverse_and_section_matrices(self):
         assert spin7._psi2_inverse_matrix() @ map_matrix(2) == ExactMatrix.identity(28)
         assert map_matrix(3) @ spin7._psi3_section_matrix() == ExactMatrix.identity(8)
+
+    def test_psi2_inverse_matrix_is_read_off_t_without_elimination(self, monkeypatch):
+        # T^2 + 2T - 3I = 0 gives T^-1 = (T + 2I)/3, so the build eliminates nothing
+        def refuse(self):
+            raise AssertionError("psi2^-1 was built by elimination")
+
+        spin7._psi2_inverse_matrix.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(ExactMatrix, "rref", refuse)
+                built = spin7._psi2_inverse_matrix()
+        finally:
+            spin7._psi2_inverse_matrix.cache_clear()
+        assert built == map_matrix(2).inverse()
 
     def test_map_matrix_relations(self):
         m1 = map_matrix(1)

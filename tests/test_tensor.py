@@ -1,5 +1,7 @@
+import enum
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,12 @@ from cayley8.tensor import (
     wedge,
 )
 from cayley8.verify import contraction_oracle, random_tensor
+
+
+class Degree(enum.IntEnum):
+    """An int subclass that ``multiindex.basis`` refuses, so no tensor may carry it."""
+
+    ONE = 1
 
 
 class TestConstruction:
@@ -381,9 +389,12 @@ class TestApplyMatrix:
         identity = ExactMatrix.identity(8)
         with pytest.raises(VarianceMismatch, match="unknown variance 'foo'"):
             apply_matrix(identity, t, 1, "foo")
-        for degree in (1.0, True):
-            with pytest.raises(DegreeMismatch, match=f"degree must be an integer, got {degree!r}"):
+        for degree in (1.0, True, Degree.ONE):
+            message = re.escape(f"degree must be an integer, got {degree!r}")
+            with pytest.raises(DegreeMismatch, match=message):
                 apply_matrix(identity, t, degree, FORM)
+            with pytest.raises(DegreeMismatch, match=message):
+                GradedTensor(FORM, degree, {(0,): 1})
         assert apply_matrix(identity, t, 1, FORM) == t
 
     def test_structure_matrix_takes_an_int_degree(self):

@@ -238,6 +238,15 @@ def test_perturbed_registry_map_matrix_fails_map_rank_two(monkeypatch):
     assert failing() == {"map_rank_two"}
 
 
+def test_identity_checks_read_every_returned_residual(monkeypatch):
+    # the registry yields identity_report's residuals as returned, so a residual the
+    # report adds under a name the registry never spells still fails its check
+    original = spin7.identity_report
+    monkeypatch.setattr(spin7, "identity_report", lambda name, *inputs: {**original(name, *inputs), "extra": Polynomial.one()})
+    identity_checks = {"seven_norm_identity", "decomposable_minus6", "norm_split_minus27", "norm_split_three", "cayley_fn_constant"}
+    assert failing(cases=1) == identity_checks
+
+
 # each entry sits in a column that the one seeded draw at seed 0 does not read
 @pytest.mark.parametrize(
     "builder, key, entry, check",
