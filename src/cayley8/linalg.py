@@ -65,10 +65,10 @@ class SingularMatrixError(ValueError):
 
 
 def _quotient(value: Rational) -> tuple[int, int]:
-    """``(numerator, denominator)`` of an exact rational; an int builds no ``Fraction``."""
-    if isinstance(value, int):
-        return int(value), 1
-    q = as_fraction(value)  # a Fraction passes through, anything else is a TypeError
+    """``(numerator, denominator)`` of an exact rational; a plain int builds no ``Fraction``, a bool is a ``TypeError``."""
+    if value.__class__ is int:
+        return value, 1
+    q = as_fraction(value)  # a Fraction or an int subclass passes, a bool or anything else is a TypeError
     return q.numerator, q.denominator
 
 

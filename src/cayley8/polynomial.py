@@ -71,9 +71,10 @@ class ExponentOverflow(ValueError):
 
 
 def as_fraction(value: Rational) -> Fraction:
+    """``value`` as a ``Fraction``; a bool, a float or any other non-rational is a ``TypeError``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and value.__class__ is not bool:
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -252,7 +253,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Rational) -> "Polynomial":
-        c = value if isinstance(value, int) else as_fraction(value)  # builds no Fraction
+        c = value if value.__class__ is int else as_fraction(value)  # a plain int builds no Fraction, a bool is refused
         return _wrap({0: c.numerator}, c.denominator) if c else _wrap({}, 1)
 
     @classmethod
@@ -279,15 +280,19 @@ class Polynomial:
         return self._terms
 
     def quotients(self) -> list[tuple[Exponents, int, int]]:
-        """``(exp, num, den)`` per term in exponent order, each quotient in lowest terms."""
+        """``(exp, num, den)`` per term in exponent order: :meth:`_packed_quotients` unpacked."""
+        return [(_unpack(key), n, d) for key, n, d in self._packed_quotients()]
+
+    def _packed_quotients(self) -> list[tuple[int, int, int]]:
+        """``(key, num, den)`` per term in key order, which is exponent order, each quotient in lowest terms."""
         den = self._den
         items = sorted(self._nums.items())
         if den == 1:
-            return [(_unpack(key), v, 1) for key, v in items]
+            return [(key, v, 1) for key, v in items]
         out = []
         for key, v in items:
             g = gcd(v, den)
-            out.append((_unpack(key), v // g, den // g))
+            out.append((key, v // g, den // g))
         return out
 
     def coefficient(self, exp: Exponents) -> Fraction:
@@ -336,6 +341,8 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
+            if other.__class__ is bool:
+                return NotImplemented
             other = Polynomial.constant(other)
         if isinstance(other, Polynomial):
             return self._den == other._den and self._nums == other._nums
@@ -358,7 +365,7 @@ class Polynomial:
         return Polynomial.linear_sum(((1, as_polynomial(other)), (-1, self)))
 
     def __mul__(self, other: "Polynomial | Rational") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and other.__class__ is not bool:  # a bool is no scalar: NotImplemented below
             return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -25,7 +25,11 @@ accepts it or raises a :class:`ParseError` naming the first node at fault.
 returns the text of each value.  Its two fast paths write a
 :class:`GradedTensor` or :class:`Polynomial` as the text of its document
 (:func:`tensor_to_document`, :func:`polynomial_to_document`) straight from
-its packed terms, one ``%`` format per monomial, with no document built.
+its packed terms (:meth:`Polynomial._packed_quotients`), with no document
+built.  One call keeps a table per indent from packed monomial to the text
+of its exponents, so each distinct monomial is formatted once per indent
+and every repeat is a lookup plus its numerator and denominator digits.
+The tables die with the call.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 from .multiindex import DIM, MASK, canonicalize
-from .polynomial import MAX_EXPONENT, Polynomial, _pack, _summed
+from .polynomial import MAX_EXPONENT, Polynomial, _pack, _summed, _unpack
 from .tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, _linear_sums
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -220,27 +224,30 @@ def json_text(value: Any) -> str:
     ``json.dumps``. A ``GradedTensor`` or ``Polynomial`` is written by one
     of two fast paths, :func:`_tensor_text` and :func:`_polynomial_text`,
     as ``json.dumps`` would write its document at that depth, straight from
-    the packed terms: nearly all the bytes of a CLI document are monomials,
-    and each is one ``%`` format of a template cached per indent, with no
-    document dict built. A tensor of a degree outside 0..8 raises
-    ``DegreeMismatch``, as :func:`tensor_to_document` does. A dict key that
-    is not a ``str``, or any other value ``json.dumps`` cannot write,
-    raises ``TypeError``.
+    the packed terms, with no document dict built. Nearly all the bytes of
+    a CLI document are monomials, and a document repeats few distinct ones
+    many times, so each call keeps one table per indent from packed key to
+    the monomial's text up to its numerator's digits: a monomial's
+    exponents are formatted once per indent and call, each repeat is a
+    lookup plus its ``num`` and ``den`` digits. The tables die with the
+    call. A tensor of a degree outside 0..8 raises ``DegreeMismatch``, as
+    :func:`tensor_to_document` does. A dict key that is not a ``str``, or
+    any other value ``json.dumps`` cannot write, raises ``TypeError``.
     """
-    return _text(value, "\n")
+    return _text(value, "\n", {})
 
 
-def _text(value: Any, newline: str) -> str:
-    """The text of ``value``, ``newline`` being "\\n" and the indent of its line."""
+def _text(value: Any, newline: str, heads: dict[str, dict[int, str]]) -> str:
+    """The text of ``value``, ``newline`` being "\\n" and the indent of its line; ``heads`` is the call's monomial tables."""
     cls = value.__class__
     if cls is str:
         return _quote(value)
     if cls is int:
         return int.__repr__(value)
     if isinstance(value, Polynomial):
-        return _polynomial_text(value, newline)
+        return _polynomial_text(value, newline, heads)
     if isinstance(value, GradedTensor):
-        return _tensor_text(value, newline)
+        return _tensor_text(value, newline, heads)
     # one join per container: a tensor's text is copied once per level it is nested in
     if isinstance(value, dict) and value:
         inner = newline + "  "
@@ -248,7 +255,7 @@ def _text(value: Any, newline: str) -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts += (sep, _quote(key), ": ", _text(item, inner))
+            parts += (sep, _quote(key), ": ", _text(item, inner, heads))
             sep = "," + inner
         parts.append(newline + "}")
         return "".join(parts)
@@ -256,7 +263,7 @@ def _text(value: Any, newline: str) -> str:
         inner = newline + "  "
         parts, sep = [], "[" + inner
         for item in value:
-            parts += (sep, _text(item, inner))
+            parts += (sep, _text(item, inner, heads))
             sep = "," + inner
         parts.append(newline + "]")
         return "".join(parts)
@@ -264,31 +271,41 @@ def _text(value: Any, newline: str) -> str:
 
 
 @functools.cache
-def _monomial_template(newline: str) -> str:
-    """One monomial's document at ``newline``: ``%d`` for its 8 exponents, then num and den."""
+def _monomial_pieces(newline: str) -> tuple[str, str, str]:
+    """One monomial's document at ``newline`` in three pieces around its num and den digits.
+
+    The head runs up to the numerator's digits, with ``%d`` for the 8
+    exponents; then the text between num and den, then the tail.
+    """
     key, entry = newline + "  ", newline + "    "
     exp = "[" + entry + ("," + entry).join(["%d"] * DIM) + key + "]"
-    return "{" + key + '"exp": ' + exp + "," + key + '"num": "%d",' + key + '"den": "%d"' + newline + "}"
+    return "{" + key + '"exp": ' + exp + "," + key + '"num": "', '",' + key + '"den": "', '"' + newline + "}"
 
 
-def _polynomial_text(poly: Polynomial, newline: str) -> str:
+def _polynomial_text(poly: Polynomial, newline: str, heads: dict[str, dict[int, str]]) -> str:
     """``polynomial_to_document(poly)`` as ``json.dumps(indent=2)`` writes it at ``newline``."""
     if poly.is_zero():
         return "[]"
     inner = newline + "  "
-    template = _monomial_template(inner)
-    monomials = [template % (*exp, num, den) for exp, num, den in poly.quotients()]
+    head, between, tail = _monomial_pieces(inner)
+    table = heads.setdefault(inner, {})
+    monomials = []
+    for key, n, d in poly._packed_quotients():
+        text = table.get(key)
+        if text is None:
+            text = table[key] = head % _unpack(key)
+        monomials.append(f"{text}{n}{between}{d}{tail}")
     return "[" + inner + ("," + inner).join(monomials) + newline + "]"
 
 
-def _tensor_text(t: GradedTensor, newline: str) -> str:
+def _tensor_text(t: GradedTensor, newline: str, heads: dict[str, dict[int, str]]) -> str:
     """``tensor_to_document(t)`` as ``json.dumps(indent=2)`` writes it at ``newline``."""
     degree = _document_degree(t)
     key, term, term_key, entry = (newline + "  " * n for n in range(1, 5))
     terms = [
         "{" + term_key + '"idx": '
         + ("[" + entry + ("," + entry).join(map(str, idx)) + term_key + "]" if idx else "[]")
-        + "," + term_key + '"coeff": ' + _polynomial_text(poly, term_key) + term + "}"
+        + "," + term_key + '"coeff": ' + _polynomial_text(poly, term_key, heads) + term + "}"
         for idx, poly in t.sorted_terms()
     ]
     head = "{" + key + '"variance": ' + _quote(t.variance) + "," + key + f'"degree": {degree},' + key + '"terms": '

@@ -255,7 +255,7 @@ class GradedTensor:
         return self._combine(other, -1)
 
     def __mul__(self, scalar: Coefficient) -> "GradedTensor":
-        if isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, (int, Fraction)) and scalar.__class__ is not bool:  # a bool goes on to be refused
             num, den = scalar.numerator, scalar.denominator
             if not num:
                 return GradedTensor.zero(self.variance, self.degree)
@@ -362,7 +362,7 @@ def structure_matrix(images: Iterable[GradedTensor], degree: int) -> ExactMatrix
         for idx, poly in image.terms.items():
             if not poly.is_constant():
                 raise ValueError("polynomial is not constant")
-            entries += [(basis_position(idx), j, num, den) for _, num, den in poly.quotients()]
+            entries += [(basis_position(idx), j, num, den) for _, num, den in poly._packed_quotients()]
     return ExactMatrix.from_quotients((len(basis(degree)), ncols), entries)
 
 

@@ -811,7 +811,8 @@ CHECKS: list[tuple[str, str, str, Check]] = [
     ("bracket_contraction", "[Q1,Q2] _| b = (-1)^(q1 q2 + q2) L_{Q1}(Q2 _| b) - Q2 _| L_{Q1} b (calibrated)", "brackets", _check_bracket_contraction),
 ]
 
-SCOPES = ("all", "core", "spin7", "brackets")
+#: ``all``, then each check's scope in order of first appearance in :data:`CHECKS`.
+SCOPES = ("all", *dict.fromkeys(scope for _, _, scope, _ in CHECKS))
 
 #: The one static report note, keyed by check id.
 NOTES = {

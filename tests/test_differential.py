@@ -42,13 +42,15 @@ factors far past a machine word and wide denominators, and ``+``, ``-``,
 ``sum_of_products`` bodies they ran before, in ``reference_tensor.py`` and
 ``reference_calculus.py``.
 ``json_text`` on values holding tensors and polynomials is compared with
-``json.dumps(indent=2)`` of their plain documents, and the loader's
+``json.dumps(indent=2)`` of their plain documents, and must format each
+distinct monomial once per indent and call, and the loader's
 guarded walk with the located parse of ``reference_serialize.py``, through
 the references of ``documents.py``; its guard must take exactly the
 coefficient lists that the one-pass path before it took.
 """
 
 import json
+import sys
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -1053,6 +1055,72 @@ def test_json_text_of_edge_tensors():
     assert '"idx": []' in json_text(scalar) and '"num": "-7"' in json_text(scalar)
     assert json_text(Polynomial()) == "[]"
 
+
+
+@pytest.fixture
+def no_digit_limit():
+    """The interpreter's int/str digit limit lifted, as the command line lifts it, then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7 there is no limit
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def monomial_sites(doc, depth=0):
+    """``(depth, exp)`` of each monomial of a plain document value, its depth counted in containers."""
+    if isinstance(doc, dict):
+        if "exp" in doc:
+            yield depth, tuple(doc["exp"])
+        for item in doc.values():
+            yield from monomial_sites(item, depth + 1)
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from monomial_sites(item, depth + 1)
+
+
+def repeated_monomials():
+    """A payload shaped like the command line's that repeats few monomials across terms and depths.
+
+    ``p`` is over 6 with terms over 6, 2 and 3, ``q`` has ``den == 1``
+    and ``wide`` has a numerator past CPython's default digit limit.
+    """
+    one, a, b = (0,) * DIM, (1, 0, 2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 3)
+    p = Polynomial({one: Fraction(1, 6), a: Fraction(-5, 2), b: Fraction(7, 3)})
+    q = Polynomial({one: 4, a: -1})
+    wide = Polynomial({b: Fraction(10**5000 + 1, 3)})
+    t = GradedTensor(FORM, 2, {(0, 1): p, (2, 5): q, (3, 4): wide, (1, 7): p * q})
+    scalar = GradedTensor(MULTIVECTOR, 0, {(): q})
+    return p, {
+        "input": t,
+        "components": {"a": t, "b": [t, p]},
+        "norms": [p, q, Polynomial(), wide],
+        "scalar": scalar,
+        "flag": True,
+    }
+
+
+def test_json_text_formats_each_monomial_once_per_indent_and_call(no_digit_limit):
+    p, value = repeated_monomials()
+    expected = json.dumps(as_documents(value), indent=2)
+    sites = set(monomial_sites(as_documents(value)))
+    assert len({depth for depth, _ in sites}) >= 3 and len(sites) < sum(1 for _ in monomial_sites(as_documents(value)))
+    assert {p._den} < {d for _, _, d in p._packed_quotients()} and '"den": "1"' in expected
+    serialize._monomial_pieces.cache_clear()
+    with mock.patch.object(serialize, "_unpack", wraps=serialize._unpack) as unpack:
+        first = json_text(value)
+        assert unpack.call_count == len(sites)
+        bare = json_text(p)  # the same monomials at another indent, in a call of its own
+        again = json_text(value)
+        assert unpack.call_count == 2 * len(sites) + len(p._nums)  # no table outlives its call
+    assert first == again == expected
+    assert bare == json.dumps(polynomial_to_document(p), indent=2)
+    # one template per indent that holds a monomial, whatever the number of monomials
+    assert serialize._monomial_pieces.cache_info().currsize == len({depth for depth, _ in sites} | {1})
 
 def assert_same_load(doc, location="$"):
     assert load_outcome(doc, location) == located_outcome(doc, location)

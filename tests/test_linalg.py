@@ -129,6 +129,14 @@ def test_shift_refuses_a_bool(value):
         m.shifted(value)
 
 
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_not_a_matrix_entry_or_scalar(value):
+    with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+        ExactMatrix([[value, 0], [0, 1]])
+    with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+        ExactMatrix.identity(2) * value
+
 def test_shift_refuses_a_non_square_matrix():
     with pytest.raises(ValueError, match="non-square 2x3"):
         ExactMatrix([[1, 2, 3], [4, 5, 6]]).shifted(1)

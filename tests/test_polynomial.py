@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, x
+from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, as_fraction, x
 
 exponents = st.tuples(*[st.integers(0, 2) for _ in range(8)])
 coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -226,6 +226,31 @@ def test_diff_refuses_a_bool(i):
     with pytest.raises(ValueError, match=f"variable index {i} outside 0..7"):
         (x(0) ** 2 * x(1)).diff(i)
 
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_not_an_exact_rational(value):
+    refused = "expected an exact rational, got bool"
+    with pytest.raises(TypeError, match=refused):
+        as_fraction(value)
+    with pytest.raises(TypeError, match=refused):
+        Polynomial({(0,) * 8: value})
+    with pytest.raises(TypeError, match=refused):
+        Polynomial.constant(value)
+    with pytest.raises(TypeError, match=refused):
+        x(0).evaluate([value] * 8)
+    with pytest.raises(TypeError, match=refused):
+        x(0).compose([value] * 8)
+    with pytest.raises(TypeError, match=refused):
+        x(0) + value
+    with pytest.raises(TypeError, match=refused):
+        value - x(0)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        x(0) * value
+    with pytest.raises(TypeError, match="unsupported operand"):
+        value * x(0)
+    # no bool equals a polynomial, not even the constant it would stand for
+    assert Polynomial.constant(int(value)).__eq__(value) is NotImplemented
+    assert Polynomial.constant(int(value)) != value and Polynomial.constant(int(value)) == int(value)
 
 def test_variable_mask_marks_the_nonzero_derivatives():
     p = x(0) ** 2 * x(5) + 3 + Polynomial.variable(7, MAX_EXPONENT)

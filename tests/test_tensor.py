@@ -308,6 +308,13 @@ class TestSignedAccumulation:
         assert t * Fraction(-3, 2) == t * Polynomial.constant(Fraction(-3, 2))
         assert (t * 0).is_zero() and (t * 0).degree == 2
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_is_not_a_scalar(self, value):
+        with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+            dx(0, 1) * value
+        with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+            value * dx(0, 1)
+
 
 class TestApplyMatrix:
     def test_transposition_of_coordinates(self):

@@ -6,6 +6,7 @@ import pytest
 import reference_spin7
 import reference_verify
 from cayley8 import spin7, verify
+from cayley8.cli import build_parser
 from cayley8.calculus import HomotopyPrimitive
 from cayley8.linalg import ExactMatrix
 from cayley8.multiindex import DIM
@@ -284,6 +285,83 @@ def test_raising_check_keeps_its_static_note(monkeypatch):
     assert check["note"] == verify.NOTES["cayley_fn_constant"] + "; raised NotLocallyCayleyError: " + (
         "multivector field is not locally Cayley; d(Q _| Psi) has L1 coefficient mass 0"
     )
+
+
+#: The paper's checks, the ids ``scope="all"`` reports, in report order.  A
+#: new check goes in a new scope that ``all`` skips, so this list, the
+#: whole-report digests and the benchmark's pins stay as they are.
+ALL_CHECK_IDS = [
+    "wedge_graded_commutativity",
+    "wedge_associativity",
+    "contract_matches_decomposable_expansion",
+    "star_involution",
+    "star_inner_consistency",
+    "musical_inverse",
+    "vector_identity_1",
+    "vector_identity_2",
+    "vector_identity_3",
+    "vector_identity_4",
+    "multivector_identity_1",
+    "multivector_identity_2",
+    "multivector_identity_3",
+    "multivector_identity_4",
+    "pullback_functorial",
+    "pullback_rotation_star",
+    "d_squared_zero",
+    "codifferential_squared_zero",
+    "homotopy_identity",
+    "homotopy_closed_primitive",
+    "cayley_term_count",
+    "cayley_self_dual",
+    "cayley_closed",
+    "cayley_norm_14",
+    "cayley_wedge_self",
+    "two_form_split",
+    "two_form_spectrum",
+    "three_form_split",
+    "three_form_spectrum",
+    "four_form_split",
+    "four_form_seven_rank",
+    "lemma2_minus7",
+    "map_rank_vectors",
+    "map_rank_two",
+    "map_rank_three",
+    "psi2_inverse_roundtrip",
+    "psi3_section_surjective",
+    "triple_product_coordinate_example",
+    "triple_product_norm",
+    "seven_star_identity",
+    "seven_norm_identity",
+    "decomposable_minus6",
+    "norm_split_minus27",
+    "norm_split_three",
+    "coexact_seven",
+    "cayley_fn_constant",
+    "cayley2_constraint",
+    "cayley_potential_roundtrip",
+    "locally_cayley_lie",
+    "schouten_vector_lie",
+    "schouten_jacobi_vectors",
+    "schouten_graded_symmetry",
+    "schouten_leibniz",
+    "schouten_graded_jacobi",
+    "lie_d_commutation",
+    "lie_wedge_split",
+    "bracket_contraction",
+]
+
+
+def test_all_scope_reports_the_papers_57_checks_in_order():
+    report = run_checks("all", seed=0, cases=1)
+    assert len(ALL_CHECK_IDS) == 57
+    assert [check["check_id"] for check in report["checks"]] == ALL_CHECK_IDS
+
+
+def test_scopes_are_read_from_the_registry():
+    assert SCOPES == ("all", "core", "spin7", "brackets")
+    verify_parser = build_parser()._subparsers._group_actions[0].choices["verify"]
+    (scope,) = [action for action in verify_parser._actions if action.dest == "scope"]
+    assert tuple(scope.choices) == SCOPES
 
 
 def test_scope_filtering():
