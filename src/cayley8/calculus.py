@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .multiindex import DIM, INDEX, MASK, PARITY
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _summed, _unpack
 from .tensor import (
     FORM, MULTIVECTOR, DegreeMismatch, GradedTensor,
     _expect, _linear_sums, contract, flat, hodge, sharp, wedge,
@@ -89,9 +89,7 @@ def homotopy_primitive(beta: GradedTensor) -> GradedTensor:
     if k < 1:
         raise DegreeMismatch(f"a degree-{k} form has no primitive of lower degree")
     weighted = {
-        idx: Polynomial.from_quotients(
-            (exp, num, den * (k + sum(exp))) for exp, num, den in poly.quotients()
-        )
+        idx: _summed([(key, num, den * (k + sum(_unpack(key)))) for key, num, den in poly._packed_quotients()])
         for idx, poly in beta.terms.items()
     }
     return contract(euler_field(), GradedTensor._raw(FORM, k, weighted))

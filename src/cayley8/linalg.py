@@ -36,8 +36,8 @@ and ``inverse`` read ``rref``.  ``shifted(v)`` is ``self - v I`` built by
 copying the rows once and moving the diagonal, and ``shifted(0)`` is the
 matrix itself, so ``eigenspace_dimension(m, 0)`` reads the forward pass
 that ``m.rank()`` caches.  A matrix never eliminates twice: ``rref``
-starts from a cached forward pass, and ``rank`` reads the pivots of a
-cached ``rref``.
+starts from a cached forward pass, and ``rank`` reads that pass's pivots.
+Entries and scalars are read through ``polynomial._quotient``.
 
 Every query answers with an ``ExactMatrix`` or an int: ``rref()[0]`` is a
 matrix, and ``nullspace()`` is the matrix whose columns are the kernel
@@ -53,7 +53,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .polynomial import Rational, as_fraction
+from .polynomial import Rational, _checked, _quotient
 
 IntRow = dict[int, int]
 
@@ -64,14 +64,6 @@ class SingularMatrixError(ValueError):
     """Raised when inverting a matrix without full rank."""
 
 
-def _quotient(value: Rational) -> tuple[int, int]:
-    """``(numerator, denominator)`` of an exact rational; a plain int builds no ``Fraction``, a bool is a ``TypeError``."""
-    if value.__class__ is int:
-        return value, 1
-    q = as_fraction(value)  # a Fraction or an int subclass passes, a bool or anything else is a TypeError
-    return q.numerator, q.denominator
-
-
 class ExactMatrix:
     """Matrix over the rationals: sparse integer rows over one denominator."""
 
@@ -79,9 +71,7 @@ class ExactMatrix:
 
     def __init__(self, rows: Iterable[Sequence[Rational]]):
         data = [list(row) for row in rows]
-        if not data:
-            raise ValueError("matrix needs at least one row")
-        width = len(data[0])
+        width = len(data[0]) if data else 0
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
         entries = [(i, j) + _quotient(v) for i, row in enumerate(data) for j, v in enumerate(row)]
@@ -94,16 +84,20 @@ class ExactMatrix:
     def from_quotients(
         cls, shape: tuple[int, int], quotients: Iterable[tuple[int, int, int, int]]
     ) -> "ExactMatrix":
-        """Zero matrix of ``shape`` plus ``num/den`` at ``(i, j)`` per ``(i, j, num, den)``; ``den`` nonzero."""
+        """Zero matrix of ``shape`` plus ``num/den`` at ``(i, j)`` per ``(i, j, num, den)``, all ints, ``den`` nonzero."""
         nrows, ncols = shape
-        if nrows < 1:
-            raise ValueError("matrix needs at least one row")
+        if type(nrows) is not int or type(ncols) is not int or nrows < 1 or ncols < 0:
+            raise ValueError(f"matrix needs at least one row and integer sizes, got {shape!r}")
         quotients = list(quotients)
-        den = lcm(*(d for _, _, _, d in quotients))
+        den = 1
+        for i, j, n, d in quotients:
+            if type(i) is not int or type(j) is not int or not (0 <= i < nrows and 0 <= j < ncols):
+                raise IndexError(f"entry ({i!r}, {j!r}) outside a {nrows}x{ncols} matrix")
+            _checked(n, d)
+            if den % d:
+                den = lcm(den, d)
         rows: list[IntRow] = [{} for _ in range(nrows)]
         for i, j, n, d in quotients:
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
             row = rows[i]
             row[j] = row.get(j, 0) + n * (den // d)  # a negative d flips the sign
         return _reduced([{j: v for j, v in row.items() if v} for row in rows], den, ncols)
@@ -116,9 +110,8 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Rational]]) -> "ExactMatrix":
-        ncols = len(columns)
-        nrows = len(columns[0])
-        return cls([[columns[j][i] for j in range(ncols)] for i in range(nrows)])
+        """The matrix with these columns; no columns, or columns of unequal length, are a ``ValueError``."""
+        return cls(zip(*columns, strict=True))
 
     # -- views -------------------------------------------------------------
 
@@ -316,7 +309,7 @@ class ExactMatrix:
         return self._rref
 
     def rank(self) -> int:
-        return len((self._rref or self._forward())[1])
+        return len(self._forward()[1])
 
     def nullity(self) -> int:
         return self.ncols - self.rank()

@@ -85,7 +85,7 @@ def canonicalize(indices: Iterable[int]) -> tuple[MultiIndex, int]:
     idx = tuple(indices)
     seen = parity = repeated = 0
     for i in idx:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < DIM:
+        if type(i) is not int or not 0 <= i < DIM:
             raise ValueError(f"index {i!r} outside 0..{DIM - 1}")
         bit = 1 << i
         repeated |= seen & bit

@@ -39,6 +39,14 @@ distinct power ``images[i] ** e`` by square and multiply.  ``terms`` is a
 read-only view from exponent tuples to
 ``fractions.Fraction``, built on first use.  No floating point appears
 anywhere.
+
+Both rules for exact numbers live here.  An exact rational (a coefficient,
+entry, scalar or point) is an ``int`` that is not a ``bool``, or a
+``Fraction``, read only through :func:`_quotient`; an integer argument (an
+index, degree, size, count or seed) is exactly an ``int``.  The
+constructors, ``from_quotients``, ``constant`` and :func:`as_fraction` check
+their input; the kernels ``linear_sum``, ``sum_of_products`` and ``_scaled``
+trust an int ``c`` or ``sign`` and a positive ``den``.
 """
 
 from __future__ import annotations
@@ -70,13 +78,27 @@ class ExponentOverflow(ValueError):
     """An exponent above :data:`MAX_EXPONENT`, given or produced by a product."""
 
 
-def as_fraction(value: Rational) -> Fraction:
-    """``value`` as a ``Fraction``; a bool, a float or any other non-rational is a ``TypeError``."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and value.__class__ is not bool:
-        return Fraction(value)
+def _quotient(value: Rational) -> tuple[int, int]:
+    """``(num, den)`` of an exact rational, ``den`` positive; a bool, a float or any other value is a ``TypeError``."""
+    if value.__class__ is int:
+        return value, 1
+    if isinstance(value, (int, Fraction)) and value.__class__ is not bool:
+        return value.numerator, value.denominator  # an int subclass gives a plain int
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _checked(num: int, den: int) -> tuple[int, int]:
+    """``(num, den)`` if both are exactly ints and ``den`` is nonzero: the check of both ``from_quotients``."""
+    if type(num) is not int or type(den) is not int:
+        raise TypeError(f"a quotient needs int num and den, got {type(num).__name__} and {type(den).__name__}")
+    if not den:
+        raise ValueError("zero denominator")
+    return num, den
+
+
+def as_fraction(value: Rational) -> Fraction:
+    """``value`` as a ``Fraction``, read through :func:`_quotient`."""
+    return value if isinstance(value, Fraction) else Fraction(*_quotient(value))
 
 
 def _check_power(n: int) -> None:
@@ -140,8 +162,7 @@ class Polynomial:
     __slots__ = ("_nums", "_den", "_terms")
 
     def __init__(self, terms: Mapping[Exponents, Rational] | None = None):
-        coeffs = [(exp, as_fraction(c)) for exp, c in (terms or {}).items()]
-        made = Polynomial.from_quotients((exp, c.numerator, c.denominator) for exp, c in coeffs)
+        made = _summed([(_pack(exp), *_quotient(c)) for exp, c in (terms or {}).items()])
         self._nums = made._nums
         self._den = made._den
         self._terms = None
@@ -150,8 +171,8 @@ class Polynomial:
 
     @classmethod
     def from_quotients(cls, quotients: Iterable[tuple[Exponents, int, int]]) -> "Polynomial":
-        """Sum of ``num/den * x^exp`` over ``(exp, num, den)`` triples; ``den`` nonzero."""
-        return _summed([(_pack(exp), n, d) for exp, n, d in quotients])
+        """Sum of ``num/den * x^exp`` over ``(exp, num, den)`` triples, ``num`` and ``den`` ints, ``den`` nonzero."""
+        return _summed([(_pack(exp), *_checked(n, d)) for exp, n, d in quotients])
 
     @staticmethod
     def linear_sum(pairs: Sequence[tuple[int, "Polynomial"]], den: int = 1) -> "Polynomial":
@@ -253,8 +274,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Rational) -> "Polynomial":
-        c = value if value.__class__ is int else as_fraction(value)  # a plain int builds no Fraction, a bool is refused
-        return _wrap({0: c.numerator}, c.denominator) if c else _wrap({}, 1)
+        num, den = _quotient(value)
+        return _wrap({0: num}, den) if num else _wrap({}, 1)
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -340,9 +361,7 @@ class Polynomial:
         return Fraction(self._nums.get(0, 0), self._den)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            if other.__class__ is bool:
-                return NotImplemented
+        if isinstance(other, (int, Fraction)) and other.__class__ is not bool:  # a bool: NotImplemented below
             other = Polynomial.constant(other)
         if isinstance(other, Polynomial):
             return self._den == other._den and self._nums == other._nums

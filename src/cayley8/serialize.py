@@ -65,9 +65,7 @@ def _expect_type(value: Any, kind: type, location: str) -> Any:
 
 
 def _parse_integer(value: Any, location: str) -> int:
-    if isinstance(value, bool):
-        raise ParseError("expected an integer string", location)
-    if isinstance(value, int):
+    if type(value) is int:
         return value
     if isinstance(value, str):
         if not _DECIMAL.fullmatch(value):
@@ -144,7 +142,7 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
             f"{location}.variance",
         )
     degree = doc.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= DIM:
+    if type(degree) is not int or not 0 <= degree <= DIM:
         raise ParseError(f"degree must be an integer in 0..{DIM}, got {degree!r}", f"{location}.degree")
     raw_terms = _expect_type(doc.get("terms", []), list, f"{location}.terms")
     groups: defaultdict[int, list] = defaultdict(list)

@@ -26,7 +26,6 @@ sensitive, i.e. that no identity passes vacuously.
 
 from __future__ import annotations
 
-import operator
 import random
 import time
 from dataclasses import dataclass
@@ -820,13 +819,6 @@ NOTES = {
 }
 
 
-def _index(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def run_checks(
     scope: str = "all",
     seed: int = 0,
@@ -843,13 +835,10 @@ def run_checks(
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
+    # exactly an int: True would run one case, "7" would seed the RNG through its str(); None flips no star
     for name, value in (("seed", seed), ("cases", cases), ("star_flip_degree", star_flip_degree)):
-        if isinstance(value, bool):  # a bool is an int: True would run one case, False flip degree 0
-            raise ValueError(f"{name} must be an integer, not the bool {value}")
-    seed = _index("seed", seed)  # 1.5, "7" or None would seed the RNG through its str() and land in the report
-    cases = _index("cases", cases)  # 1.5 would reach range() in a check body; 2.5 flips no degree
-    if star_flip_degree is not None:
-        star_flip_degree = _index("star_flip_degree", star_flip_degree)
+        if type(value) is not int and (value is not None or name != "star_flip_degree"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
     if star_flip_degree is not None and not 0 <= star_flip_degree <= DIM:

@@ -171,8 +171,20 @@ def test_from_quotients():
     assert ExactMatrix.from_quotients((2, 2), []) == ExactMatrix([[0, 0], [0, 0]])
     with pytest.raises(IndexError):
         ExactMatrix.from_quotients((2, 2), [(2, 0, 1, 1)])
-    with pytest.raises(ValueError):
-        ExactMatrix.from_quotients((0, 2), [])
+    with pytest.raises(IndexError, match=r"entry \(True, 0\) outside a 2x2 matrix"):
+        ExactMatrix.from_quotients((2, 2), [(True, 0, 1, 1)])
+    for shape in ((0, 2), (True, 2), (2, 2.5)):
+        with pytest.raises(ValueError, match="matrix needs at least one row and integer sizes"):
+            ExactMatrix.from_quotients(shape, [])
+    for num, den in ((1.5, 1), (Fraction(1, 2), 1)):
+        with pytest.raises(TypeError, match="a quotient needs int num and den"):
+            ExactMatrix.from_quotients((2, 2), [(0, 0, num, den)])
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExactMatrix.from_quotients((2, 2), [(0, 0, 1, 0)])
+    with pytest.raises(ValueError, match="matrix needs at least one row"):
+        ExactMatrix.from_columns([])
+    with pytest.raises(ValueError, match="shorter"):
+        ExactMatrix.from_columns([[1, 2], [3]])
 
 
 def test_rref_of_negative_and_scaled_pivots():

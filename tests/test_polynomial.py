@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -227,6 +229,22 @@ def test_diff_refuses_a_bool(i):
         (x(0) ** 2 * x(1)).diff(i)
 
 
+@pytest.mark.parametrize(
+    "num, den, error, message",
+    [
+        (0.5, 1, TypeError, "got float and int"),
+        (Fraction(1, 2), 1, TypeError, "got Fraction and int"),
+        (True, 1, TypeError, "got bool and int"),
+        (1, 1.0, TypeError, "got int and float"),
+        (1, 0, ValueError, "zero denominator"),
+    ],
+)
+def test_from_quotients_takes_int_quotients_only(num, den, error, message):
+    # a Fraction numerator stored as given would be unequal to the same constant, and + would raise inside gcd
+    with pytest.raises(error, match=message):
+        Polynomial.from_quotients([((0,) * 8, num, den)])
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_a_bool_is_not_an_exact_rational(value):
     refused = "expected an exact rational, got bool"
@@ -262,3 +280,54 @@ def test_variable_mask_marks_the_nonzero_derivatives():
 def test_abs_coeff_sum():
     p = Polynomial({(1,) + (0,) * 7: Fraction(-2, 3), (0,) * 8: 2})
     assert p.abs_coeff_sum() == Fraction(8, 3)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _other_number_rules(path: Path) -> list[str]:
+    """Each place in one module that reads a rational or an integer argument by a rule of its own."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if path.name != "polynomial.py" and (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_quotient"
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "_quotient"
+        ):
+            found.append(f"{where}: a _quotient outside polynomial.py")
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "index"
+            and isinstance(node.value, ast.Name) and node.value.id == "operator"
+            or isinstance(node, ast.ImportFrom) and node.module == "operator"
+            and any(alias.name == "index" for alias in node.names)
+        ):
+            found.append(f"{where}: operator.index")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1:2]
+            kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                found.append(f"{where}: isinstance(..., bool)")
+    return found
+
+
+def test_exact_numbers_have_one_rule():
+    """A rational is read by ``polynomial._quotient`` alone and an integer argument is ``type(x) is int``."""
+    paths = sorted(SRC.rglob("*.py"))
+    assert any(path.name == "polynomial.py" for path in paths)
+    assert [place for path in paths for place in _other_number_rules(path)] == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _quotient(value):\n    return value, 1\n",
+        "import operator\nn = operator.index(3)\n",
+        "from operator import index\n",
+        "ok = isinstance(3, bool)\n",
+        "ok = isinstance(3, (int, bool))\n",
+    ],
+)
+def test_the_drift_guard_sees_each_other_rule(tmp_path, source):
+    path = tmp_path / "linalg.py"
+    path.write_text(source, encoding="utf-8")
+    assert len(_other_number_rules(path)) == 1

@@ -22,6 +22,13 @@ from cayley8.serialize import (
 from cayley8.tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, dx, mv, unit, vol
 
 
+class Small(enum.IntEnum):
+    """An int subclass: no document degree or index, as no tensor degree or index."""
+
+    ZERO = 0
+    TWO = 2
+
+
 def doc(variance="form", degree=2, terms=None):
     return {"variance": variance, "degree": degree, "terms": terms or []}
 
@@ -126,7 +133,7 @@ class TestErrors:
         with pytest.raises(ParseError, match=r"\$\.degree"):
             document_to_tensor(doc(degree="two"))
 
-    @pytest.mark.parametrize("degree", [-1, 9, 12])
+    @pytest.mark.parametrize("degree", [-1, 9, 12, Small.TWO])
     def test_degree_outside_the_exterior_algebra(self, degree):
         # an empty term list would otherwise load as a zero tensor of that degree
         with pytest.raises(ParseError, match=r"^\$\.degree: .*0\.\.8"):
@@ -139,6 +146,8 @@ class TestErrors:
     def test_index_out_of_range(self):
         with pytest.raises(ParseError, match=r"terms\[0\]\.idx"):
             document_to_tensor(doc(terms=[{"idx": [0, 9], "coeff": coeff_one()}]))
+        with pytest.raises(ParseError, match=r"^\$\.terms\[0\]\.idx\[0\]: "):
+            document_to_tensor(doc(terms=[{"idx": [Small.ZERO, 1], "coeff": coeff_one()}]))
 
     @pytest.mark.parametrize("num", ["x", "1_0", " 7 ", "\u0663"])
     def test_bad_numerator(self, num):

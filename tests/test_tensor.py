@@ -54,7 +54,12 @@ class TestConstruction:
             GradedTensor(FORM, 2, {(0,): 1})
 
     def test_bool_index_rejected(self):
-        for make in (lambda: dx(True), lambda: mv(0, True), lambda: GradedTensor(FORM, 1, {(False,): 1})):
+        for make in (
+            lambda: dx(True),
+            lambda: mv(0, True),
+            lambda: GradedTensor(FORM, 1, {(False,): 1}),
+            lambda: dx(Degree.ONE),
+        ):
             with pytest.raises(ValueError, match="outside 0..7"):
                 make()
 

@@ -1,3 +1,4 @@
+import enum
 import random
 from fractions import Fraction
 
@@ -436,9 +437,9 @@ def test_non_integer_seed_rejected(seed):
 
 
 @pytest.mark.parametrize("name", ["seed", "cases", "star_flip_degree"])
-@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("flag", [True, False, enum.IntEnum("Count", "ONE").ONE])
 def test_bool_arguments_rejected(name, flag):
-    # True would run one case or seed 1, False would flip the star on degree 0
+    # True would run one case or seed 1, False would flip the star on degree 0; an IntEnum is no plain int either
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         run_checks(scope="core", **{"cases": 1, name: flag})
 
