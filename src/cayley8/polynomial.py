@@ -72,6 +72,7 @@ _MASK = (1 << FIELD_BITS) - 1
 _SHIFTS = tuple(FIELD_BITS * (DIM - 1 - i) for i in range(DIM))  # e0 most significant
 GUARD = sum(1 << (shift + FIELD_BITS - 1) for shift in _SHIFTS)
 _FIELDS = struct.Struct(f">{DIM}H")  # the key as big-endian unsigned 16-bit fields
+_INT = {int}  # the entry types of an exponent tuple or index list, compared as a set
 
 
 class ExponentOverflow(ValueError):
@@ -107,13 +108,19 @@ def _check_power(n: int) -> None:
 
 
 def _pack(exp: Iterable[int]) -> int:
+    """The key of eight exponents, each exactly an ``int`` in 0..MAX_EXPONENT.
+
+    ``struct`` takes anything with ``__index__``, so the entry types are
+    checked apart: a bool or an ``IntEnum`` exponent is a bad tuple too.
+    """
     exp = tuple(exp)
+    ints = {*map(type, exp)} == _INT
     try:
         key = int.from_bytes(_FIELDS.pack(*exp), "big")
     except struct.error:  # a wrong length, a non-integer or a field outside 0..65535
         key = None
-    if key is None or key & GUARD:
-        if len(exp) == DIM and all(isinstance(e, int) and e >= 0 for e in exp):
+    if key is None or key & GUARD or not ints:
+        if ints and len(exp) == DIM and min(exp) >= 0:
             raise ExponentOverflow(f"exponent {max(exp)} above MAX_EXPONENT = {MAX_EXPONENT}")
         raise ValueError(f"bad exponent tuple {exp!r}")
     return key

@@ -43,11 +43,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 from .multiindex import DIM, MASK, canonicalize
-from .polynomial import MAX_EXPONENT, Polynomial, _pack, _summed, _unpack
+from .polynomial import MAX_EXPONENT, Polynomial, _INT, _pack, _summed, _unpack
 from .tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, _linear_sums
 
 _DECIMAL = re.compile(r"-?[0-9]+")
-_INT = {int}
 
 
 class ParseError(ValueError):
@@ -96,10 +95,10 @@ def _polynomial(doc: Any, where: Callable[[], str]) -> Polynomial:
         try:
             exp, num, den = mono["exp"], mono["num"], mono.get("den", "1")
             if (
-                mono.__class__ is dict and exp.__class__ is list and {*map(type, exp)} == _INT
+                mono.__class__ is dict and exp.__class__ is list
                 and match(num) and match(den) and (d := int(den))
             ):
-                packed.append((_pack(exp), int(num), d))  # _pack checks the length and range
+                packed.append((_pack(exp), int(num), d))  # _pack checks the length, entry types and range
                 continue
         except (KeyError, TypeError, ValueError):  # ValueError: a bad exponent, or past the digit limit
             pass

@@ -140,12 +140,12 @@ class GradedTensor:
                 if poly.is_zero():
                     continue
                 key, sign = canonicalize(idx)
-                if sign == 0:
-                    continue  # repeated index: the alternating part vanishes
                 if len(key) != degree:
                     raise DegreeMismatch(
                         f"index {tuple(idx)} has length {len(key)}, expected {degree}"
                     )
+                if sign == 0:
+                    continue  # repeated index: the alternating part vanishes
                 groups[MASK[key]].append((sign, poly))
         _set_variance(self, variance)
         _set_degree(self, degree)
@@ -354,11 +354,16 @@ def _bilinear(a: GradedTensor, b: GradedTensor, rule: int) -> dict[MultiIndex, P
 # -- tensor coordinates ------------------------------------------------------
 
 def structure_matrix(images: Iterable[GradedTensor], degree: int) -> ExactMatrix:
-    """Column j holds the constant coefficients of ``images[j]`` on the degree-``degree`` basis."""
+    """Column j holds the constant coefficients of ``images[j]`` on the degree-``degree`` basis.
+
+    A nonzero image whose degree is not ``degree`` is a :class:`DegreeMismatch`;
+    images of either variance are read.
+    """
     entries = []
     ncols = 0
     for j, image in enumerate(images):
         ncols = j + 1
+        _expect(image, image.variance, degree)
         for idx, poly in image.terms.items():
             if not poly.is_constant():
                 raise ValueError("polynomial is not constant")

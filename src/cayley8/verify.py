@@ -881,10 +881,3 @@ def run_checks(
     }
     return report
 
-
-def registry_ids() -> list[str]:
-    return [check_id for check_id, _, _, _ in CHECKS]
-
-
-def registry_anchors() -> dict[str, str]:
-    return {check_id: anchor for check_id, anchor, _, _ in CHECKS}

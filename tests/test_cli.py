@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import re
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import cayley8
 from cayley8 import spin7
 from cayley8.cli import main
 from cayley8.linalg import ExactMatrix
@@ -46,7 +51,9 @@ class TestDecompose:
         path = write_doc(tmp_path / "q.json", tensor_to_document(mv(0, 1)))
         code, captured = run(capsys, "decompose", "--input", path, "--format", "json")
         assert code == 0
-        assert json.loads(captured.out)["flattened_from_multivector"] is True
+        payload = json.loads(captured.out)
+        assert payload["flattened_from_multivector"] is True
+        assert sorted(payload["components"]) == ["2_21", "2_7"]
 
     def test_unsupported_degree_is_usage_error(self, tmp_path, capsys):
         path = write_doc(tmp_path / "b.json", tensor_to_document(dx(0)))
@@ -152,23 +159,34 @@ class TestPrimitive:
         assert (code, captured.err, captured.out) == (2, error, "")
 
 
+# The paper's non-degeneracy of Psi: Q -> Q _| Psi has ranks 8, 28 and 8 on
+# degrees 1, 2 and 3, T has eigenvalues -3 and +1, and S has -7 and 0; each
+# rank and kernel dimension add up to the number of columns.
+RANK_TABLE = [
+    ("contraction_degree_1", "56x8", 8, 0, ""),
+    ("contraction_degree_2", "28x28", 28, 0, "-3 (x7), +1 (x21)"),
+    ("contraction_degree_3", "8x56", 8, 48, ""),
+    ("two_form_wedge_star", "28x28", 28, 0, "-3 (x7), +1 (x21)"),
+    ("three_form_double_wedge_star", "56x56", 8, 48, "-7 (x8), 0 (x48)"),
+]
+
+
 class TestRankReport:
     def test_json_table(self, capsys):
         code, captured = run(capsys, "rank-report", "--format", "json")
         assert code == 0
-        payload = json.loads(captured.out)
-        by_name = {row["map"]: row for row in payload["maps"]}
-        assert by_name["contraction_degree_1"]["shape"] == "56x8"
-        assert by_name["contraction_degree_1"]["rank"] == 8
-        assert by_name["contraction_degree_2"]["rank"] == 28
-        assert "x7" in by_name["contraction_degree_2"]["eigenvalues"]
-        assert by_name["contraction_degree_3"]["kernel_dim"] == 48
-        assert "-7 (x8)" in by_name["three_form_double_wedge_star"]["eigenvalues"]
+        rows = json.loads(captured.out)["maps"]
+        assert rows == [dict(zip(("map", "shape", "rank", "kernel_dim", "eigenvalues"), row)) for row in RANK_TABLE]
 
     def test_text_table(self, capsys):
         code, captured = run(capsys, "rank-report")
         assert code == 0
-        assert "contraction_degree_3" in captured.out
+        # a header and the same rows as the JSON, in columns of 30, 8, 5 and 11 characters
+        columns = ((0, 30), (30, 38), (38, 43), (43, 54), (54, None))
+        cells = [tuple(line[start:end].rstrip() for start, end in columns) for line in captured.out.splitlines()]
+        assert cells == [("map", "shape", "rank", "kernel", "eigenvalues")] + [
+            (name, shape, str(rank), str(kernel), spectrum) for name, shape, rank, kernel, spectrum in RANK_TABLE
+        ]
 
 
 class TestVerify:
@@ -310,7 +328,9 @@ class TestUsageErrors:
         doc = tensor_to_document(dx(0, 1, coeff=num))
         code, captured = run(capsys, "decompose", "--input", write_doc(tmp_path / "wide.json", doc), "--format", "json")
         assert code == 0
-        norms = json.loads(captured.out)["norms"]
+        payload = json.loads(captured.out)
+        assert captured.out == json.dumps(payload, indent=2) + "\n"
+        norms = payload["norms"]
         # |b|^2 = num^2 splits 1 : 3 between the 7- and 21-parts; Decimal reads any length exactly
         assert [(Decimal(m["num"]), m["den"]) for m in norms["2_7"]] == [(num**2, "4")]
         assert [(Decimal(m["num"]), m["den"]) for m in norms["2_21"]] == [(3 * num**2, "4")]
@@ -389,8 +409,21 @@ def _json_commands(tmp_path):
     )
     one_form = write_doc(tmp_path / "alpha.json", tensor_to_document(dx(0, coeff=x(1))))
     function = write_doc(tmp_path / "f.json", tensor_to_document(scalar_tensor(x(3) * x(3))))
+    # five terms share three monomials over dens 1, 2 and 6: the writer meets each
+    # monomial again across terms, components and norms, at several indents
+    shared = [
+        {"exp": [1, 0, 2, 0, 0, 0, 0, 0], "num": "-3", "den": "2"},
+        {"exp": [0] * 8, "num": "5", "den": "1"},
+        {"exp": [0, 1, 0, 0, 0, 0, 0, 1], "num": "7", "den": "6"},
+    ]
+    keys = ((0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (2, 3, 6, 7), (1, 2, 5, 6))
+    four_form = write_doc(
+        tmp_path / "four.json",
+        {"variance": "form", "degree": 4, "terms": [{"idx": list(idx), "coeff": shared} for idx in keys]},
+    )
     return {
         "decompose": (["decompose", "--input", two_form], 0),
+        "decompose-four-form": (["decompose", "--input", four_form], 0),
         "contract": (["contract", "--input", pair], 0),
         "solve-cayley2": (["solve", "cayley2", "--input", one_form], 0),
         "solve-cayley3": (["solve", "cayley3", "--input", function], 0),
@@ -403,6 +436,10 @@ def _json_commands(tmp_path):
     }
 
 
+#: the pieces the paper splits a form of each decomposed degree into
+SPLITS = {2: ["2_21", "2_7"], 4: ["4_1", "4_27", "4_35", "4_7"]}
+
+
 class TestJsonOutput:
     """``--format json`` prints ``json.dumps(payload, indent=2)`` and a newline, byte for byte."""
 
@@ -410,6 +447,7 @@ class TestJsonOutput:
         "name",
         [
             "decompose",
+            "decompose-four-form",
             "contract",
             "solve-cayley2",
             "solve-cayley3",
@@ -423,7 +461,12 @@ class TestJsonOutput:
         argv, status = _json_commands(tmp_path)[name]
         code, captured = run(capsys, *argv, "--format", "json")
         assert code == status
-        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
+        payload = json.loads(captured.out)
+        assert captured.out == json.dumps(payload, indent=2) + "\n"
+        if "residuals" in payload:  # decompose and solve: every identity holds exactly
+            assert set(payload["residuals"].values()) == {"0"}
+        if "components" in payload:  # decompose
+            assert sorted(payload["components"]) == SPLITS[payload["input"]["degree"]]
 
     def test_pure_python_encoder_is_not_used(self, tmp_path, capsys, monkeypatch):
         # json.dump(..., indent=2) builds its encoder with _make_iterencode
@@ -436,3 +479,26 @@ class TestJsonOutput:
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
         assert run(capsys, *argv, "--format", "json") == (0, captured)
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["rank-report", "--format", "json"], 0),
+        (["verify", "--scope", "spin7", "--cases", "1", "--mutate-hodge", "4", "--format", "json"], 1),
+        (["verify", "--cases", "0"], 2),
+    ],
+    ids=["rank-report", "verify-mutated", "verify-cases-0"],
+)
+def test_module_run_exits_with_the_status_main_returns(argv, status, capsys):
+    """``python -m cayley8.cli`` prints what ``main`` prints and hands its status to ``sys.exit``."""
+    code, captured = run(capsys, *argv)
+    src = str(Path(cayley8.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "cayley8.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    timing = re.compile(r'"elapsed_s": [^,}\s]+')  # the one field of a report that moves between runs
+    assert code == status
+    assert (done.returncode, done.stderr) == (status, captured.err)
+    assert timing.sub("", done.stdout) == timing.sub("", captured.out)

@@ -1,4 +1,5 @@
 import ast
+import enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,9 +32,21 @@ def test_constant_helpers():
         x(0).constant_value()
 
 
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        Polynomial({(-1,) + (0,) * 7: 1})
+class One(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("e", [-1, True, One.ONE, 1.0], ids=["negative", "bool", "IntEnum", "float"])
+def test_bad_exponent_rejected(e):
+    # struct packs anything with __index__; an exponent is exactly a non-negative int
+    exp = (e,) + (0,) * 7
+    for read in (
+        lambda: Polynomial({exp: 1}),
+        lambda: Polynomial.from_quotients([(exp, 1, 1)]),
+        lambda: x(0).coefficient(exp),
+    ):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            read()
 
 
 @given(polys, polys, polys)

@@ -52,6 +52,9 @@ class TestConstruction:
     def test_wrong_length_rejected(self):
         with pytest.raises(DegreeMismatch):
             GradedTensor(FORM, 2, {(0,): 1})
+        # a repeated index would drop the term: the length is checked first, as the loader does
+        with pytest.raises(DegreeMismatch, match=r"index \(0, 0, 1\) has length 3, expected 1"):
+            GradedTensor(FORM, 1, {(0, 0, 1): x(0)})
 
     def test_bool_index_rejected(self):
         for make in (
@@ -395,6 +398,14 @@ class TestApplyMatrix:
         for j, image in enumerate(images):
             assert apply_matrix(matrix, dx(j), 2, FORM) == image
         assert spin7.structure_matrix is structure_matrix
+
+    def test_structure_matrix_refuses_an_image_of_another_degree(self):
+        # read on the degree-1 basis, dx01 and dx02 would land at dx0 and dx1
+        with pytest.raises(DegreeMismatch, match="expected degree 1, got 2"):
+            structure_matrix([dx(0, 1), dx(0, 2)], 1)
+        # a zero image passes at any degree, as in every other degree check
+        zero = GradedTensor.zero(FORM, 2)
+        assert structure_matrix([dx(0), zero], 1) == ExactMatrix.from_quotients((8, 2), [(0, 0, 1, 1)])
 
     @pytest.mark.parametrize("t", [dx(0), GradedTensor.zero(FORM, 1)], ids=["nonzero", "zero"])
     def test_apply_matrix_refuses_a_bad_shape(self, t):

@@ -13,13 +13,7 @@ from cayley8.linalg import ExactMatrix
 from cayley8.multiindex import DIM
 from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial
 from cayley8.tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch
-from cayley8.verify import (
-    CHECKS,
-    SCOPES,
-    registry_anchors,
-    registry_ids,
-    run_checks,
-)
+from cayley8.verify import CHECKS, SCOPES, run_checks
 
 # Completeness meta-list: identity families the registry must cover, one
 # representative check id per family.
@@ -75,19 +69,21 @@ REQUIRED_CHECK_IDS = [
 ]
 
 
+REGISTRY_IDS = [check_id for check_id, _, _, _ in CHECKS]
+
+
 def test_registry_ids_unique():
-    ids = registry_ids()
-    assert len(ids) == len(set(ids))
+    assert len(REGISTRY_IDS) == len(set(REGISTRY_IDS))
 
 
 def test_registry_covers_required_families():
-    missing = set(REQUIRED_CHECK_IDS) - set(registry_ids())
+    missing = set(REQUIRED_CHECK_IDS) - set(REGISTRY_IDS)
     assert not missing
 
 
 def test_every_check_has_one_anchor():
-    anchors = registry_anchors()
-    assert set(anchors) == set(registry_ids())
+    anchors = {check_id: anchor for check_id, anchor, _, _ in CHECKS}
+    assert set(anchors) == set(REGISTRY_IDS)
     assert all(anchor.strip() for anchor in anchors.values())
 
 
