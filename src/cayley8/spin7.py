@@ -245,6 +245,7 @@ def project4(sigma: GradedTensor) -> DecompositionReport:
 
 def decompose(t: GradedTensor) -> DecompositionReport:
     """Decompose a degree 2, 3, or 4 tensor; multivectors are flattened first."""
+    _expect(t)
     form = flat(t) if t.variance == MULTIVECTOR else t
     if form.degree == 2:
         return project2(form)
@@ -464,21 +465,15 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
         _expect(q, MULTIVECTOR, 2)
         image = contract(q, psi)
         lhs = wedge(image, wedge(image, psi))
-        report = project2(flat(q))
-        n7 = inner(report.components["2_7"], report.components["2_7"])
-        n21 = inner(report.components["2_21"], report.components["2_21"])
-        return {"residual": lhs - volume * (n21 - n7 * 27)}
+        norms = project2(flat(q)).norms()
+        return {"residual": lhs - volume * (norms["2_21"] - norms["2_7"] * 27)}
     if name == "norm_split_three":
         (q,) = inputs
         _expect(q, MULTIVECTOR, 3)
-        report = project3(flat(q))
-        total = inner(flat(q), flat(q))
-        n8 = inner(report.components["3_8"], report.components["3_8"])
-        n48 = inner(report.components["3_48"], report.components["3_48"])
-        return {
-            "eight_part": n8 * 7 - total,
-            "large_part": n48 * 7 - total * 6,
-        }
+        form = flat(q)
+        norms = project3(form).norms()
+        total = inner(form, form)
+        return {"eight_part": norms["3_8"] * 7 - total, "large_part": norms["3_48"] * 7 - total * 6}
     if name == "cayley_fn":
         (q, df) = inputs
         _expect(q, MULTIVECTOR, 3)

@@ -49,12 +49,15 @@ A group that cancels is dropped, so no tensor holds a zero coefficient.
 
 Refusals
 --------
-An operator refuses a tensor argument of the wrong shape with one rule,
-written once in :func:`_expect`: variance first (:class:`VarianceMismatch`),
-then degree (:class:`DegreeMismatch`), and a zero tensor passes any
-degree.  Operators here, in ``calculus`` and in ``spin7`` call it; ``+``,
+An operator refuses a bad tensor argument with one rule, written once in
+:func:`_expect`: anything but a tensor first (``TypeError``), then variance
+(:class:`VarianceMismatch`), then degree (:class:`DegreeMismatch`), and a
+zero tensor passes any degree.  Operators here, in ``calculus`` and in
+``spin7`` call it, passing no variance where they take both.  ``+``,
 ``-``, ``wedge`` and ``inner`` call it on the second operand with the
-first's variance and, but for ``wedge`` or a zero first operand, degree.
+first's variance and, but for ``wedge`` or a zero first operand, degree;
+``+`` and ``-`` leave a non-tensor to Python's reflected operators, which
+raise ``TypeError``.
 
 Tensor coordinates
 ------------------
@@ -99,10 +102,14 @@ class DegreeMismatch(TensorError):
     """Raised when tensor degrees violate an operation's contract."""
 
 
-def _expect(t: GradedTensor, variance: str, degree: int | None = None) -> None:
-    """Refuse ``t`` unless it has ``variance`` and, if given, ``degree``; a zero passes any degree."""
-    if t.variance != variance:
-        raise VarianceMismatch(f"expected a {variance}, got a {t.variance}")
+def _expect(t: GradedTensor, variance: str | None = None, degree: int | None = None) -> None:
+    """Refuse ``t`` unless it is a tensor of ``variance`` and ``degree``, each if given; a zero passes any degree."""
+    try:
+        actual = t.variance
+    except AttributeError:
+        raise TypeError(f"expected a GradedTensor, got {type(t).__name__}") from None
+    if variance is not None and actual != variance:
+        raise VarianceMismatch(f"expected a {variance}, got a {actual}")
     if degree is not None and t.degree != degree and t.terms:
         raise DegreeMismatch(f"expected degree {degree}, got {t.degree}")
 
@@ -136,17 +143,14 @@ class GradedTensor:
             if not 0 <= degree <= DIM:
                 raise DegreeMismatch(f"nonzero tensor of impossible degree {degree}")
             for idx, coeff in terms.items():
-                poly = as_polynomial(coeff)
-                if poly.is_zero():
-                    continue
                 key, sign = canonicalize(idx)
                 if len(key) != degree:
                     raise DegreeMismatch(
                         f"index {tuple(idx)} has length {len(key)}, expected {degree}"
                     )
-                if sign == 0:
-                    continue  # repeated index: the alternating part vanishes
-                groups[MASK[key]].append((sign, poly))
+                poly = as_polynomial(coeff)
+                if sign and poly:  # sign 0: a repeated index, whose alternating part vanishes
+                    groups[MASK[key]].append((sign, poly))
         _set_variance(self, variance)
         _set_degree(self, degree)
         _set_terms(self, _linear_sums(groups))
@@ -363,7 +367,7 @@ def structure_matrix(images: Iterable[GradedTensor], degree: int) -> ExactMatrix
     ncols = 0
     for j, image in enumerate(images):
         ncols = j + 1
-        _expect(image, image.variance, degree)
+        _expect(image, None, degree)
         for idx, poly in image.terms.items():
             if not poly.is_constant():
                 raise ValueError("polynomial is not constant")
@@ -382,6 +386,7 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
     transpose, and each output row is one ``Polynomial.linear_sum(pairs, den)``.
     """
     GradedTensor._check_shape(variance, degree)
+    _expect(t)
     if not t.terms:
         return GradedTensor.zero(variance, degree)
     rows = basis(degree)
@@ -402,6 +407,7 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
 
 def wedge(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     """Exterior product; past degree 8 no two masks are disjoint, so the result is zero."""
+    _expect(a)
     _expect(b, a.variance)
     return GradedTensor._raw(a.variance, a.degree + b.degree, _bilinear(a, b, DISJOINT))
 
@@ -424,6 +430,7 @@ def hodge(beta: GradedTensor) -> GradedTensor:
     same combinatorics).  Satisfies star(star(b)) = (-1)^k b in this even
     dimension and b ^ star(b) = <b, b> vol for forms.
     """
+    _expect(beta)
     out: dict[MultiIndex, Polynomial] = {}
     for idx, poly in beta.terms.items():
         sign = star_sign(idx)
@@ -433,6 +440,7 @@ def hodge(beta: GradedTensor) -> GradedTensor:
 
 def musical(t: GradedTensor) -> GradedTensor:
     """Flip variance; the flat metric leaves coefficients untouched."""
+    _expect(t)
     other = MULTIVECTOR if t.variance == FORM else FORM
     return GradedTensor._raw(other, t.degree, dict(t.terms))
 
@@ -451,6 +459,7 @@ def flat(q: GradedTensor) -> GradedTensor:
 
 def inner(a: GradedTensor, b: GradedTensor) -> Polynomial:
     """Pointwise inner product; sorted basis indices are orthonormal."""
+    _expect(a)
     _expect(b, a.variance, a.degree if a.terms else None)
     small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     return Polynomial.sum_of_products([(1, pa, large[idx]) for idx, pa in small.items() if idx in large])
@@ -471,6 +480,7 @@ def pullback_linear(matrix: ExactMatrix, t: GradedTensor) -> GradedTensor:
         raise TypeError(f"pullback_linear needs an ExactMatrix, got {type(matrix).__name__}")
     if matrix.shape != (DIM, DIM):
         raise ValueError(f"expected an {DIM}x{DIM} matrix, got {matrix.nrows}x{matrix.ncols}")
+    _expect(t)
     rows = matrix.rows
     if t.variance == FORM:
         frame = rows  # dx^i pulls back to sum_j A[i][j] dx^j
@@ -480,7 +490,7 @@ def pullback_linear(matrix: ExactMatrix, t: GradedTensor) -> GradedTensor:
         except SingularMatrixError:
             raise SingularMatrixError("pullback of a multivector needs an invertible matrix") from None
         frame = [inverse.column(j) for j in range(DIM)]  # e_j pulls back to column j of A^-1
-    images = [GradedTensor(t.variance, 1, {(j,): c for j, c in enumerate(row)}) for row in frame]
+    images = [GradedTensor(t.variance, 1, {(j,): c for j, c in enumerate(row) if c}) for row in frame]
     # x_i pulls back to sum_j A[i][j] x_j
     units = [tuple(int(m == j) for m in range(DIM)) for j in range(DIM)]
     coordinates = [Polynomial(dict(zip(units, row))) for row in rows]

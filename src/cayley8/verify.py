@@ -30,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import spin7
 from .calculus import (
@@ -228,6 +228,20 @@ def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
+def _spread(combos: Sequence, cases: int) -> Iterator:
+    """Each of ``combos`` in order, ``max(1, cases // len(combos))`` times: the one sweep schedule."""
+    per = max(1, cases // len(combos))
+    for combo in combos:
+        for _ in range(per):
+            yield combo
+
+
+def _coordinate_samples(ctx: CheckContext, variance: str, max_terms: int) -> list[GradedTensor]:
+    """The eight coordinate one-tensors of ``variance``, then ``ctx.cases`` seeded ones of up to ``max_terms`` terms."""
+    coordinates = [GradedTensor(variance, 1, {(i,): 1}) for i in range(DIM)]
+    return coordinates + [random_tensor(ctx.rng, variance, 1, max_terms=max_terms) for _ in range(ctx.cases)]
+
+
 # -- check bodies -------------------------------------------------------------
 
 
@@ -260,11 +274,11 @@ def _check_contract_oracle(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _forms_by_degree(ctx: CheckContext) -> Iterator[tuple[int, GradedTensor]]:
-    """On each degree k: the basis form dx^{0..k-1}, then seeded random forms."""
+    """The basis form dx^{0..k-1} on each degree k, then seeded random forms spread over the degrees."""
     for k in range(DIM + 1):
         yield k, GradedTensor(FORM, k, {tuple(range(k)): 1})
-        for _ in range(max(1, ctx.cases // (DIM + 1))):
-            yield k, random_tensor(ctx.rng, FORM, k)
+    for k in _spread(range(DIM + 1), ctx.cases):
+        yield k, random_tensor(ctx.rng, FORM, k)
 
 
 def _check_star_involution(ctx: CheckContext) -> Iterator[Piece]:
@@ -299,25 +313,23 @@ def _identity_cases(ctx: CheckContext, which: int, max_l: int) -> Iterator[Piece
         pairs = [(l, k) for k in range(1, DIM + 1) for l in range(1, min(k, max_l) + 1)]
     else:
         pairs = [(l, k) for k in range(0, DIM) for l in range(1, min(DIM - k, max_l) + 1)]
-    per_pair = max(1, ctx.cases // len(pairs))
-    for l, k in pairs:
-        for _ in range(per_pair):
-            q = random_tensor(rng, MULTIVECTOR, l)
-            beta = random_tensor(rng, FORM, k)
-            qf = flat(q)
-            if which == 1:
-                lhs = contract(q, beta)
-                rhs = star(wedge(qf, star(beta))) * _sign((k - l) * (DIM - k))
-            elif which == 2:
-                lhs = contract(q, star(beta))
-                rhs = star(wedge(qf, beta)) * _sign(k * l)
-            elif which == 3:
-                lhs = star(contract(q, beta))
-                rhs = wedge(qf, star(beta)) * _sign(l * (k - l))
-            else:
-                lhs = star(contract(q, star(beta)))
-                rhs = wedge(qf, beta) * _sign(l * (DIM - k - l) + k * (DIM - k))
-            yield lhs - rhs
+    for l, k in _spread(pairs, ctx.cases):
+        q = random_tensor(rng, MULTIVECTOR, l)
+        beta = random_tensor(rng, FORM, k)
+        qf = flat(q)
+        if which == 1:
+            lhs = contract(q, beta)
+            rhs = star(wedge(qf, star(beta))) * _sign((k - l) * (DIM - k))
+        elif which == 2:
+            lhs = contract(q, star(beta))
+            rhs = star(wedge(qf, beta)) * _sign(k * l)
+        elif which == 3:
+            lhs = star(contract(q, beta))
+            rhs = wedge(qf, star(beta)) * _sign(l * (k - l))
+        else:
+            lhs = star(contract(q, star(beta)))
+            rhs = wedge(qf, beta) * _sign(l * (DIM - k - l) + k * (DIM - k))
+        yield lhs - rhs
 
 
 def _check_pullback_functorial(ctx: CheckContext) -> Iterator[Piece]:
@@ -368,11 +380,9 @@ def _check_codifferential_squared(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _check_homotopy_identity(ctx: CheckContext) -> Iterator[Piece]:
-    per_degree = max(1, ctx.cases // DIM)
-    for k in range(1, DIM + 1):
-        for _ in range(per_degree):
-            beta = random_tensor(ctx.rng, FORM, k, max_poly_degree=3)
-            yield homotopy_pair(beta).identity_residual()
+    for k in _spread(range(1, DIM + 1), ctx.cases):
+        beta = random_tensor(ctx.rng, FORM, k, max_poly_degree=3)
+        yield homotopy_pair(beta).identity_residual()
 
 
 def _check_homotopy_closed(ctx: CheckContext) -> Iterator[Piece]:
@@ -464,9 +474,7 @@ def _check_four_form_seven_rank(ctx: CheckContext) -> Iterator[Piece]:
 def _check_lemma2_minus7(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
     star = ctx.star
-    samples = [dx(i) for i in range(DIM)]
-    samples += [random_tensor(ctx.rng, FORM, 1) for _ in range(ctx.cases)]
-    for alpha in samples:
+    for alpha in _coordinate_samples(ctx, FORM, 5):
         yield star(wedge(psi, star(wedge(psi, alpha)))) + alpha * 7
 
 
@@ -512,9 +520,7 @@ def _check_psi2_roundtrip(ctx: CheckContext) -> Iterator[Piece]:
 
 def _check_psi3_section(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    samples = [dx(i) for i in range(DIM)]
-    samples += [random_tensor(ctx.rng, FORM, 1) for _ in range(ctx.cases)]
-    for alpha in samples:
+    for alpha in _coordinate_samples(ctx, FORM, 5):
         yield contract(psi3_section(alpha), psi) - alpha
 
 
@@ -531,19 +537,14 @@ def _check_triple_product_norm(ctx: CheckContext) -> Iterator[Piece]:
         yield inner(image, image) - inner(flat(q), flat(q))
 
 
-def _vector_samples(ctx: CheckContext) -> list[GradedTensor]:
-    """The coordinate fields e0..e7, then ``ctx.cases`` seeded vector fields."""
-    return [mv(i) for i in range(DIM)] + [random_vector_field(ctx.rng) for _ in range(ctx.cases)]
-
-
 def _check_seven_star(ctx: CheckContext) -> Iterator[Piece]:
     psi = cayley_form()
-    for x_field in _vector_samples(ctx):
+    for x_field in _coordinate_samples(ctx, MULTIVECTOR, 3):
         yield wedge(contract(x_field, psi), psi) - ctx.star(flat(x_field)) * 7
 
 
 def _check_seven_norm(ctx: CheckContext) -> Iterator[Piece]:
-    for x_field in _vector_samples(ctx):
+    for x_field in _coordinate_samples(ctx, MULTIVECTOR, 3):
         yield from spin7.identity_report("seven_norm", x_field).values()
 
 
@@ -563,9 +564,9 @@ def _check_norm_split_minus27(ctx: CheckContext) -> Iterator[Piece]:
 
 def _check_norm_split_three(ctx: CheckContext) -> Iterator[Piece]:
     yield from spin7.identity_report("norm_split_three", mv(0, 1, 2)).values()
-    rep3 = project3(flat(mv(0, 1, 2)))
-    yield inner(rep3.components["3_8"], rep3.components["3_8"]) - Fraction(1, 7)
-    yield inner(rep3.components["3_48"], rep3.components["3_48"]) - Fraction(6, 7)
+    norms = project3(flat(mv(0, 1, 2))).norms()
+    yield norms["3_8"] - Fraction(1, 7)
+    yield norms["3_48"] - Fraction(6, 7)
     for _ in range(ctx.cases):
         yield from spin7.identity_report("norm_split_three", random_decomposable(ctx.rng, 3)).values()
 
@@ -670,41 +671,34 @@ def _check_schouten_jacobi_vectors(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _check_schouten_symmetry(ctx: CheckContext) -> Iterator[Piece]:
-    combos = [(q1, q2) for q1 in (1, 2, 3) for q2 in (1, 2, 3)]
-    per = max(1, ctx.cases // len(combos))
-    for q1, q2 in combos:
-        for _ in range(per):
-            a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=3)
-            b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=3)
-            yield schouten(a, b) - schouten(b, a) * _sign(q1 * q2)
+    for q1, q2 in _spread([(q1, q2) for q1 in (1, 2, 3) for q2 in (1, 2, 3)], ctx.cases):
+        a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=3)
+        b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=3)
+        yield schouten(a, b) - schouten(b, a) * _sign(q1 * q2)
 
 
 def _check_schouten_leibniz(ctx: CheckContext) -> Iterator[Piece]:
     combos = [(q1, q2, q3) for q1 in (1, 2) for q2 in (1, 2) for q3 in (1, 2)]
-    per = max(1, ctx.cases // len(combos))
-    for q1, q2, q3 in combos:
-        for _ in range(per):
-            a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=2)
-            b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=2)
-            c = random_tensor(ctx.rng, MULTIVECTOR, q3, max_terms=2)
-            lhs = schouten(a, wedge(b, c))
-            rhs = wedge(schouten(a, b), c) + wedge(b, schouten(a, c)) * _sign(q1 * q2 + q2)
-            yield lhs - rhs
+    for q1, q2, q3 in _spread(combos, ctx.cases):
+        a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=2)
+        b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=2)
+        c = random_tensor(ctx.rng, MULTIVECTOR, q3, max_terms=2)
+        lhs = schouten(a, wedge(b, c))
+        rhs = wedge(schouten(a, b), c) + wedge(b, schouten(a, c)) * _sign(q1 * q2 + q2)
+        yield lhs - rhs
 
 
 def _check_schouten_graded_jacobi(ctx: CheckContext) -> Iterator[Piece]:
     combos = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3)]
-    per = max(1, ctx.cases // (4 * len(combos)))
-    for q1, q2, q3 in combos:
-        for _ in range(per):
-            a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=2)
-            b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=2)
-            c = random_tensor(ctx.rng, MULTIVECTOR, q3, max_terms=2)
-            yield (
-                schouten(a, schouten(b, c)) * _sign(q1 * (q3 - 1))
-                + schouten(b, schouten(c, a)) * _sign(q2 * (q1 - 1))
-                + schouten(c, schouten(a, b)) * _sign(q3 * (q2 - 1))
-            )
+    for q1, q2, q3 in _spread(combos, ctx.cases // 4):
+        a = random_tensor(ctx.rng, MULTIVECTOR, q1, max_terms=2)
+        b = random_tensor(ctx.rng, MULTIVECTOR, q2, max_terms=2)
+        c = random_tensor(ctx.rng, MULTIVECTOR, q3, max_terms=2)
+        yield (
+            schouten(a, schouten(b, c)) * _sign(q1 * (q3 - 1))
+            + schouten(b, schouten(c, a)) * _sign(q2 * (q1 - 1))
+            + schouten(c, schouten(a, b)) * _sign(q3 * (q2 - 1))
+        )
 
 
 def _check_lie_d_commutation(ctx: CheckContext) -> Iterator[Piece]:

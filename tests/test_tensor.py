@@ -55,6 +55,9 @@ class TestConstruction:
         # a repeated index would drop the term: the length is checked first, as the loader does
         with pytest.raises(DegreeMismatch, match=r"index \(0, 0, 1\) has length 3, expected 1"):
             GradedTensor(FORM, 1, {(0, 0, 1): x(0)})
+        # so does a zero coefficient, which drops the term only after its index is read
+        with pytest.raises(DegreeMismatch, match=r"index \(0, 0, 1\) has length 3, expected 1"):
+            GradedTensor(FORM, 1, {(0, 0, 1): 0})
 
     def test_bool_index_rejected(self):
         for make in (
@@ -62,6 +65,8 @@ class TestConstruction:
             lambda: mv(0, True),
             lambda: GradedTensor(FORM, 1, {(False,): 1}),
             lambda: dx(Degree.ONE),
+            lambda: GradedTensor(FORM, 1, {(True,): 0}),
+            lambda: GradedTensor(FORM, 1, {(9,): 0}),
         ):
             with pytest.raises(ValueError, match="outside 0..7"):
                 make()
@@ -435,9 +440,11 @@ SHAPE_RULE = {
     "contract.beta": (contract, (mv(0), dx(0, 1)), 1, None),
     "sharp": (sharp, (dx(0),), 0, None),
     "flat": (flat, (mv(0),), 0, None),
+    "wedge.a": (wedge, (dx(0), dx(1)), 0, None),
     "wedge": (wedge, (dx(0), dx(1)), 1, None),
     "add": (operator.add, (dx(0), dx(1)), 1, 1),
     "sub": (operator.sub, (dx(0), dx(1)), 1, 1),
+    "inner.a": (inner, (dx(0), dx(1)), 0, 1),
     "inner": (inner, (dx(0), dx(1)), 1, 1),
     "exterior_derivative": (calculus.exterior_derivative, (dx(0, coeff=x(1)),), 0, None),
     "codifferential": (calculus.codifferential, (dx(0, coeff=x(1)),), 0, None),
@@ -459,6 +466,17 @@ SHAPE_RULE = {
     "psi3_section": (spin7.psi3_section, (dx(0),), 0, 1),
     "triple_product": (spin7.triple_product, (mv(0, 1, 2),), 0, 3),
     "cayley_2mvf_for": (spin7.cayley_2mvf_for, (dx(0),), 0, 1),
+    "identity_report": (spin7.identity_report, ("seven_star", mv(0)), 1, 1),
+}
+
+# operators defined on both variances, in the layout of SHAPE_RULE: they refuse a non-tensor only
+ANY_VARIANCE = {
+    "hodge": (hodge, (dx(0),), 0, None),
+    "musical": (musical, (dx(0),), 0, None),
+    "structure_matrix": (lambda image: structure_matrix([image], 1), (dx(0),), 0, None),
+    "apply_matrix": (apply_matrix, (ExactMatrix.identity(8), dx(0), 1, FORM), 1, None),
+    "pullback_linear": (pullback_linear, (ExactMatrix.identity(8), dx(0)), 1, None),
+    "decompose": (spin7.decompose, (dx(0, 1),), 0, None),
 }
 
 
@@ -467,7 +485,7 @@ class TestShapeRule:
 
     @staticmethod
     def _call(name, replacement):
-        function, args, position, _ = SHAPE_RULE[name]
+        function, args, position, _ = {**SHAPE_RULE, **ANY_VARIANCE}[name]
         args = list(args)
         args[position] = replacement(args[position])
         return function(*args)
@@ -488,6 +506,15 @@ class TestShapeRule:
         self._call(name, lambda t: GradedTensor.zero(t.variance, t.degree + 1))
         with pytest.raises(VarianceMismatch):
             self._call(name, lambda t: GradedTensor.zero(musical(t).variance, t.degree + 1))
+
+    @pytest.mark.parametrize("name", [*SHAPE_RULE, *ANY_VARIANCE])
+    def test_non_tensor(self, name):
+        self._call(name, lambda t: t)
+        for other in (x(0), None, 3):
+            # + and - refuse through Python's reflected operators, in their own words
+            message = None if name in ("add", "sub") else f"expected a GradedTensor, got {type(other).__name__}"
+            with pytest.raises(TypeError, match=message):
+                self._call(name, lambda t: other)
 
     @pytest.mark.parametrize("name", ["add", "sub", "inner"])
     def test_zero_first_operand_passes_any_degree(self, name):
