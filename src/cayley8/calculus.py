@@ -89,7 +89,7 @@ def homotopy_primitive(beta: GradedTensor) -> GradedTensor:
     if k < 1:
         raise DegreeMismatch(f"a degree-{k} form has no primitive of lower degree")
     weighted = {
-        idx: _summed([(key, num, den * (k + sum(_unpack(key)))) for key, num, den in poly._packed_quotients()])
+        idx: _summed([(key, num, poly._den * (k + sum(_unpack(key)))) for key, num in poly._nums.items()])
         for idx, poly in beta.terms.items()
     }
     return contract(euler_field(), GradedTensor._raw(FORM, k, weighted))

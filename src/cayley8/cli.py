@@ -2,7 +2,9 @@
 
 Exit status: 0 on success (verify: all checks pass), 1 when verify reports a
 failing check, 2 on usage or parse errors and on an exponent above
-``MAX_EXPONENT`` in a document or a product.
+``MAX_EXPONENT`` in a document or a product.  A document warning (a repeated
+index) is one ``warning:`` line on stderr, or, where warnings are errors
+(``python -W error``), one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 from .calculus import exterior_derivative, homotopy_pair
 from .polynomial import ExponentOverflow
@@ -40,6 +43,19 @@ def _load_json(path: str):
     return decode_json(text, path)
 
 
+def _read_tensor(doc, location: str = "$"):
+    """``document_to_tensor``, each warning it gives printed as one ``warning:`` line on stderr.
+
+    The active warning filters stay in force, so where warnings are errors
+    the first one raises and :func:`main` prints it as an ``error:`` line.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        tensor = document_to_tensor(doc, location)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return tensor
+
+
 def _wrong_shape(tensor, message: str) -> ParseError:
     """``message`` at ``$.variance`` for a multivector, else at ``$.degree``."""
     return ParseError(message, "$.variance" if tensor.variance != FORM else "$.degree")
@@ -53,7 +69,7 @@ def _emit(payload, fmt: str, text_renderer) -> None:
 
 
 def cmd_decompose(args) -> int:
-    tensor = document_to_tensor(_load_json(args.input))
+    tensor = _read_tensor(_load_json(args.input))
     if tensor.degree not in (2, 3, 4):
         raise ParseError(f"decompose expects degree 2, 3 or 4, got {tensor.degree}", "$.degree")
     report = decompose(tensor)
@@ -82,8 +98,8 @@ def cmd_contract(args) -> int:
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or "multivector" not in doc or "form" not in doc:
         raise ParseError('expected an object {"multivector": ..., "form": ...}')
-    q = document_to_tensor(doc["multivector"], "$.multivector")
-    beta = document_to_tensor(doc["form"], "$.form")
+    q = _read_tensor(doc["multivector"], "$.multivector")
+    beta = _read_tensor(doc["form"], "$.form")
     for t, location, variance in ((q, "$.multivector", MULTIVECTOR), (beta, "$.form", FORM)):
         if t.variance != variance:
             raise ParseError(f"expected a {variance} document, got a {t.variance}", f"{location}.variance")
@@ -97,7 +113,7 @@ def cmd_contract(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    tensor = document_to_tensor(_load_json(args.input))
+    tensor = _read_tensor(_load_json(args.input))
     psi = cayley_form()
     if args.kind == "cayley2":
         if tensor.variance != FORM or tensor.degree != 1:
@@ -132,7 +148,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_primitive(args) -> int:
-    tensor = document_to_tensor(_load_json(args.input))
+    tensor = _read_tensor(_load_json(args.input))
     if tensor.variance != FORM or tensor.degree < 1:
         raise _wrong_shape(tensor, "primitive expects a form of degree >= 1")
     pair = homotopy_pair(tensor)
@@ -291,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ParseError, TensorError, ExponentOverflow) as exc:
+    except (ParseError, TensorError, ExponentOverflow, UserWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -24,10 +24,11 @@ positive, and every other row of the bucket, with ``b`` in that column,
 becomes ``(a/g) row - (b/g) pivot_row`` with ``g = gcd(a, b)``, divided by
 its content, and waits at its new leading column.  Rows that are already
 pivots are never touched, so the pass yields an echelon form and the pivot
-columns, and a block-diagonal matrix costs what its blocks cost.  ``rref``
-adds the back-substitution: from the last pivot upward, each pivot row
-clears its column from the pivot rows above it, so an echelon row is a
-numerator over its pivot, and scaling each row to the lcm of the pivots puts
+columns, and a block-diagonal matrix (such as S - lambda I on three-forms,
+8 blocks of 7) costs what its blocks cost.  ``rref`` adds the
+back-substitution: from the last pivot upward, each pivot row clears its
+column from the pivot rows above it, so an echelon row is a numerator over
+its pivot, and scaling each row to the lcm of the pivots puts
 the reduced form over one denominator.  The reduced form is unique and stored
 canonically, so the pivot order does not show in it.  ``rank`` and
 ``nullity`` (and so ``column_span_equals`` and
@@ -152,18 +153,17 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
         return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
         return self._combine(other, -1)
 
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        """``self + sign * other`` over the lcm of the two denominators."""
-        self._check_same_shape(other)
+        """``self + sign * other`` over the lcm of the two denominators; a non-matrix is left to Python."""
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         den = lcm(self._den, other._den)
         sa, sb = den // self._den, sign * (den // other._den)
         out = []
@@ -225,10 +225,8 @@ class ExactMatrix:
 
         ``shifted(0)`` is ``self``, cached eliminations and all.
         """
-        if type(value) is bool:
-            raise ValueError(f"a shift is an exact rational, not {value!r}")
         if self.nrows != self.ncols:
-            raise ValueError(f"eigenspace of a non-square {self.nrows}x{self.ncols} matrix")
+            raise ValueError(f"shift of a non-square {self.nrows}x{self.ncols} matrix")
         num, den = _quotient(value)
         if not num:
             return self
@@ -245,10 +243,6 @@ class ExactMatrix:
             else:
                 del row[i]
         return _reduced(rows, common, self.ncols)
-
-    def _check_same_shape(self, other: "ExactMatrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     # -- elimination -------------------------------------------------------
 

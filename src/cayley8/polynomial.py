@@ -32,8 +32,9 @@ sum of such copies needs no guard check, and a sum of one such triple is
 the other factor scaled, no loop at all.  A triple ``(sign, p, p)`` is a
 square: each cross pair of terms is multiplied once and doubled, so
 ``p * p``, ``p ** n`` and the norms ``inner(t, t)`` take about half the
-products.  ``a * b`` is the sum of one product.  The tensor products call
-it once per output coefficient, and :meth:`Polynomial.compose`, the
+products: n(n+1)/2 term products of an n-term ``p`` instead of n^2.
+``a * b`` is the sum of one product.  The tensor products call it once per
+output coefficient, and :meth:`Polynomial.compose`, the
 substitution ``x_i -> images[i]``, calls it once after building each
 distinct power ``images[i] ** e`` by square and multiply.  ``terms`` is a
 read-only view from exponent tuples to
@@ -312,7 +313,11 @@ class Polynomial:
         return [(_unpack(key), n, d) for key, n, d in self._packed_quotients()]
 
     def _packed_quotients(self) -> list[tuple[int, int, int]]:
-        """``(key, num, den)`` per term in key order, which is exponent order, each quotient in lowest terms."""
+        """``(key, num, den)`` per term in key order, which is exponent order, each quotient in lowest terms.
+
+        It serves the document writer and :meth:`quotients` alone; a kernel
+        reads the numerators ``_nums`` over the one denominator ``_den``.
+        """
         den = self._den
         items = sorted(self._nums.items())
         if den == 1:

@@ -4,7 +4,7 @@ Contents: the four-form itself, the projectors onto the irreducible
 two-, three-, and four-form components of its stabilizer action, the exact
 matrices of the contraction maps on multivector fields, their inverses and
 sections, the triple product, the Cayley (Hamiltonian) multivector solvers,
-and the pointwise norm identities exposed through :func:`identity_report`.
+and the pointwise identities exposed through :func:`identity_report`.
 
 Each structure map has one home here; its exact matrix is
 :func:`cayley8.tensor.structure_matrix` of the images of basis tensors,
@@ -15,9 +15,10 @@ The maps of Psi are built once, as :func:`map_matrix` of Q -> Q _| Psi
 through the contraction kernel.  The same matrix is alpha -> star(Psi ^ alpha)
 on k-forms: Q _| Psi = star(flat(Q) ^ star(Psi)) holds with sign +1 on
 four-forms, and star(Psi) = Psi (registry checks ``multivector_identity_1``
-and ``cayley_self_dual``).  Every field operator with constant coefficients
-applies one cached matrix to the polynomial coordinates of its argument
-through :func:`cayley8.tensor.apply_matrix`:
+and ``cayley_self_dual``; ``map_rank_two`` compares ``map_matrix(2)`` with
+its ``hodge(wedge(Psi, dx^I))`` build).  Every field operator with constant
+coefficients applies one cached matrix to the polynomial coordinates of its
+argument through :func:`cayley8.tensor.apply_matrix`:
 
 - :func:`two_form_operator` applies T = star(Psi ^ .) = ``map_matrix(2)``;
   :func:`project2` applies (I - T)/4 and (3I + T)/4;
@@ -26,8 +27,17 @@ through :func:`cayley8.tensor.apply_matrix`:
   takes -1/7 of it;
 - :func:`project4` applies pi_7 = G G^T/32 (G the matrix of
   :func:`seven_part_generators`) and pi_35 = (I - star)/2;
-- :func:`psi2_inverse` applies T^-1 = (T + 2I)/3, and
-  :func:`psi3_section` -1/7 ``map_matrix(1)`` on one-forms.
+- :func:`psi2_inverse` applies T^-1 = (T + 2I)/3, read off
+  T^2 + 2T - 3I = 0 with no elimination, and :func:`psi3_section`
+  -1/7 ``map_matrix(1)`` on one-forms.
+
+G is the 70x28 matrix of the 28 generators
+g = flat(v) ^ (w _| Psi) - flat(w) ^ (v _| Psi), v < w, so that
+pi_7(sigma) = 1/32 sum_g <sigma, g> g.  The generators are so(8) acting on
+Psi; that action has kernel Lambda^2_21, so they span the 7-dimensional
+Lambda^4_7.  Their Gram matrix G^T G has diagonal 8 and satisfies
+(G^T G)^2 = 32 G^T G, so G G^T/32 is the orthogonal projector onto their
+span (pinned in ``tests/test_spin7.py``).
 
 Among the defining residuals, the two-form parts apply T, the 7-part pi_7
 and the 27-part G^T; the 8-part goes through the wedge, Hodge and
@@ -423,6 +433,16 @@ def cayley_3mvf_for(f: Polynomial, kernel_part: GradedTensor | None = None) -> G
 # -- named pointwise identities ----------------------------------------------
 
 
+_IDENTITY_INPUTS = {
+    "seven_star": ((MULTIVECTOR, 1),),
+    "seven_norm": ((MULTIVECTOR, 1),),
+    "decomposable_minus6": ((MULTIVECTOR, 1), (MULTIVECTOR, 1)),
+    "norm_split_minus27": ((MULTIVECTOR, 2),),
+    "norm_split_three": ((MULTIVECTOR, 3),),
+    "cayley_fn": ((MULTIVECTOR, 3), (FORM, 1)),
+}
+
+
 def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor | Polynomial]:
     """Evaluate both sides of a named pointwise identity exactly.
 
@@ -438,23 +458,31 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
     ``cayley_fn``             for Q _| Psi = df: the 48-part drops from
                               flat(Q) ^ (Q _| Psi) ^ Psi, and the eight-form
                               equals CAYLEY_FUNCTION_CONSTANT * |df|^2 vol
+
+    The inputs of each identity, as ``(variance, degree)`` in order, are
+    ``_IDENTITY_INPUTS[name]``: an unknown name is a ``KeyError``, a wrong
+    number of inputs a ``TypeError``, and each input goes through ``_expect``.
     """
+    try:
+        shapes = _IDENTITY_INPUTS[name]
+    except KeyError:
+        raise KeyError(f"unknown identity {name!r}") from None
+    if len(inputs) != len(shapes):
+        raise TypeError(f"identity {name!r} takes {len(shapes)} tensors, got {len(inputs)}")
+    for t, (variance, degree) in zip(inputs, shapes):
+        _expect(t, variance, degree)
     psi = cayley_form()
     volume = vol()
     if name == "seven_star":
         (x,) = inputs
-        _expect(x, MULTIVECTOR, 1)
         lhs = wedge(contract(x, psi), psi)
         return {"residual": lhs - hodge(flat(x)) * 7}
     if name == "seven_norm":
         (x,) = inputs
-        _expect(x, MULTIVECTOR, 1)
         lhs = wedge(flat(x), wedge(contract(x, psi), psi))
         return {"residual": lhs - volume * (inner(x, x) * 7)}
     if name == "decomposable_minus6":
         u, v = inputs
-        _expect(u, MULTIVECTOR, 1)
-        _expect(v, MULTIVECTOR, 1)
         q = wedge(u, v)
         image = contract(q, psi)
         lhs = wedge(image, wedge(image, psi))
@@ -462,31 +490,25 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
         return {"residual": lhs + volume * (inner(area, area) * 6)}
     if name == "norm_split_minus27":
         (q,) = inputs
-        _expect(q, MULTIVECTOR, 2)
         image = contract(q, psi)
         lhs = wedge(image, wedge(image, psi))
         norms = project2(flat(q)).norms()
         return {"residual": lhs - volume * (norms["2_21"] - norms["2_7"] * 27)}
     if name == "norm_split_three":
         (q,) = inputs
-        _expect(q, MULTIVECTOR, 3)
         form = flat(q)
         norms = project3(form).norms()
         total = inner(form, form)
         return {"eight_part": norms["3_8"] * 7 - total, "large_part": norms["3_48"] * 7 - total * 6}
-    if name == "cayley_fn":
-        (q, df) = inputs
-        _expect(q, MULTIVECTOR, 3)
-        _expect(df, FORM, 1)
-        image = contract(q, psi)
-        form = flat(q)
-        image_psi = wedge(image, psi)
-        lhs = wedge(form, image_psi)
-        eight_only = wedge(_eight_part(form), image_psi)
-        scaled = volume * (inner(df, df) * CAYLEY_FUNCTION_CONSTANT)
-        return {
-            "eight_part_eq": lhs - eight_only,
-            "scalar": lhs - scaled,
-            "image": image - df,
-        }
-    raise KeyError(f"unknown identity {name!r}")
+    q, df = inputs  # cayley_fn
+    image = contract(q, psi)
+    form = flat(q)
+    image_psi = wedge(image, psi)
+    lhs = wedge(form, image_psi)
+    eight_only = wedge(_eight_part(form), image_psi)
+    scaled = volume * (inner(df, df) * CAYLEY_FUNCTION_CONSTANT)
+    return {
+        "eight_part_eq": lhs - eight_only,
+        "scalar": lhs - scaled,
+        "image": image - df,
+    }

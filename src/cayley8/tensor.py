@@ -41,10 +41,11 @@ through a constant :class:`~cayley8.linalg.ExactMatrix` of integers over
 one denominator ``den``: one ``(entry, coeff)`` pair per nonzero integer
 entry of a column the tensor has a coefficient on, that column being a row
 of the matrix's cached transpose, and one linear sum over ``den`` per
-output index.  ``+`` and ``-`` copy the first operand's terms and walk the
-second's: a key of one operand keeps its Polynomial (or its negation), and
-a shared key is one two-pair linear sum, skipped when a difference is of
-two equal coefficients.  A tensor times a rational scales each coefficient.
+output index; nothing is kept per matrix outside the matrix.  ``+`` and
+``-`` copy the first operand's terms and walk the second's: a key of one
+operand keeps its Polynomial (or its negation), and a shared key is one
+two-pair linear sum, skipped when a difference is of two equal
+coefficients.  A tensor times a rational scales each coefficient.
 A group that cancels is dropped, so no tensor holds a zero coefficient.
 
 Refusals
@@ -371,7 +372,7 @@ def structure_matrix(images: Iterable[GradedTensor], degree: int) -> ExactMatrix
         for idx, poly in image.terms.items():
             if not poly.is_constant():
                 raise ValueError("polynomial is not constant")
-            entries += [(basis_position(idx), j, num, den) for _, num, den in poly._packed_quotients()]
+            entries += [(basis_position(idx), j, num, poly._den) for num in poly._nums.values()]
     return ExactMatrix.from_quotients((len(basis(degree)), ncols), entries)
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -157,6 +158,45 @@ class TestPrimitive:
         code, captured = run(capsys, "primitive", "--input", write_doc(tmp_path / "t.json", tensor_to_document(tensor)))
         error = f"error: {location}: primitive expects a form of degree >= 1\n"
         assert (code, captured.err, captured.out) == (2, error, "")
+
+
+_UNIT = [{"exp": [0] * 8, "num": "1", "den": "1"}]
+REPEATED_INDEX = {"variance": "form", "degree": 2, "terms": [{"idx": [0, 0], "coeff": _UNIT}, {"idx": [1, 0], "coeff": _UNIT}]}
+REPEATED_INDEX_WARNING = "$.terms[0]: repeated index (0, 0) collapses the term to zero"
+
+
+def _module_env():
+    """The environment to run ``python -m cayley8.cli`` on this checkout, with no warning filter of its own."""
+    src = str(Path(cayley8.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONWARNINGS", None)
+    return env
+
+
+class TestDocumentWarnings:
+    """A document warning is one stderr line, never a traceback, whatever the warning filters."""
+
+    def test_a_warning_is_one_line_and_the_command_goes_on(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "t.json", REPEATED_INDEX)
+        code, captured = run(capsys, "decompose", "--input", path, "--format", "json")
+        assert (code, captured.err) == (0, f"warning: {REPEATED_INDEX_WARNING}\n")
+        assert json.loads(captured.out)["input"]["terms"][0]["idx"] == [0, 1]
+
+    def test_a_warning_as_an_error_is_one_error_line_and_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "t.json", REPEATED_INDEX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, captured = run(capsys, "primitive", "--input", path)
+        assert (code, captured.out, captured.err) == (2, "", f"error: {REPEATED_INDEX_WARNING}\n")
+
+    @pytest.mark.parametrize("flags, status, prefix", [([], 0, "warning"), (["-W", "error"], 2, "error")])
+    def test_module_run(self, tmp_path, flags, status, prefix):
+        path = write_doc(tmp_path / "t.json", REPEATED_INDEX)
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "cayley8.cli", "decompose", "--input", path],
+            capture_output=True, text=True, env=_module_env(), timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (status, f"{prefix}: {REPEATED_INDEX_WARNING}\n")
 
 
 # The paper's non-degeneracy of Psi: Q -> Q _| Psi has ranks 8, 28 and 8 on
@@ -493,10 +533,8 @@ class TestJsonOutput:
 def test_module_run_exits_with_the_status_main_returns(argv, status, capsys):
     """``python -m cayley8.cli`` prints what ``main`` prints and hands its status to ``sys.exit``."""
     code, captured = run(capsys, *argv)
-    src = str(Path(cayley8.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run(
-        [sys.executable, "-m", "cayley8.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-m", "cayley8.cli", *argv], capture_output=True, text=True, env=_module_env(), timeout=300
     )
     timing = re.compile(r'"elapsed_s": [^,}\s]+')  # the one field of a report that moves between runs
     assert code == status

@@ -757,6 +757,21 @@ def test_homotopy_primitive_matches_slot_expansion(k, data):
         assert_same_tensor(homotopy_primitive(beta), reference_calculus.homotopy_primitive(beta))
 
 
+def test_kernels_read_numerators_over_the_one_denominator(monkeypatch):
+    """The cone primitive and ``structure_matrix`` read ``_nums`` over ``_den``: the writer's per-term quotients are not asked for."""
+    beta = dx(0, 3, coeff=x(2) ** 2 * Fraction(3, 4) - x(0) * Fraction(5, 6)) + dx(2, 5, coeff=Fraction(7, 10))
+    expected = reference_calculus.homotopy_primitive(beta)
+    columns = [[Fraction(3, 4), 0, 0, 0, 0, Fraction(-2, 9), 0, 0], [0, 0, 0, Fraction(-7, 6), 0, 0, 0, 0]]
+
+    def refuse(self):
+        raise AssertionError("_packed_quotients serves the document writer only")
+
+    monkeypatch.setattr(Polynomial, "_packed_quotients", refuse)
+    assert_same_tensor(homotopy_primitive(beta), expected)
+    images = [dx(0, coeff=Fraction(3, 4)) - dx(5, coeff=Fraction(2, 9)), dx(3, coeff=Fraction(-7, 6))]
+    assert structure_matrix(images, 1) == ExactMatrix.from_columns(columns)
+
+
 # -- signs and tensor kernels ------------------------------------------------------
 
 
