@@ -124,11 +124,16 @@ def test_identity_refuses_a_non_positive_integer(n):
 
 @pytest.mark.parametrize("value", [True, False])
 def test_a_bool_is_not_a_matrix_entry_or_scalar(value):
-    # an entry, a scalar and a shift are each read by polynomial._quotient
+    # an entry and a scalar are each read by polynomial._quotient
     with pytest.raises(TypeError, match="expected an exact rational, got bool"):
         ExactMatrix([[value, 0], [0, 1]])
     with pytest.raises(TypeError, match="expected an exact rational, got bool"):
         ExactMatrix.identity(2) * value
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_shift_refuses_a_bool(value):
+    # a shift is read by polynomial._quotient, as an entry or a scalar is
     with pytest.raises(TypeError, match="expected an exact rational, got bool"):
         ExactMatrix([[1, 2], [3, 4]]).shifted(value)
 
