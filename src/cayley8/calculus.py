@@ -21,7 +21,10 @@ The bracket is computed by Koszul's formula, as the failure of the
 divergence ``-sharp delta flat`` to be a derivation; the cone primitive is a
 contraction with the Euler field.  Only ``exterior_derivative`` walks index
 positions, and it reads its signs from the ``multiindex.PARITY`` table; no
-other operator here computes a permutation sign.  The differential test
+other operator here computes a permutation sign.  No operator here
+computes a derivative either: ``exterior_derivative`` hands its signed
+``(sign, i, f)`` triples to ``Polynomial.sum_of_derivatives``, one call
+per output key.  The differential test
 against the expansion above (``tests/reference_calculus.py``) pins the
 equality on every pair of degrees.  No operator branches on degrees outside
 0..8, where the tensor kernels return zero tensors.
@@ -31,24 +34,25 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .multiindex import DIM, INDEX, MASK, PARITY
 from .polynomial import Polynomial, _summed, _unpack
 from .tensor import (
     FORM, MULTIVECTOR, DegreeMismatch, GradedTensor,
-    _expect, _linear_sums, contract, flat, hodge, sharp, wedge,
+    _expect, _grouped_sum, contract, flat, hodge, sharp, wedge,
 )
 
 
 def exterior_derivative(beta: GradedTensor) -> GradedTensor:
     """d: degree k forms to degree k+1 forms; d(d(beta)) = 0.
 
-    ``d(f dx^I) = sum_i (d_i f) dx^i ^ dx^I``, ``d_i f`` taken only for the
-    variables ``f`` has (``Polynomial.variable_mask``); the terms of each
-    output key are one ``Polynomial.linear_sum`` of ``(sign, d_i f)`` pairs,
-    ``dx^i ^ dx^I`` signed by ``PARITY[1 << i << 8 | I]``.  A key met by one
-    derivative keeps that Polynomial (or its negation), with no sum.
+    ``d(f dx^I) = sum_i (d_i f) dx^i ^ dx^I``, taken only for the variables
+    ``f`` has (``Polynomial.variable_mask``).  The terms of each output key
+    are ``(sign, i, f)`` triples, ``dx^i ^ dx^I`` signed by
+    ``PARITY[1 << i << 8 | I]``, and each key is one
+    ``Polynomial.sum_of_derivatives``: no derivative is built on its own.
+    A key whose derivatives cancel is dropped.
     """
     _expect(beta, FORM)
     groups: defaultdict[int, list] = defaultdict(list)
@@ -56,8 +60,8 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
         m = MASK[idx]
         for i in INDEX[poly.variable_mask() & ~m]:  # elsewhere d_i f or dx^i ^ dx^idx vanishes
             bit = 1 << i
-            groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], poly.diff(i)))
-    return GradedTensor._raw(FORM, beta.degree + 1, _linear_sums(groups))
+            groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], i, poly))
+    return GradedTensor._raw(FORM, beta.degree + 1, _grouped_sum(groups, Polynomial.sum_of_derivatives))
 
 
 def codifferential(beta: GradedTensor) -> GradedTensor:
@@ -97,10 +101,17 @@ def homotopy_primitive(beta: GradedTensor) -> GradedTensor:
 
 @dataclass(frozen=True)
 class HomotopyPrimitive:
-    """A form together with its cone-operator primitive."""
+    """A form together with its cone-operator primitive.
+
+    Both residuals read ``d(primitive)``, taken once per pair.
+    """
 
     input: GradedTensor
     primitive: GradedTensor
+
+    @cached_property
+    def _primitive_derivative(self) -> GradedTensor:
+        return exterior_derivative(self.primitive)
 
     def identity_residual(self) -> GradedTensor:
         """d(primitive) + H(d(input)) - input; identically zero."""
@@ -108,7 +119,7 @@ class HomotopyPrimitive:
 
     def exactness_residual(self) -> GradedTensor:
         """d(primitive) - input; zero exactly when the input is closed."""
-        return exterior_derivative(self.primitive) - self.input
+        return self._primitive_derivative - self.input
 
 
 def homotopy_pair(beta: GradedTensor) -> HomotopyPrimitive:

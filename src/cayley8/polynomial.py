@@ -15,14 +15,14 @@ exponent vectors", CASC 2007, also used by FLINT's ``fmpz_mpoly``):
   and the denominator is 1, and the zero polynomial has denominator 1, so
   equal polynomials have equal fields.
 
-Ring operations and ``diff`` run on ints alone, in two accumulation
+Ring operations and derivatives run on ints alone, in three accumulation
 loops.  :meth:`Polynomial.linear_sum` holds the linear one:
 ``sum(c * p) / den`` over ``(c, p)`` pairs, ``c`` an int, scales each
 ``p`` into one numerator dict over one common denominator, with one zero
 filter and one gcd; a scaled copy adds no exponents, so it needs no guard
 check, and a lone pair is ``p`` scaled, no loop at all.  ``a + b`` and
 ``a - b`` are sums of two pairs, and the tensor kernels call it once per
-output coefficient of their linear work (``+``, ``-``, ``d``,
+output coefficient of their linear work (``+``, ``-``,
 ``apply_matrix``, the constructor and the document loader).
 :meth:`Polynomial.sum_of_products` holds the products:
 ``sum(sign * a * b)`` over many pairs goes into one numerator dict over one
@@ -36,7 +36,13 @@ products: n(n+1)/2 term products of an n-term ``p`` instead of n^2.
 ``a * b`` is the sum of one product.  The tensor products call it once per
 output coefficient, and :meth:`Polynomial.compose`, the
 substitution ``x_i -> images[i]``, calls it once after building each
-distinct power ``images[i] ** e`` by square and multiply.  ``terms`` is a
+distinct power ``images[i] ** e`` by square and multiply.
+:meth:`Polynomial.sum_of_derivatives` holds the derivatives:
+``sum(sign * d_i p)`` over ``(sign, i, p)`` triples lowers field ``i`` of
+each term of ``p`` into one numerator dict over one common denominator,
+with one zero filter and one gcd; lowering a field adds no exponents, so it
+needs no guard check.  ``diff(i)`` is the sum of one triple, and
+``exterior_derivative`` calls it once per output coefficient.  ``terms`` is a
 read-only view from exponent tuples to
 ``fractions.Fraction``, built on first use.  No floating point appears
 anywhere.
@@ -46,8 +52,9 @@ entry, scalar or point) is an ``int`` that is not a ``bool``, or a
 ``Fraction``, read only through :func:`_quotient`; an integer argument (an
 index, degree, size, count or seed) is exactly an ``int``.  The
 constructors, ``from_quotients``, ``constant`` and :func:`as_fraction` check
-their input; the kernels ``linear_sum``, ``sum_of_products`` and ``_scaled``
-trust an int ``c`` or ``sign`` and a positive ``den``.
+their input; the kernels ``linear_sum``, ``sum_of_products``,
+``sum_of_derivatives`` and ``_scaled`` trust an int ``c`` or ``sign``, an
+index ``i`` in 0..7 and a positive ``den``.
 """
 
 from __future__ import annotations
@@ -276,6 +283,35 @@ class Polynomial:
             out = {k: v for k, v in out.items() if v}
         return _reduced(out, den)
 
+    @staticmethod
+    def sum_of_derivatives(triples: Sequence[tuple[int, int, "Polynomial"]]) -> "Polynomial":
+        """``sum(sign * d_i p)`` over ``(sign, i, p)`` triples, ``sign`` an int and ``i`` in 0..7.
+
+        The one derivative loop of the class: each term ``v x^e`` of ``p``
+        with ``e_i > 0`` adds ``sign * e_i * v`` at the key with field ``i``
+        lowered, into one numerator dict over the lcm of the denominators,
+        then one zero filter and one gcd.  Lowering a field adds no
+        exponents, so no guard check is needed.
+        """
+        den = 1
+        for _, _, p in triples:
+            if den % p._den:
+                den = lcm(den, p._den)
+        out: dict[int, int] = {}
+        get = out.get
+        for sign, i, p in triples:
+            shift = _SHIFTS[i]
+            step = 1 << shift
+            scale = sign * (den // p._den)
+            for k, v in p._nums.items():
+                e = k >> shift & _MASK
+                if e:
+                    k -= step
+                    out[k] = get(k, 0) + v * e * scale
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        return _reduced(out, den)
+
     @classmethod
     def zero(cls) -> "Polynomial":
         return _wrap({}, 1)
@@ -430,17 +466,10 @@ class Polynomial:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, i: int) -> "Polynomial":
-        """Partial derivative with respect to coordinate ``i``."""
+        """Partial derivative with respect to coordinate ``i``: :meth:`sum_of_derivatives` of one triple."""
         if type(i) is not int or not 0 <= i < DIM:
             raise ValueError(f"variable index {i!r} outside 0..{DIM - 1}")
-        shift = _SHIFTS[i]
-        step = 1 << shift
-        out = {}
-        for k, v in self._nums.items():
-            e = (k >> shift) & _MASK
-            if e:
-                out[k - step] = v * e  # lowering one field is injective on keys
-        return _reduced(out, self._den)
+        return Polynomial.sum_of_derivatives(((1, i, self),))
 
     def evaluate(self, point: Iterable[Rational]) -> Fraction:
         xs = [as_fraction(p) for p in point]

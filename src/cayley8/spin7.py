@@ -407,9 +407,12 @@ def cayley_2mvf_for(alpha: GradedTensor) -> GradedTensor:
 
 
 def cayley2_constraint(q: GradedTensor) -> GradedTensor:
-    """3 d(Q_7) - d(Q_21) for the parts of flat(Q); zero iff Q _| Psi is closed."""
+    """3 d(Q_7) - d(Q_21) for the parts of flat(Q); zero iff Q _| Psi is closed.
+
+    ``d`` is linear, so this is taken as one derivative, ``d(3 Q_7 - Q_21)``.
+    """
     parts = project2(flat(q)).components
-    return exterior_derivative(parts["2_7"]) * 3 - exterior_derivative(parts["2_21"])
+    return exterior_derivative(parts["2_7"] * 3 - parts["2_21"])
 
 
 def cayley_3mvf_for(f: Polynomial, kernel_part: GradedTensor | None = None) -> GradedTensor:

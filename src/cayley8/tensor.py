@@ -33,10 +33,12 @@ grouped by output index mask.  Products go through :func:`_grouped_sum`:
 ``(1, p, p)``, which takes each cross pair of terms once.  Linear sums go
 through :func:`_linear_sums`: ``(c, poly)`` pairs with ``c`` an int, one
 :meth:`~cayley8.polynomial.Polynomial.linear_sum` per group, which scales
-and adds integer numerators and checks no exponent.
-``exterior_derivative`` feeds it its signed derivatives, and the
-constructor, ``pullback_linear`` and the document loader their signed
-terms.  :func:`apply_matrix` sends the coefficient vector of a tensor
+and adds integer numerators and checks no exponent.  The constructor,
+``pullback_linear`` and the document loader feed it their signed terms.
+``exterior_derivative`` (in ``calculus``) builds no derivative to add up:
+it hands :func:`_grouped_sum` ``(sign, i, f)`` triples instead, one
+:meth:`~cayley8.polynomial.Polynomial.sum_of_derivatives` per group.
+:func:`apply_matrix` sends the coefficient vector of a tensor
 through a constant :class:`~cayley8.linalg.ExactMatrix` of integers over
 one denominator ``den``: one ``(entry, coeff)`` pair per nonzero integer
 entry of a column the tensor has a coefficient on, that column being a row
@@ -316,11 +318,11 @@ def scalar_tensor(poly: Coefficient, variance: str = FORM) -> GradedTensor:
 DISJOINT, INSIDE = 0, 255
 
 
-def _grouped_sum(groups: Mapping[int, list]) -> dict[MultiIndex, Polynomial]:
-    """One ``Polynomial.sum_of_products`` per output mask; a sum that cancels is dropped."""
+def _grouped_sum(groups: Mapping[int, list], kernel=Polynomial.sum_of_products) -> dict[MultiIndex, Polynomial]:
+    """One ``kernel(triples)`` per output mask, ``sum_of_products`` or ``sum_of_derivatives``; a sum that cancels is dropped."""
     out: dict[MultiIndex, Polynomial] = {}
     for key, triples in groups.items():
-        poly = Polynomial.sum_of_products(triples)
+        poly = kernel(triples)
         if poly:
             out[INDEX[key]] = poly
     return out

@@ -13,9 +13,12 @@ codifferential:
 * ``homotopy_primitive`` expands ``E _| dx^I`` slot by slot with sign
   ``(-1)**slot`` and weights each monomial by ``1/(k + |exponent|)``.
 
-``exterior_derivative`` is the grouped body that ``d`` ran before linear
-sums had their own kernel: each derivative is a ``(sign, d_i f, ONE)``
-triple, and each output key is one ``Polynomial.sum_of_products``.
+``exterior_derivative`` is the body that ``d`` ran before derivatives had
+their own kernel: one ``diff`` Polynomial per (term, variable), each reduced
+by its own gcd, then one ``Polynomial.linear_sum`` of ``(sign, d_i f)``
+pairs per output key.  ``diff`` is the field-lowering loop that
+``Polynomial.diff`` ran on its own before it became one triple of
+``Polynomial.sum_of_derivatives``.
 """
 
 from __future__ import annotations
@@ -27,16 +30,27 @@ from reference_multiindex import canonicalize
 from reference_tensor import _accumulate
 
 from cayley8.multiindex import DIM, MASK, PARITY, MultiIndex
-from cayley8.polynomial import ONE, Polynomial
+from cayley8.polynomial import _MASK, _SHIFTS, Polynomial, _reduced
 from cayley8.tensor import (
     FORM,
     MULTIVECTOR,
     DegreeMismatch,
     GradedTensor,
     VarianceMismatch,
-    _grouped_sum,
+    _linear_sums,
     wedge,
 )
+
+
+def diff(poly: Polynomial, i: int) -> Polynomial:
+    shift = _SHIFTS[i]
+    step = 1 << shift
+    out = {}
+    for k, v in poly._nums.items():
+        e = (k >> shift) & _MASK
+        if e:
+            out[k - step] = v * e  # lowering one field is injective on keys
+    return _reduced(out, poly._den)
 
 
 def exterior_derivative(beta: GradedTensor) -> GradedTensor:
@@ -48,10 +62,10 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
             bit = 1 << i
             if m & bit:  # dx^i ^ dx^idx vanishes
                 continue
-            g = poly.diff(i)
+            g = diff(poly, i)
             if g:
-                groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], g, ONE))
-    return GradedTensor._raw(FORM, beta.degree + 1, _grouped_sum(groups))
+                groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], g))
+    return GradedTensor._raw(FORM, beta.degree + 1, _linear_sums(groups))
 
 
 def homotopy_primitive(beta: GradedTensor) -> GradedTensor:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cayley8
-from cayley8 import spin7
+from cayley8 import calculus, spin7
 from cayley8.cli import main
 from cayley8.linalg import ExactMatrix
 from cayley8.serialize import ParseError, parse_tensor, tensor_to_document
@@ -145,6 +145,24 @@ class TestPrimitive:
         payload = json.loads(captured.out)
         assert payload["homotopy_residual"] == "0"
         assert payload["exactness_residual"] == "0"
+
+    def test_primitive_is_differentiated_once(self, tmp_path, capsys, monkeypatch):
+        # d(input) for the homotopy residual, d(primitive) once for both residuals
+        beta = dx(0, 2, coeff=x(1) * x(3)) + dx(1, 4, coeff=x(0) ** 2)
+        path = write_doc(tmp_path / "b.json", tensor_to_document(beta))
+        argv = ("primitive", "--input", path, "--format", "json")
+        expected = run(capsys, *argv)
+        calls = []
+        original = calculus.exterior_derivative
+
+        def counted(form):
+            calls.append(form.degree)
+            return original(form)
+
+        monkeypatch.setattr(calculus, "exterior_derivative", counted)
+        assert run(capsys, *argv) == expected
+        assert sorted(calls) == [1, 2]
+        assert json.loads(expected[1].out)["exactness_residual"] != "0"
 
     def test_degree_zero_rejected(self, function_file, capsys):
         code, _ = run(capsys, "primitive", "--input", function_file)

@@ -37,10 +37,15 @@ every table entry it can read, and the linear sums (the ``GradedTensor``
 constructor, ``+``, ``-`` and ``document_to_tensor``) with the
 one-term-at-a-time ``_accumulate`` of ``reference_tensor.py``.
 ``Polynomial.linear_sum`` is compared with a ``Fraction`` accumulation on
-factors far past a machine word and wide denominators, and ``+``, ``-``,
-``apply_matrix`` and ``exterior_derivative`` with the grouped
-``sum_of_products`` bodies they ran before, in ``reference_tensor.py`` and
-``reference_calculus.py``.
+factors far past a machine word and wide denominators, and ``+``, ``-``
+and ``apply_matrix`` with the grouped ``sum_of_products`` bodies they ran
+before, in ``reference_tensor.py``.  ``Polynomial.sum_of_derivatives``
+(``diff`` is one triple of it) is compared with sums of the reference
+polynomial's ``diff``, cancelling ones included, and ``exterior_derivative``
+(one such sum per output key) with the path it replaced in
+``reference_calculus.py``: one ``diff`` per (term, variable), each reduced
+on its own, then one ``linear_sum`` per key, on forms of every degree with
+coefficients over the denominators 1, 2, 3 and 6.
 ``json_text`` on values holding tensors and polynomials is compared with
 ``json.dumps(indent=2)`` of their plain documents, and must format each
 distinct monomial once per indent and call, and the loader's
@@ -50,6 +55,7 @@ coefficient lists that the one-pass path before it took.
 """
 
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -1037,6 +1043,58 @@ def test_linear_kernels_cancel_and_scale():
     g = dx(2, coeff=x(0) * x(1) * 3)
     assert exterior_derivative(g) == dx(0, 2, coeff=x(1) * 3) + dx(1, 2, coeff=x(0) * 3)
     assert exterior_derivative(exterior_derivative(g)).terms == {}
+
+
+# -- derivatives: one kernel against the per-derivative loops it replaced --------
+
+# coefficients over the denominators 1, 2, 3 and 6, so the derivatives of one key share or widen their lcm
+sixths = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 6)))
+sixth_polynomials = st.dictionaries(small_exponents, sixths, max_size=4).map(Polynomial)
+
+
+@pytest.mark.parametrize("k", range(DIM + 1))
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_exterior_derivative_matches_per_derivative_sums(k, data):
+    keys = basis(k)
+    terms = data.draw(st.dictionaries(st.sampled_from(keys), sixth_polynomials, max_size=min(6, len(keys))))
+    beta = GradedTensor(FORM, k, terms)
+    for t in (beta, beta * Fraction(-5, 6), exterior_derivative(beta)):
+        new = exterior_derivative(t)
+        assert_same_tensor(new, reference_calculus.exterior_derivative(t))
+        assert all(new.terms.values()), "a zero coefficient was stored"
+
+
+def test_derivatives_that_cancel_leave_no_coefficient():
+    # d(x1 dx0 + x0 dx1) = -dx0^dx1 + dx0^dx1: the one output key cancels
+    beta = dx(0, coeff=x(1)) + dx(1, coeff=x(0))
+    assert_same_tensor(exterior_derivative(beta), GradedTensor.zero(FORM, 2))
+    assert_same_tensor(exterior_derivative(beta), reference_calculus.exterior_derivative(beta))
+    # halves cancel on one key over denominator 2, a third stays on its neighbour over denominator 3
+    beta = beta * Fraction(1, 2) + dx(2, coeff=x(0) * Fraction(1, 3))
+    assert exterior_derivative(beta).terms == {(0, 2): Polynomial.constant(Fraction(1, 3))}
+    assert_same_tensor(exterior_derivative(beta), reference_calculus.exterior_derivative(beta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, DIM - 1), term_dicts), max_size=5), st.booleans())
+def test_sum_of_derivatives_matches_reference(triples, cancel):
+    if cancel:  # every derivative also enters with the opposite sign
+        triples = triples + [(-sign, i, p) for sign, i, p in reversed(triples)]
+    expected = Reference({})
+    for sign, i, p in triples:
+        expected = expected + Reference(p).diff(i) * sign
+    assert_same(Polynomial.sum_of_derivatives([(sign, i, Polynomial(p)) for sign, i, p in triples]), expected)
+    for _, i, p in triples:
+        new, old = Polynomial(p).diff(i), reference_calculus.diff(Polynomial(p), i)
+        assert_same(new, Reference(p).diff(i))
+        assert (new._nums, new._den) == (old._nums, old._den)
+
+
+@pytest.mark.parametrize("i", [True, False, -1, DIM, 1.0, Fraction(1)])
+def test_diff_refusals_are_unchanged(i):
+    with pytest.raises(ValueError, match=rf"variable index {re.escape(repr(i))} outside 0\.\.{DIM - 1}"):
+        (x(0) ** 2 * x(7)).diff(i)
 
 
 # -- serialize: the writer against the plain documents, the loader against the located parse --

@@ -518,6 +518,18 @@ class TestCayleySolvers:
             assert cayley2_constraint(q) == -exterior_derivative(contract(q, cayley_form()))
         assert not cayley2_constraint(mv(1, 2, coeff=x(0))).is_zero()
 
+    def test_cayley2_constraint_is_the_papers_difference_of_two_derivatives(self, make_tensor):
+        # one d of 3 Q_7 - Q_21, by linearity, against 3 d(Q_7) - d(Q_21) on fields that are not locally Cayley
+        fields = [make_tensor(MULTIVECTOR, 2, max_poly_degree=3) for _ in range(8)] + [mv(1, 2, coeff=x(0))]
+        fields = [q for q in fields if not is_locally_cayley(q)]
+        assert len(fields) >= 5
+        for q in fields:
+            parts = project2(flat(q)).components
+            paper = exterior_derivative(parts["2_7"]) * 3 - exterior_derivative(parts["2_21"])
+            assert not paper.is_zero()
+            assert cayley2_constraint(q) == paper
+            assert cayley2_constraint(q).degree == paper.degree == 3
+
     def test_two_solver_norm_identity_in_x(self, make_tensor):
         psi = cayley_form()
         for _ in range(4):
