@@ -252,30 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("decompose", help="split a degree 2, 3, or 4 tensor into components")
-    p.add_argument("--input", required=True, help="tensor document (JSON file)")
-    add_format(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("contract", help="interior product of a multivector into a form")
-    p.add_argument(
-        "--input",
-        required=True,
-        help='JSON file with {"multivector": <doc>, "form": <doc>}',
-    )
-    add_format(p)
-    p.set_defaults(func=cmd_contract)
-
-    p = sub.add_parser("solve", help="solve Q _| Psi = d(input) for Q")
-    p.add_argument("kind", choices=("cayley2", "cayley3"))
-    p.add_argument("--input", required=True, help="one-form (cayley2) or degree-0 form (cayley3)")
-    add_format(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("primitive", help="cone-operator primitive of a form")
-    p.add_argument("--input", required=True, help="form document (JSON file)")
-    add_format(p)
-    p.set_defaults(func=cmd_primitive)
+    for name, func, help_text, input_help in (
+        ("decompose", cmd_decompose, "split a degree 2, 3, or 4 tensor into components", "tensor document (JSON file)"),
+        ("contract", cmd_contract, "interior product of a multivector into a form", 'JSON file with {"multivector": <doc>, "form": <doc>}'),
+        ("solve", cmd_solve, "solve Q _| Psi = d(input) for Q", "one-form (cayley2) or degree-0 form (cayley3)"),
+        ("primitive", cmd_primitive, "cone-operator primitive of a form", "form document (JSON file)"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        if name == "solve":
+            p.add_argument("kind", choices=("cayley2", "cayley3"))
+        p.add_argument("--input", required=True, help=input_help)
+        add_format(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("rank-report", help="shapes, ranks and spectra of the structure maps")
     add_format(p)

@@ -334,6 +334,7 @@ class ExactMatrix:
 
     def column_span_equals(self, other: "ExactMatrix") -> bool:
         """Whether two matrices with equal row counts span the same column space."""
+        _expect_matrix(other, "column_span_equals")
         if self.nrows != other.nrows:
             raise ValueError("column spaces live in different ambient dimensions")
         width = self.ncols
@@ -344,6 +345,12 @@ class ExactMatrix:
         )
         r = self.rank()
         return r == other.rank() == joined.rank()
+
+
+def _expect_matrix(value: ExactMatrix, caller: str) -> None:
+    """Refuse ``value`` with a ``TypeError`` naming ``caller`` unless it is an :class:`ExactMatrix`."""
+    if not isinstance(value, ExactMatrix):
+        raise TypeError(f"{caller} needs an ExactMatrix, got {type(value).__name__}")
 
 
 def _fill(matrix: ExactMatrix, nums: list[IntRow], den: int, ncols: int) -> None:

@@ -44,7 +44,7 @@ from typing import Any, Callable
 
 from .multiindex import DIM, MASK, canonicalize
 from .polynomial import MAX_EXPONENT, Polynomial, _INT, _pack, _summed, _unpack
-from .tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, _linear_sums
+from .tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, _grouped_sum
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
@@ -161,7 +161,7 @@ def document_to_tensor(doc: Any, location: str = "$") -> GradedTensor:
                 )
             continue
         groups[MASK[key]].append((sign, coeff))
-    return GradedTensor._raw(variance, degree, _linear_sums(groups))
+    return GradedTensor._raw(variance, degree, _grouped_sum(groups, Polynomial.linear_sum))
 
 
 def _located_idx(term: Any, degree: int, here: str) -> tuple[int, ...]:

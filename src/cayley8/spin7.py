@@ -21,7 +21,7 @@ coefficients applies one cached matrix to the polynomial coordinates of its
 argument through :func:`cayley8.tensor.apply_matrix`:
 
 - :func:`two_form_operator` applies T = star(Psi ^ .) = ``map_matrix(2)``;
-  :func:`project2` applies (I - T)/4 and (3I + T)/4;
+  :func:`project2` applies (I - T)/4 and takes the 21-part as the rest;
 - :func:`three_form_operator` applies S = ``map_matrix(1) @ map_matrix(3)``,
   star(Psi ^ .) from three-forms to one-forms and back; :func:`project3`
   takes -1/7 of it;
@@ -211,8 +211,7 @@ def project2(beta: GradedTensor) -> DecompositionReport:
     """Split a two-form into its 7- and 21-dimensional components."""
     _expect(beta, FORM, 2)
     part7 = apply_matrix(_projector("2_7"), beta, 2, FORM)
-    part21 = apply_matrix(_projector("2_21"), beta, 2, FORM)
-    return DecompositionReport(beta, {"2_7": part7, "2_21": part21})
+    return DecompositionReport(beta, {"2_7": part7, "2_21": beta - part7})
 
 
 def _eight_part(eta: GradedTensor) -> GradedTensor:
@@ -298,16 +297,15 @@ def three_form_operator_matrix() -> ExactMatrix:
 def _projector(name: str) -> ExactMatrix:
     """Matrix of the projection onto the component ``name``, built on first use.
 
-    ``2_7`` = (I - T)/4 and ``2_21`` = (3I + T)/4 on two-forms; on
-    four-forms ``4_7`` = G G^T/32, G the 70x28 matrix of the generators
-    (their Gram matrix is 32 times a projector), and ``4_35`` = (I - star)/2.
-    The others are multiples of a shift: (I - T)/4 is ``T.shifted(1) * -1/4``.
+    ``2_7`` = (I - T)/4 on two-forms; on four-forms ``4_7`` = G G^T/32, G
+    the 70x28 matrix of the generators (their Gram matrix is 32 times a
+    projector), and ``4_35`` = (I - star)/2.  The others are multiples of a
+    shift: (I - T)/4 is ``T.shifted(1) * -1/4``.  ``2_21``, like ``3_48``
+    and ``4_27``, has no matrix: its projection takes it as the form minus
+    the other parts.
     """
-    if name in ("2_7", "2_21"):
-        t_matrix = two_form_operator_matrix()
-        if name == "2_7":
-            return t_matrix.shifted(1) * Fraction(-1, 4)
-        return t_matrix.shifted(-3) * Fraction(1, 4)
+    if name == "2_7":
+        return two_form_operator_matrix().shifted(1) * Fraction(-1, 4)
     if name == "4_7":
         pairings = _generator_pairings()
         return pairings.transpose() @ pairings * Fraction(1, 32)

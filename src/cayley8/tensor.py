@@ -25,30 +25,33 @@ gives ``PARITY[q << 8 | f ^ q]`` on index masks.
 Signed accumulation
 -------------------
 Each output coefficient is one Polynomial built in one pass, its terms
-grouped by output index mask.  Products go through :func:`_grouped_sum`:
-``(sign, a, b)`` triples, one
-:meth:`~cayley8.polynomial.Polynomial.sum_of_products` per group.
-``wedge`` and ``contract`` feed it the term pairs of :func:`_bilinear`.
-``inner`` is one such sum; in ``inner(t, t)`` each triple is a square
-``(1, p, p)``, which takes each cross pair of terms once.  Linear sums go
-through :func:`_linear_sums`: ``(c, poly)`` pairs with ``c`` an int, one
-:meth:`~cayley8.polynomial.Polynomial.linear_sum` per group, which scales
-and adds integer numerators and checks no exponent.  The constructor,
-``pullback_linear`` and the document loader feed it their signed terms.
-``exterior_derivative`` (in ``calculus``) builds no derivative to add up:
-it hands :func:`_grouped_sum` ``(sign, i, f)`` triples instead, one
-:meth:`~cayley8.polynomial.Polynomial.sum_of_derivatives` per group.
-:func:`apply_matrix` sends the coefficient vector of a tensor
-through a constant :class:`~cayley8.linalg.ExactMatrix` of integers over
-one denominator ``den``: one ``(entry, coeff)`` pair per nonzero integer
-entry of a column the tensor has a coefficient on, that column being a row
-of the matrix's cached transpose, and one linear sum over ``den`` per
-output index; nothing is kept per matrix outside the matrix.  ``+`` and
-``-`` copy the first operand's terms and walk the second's: a key of one
-operand keeps its Polynomial (or its negation), and a shared key is one
-two-pair linear sum, skipped when a difference is of two equal
-coefficients.  A tensor times a rational scales each coefficient.
-A group that cancels is dropped, so no tensor holds a zero coefficient.
+grouped by output index mask.  Every such sum goes through
+:func:`_grouped_sum`, which calls the :class:`~cayley8.polynomial.Polynomial`
+kernel its caller names once per group:
+
+- :meth:`~cayley8.polynomial.Polynomial.sum_of_products` on ``(sign, a, b)``
+  triples, the term pairs :func:`_bilinear` finds for ``wedge`` and
+  ``contract``.  ``inner`` is one such sum; in ``inner(t, t)`` each triple
+  is a square ``(1, p, p)``, which takes each cross pair of terms once.
+- :meth:`~cayley8.polynomial.Polynomial.sum_of_derivatives` on
+  ``(sign, i, f)`` triples, from ``exterior_derivative`` (in ``calculus``),
+  which builds no derivative to add up.
+- :meth:`~cayley8.polynomial.Polynomial.linear_sum` on ``(c, poly)`` pairs
+  with ``c`` an int, which scales and adds integer numerators and checks no
+  exponent.  The constructor, ``pullback_linear`` and the document loader
+  feed it their signed terms.  :func:`apply_matrix` sends the coefficient
+  vector of a tensor through a constant :class:`~cayley8.linalg.ExactMatrix`
+  of integers over one denominator ``den``: one ``(entry, coeff)`` pair per
+  nonzero integer entry of a column the tensor has a coefficient on, that
+  column being a row of the matrix's cached transpose, and one linear sum
+  over ``den`` per output index; nothing is kept per matrix outside the
+  matrix.
+
+``+`` and ``-`` copy the first operand's terms and walk the second's: a key
+of one operand keeps its Polynomial (or its negation), and a shared key is
+one two-pair linear sum, skipped when a difference is of two equal
+coefficients.  A tensor times a rational scales each coefficient.  A group
+that cancels is dropped, so no tensor holds a zero coefficient.
 
 Refusals
 --------
@@ -84,9 +87,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
-from .linalg import ExactMatrix, SingularMatrixError
+from .linalg import ExactMatrix, SingularMatrixError, _expect_matrix
 from .multiindex import DIM, FULL, INDEX, MASK, PARITY, MultiIndex, basis, basis_position, canonicalize, complement, star_sign
 from .polynomial import Polynomial, Rational, as_polynomial
 
@@ -156,7 +160,7 @@ class GradedTensor:
                     groups[MASK[key]].append((sign, poly))
         _set_variance(self, variance)
         _set_degree(self, degree)
-        _set_terms(self, _linear_sums(groups))
+        _set_terms(self, _grouped_sum(groups, Polynomial.linear_sum))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GradedTensor is immutable")
@@ -318,21 +322,11 @@ def scalar_tensor(poly: Coefficient, variance: str = FORM) -> GradedTensor:
 DISJOINT, INSIDE = 0, 255
 
 
-def _grouped_sum(groups: Mapping[int, list], kernel=Polynomial.sum_of_products) -> dict[MultiIndex, Polynomial]:
-    """One ``kernel(triples)`` per output mask, ``sum_of_products`` or ``sum_of_derivatives``; a sum that cancels is dropped."""
+def _grouped_sum(groups: Mapping[int, list], kernel: Callable[[list], Polynomial]) -> dict[MultiIndex, Polynomial]:
+    """One ``kernel(terms)`` per output mask, a ``Polynomial`` sum kernel; a sum that cancels is dropped."""
     out: dict[MultiIndex, Polynomial] = {}
-    for key, triples in groups.items():
-        poly = kernel(triples)
-        if poly:
-            out[INDEX[key]] = poly
-    return out
-
-
-def _linear_sums(groups: Mapping[int, list], den: int = 1) -> dict[MultiIndex, Polynomial]:
-    """One ``Polynomial.linear_sum(pairs, den)`` per output mask; a sum that cancels is dropped."""
-    out: dict[MultiIndex, Polynomial] = {}
-    for key, pairs in groups.items():
-        poly = Polynomial.linear_sum(pairs, den)
+    for key, terms in groups.items():
+        poly = kernel(terms)
         if poly:
             out[INDEX[key]] = poly
     return out
@@ -355,7 +349,7 @@ def _bilinear(a: GradedTensor, b: GradedTensor, rule: int) -> dict[MultiIndex, P
             if ma & mb == shared:
                 key = ma ^ mb
                 groups[key].append((1 - 2 * PARITY[row | key & mb], pa, pb))
-    return _grouped_sum(groups)
+    return _grouped_sum(groups, Polynomial.sum_of_products)
 
 
 # -- tensor coordinates ------------------------------------------------------
@@ -388,6 +382,7 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
     ``(entry, coeff)`` pair per nonzero integer entry of row ``j`` of the
     transpose, and each output row is one ``Polynomial.linear_sum(pairs, den)``.
     """
+    _expect_matrix(matrix, "apply_matrix")
     GradedTensor._check_shape(variance, degree)
     _expect(t)
     if not t.terms:
@@ -402,7 +397,7 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
     for idx, poly in t.terms.items():
         for i, entry in columns[basis_position(idx)].items():
             groups[MASK[rows[i]]].append((entry, poly))
-    return GradedTensor._raw(variance, degree, _linear_sums(groups, matrix._den))
+    return GradedTensor._raw(variance, degree, _grouped_sum(groups, partial(Polynomial.linear_sum, den=matrix._den)))
 
 
 # -- core operations -------------------------------------------------------
@@ -479,8 +474,7 @@ def pullback_linear(matrix: ExactMatrix, t: GradedTensor) -> GradedTensor:
     which requires A to be invertible.  Functorial contravariantly:
     ``pullback(A @ B) = pullback(B) o pullback(A)``; commutes with wedge.
     """
-    if not isinstance(matrix, ExactMatrix):
-        raise TypeError(f"pullback_linear needs an ExactMatrix, got {type(matrix).__name__}")
+    _expect_matrix(matrix, "pullback_linear")
     if matrix.shape != (DIM, DIM):
         raise ValueError(f"expected an {DIM}x{DIM} matrix, got {matrix.nrows}x{matrix.ncols}")
     _expect(t)
@@ -504,4 +498,4 @@ def pullback_linear(matrix: ExactMatrix, t: GradedTensor) -> GradedTensor:
             term = wedge(term, images[i])
         for key, coeff in term.terms.items():
             groups[MASK[key]].append((1, coeff))
-    return GradedTensor._raw(t.variance, t.degree, _linear_sums(groups))
+    return GradedTensor._raw(t.variance, t.degree, _grouped_sum(groups, Polynomial.linear_sum))

@@ -55,7 +55,6 @@ from .spin7 import (
     project4,
     psi2_inverse,
     psi3_section,
-    seven_part_generators,
     structure_matrix,
     three_form_operator_matrix,
     triple_product,
@@ -131,8 +130,8 @@ def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 3))
 
 
-def random_polynomial(rng: random.Random, max_degree: int = 2, max_terms: int = 3) -> Polynomial:
-    """Up to ``max_terms`` random monomials with ``random_fraction`` coefficients.
+def random_polynomial(rng: random.Random, max_degree: int = 2) -> Polynomial:
+    """One to three random monomials with ``random_fraction`` coefficients.
 
     Each term draws its number of variable factors, the variable of each
     factor, a numerator and a denominator, exactly as ``randint``,
@@ -145,7 +144,7 @@ def random_polynomial(rng: random.Random, max_degree: int = 2, max_terms: int = 
     if max_degree > MAX_EXPONENT:
         raise ExponentOverflow(f"max_degree {max_degree} above MAX_EXPONENT = {MAX_EXPONENT}")
     drawn = []
-    for _ in range(1 + _below(rng, max_terms)):
+    for _ in range(1 + _below(rng, 3)):
         key = 0
         for _ in range(_below(rng, max_degree + 1)):
             key += _STEPS[_below(rng, DIM)]
@@ -468,7 +467,7 @@ def _check_four_form_split(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _check_four_form_seven_rank(ctx: CheckContext) -> Iterator[Piece]:
-    yield structure_matrix(seven_part_generators(), 4).rank() - 7
+    yield spin7._generator_pairings().rank() - 7
 
 
 def _check_lemma2_minus7(ctx: CheckContext) -> Iterator[Piece]:

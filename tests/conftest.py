@@ -20,7 +20,7 @@ def make_tensor(rng):
 
 @pytest.fixture
 def make_poly(rng):
-    def factory(max_degree=2, max_terms=3):
-        return random_polynomial(rng, max_degree, max_terms)
+    def factory(max_degree=2):
+        return random_polynomial(rng, max_degree)
 
     return factory

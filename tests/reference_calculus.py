@@ -37,7 +37,7 @@ from cayley8.tensor import (
     DegreeMismatch,
     GradedTensor,
     VarianceMismatch,
-    _linear_sums,
+    _grouped_sum,
     wedge,
 )
 
@@ -65,7 +65,7 @@ def exterior_derivative(beta: GradedTensor) -> GradedTensor:
             g = diff(poly, i)
             if g:
                 groups[m | bit].append((1 - 2 * PARITY[bit << 8 | m], g))
-    return GradedTensor._raw(FORM, beta.degree + 1, _linear_sums(groups))
+    return GradedTensor._raw(FORM, beta.degree + 1, _grouped_sum(groups, Polynomial.linear_sum))
 
 
 def homotopy_primitive(beta: GradedTensor) -> GradedTensor:

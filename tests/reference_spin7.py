@@ -65,7 +65,7 @@ def seven_part_sum(sigma: GradedTensor) -> GradedTensor:
             continue
         for idx, coeff in gen.terms.items():
             groups[MASK[idx]].append((1, coeff, pairing))
-    return GradedTensor._raw(FORM, 4, _grouped_sum(groups))
+    return GradedTensor._raw(FORM, 4, _grouped_sum(groups, Polynomial.sum_of_products))
 
 
 def project2(beta: GradedTensor) -> DecompositionReport:

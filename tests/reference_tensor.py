@@ -70,7 +70,7 @@ def grouped_combine(a: GradedTensor, b: GradedTensor, sign: int) -> GradedTensor
     for idx, poly in b.terms.items():
         groups[MASK[idx]].append((sign, poly, ONE))
     degree = b.degree if a.is_zero() else a.degree
-    return GradedTensor._raw(a.variance, degree, _grouped_sum(groups))
+    return GradedTensor._raw(a.variance, degree, _grouped_sum(groups, Polynomial.sum_of_products))
 
 
 def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: str) -> GradedTensor:
@@ -85,7 +85,7 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
     for idx, poly in t.terms.items():
         for i, entry in columns[basis_position(idx)].items():
             groups[MASK[rows[i]]].append((entry, poly, scale))
-    return GradedTensor._raw(variance, degree, _grouped_sum(groups))
+    return GradedTensor._raw(variance, degree, _grouped_sum(groups, Polynomial.sum_of_products))
 
 
 def document_to_tensor(doc) -> GradedTensor:

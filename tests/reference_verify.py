@@ -19,9 +19,9 @@ from cayley8.tensor import MULTIVECTOR, GradedTensor, unit, wedge
 _NONZERO_NUMERATORS = tuple(i for i in range(-9, 10) if i)
 
 
-def random_polynomial(rng: random.Random, max_degree: int = 2, max_terms: int = 3) -> Polynomial:
+def random_polynomial(rng: random.Random, max_degree: int = 2) -> Polynomial:
     quotients = []
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         exp = [0] * DIM
         for _ in range(rng.randint(0, max_degree)):
             exp[rng.randrange(DIM)] += 1

@@ -106,6 +106,8 @@ def test_operators_reject_non_matrices(operand):
         m - operand
     with pytest.raises(TypeError):
         operand - m
+    with pytest.raises(TypeError, match=f"column_span_equals needs an ExactMatrix, got {type(operand).__name__}"):
+        m.column_span_equals(operand)
 
 
 @pytest.mark.parametrize("scalar", [1.0, "2", None])

@@ -301,18 +301,18 @@ class TestPullback:
 class TestSignedAccumulation:
     def test_lone_triple_keeps_its_integer_factor(self):
         # mask 3 is the index (0, 1)
-        assert _grouped_sum({3: [(3, x(0), ONE)]}) == {(0, 1): x(0) * 3}
-        assert _grouped_sum({3: [(-2, x(0), ONE)]}) == {(0, 1): x(0) * -2}
-        assert _grouped_sum({3: [(-1, x(0), ONE)]}) == {(0, 1): -x(0)}
+        assert _grouped_sum({3: [(3, x(0), ONE)]}, Polynomial.sum_of_products) == {(0, 1): x(0) * 3}
+        assert _grouped_sum({3: [(-2, x(0), ONE)]}, Polynomial.sum_of_products) == {(0, 1): x(0) * -2}
+        assert _grouped_sum({3: [(-1, x(0), ONE)]}, Polynomial.sum_of_products) == {(0, 1): -x(0)}
 
     def test_lone_triple_with_a_constant_factor(self):
         half = Polynomial.constant(Fraction(1, 2))
-        assert _grouped_sum({3: [(1, x(0), half)]}) == {(0, 1): x(0) * Fraction(1, 2)}
-        assert _grouped_sum({3: [(-4, x(0), half)]}) == {(0, 1): x(0) * -2}
+        assert _grouped_sum({3: [(1, x(0), half)]}, Polynomial.sum_of_products) == {(0, 1): x(0) * Fraction(1, 2)}
+        assert _grouped_sum({3: [(-4, x(0), half)]}, Polynomial.sum_of_products) == {(0, 1): x(0) * -2}
         # a unit factor keeps the coefficient itself
         p = x(0) + x(1)
-        assert _grouped_sum({3: [(-1, p, Polynomial.constant(-1))]})[(0, 1)] is p
-        assert _grouped_sum({3: [(2, p, Polynomial.zero())]}) == {}
+        assert _grouped_sum({3: [(-1, p, Polynomial.constant(-1))]}, Polynomial.sum_of_products)[(0, 1)] is p
+        assert _grouped_sum({3: [(2, p, Polynomial.zero())]}, Polynomial.sum_of_products) == {}
 
     def test_scalar_multiple(self):
         t = dx(0, 1, coeff=x(0) + Fraction(1, 3)) + dx(2, 3, coeff=x(1))
@@ -423,6 +423,8 @@ class TestApplyMatrix:
                 apply_matrix(identity, t, degree, FORM)
             with pytest.raises(DegreeMismatch, match=message):
                 GradedTensor(FORM, degree, {(0,): 1})
+        with pytest.raises(TypeError, match="apply_matrix needs an ExactMatrix, got list"):
+            apply_matrix([[1]], t, 1, FORM)
         assert apply_matrix(identity, t, 1, FORM) == t
 
     def test_structure_matrix_takes_an_int_degree(self):

@@ -192,12 +192,11 @@ CACHED_OPERATORS = [
     ("map_matrix", 1, {"three_form_split"}),
     ("map_matrix", 3, {"three_form_split"}),
     ("_projector", "2_7", {"two_form_split"}),
-    ("_projector", "2_21", {"two_form_split"}),
+    ("_psi3_section_matrix", None, {"psi3_section_surjective"}),
     ("_projector", "4_7", {"four_form_split"}),
     ("_projector", "4_35", {"four_form_split"}),
-    ("_generator_pairings", None, {"four_form_split"}),
+    ("_generator_pairings", None, {"four_form_split", "four_form_seven_rank"}),
     ("_psi2_inverse_matrix", None, {"psi2_inverse_roundtrip"}),
-    ("_psi3_section_matrix", None, {"psi3_section_surjective"}),
 ]
 
 
@@ -462,9 +461,9 @@ def _draw_both(name, *args, calls=12, seeds=range(4)):
 
 
 @pytest.mark.parametrize("max_degree", range(4))
-@pytest.mark.parametrize("max_terms", range(1, 5))
-def test_random_polynomial_draws_as_its_reference(max_degree, max_terms):
-    _draw_both("random_polynomial", max_degree, max_terms)
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_random_polynomial_draws_as_its_reference(max_degree, seed):
+    _draw_both("random_polynomial", max_degree, seeds=(seed,))
 
 
 @pytest.mark.parametrize("degree", range(DIM + 1))
@@ -490,9 +489,8 @@ def test_vector_fields_and_decomposables_draw_as_their_reference():
         ("random_tensor", ("field", 2)),
         ("random_tensor", (FORM, True)),
         ("random_tensor", (FORM, 2, 0)),
-        ("random_polynomial", (2, 0)),
-        ("random_polynomial", (-1, 3)),
-        ("random_polynomial", (-2, 3)),
+        ("random_polynomial", (-1,)),
+        ("random_polynomial", (-2,)),
     ],
 )
 def test_generators_raise_as_their_reference(name, args):
