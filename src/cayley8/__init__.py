@@ -8,7 +8,6 @@ with zero tolerance.
 from .calculus import (
     HomotopyPrimitive,
     codifferential,
-    euler_field,
     exterior_derivative,
     homotopy_pair,
     homotopy_primitive,
@@ -52,6 +51,7 @@ from .tensor import (
     VarianceMismatch,
     contract,
     dx,
+    euler_field,
     flat,
     hodge,
     inner,

@@ -19,7 +19,8 @@ Sign conventions:
 
 The bracket is computed by Koszul's formula, as the failure of the
 divergence ``-sharp delta flat`` to be a derivation; the cone primitive is a
-contraction with the Euler field.  Only ``exterior_derivative`` walks index
+contraction with the Euler field, ``tensor.euler_field``, the field the
+linear pullback also reads.  Only ``exterior_derivative`` walks index
 positions, and it reads its signs from the ``multiindex.PARITY`` table; no
 other operator here computes a permutation sign.  No operator here
 computes a derivative either: ``exterior_derivative`` hands its signed
@@ -34,13 +35,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
-from .multiindex import DIM, INDEX, MASK, PARITY
+from .multiindex import INDEX, MASK, PARITY
 from .polynomial import Polynomial, _summed, _unpack
 from .tensor import (
     FORM, MULTIVECTOR, DegreeMismatch, GradedTensor,
-    _expect, _grouped_sum, contract, flat, hodge, sharp, wedge,
+    _expect, _grouped_sum, contract, euler_field, flat, hodge, sharp, wedge,
 )
 
 
@@ -68,12 +69,6 @@ def codifferential(beta: GradedTensor) -> GradedTensor:
     """delta = -star d star; on a function it is the zero tensor of degree -1."""
     _expect(beta, FORM)
     return -hodge(exterior_derivative(hodge(beta)))
-
-
-@cache
-def euler_field() -> GradedTensor:
-    """The radial vector field with components x0, ..., x7."""
-    return GradedTensor(MULTIVECTOR, 1, {(i,): Polynomial.variable(i) for i in range(DIM)})
 
 
 def homotopy_primitive(beta: GradedTensor) -> GradedTensor:

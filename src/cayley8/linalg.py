@@ -42,7 +42,7 @@ Entries and scalars are read through ``polynomial._quotient``.
 
 Every query answers with an ``ExactMatrix`` or an int: ``rref()[0]`` is a
 matrix, and ``nullspace()`` is the matrix whose columns are the kernel
-basis.  Only ``rows`` (built on first use and cached), ``column()``,
+basis.  Only ``rows`` (built on each call), ``column()``,
 ``trace()`` and ``abs_entry_sum()`` give ``fractions.Fraction`` values.
 Instances are treated as immutable once built.
 """
@@ -68,7 +68,7 @@ class SingularMatrixError(ValueError):
 class ExactMatrix:
     """Matrix over the rationals: sparse integer rows over one denominator."""
 
-    __slots__ = ("_nums", "_den", "nrows", "ncols", "_rows", "_echelon", "_rref", "_transpose")
+    __slots__ = ("_nums", "_den", "nrows", "ncols", "_echelon", "_rref", "_transpose")
 
     def __init__(self, rows: Iterable[Sequence[Rational]]):
         data = [list(row) for row in rows]
@@ -118,17 +118,15 @@ class ExactMatrix:
 
     @property
     def rows(self) -> list[list[Fraction]]:
-        """Dense ``Fraction`` rows, built on first use."""
-        if self._rows is None:
-            den = self._den
-            rows = []
-            for row in self._nums:
-                dense = [_ZERO] * self.ncols
-                for j, v in row.items():
-                    dense[j] = Fraction(v, den)
-                rows.append(dense)
-            self._rows = rows
-        return self._rows
+        """Dense ``Fraction`` rows, built on each call."""
+        den = self._den
+        rows = []
+        for row in self._nums:
+            dense = [_ZERO] * self.ncols
+            for j, v in row.items():
+                dense[j] = Fraction(v, den)
+            rows.append(dense)
+        return rows
 
     def column(self, j: int) -> list[Fraction]:
         if type(j) is not int or not 0 <= j < self.ncols:
@@ -358,7 +356,6 @@ def _fill(matrix: ExactMatrix, nums: list[IntRow], den: int, ncols: int) -> None
     matrix._den = den
     matrix.nrows = len(nums)
     matrix.ncols = ncols
-    matrix._rows = None
     matrix._echelon = None
     matrix._rref = None
     matrix._transpose = None

@@ -26,7 +26,8 @@ argument through :func:`cayley8.tensor.apply_matrix`:
   star(Psi ^ .) from three-forms to one-forms and back; :func:`project3`
   takes -1/7 of it;
 - :func:`project4` applies pi_7 = G G^T/32 (G the matrix of
-  :func:`seven_part_generators`) and pi_35 = (I - star)/2;
+  :func:`seven_part_generators`) and takes pi_35 = (I - star)/2 through
+  the ``hodge`` kernel, which needs no matrix;
 - :func:`psi2_inverse` applies T^-1 = (T + 2I)/3, read off
   T^2 + 2T - 3I = 0 with no elimination, and :func:`psi3_section`
   -1/7 ``map_matrix(1)`` on one-forms.
@@ -62,7 +63,6 @@ from .tensor import (
     _expect,
     apply_matrix,
     contract,
-    dx,
     flat,
     hodge,
     inner,
@@ -243,7 +243,7 @@ def project4(sigma: GradedTensor) -> DecompositionReport:
     """Split a four-form into its 1-, 7-, 27-, and 35-dimensional components."""
     _expect(sigma, FORM, 4)
     psi = cayley_form()
-    part35 = apply_matrix(_projector("4_35"), sigma, 4, FORM)
+    part35 = (sigma - hodge(sigma)) * Fraction(1, 2)
     part1 = psi * (inner(sigma, psi) * Fraction(1, 14))
     part7 = apply_matrix(_projector("4_7"), sigma, 4, FORM)
     part27 = sigma - part1 - part7 - part35
@@ -297,21 +297,19 @@ def three_form_operator_matrix() -> ExactMatrix:
 def _projector(name: str) -> ExactMatrix:
     """Matrix of the projection onto the component ``name``, built on first use.
 
-    ``2_7`` = (I - T)/4 on two-forms; on four-forms ``4_7`` = G G^T/32, G
-    the 70x28 matrix of the generators (their Gram matrix is 32 times a
-    projector), and ``4_35`` = (I - star)/2.  The others are multiples of a
-    shift: (I - T)/4 is ``T.shifted(1) * -1/4``.  ``2_21``, like ``3_48``
+    ``2_7`` = (I - T)/4 on two-forms, ``T.shifted(1) * -1/4``; on
+    four-forms ``4_7`` = G G^T/32, G the 70x28 matrix of the generators
+    (their Gram matrix is 32 times a projector).  ``2_21``, like ``3_48``
     and ``4_27``, has no matrix: its projection takes it as the form minus
-    the other parts.
+    the other parts.  Nor has ``4_35``: the star is a signed relabel of
+    basis four-forms, so (sigma - star(sigma))/2 goes through the ``hodge``
+    kernel.
     """
     if name == "2_7":
         return two_form_operator_matrix().shifted(1) * Fraction(-1, 4)
     if name == "4_7":
         pairings = _generator_pairings()
         return pairings.transpose() @ pairings * Fraction(1, 32)
-    if name == "4_35":
-        star = structure_matrix((hodge(dx(*idx)) for idx in basis(4)), 4)
-        return star.shifted(1) * Fraction(-1, 2)
     raise KeyError(name)
 
 

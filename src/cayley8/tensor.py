@@ -70,14 +70,19 @@ Tensor coordinates
 Row (or column) ``i`` of a matrix on degree ``k`` is ``basis(k)[i]``:
 :func:`structure_matrix` builds the matrix of a map from the images of
 basis tensors, and :func:`apply_matrix` sends coordinates back through it.
+``apply_matrix`` is the one place here where matrix entries become tensor
+coefficients; nothing here reads a matrix's dense ``rows`` or ``column()``.
 
 Linear pullback
 ---------------
 A linear map is an 8x8 :class:`~cayley8.linalg.ExactMatrix` ``A``.
-:func:`pullback_linear` sends ``dx^i`` to row ``i`` of ``A``, ``e_j`` to
-column ``j`` of ``A^-1``, and each coefficient through
+:func:`pullback_linear` sends ``dx^i`` to row ``i`` of ``A`` (``A^T``
+applied to ``dx^i``), ``e_j`` to column ``j`` of ``A^-1`` (``A^-1``
+applied to ``e_j``), and each coefficient through
 :meth:`~cayley8.polynomial.Polynomial.compose` with
-``x_i -> sum_j A[i][j] x_j``.
+``x_i -> sum_j A[i][j] x_j``, the coefficients of ``A`` applied to the
+Euler field :func:`euler_field`.  That field lives here, and the cone
+primitive of ``calculus`` reads the same cached tensor.
 
 Values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads without locking.
@@ -87,7 +92,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Mapping
 
 from .linalg import ExactMatrix, SingularMatrixError, _expect_matrix
@@ -315,6 +320,12 @@ def scalar_tensor(poly: Coefficient, variance: str = FORM) -> GradedTensor:
     return GradedTensor(variance, 0, {(): poly})
 
 
+@cache
+def euler_field() -> GradedTensor:
+    """The radial vector field with components x0, ..., x7."""
+    return GradedTensor(MULTIVECTOR, 1, {(i,): Polynomial.variable(i) for i in range(DIM)})
+
+
 # -- signed accumulation -----------------------------------------------------
 
 #: Pair rules of :func:`_bilinear`: the part of a's mask that b's mask must
@@ -385,13 +396,13 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
     _expect_matrix(matrix, "apply_matrix")
     GradedTensor._check_shape(variance, degree)
     _expect(t)
-    if not t.terms:
-        return GradedTensor.zero(variance, degree)
     rows = basis(degree)
-    if (len(rows), len(basis(t.degree))) != matrix.shape:
+    if len(rows) != matrix.nrows or t.terms and len(basis(t.degree)) != matrix.ncols:  # a zero passes any degree
         raise DegreeMismatch(
             f"a {matrix.nrows}x{matrix.ncols} matrix does not map degree {t.degree} to degree {degree}"
         )
+    if not t.terms:
+        return GradedTensor.zero(variance, degree)
     columns = matrix.transpose()._nums
     groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in t.terms.items():
@@ -478,19 +489,16 @@ def pullback_linear(matrix: ExactMatrix, t: GradedTensor) -> GradedTensor:
     if matrix.shape != (DIM, DIM):
         raise ValueError(f"expected an {DIM}x{DIM} matrix, got {matrix.nrows}x{matrix.ncols}")
     _expect(t)
-    rows = matrix.rows
     if t.variance == FORM:
-        frame = rows  # dx^i pulls back to sum_j A[i][j] dx^j
+        frame = matrix.transpose()  # dx^i pulls back to row i of A
     else:
         try:
-            inverse = matrix.inverse()
+            frame = matrix.inverse()  # e_j pulls back to column j of A^-1
         except SingularMatrixError:
             raise SingularMatrixError("pullback of a multivector needs an invertible matrix") from None
-        frame = [inverse.column(j) for j in range(DIM)]  # e_j pulls back to column j of A^-1
-    images = [GradedTensor(t.variance, 1, {(j,): c for j, c in enumerate(row) if c}) for row in frame]
-    # x_i pulls back to sum_j A[i][j] x_j
-    units = [tuple(int(m == j) for m in range(DIM)) for j in range(DIM)]
-    coordinates = [Polynomial(dict(zip(units, row))) for row in rows]
+    images = [apply_matrix(frame, GradedTensor(t.variance, 1, {(i,): 1}), 1, t.variance) for i in range(DIM)]
+    ax = apply_matrix(matrix, euler_field(), 1, MULTIVECTOR)  # x_i pulls back to sum_j A[i][j] x_j
+    coordinates = [ax.coefficient((i,)) for i in range(DIM)]
     groups: defaultdict[int, list] = defaultdict(list)
     for idx, poly in t.terms.items():
         term = scalar_tensor(poly.compose(coordinates), t.variance)

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+import cayley8
+from cayley8 import calculus, tensor
 from cayley8.calculus import (
     codifferential,
     euler_field,
@@ -111,6 +113,10 @@ class TestHomotopyPrimitive:
     def test_euler_field_components(self):
         e = euler_field()
         assert e.coefficient((5,)) == x(5)
+
+    def test_euler_field_has_one_home(self):
+        # the cone primitive and the linear pullback read the same cached field
+        assert calculus.euler_field is tensor.euler_field is cayley8.euler_field
 
 
 @pytest.mark.parametrize("operation, variance, degree", [

@@ -120,12 +120,12 @@ class TestProject2:
         with pytest.raises(ValueError, match="non-square 56x8"):
             eigenspace_dimension(map_matrix(1), 0)
 
-    def test_projectors_equal_identity_arithmetic(self):
+    def test_projectors_equal_identity_arithmetic(self, make_tensor):
         t_matrix = two_form_operator_matrix()
-        star = structure_matrix((hodge(dx(*idx)) for idx in basis(4)), 4)
-        identity28, identity70 = ExactMatrix.identity(28), ExactMatrix.identity(70)
-        assert spin7._projector("2_7") == (identity28 - t_matrix) * Fraction(1, 4)
-        assert spin7._projector("4_35") == (identity70 - star) * Fraction(1, 2)
+        assert spin7._projector("2_7") == (ExactMatrix.identity(28) - t_matrix) * Fraction(1, 4)
+        # pi_35 = (I - star)/2, on every basis four-form and on seeded ones
+        for sigma in [dx(*idx) for idx in basis(4)] + [make_tensor(FORM, 4) for _ in range(8)]:
+            assert project4(sigma).components["4_35"] == (sigma - hodge(sigma)) * Fraction(1, 2)
 
     def test_idempotent(self, make_tensor):
         beta = make_tensor(FORM, 2)
@@ -348,13 +348,16 @@ class TestCachedOperatorMatrices:
             spin7._projector("2_21")
 
     def test_four_form_parts_are_orthogonal_projectors(self):
-        p7, p35 = spin7._projector("4_7"), spin7._projector("4_35")
-        assert p7 @ p7 == p7 and p35 @ p35 == p35 and (p7 @ p35).abs_entry_sum() == 0
-        assert p7 == p7.transpose() and p35 == p35.transpose()
-        assert (p7.rank(), p35.rank()) == (7, 35)
+        # only the 7-part has a matrix; the 35-part goes through the hodge kernel
+        p7 = spin7._projector("4_7")
+        assert p7 @ p7 == p7 and p7 == p7.transpose() and p7.rank() == 7
+        # its image is self-dual, so it is orthogonal to the 35-part (I - star)/2
+        star = structure_matrix((hodge(dx(*idx)) for idx in basis(4)), 4)
+        assert p7 @ star == p7
         assert spin7._generator_pairings().transpose() == structure_matrix(seven_part_generators(), 4)
-        with pytest.raises(KeyError):
-            spin7._projector("3_8")
+        for name in ("3_8", "4_35"):
+            with pytest.raises(KeyError):
+                spin7._projector(name)
 
     def test_inverse_and_section_matrices(self):
         assert spin7._psi2_inverse_matrix() @ map_matrix(2) == ExactMatrix.identity(28)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import reference_spin7
+import reference_tensor
 
 from cayley8.linalg import ExactMatrix, SingularMatrixError
 from cayley8 import calculus, spin7
@@ -288,6 +289,30 @@ class TestPullback:
         beta = dx(1, coeff=x(0))
         assert pullback_linear(self.matrix({(0, 0): 2}), beta) == dx(1, coeff=2 * x(0))
 
+    def test_reads_its_matrix_only_through_apply_matrix(self, make_tensor, rng, monkeypatch):
+        # with the dense views refused, forms and multivectors still pull back as the reference does
+        entries = {(i, i): Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)) for i in range(8)}
+        for i, j in basis(2):
+            if rng.random() < 0.3:
+                entries[i, j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        matrix = self.matrix(entries)  # triangular with a nonzero diagonal, so invertible
+        cases = [make_tensor(variance, k) for variance in (FORM, MULTIVECTOR) for k in (1, 2, 3)]
+        expected = [reference_tensor.pullback_linear(matrix.rows, t) for t in cases]
+
+        def refuse(*args):
+            raise AssertionError("pullback_linear read a dense view of its matrix")
+
+        monkeypatch.setattr(ExactMatrix, "rows", property(refuse))
+        monkeypatch.setattr(ExactMatrix, "column", refuse)
+        assert [pullback_linear(matrix, t) for t in cases] == expected
+
+    def test_writing_into_rows_changes_nothing(self):
+        # rows is a fresh list on each call, so the matrix and its pullback keep their entries
+        m = ExactMatrix.identity(8)
+        m.rows[0][0] = 2
+        assert m.rows == ExactMatrix.identity(8).rows and m == ExactMatrix.identity(8)
+        assert pullback_linear(m, dx(0)) == dx(0)
+
     def test_only_an_eight_by_eight_exact_matrix(self):
         rows = [[int(i == j) for j in range(8)] for i in range(8)]
         with pytest.raises(TypeError, match="needs an ExactMatrix, got list"):
@@ -343,6 +368,13 @@ class TestApplyMatrix:
         matrix = ExactMatrix.identity(28)
         out = apply_matrix(matrix, GradedTensor.zero(FORM, 5), 2, MULTIVECTOR)
         assert out.is_zero() and (out.variance, out.degree) == (MULTIVECTOR, 2)
+
+    def test_a_zero_tensor_meets_the_row_count(self):
+        # the rows are checked before the zero shortcut; a zero passes any column degree
+        with pytest.raises(DegreeMismatch, match="a 3x3 matrix does not map degree 1 to degree 1"):
+            apply_matrix(ExactMatrix.identity(3), GradedTensor.zero(FORM, 1), 1, FORM)
+        out = apply_matrix(spin7.map_matrix(2), GradedTensor.zero(FORM, 5), 2, FORM)
+        assert out.is_zero() and (out.variance, out.degree) == (FORM, 2)
 
     def test_shape_must_fit_the_degrees(self):
         with pytest.raises(DegreeMismatch, match="does not map degree 1 to degree 2"):

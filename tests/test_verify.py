@@ -185,8 +185,8 @@ def test_cayley_fn_constant_fails_with_a_zero_eight_part(monkeypatch):
 
 #: Each cached operator matrix of spin7: (builder, its argument or None, the
 #: spin7 checks that read it).  T and the factors of S (all ``map_matrix``),
-#: the two-form parts, pi_7 and pi_35, the generator pairings, psi2^-1 and
-#: the psi3 section.
+#: the two-form 7-part, pi_7, the generator pairings, psi2^-1 and the psi3
+#: section.
 CACHED_OPERATORS = [
     ("map_matrix", 2, {"two_form_split"}),
     ("map_matrix", 1, {"three_form_split"}),
@@ -194,9 +194,8 @@ CACHED_OPERATORS = [
     ("_projector", "2_7", {"two_form_split"}),
     ("_psi3_section_matrix", None, {"psi3_section_surjective"}),
     ("_projector", "4_7", {"four_form_split"}),
-    ("_projector", "4_35", {"four_form_split"}),
-    ("_generator_pairings", None, {"four_form_split", "four_form_seven_rank"}),
     ("_psi2_inverse_matrix", None, {"psi2_inverse_roundtrip"}),
+    ("_generator_pairings", None, {"four_form_split", "four_form_seven_rank"}),
 ]
 
 
