@@ -11,7 +11,9 @@ around 70x70.
 ``+``, ``-``, scalar ``*``, ``@`` (each nonzero of a left row walks one right
 row), ``transpose`` and the sum of ``trace`` run on Python ints.  The
 columns of a matrix are the rows of its transpose, built on first use and
-cached both ways, so ``m.transpose().transpose() is m``.
+cached both ways, so ``m.transpose().transpose() is m``: column ``j`` reads
+as ``m.transpose().rows[j]``, and the matrix with given columns is
+``ExactMatrix(zip(*columns, strict=True))``.
 
 Elimination is fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968) and runs in
@@ -42,9 +44,10 @@ Entries and scalars are read through ``polynomial._quotient``.
 
 Every query answers with an ``ExactMatrix`` or an int: ``rref()[0]`` is a
 matrix, and ``nullspace()`` is the matrix whose columns are the kernel
-basis.  Only ``rows`` (built on each call), ``column()``,
-``trace()`` and ``abs_entry_sum()`` give ``fractions.Fraction`` values.
-Instances are treated as immutable once built.
+basis.  Only ``rows`` (the one dense view, built on each call and read by
+no library code), ``trace()`` and ``abs_entry_sum()`` give
+``fractions.Fraction`` values.  Instances are treated as immutable once
+built.
 """
 
 from __future__ import annotations
@@ -109,16 +112,16 @@ class ExactMatrix:
             raise ValueError(f"an identity matrix needs a positive integer size, not {n!r}")
         return _reduced([{i: 1} for i in range(n)], 1, n)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Rational]]) -> "ExactMatrix":
-        """The matrix with these columns; no columns, or columns of unequal length, are a ``ValueError``."""
-        return cls(zip(*columns, strict=True))
-
     # -- views -------------------------------------------------------------
 
     @property
     def rows(self) -> list[list[Fraction]]:
-        """Dense ``Fraction`` rows, built on each call."""
+        """Dense ``Fraction`` rows, built on each call.
+
+        Column ``j`` is ``transpose().rows[j]`` (the transpose is cached),
+        and ``ExactMatrix(zip(*columns, strict=True))`` builds a matrix from
+        columns (no columns, or columns of unequal length, are a ``ValueError``).
+        """
         den = self._den
         rows = []
         for row in self._nums:
@@ -127,12 +130,6 @@ class ExactMatrix:
                 dense[j] = Fraction(v, den)
             rows.append(dense)
         return rows
-
-    def column(self, j: int) -> list[Fraction]:
-        if type(j) is not int or not 0 <= j < self.ncols:
-            raise IndexError(f"column {j!r} outside 0..{self.ncols - 1}")
-        den = self._den
-        return [Fraction(row[j], den) if j in row else _ZERO for row in self._nums]
 
     def abs_entry_sum(self) -> Fraction:
         """L1 mass of the entries; zero iff the matrix is zero."""

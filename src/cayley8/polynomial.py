@@ -43,9 +43,8 @@ each term of ``p`` into one numerator dict over one common denominator,
 with one zero filter and one gcd; lowering a field adds no exponents, so it
 needs no guard check.  ``diff(i)`` is the sum of one triple, and
 ``exterior_derivative`` calls it once per output coefficient.  ``terms`` is a
-read-only view from exponent tuples to
-``fractions.Fraction``, built on first use.  No floating point appears
-anywhere.
+read-only view from exponent tuples to ``fractions.Fraction``, built on each
+call and read by no library code.  No floating point appears anywhere.
 
 Both rules for exact numbers live here.  An exact rational (a coefficient,
 entry, scalar or point) is an ``int`` that is not a ``bool``, or a
@@ -143,7 +142,6 @@ def _wrap(nums: dict[int, int], den: int) -> "Polynomial":
     out = Polynomial.__new__(Polynomial)
     out._nums = nums
     out._den = den
-    out._terms = None
     return out
 
 
@@ -174,13 +172,12 @@ def _summed(packed: list[tuple[int, int, int]]) -> "Polynomial":
 class Polynomial:
     """Finitely supported map from exponent tuples to rationals."""
 
-    __slots__ = ("_nums", "_den", "_terms")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Exponents, Rational] | None = None):
         made = _summed([(_pack(exp), *_quotient(c)) for exp, c in (terms or {}).items()])
         self._nums = made._nums
         self._den = made._den
-        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
@@ -336,13 +333,9 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
-        """Read-only view: exponent tuple to nonzero ``Fraction`` coefficient."""
-        if self._terms is None:
-            den = self._den
-            self._terms = MappingProxyType(
-                {_unpack(k): Fraction(v, den) for k, v in self._nums.items()}
-            )
-        return self._terms
+        """Read-only view, built on each call: exponent tuple to nonzero ``Fraction`` coefficient."""
+        den = self._den
+        return MappingProxyType({_unpack(k): Fraction(v, den) for k, v in self._nums.items()})
 
     def quotients(self) -> list[tuple[Exponents, int, int]]:
         """``(exp, num, den)`` per term in exponent order: :meth:`_packed_quotients` unpacked."""

@@ -143,6 +143,14 @@ class DecompositionReport:
     components: dict[str, GradedTensor]
 
     def residual(self) -> GradedTensor:
+        """``input`` minus the sum of the components.
+
+        Zero by construction: ``project2``, ``project3`` and ``project4``
+        take their last part (``2_21``, ``3_48``, ``4_27``) as the input
+        minus the others, so this stays zero whatever the projector matrices
+        hold.  It is kept as the ``sum`` residual that ``cayley8 decompose``
+        reports; the ``defining:*`` residuals are what a wrong projector fails.
+        """
         total = GradedTensor.zero(FORM, self.input.degree)
         for part in self.components.values():
             total = total + part
@@ -461,6 +469,9 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
     The inputs of each identity, as ``(variance, degree)`` in order, are
     ``_IDENTITY_INPUTS[name]``: an unknown name is a ``KeyError``, a wrong
     number of inputs a ``TypeError``, and each input goes through ``_expect``.
+    The ``seven_star_identity`` check restates ``seven_star`` through the
+    registry's mutable Hodge star; ROADMAP item 8 gives the mutation one
+    home, and with it this branch becomes the check's only body.
     """
     try:
         shapes = _IDENTITY_INPUTS[name]

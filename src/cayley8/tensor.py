@@ -71,7 +71,7 @@ Row (or column) ``i`` of a matrix on degree ``k`` is ``basis(k)[i]``:
 :func:`structure_matrix` builds the matrix of a map from the images of
 basis tensors, and :func:`apply_matrix` sends coordinates back through it.
 ``apply_matrix`` is the one place here where matrix entries become tensor
-coefficients; nothing here reads a matrix's dense ``rows`` or ``column()``.
+coefficients; nothing here reads a matrix's dense ``rows``.
 
 Linear pullback
 ---------------

@@ -20,8 +20,10 @@ packed polynomial fields and tensors directly, so the reports match those
 of generators calling ``random`` and the constructors.
 
 A mutation mode (flipping the sign of the Hodge star on one degree) is
-wired through the check context; it exists to demonstrate that the suite is
-sensitive, i.e. that no identity passes vacuously.
+wired through the check context.  It shows that the checks reading
+``ctx.star`` fail under it; it does not show that no identity passes
+vacuously (the ``sum`` residual of each split check, for one, is zero by
+construction, see ``DecompositionReport.residual``).
 """
 
 from __future__ import annotations
@@ -537,6 +539,7 @@ def _check_triple_product_norm(ctx: CheckContext) -> Iterator[Piece]:
 
 
 def _check_seven_star(ctx: CheckContext) -> Iterator[Piece]:
+    # identity_report("seven_star") evaluated through ctx.star, so the Hodge mutation reaches it
     psi = cayley_form()
     for x_field in _coordinate_samples(ctx, MULTIVECTOR, 3):
         yield wedge(contract(x_field, psi), psi) - ctx.star(flat(x_field)) * 7

@@ -138,8 +138,8 @@ def seven_part_projector() -> ExactMatrix:
     columns = [
         [g.coefficient(idx).constant_value() for idx in basis(4)] for g in seven_part_generators()
     ]
-    _, pivots = ExactMatrix.from_columns(columns).rref()
-    b = ExactMatrix.from_columns([columns[p] for p in pivots])
+    _, pivots = ExactMatrix(zip(*columns, strict=True)).rref()
+    b = ExactMatrix(zip(*(columns[p] for p in pivots), strict=True))
     bt = transpose(b)
     return b @ (bt @ b).inverse() @ bt
 

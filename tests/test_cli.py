@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import cayley8
-from cayley8 import calculus, spin7
-from cayley8.cli import main
+from cayley8 import calculus, cli, spin7
+from cayley8.cli import build_parser, main
 from cayley8.linalg import ExactMatrix
 from cayley8.serialize import ParseError, parse_tensor, tensor_to_document
 from cayley8.tensor import dx, mv, scalar_tensor
+from cayley8.verify import SCOPES
 from cayley8.polynomial import MAX_EXPONENT, x
 
 
@@ -558,3 +559,17 @@ def test_module_run_exits_with_the_status_main_returns(argv, status, capsys):
     assert code == status
     assert (done.returncode, done.stderr) == (status, captured.err)
     assert timing.sub("", done.stdout) == timing.sub("", captured.out)
+
+
+def test_readme_and_docstring_name_the_parsers_commands():
+    """The README's command block and the ``cli`` docstring list what the parser takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line interface", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert set(re.findall(r"^cayley8 (\S+)", block, re.M)) == set(commands)
+    (scopes,) = re.findall(r"--scope ([\w|]+)\]", block)
+    assert tuple(scopes.split("|")) == SCOPES
+    (kind,) = [action for action in commands["solve"]._actions if action.dest == "kind"]
+    assert tuple(re.findall(r"^cayley8 solve (\S+)", block, re.M)) == tuple(kind.choices)
+    listed = cli.__doc__.split("\n", 1)[0].split(":", 1)[1].strip(" .").split(", ")
+    assert sorted(listed) == sorted(commands)

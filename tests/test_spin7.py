@@ -95,7 +95,7 @@ class TestProject2:
     def test_pure_eigenvector_input(self):
         t_matrix = two_form_operator_matrix()
         shifted = t_matrix - ExactMatrix.identity(28) * Fraction(-3)
-        vec = shifted.nullspace().column(0)
+        vec = shifted.nullspace().transpose().rows[0]
         beta = GradedTensor(
             FORM, 2, {idx: vec[n] for n, idx in enumerate(basis(2)) if vec[n]}
         )
@@ -146,7 +146,7 @@ class TestProject3:
 
     def test_annihilator_is_pure_48_part(self):
         s_matrix = three_form_operator_matrix()
-        vec = s_matrix.nullspace().column(0)
+        vec = s_matrix.nullspace().transpose().rows[0]
         eta = GradedTensor(
             FORM, 3, {idx: vec[n] for n, idx in enumerate(basis(3)) if vec[n]}
         )
@@ -322,7 +322,7 @@ class TestMapMatrices:
             coeff = q.terms.get(idx)
             if coeff is not None:
                 coords[n] = coeff.constant_value()
-        image_coords = (matrix @ ExactMatrix.from_columns([coords])).column(0)
+        image_coords = (matrix @ ExactMatrix([[c] for c in coords])).transpose().rows[0]
         image = GradedTensor(
             FORM, 2, {idx: image_coords[n] for n, idx in enumerate(basis(2))}
         )
@@ -411,7 +411,7 @@ class TestInverseAndSection:
             coeff = beta.terms.get(idx)
             if coeff is not None:
                 coords[n] = coeff.constant_value()
-        solved = (inverse @ ExactMatrix.from_columns([coords])).column(0)
+        solved = (inverse @ ExactMatrix([[c] for c in coords])).transpose().rows[0]
         expected = GradedTensor(
             MULTIVECTOR, 2, {idx: solved[n] for n, idx in enumerate(basis(2))}
         )
@@ -420,7 +420,7 @@ class TestInverseAndSection:
     def test_eigenspace_specialization(self):
         t_matrix = two_form_operator_matrix()
         shifted = t_matrix - ExactMatrix.identity(28) * Fraction(-3)
-        vec = shifted.nullspace().column(0)
+        vec = shifted.nullspace().transpose().rows[0]
         beta = GradedTensor(
             FORM, 2, {idx: vec[n] for n, idx in enumerate(basis(2)) if vec[n]}
         )

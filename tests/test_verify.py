@@ -12,7 +12,7 @@ from cayley8.calculus import HomotopyPrimitive
 from cayley8.linalg import ExactMatrix
 from cayley8.multiindex import DIM
 from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial
-from cayley8.tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch
+from cayley8.tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch, dx
 from cayley8.verify import CHECKS, SCOPES, run_checks
 
 # Completeness meta-list: identity families the registry must cover, one
@@ -232,6 +232,22 @@ def test_perturbed_registry_map_matrix_fails_map_rank_two(monkeypatch):
     assert failing() == set()
     monkeypatch.setattr(verify, "map_matrix", perturbed("map_matrix", 2))
     assert failing() == {"map_rank_two"}
+
+
+@pytest.mark.parametrize(
+    "key, project, form, defining, mass",
+    [
+        ("2_7", "project2", dx(0, 1), "defining:2_7", 6),
+        ("4_7", "project4", dx(0, 1, 2, 3), "defining:4_27_selfdual", 2),
+    ],
+)
+def test_split_sum_residual_is_zero_by_construction(key, project, form, defining, mass, monkeypatch):
+    # each split takes its last part as the input minus the others, so "sum" stays zero
+    # under a perturbed projector; the defining residuals are what fail the split checks
+    monkeypatch.setattr(spin7, "_projector", perturbed("_projector", key))
+    residuals = getattr(spin7, project)(form).residuals()
+    assert verify._mass(residuals["sum"]) == 0
+    assert verify._mass(residuals[defining]) == mass
 
 
 def test_identity_checks_read_every_returned_residual(monkeypatch):
