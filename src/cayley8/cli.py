@@ -19,16 +19,16 @@ from .polynomial import ExponentOverflow
 from .serialize import ParseError, decode_json, document_to_tensor, json_text
 from .spin7 import (
     cayley2_constraint,
-    cayley_2mvf_for,
-    cayley_3mvf_for,
     cayley_form,
     decompose,
     eigenspace_dimension,
     map_matrix,
+    psi2_inverse,
+    psi3_section,
     three_form_operator_matrix,
     two_form_operator_matrix,
 )
-from .tensor import FORM, MULTIVECTOR, TensorError, contract, scalar_tensor
+from .tensor import FORM, MULTIVECTOR, TensorError, contract
 from .verify import SCOPES, _mass, run_checks
 
 
@@ -113,13 +113,14 @@ def cmd_contract(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    """Q with Q _| Psi = d(input), d(input) taken once: ``psi2_inverse`` of it (cayley2) or ``psi3_section`` (cayley3)."""
     tensor = _read_tensor(_load_json(args.input))
     psi = cayley_form()
     if args.kind == "cayley2":
         if tensor.variance != FORM or tensor.degree != 1:
             raise _wrong_shape(tensor, "cayley2 expects a one-form document")
-        q = cayley_2mvf_for(tensor)
         target = exterior_derivative(tensor)
+        q = psi2_inverse(target)
         residuals = {
             "contraction": str((contract(q, psi) - target).coeff_l1()),
             "derivative_constraint": str(cayley2_constraint(q).coeff_l1()),
@@ -127,9 +128,8 @@ def cmd_solve(args) -> int:
     else:
         if tensor.variance != FORM or tensor.degree != 0:
             raise _wrong_shape(tensor, "cayley3 expects a degree-0 form (polynomial) document")
-        f = tensor.coefficient(())
-        q = cayley_3mvf_for(f)
-        target = exterior_derivative(scalar_tensor(f))
+        target = exterior_derivative(tensor)
+        q = psi3_section(target)
         residuals = {"contraction": str((contract(q, psi) - target).coeff_l1())}
     payload = {
         "kind": args.kind,

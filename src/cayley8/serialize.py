@@ -22,7 +22,8 @@ accepts it or raises a :class:`ParseError` naming the first node at fault.
 
 :func:`json_text` writes every ``--format json`` output of the command line:
 ``json.dumps(value, indent=2)`` byte for byte, through one recursion that
-returns the text of each value.  Its two fast paths write a
+appends the text of each value to one buffer, joined once at the end, so
+no text is copied again per level of nesting.  Its two fast paths write a
 :class:`GradedTensor` or :class:`Polynomial` as the text of its document
 (:func:`tensor_to_document`, :func:`polynomial_to_document`) straight from
 its packed terms (:meth:`Polynomial._packed_quotients`), with no document
@@ -214,57 +215,59 @@ def serialize_tensor(t: GradedTensor) -> str:
 def json_text(value: Any) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, with tensors and polynomials as their documents.
 
-    One recursion, :func:`_text`, returns the text of each value: plain
-    ``str`` and ``int`` through the functions ``json`` itself uses with
-    ``ensure_ascii``, non-empty dicts, lists and tuples as their items
-    joined at the next indent, and every other value through
-    ``json.dumps``. A ``GradedTensor`` or ``Polynomial`` is written by one
-    of two fast paths, :func:`_tensor_text` and :func:`_polynomial_text`,
-    as ``json.dumps`` would write its document at that depth, straight from
-    the packed terms, with no document dict built. Nearly all the bytes of
-    a CLI document are monomials, and a document repeats few distinct ones
-    many times, so each call keeps one table per indent from packed key to
-    the monomial's text up to its numerator's digits: a monomial's
-    exponents are formatted once per indent and call, each repeat is a
-    lookup plus its ``num`` and ``den`` digits. The tables die with the
-    call. A tensor of a degree outside 0..8 raises ``DegreeMismatch``, as
+    One recursion, :func:`_write`, appends the text of each value to one
+    buffer, and the buffer is joined once at the end, so no text is copied
+    again for each level it is nested in: plain ``str`` and ``int`` go
+    through the functions ``json`` itself uses with ``ensure_ascii``,
+    non-empty dicts, lists and tuples as their items at the next indent,
+    and every other value through ``json.dumps``. A ``GradedTensor`` or
+    ``Polynomial`` is written by one of two fast paths,
+    :func:`_write_tensor` and :func:`_write_polynomial`, as ``json.dumps``
+    would write its document at that depth, straight from the packed
+    terms, with no document dict built. Nearly all the bytes of a CLI
+    document are monomials, and a document repeats few distinct ones many
+    times, so each call keeps one table per indent from packed key to the
+    monomial's text up to its numerator's digits: a monomial's exponents
+    are formatted once per indent and call, each repeat is a lookup plus
+    its ``num`` and ``den`` digits. The tables die with the call. A tensor
+    of a degree outside 0..8 raises ``DegreeMismatch``, as
     :func:`tensor_to_document` does. A dict key that is not a ``str``, or
     any other value ``json.dumps`` cannot write, raises ``TypeError``.
     """
-    return _text(value, "\n", {})
+    out: list[str] = []
+    _write(value, "\n", {}, out)
+    return "".join(out)
 
 
-def _text(value: Any, newline: str, heads: dict[str, dict[int, str]]) -> str:
-    """The text of ``value``, ``newline`` being "\\n" and the indent of its line; ``heads`` is the call's monomial tables."""
+def _write(value: Any, newline: str, heads: dict[str, dict[int, str]], out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``, ``newline`` being "\\n" and the indent of its line; ``heads`` is the call's monomial tables."""
     cls = value.__class__
     if cls is str:
-        return _quote(value)
-    if cls is int:
-        return int.__repr__(value)
-    if isinstance(value, Polynomial):
-        return _polynomial_text(value, newline, heads)
-    if isinstance(value, GradedTensor):
-        return _tensor_text(value, newline, heads)
-    # one join per container: a tensor's text is copied once per level it is nested in
-    if isinstance(value, dict) and value:
-        inner = newline + "  "
-        parts, sep = [], "{" + inner
+        out.append(_quote(value))
+    elif cls is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, Polynomial):
+        _write_polynomial(value, newline, heads, out)
+    elif isinstance(value, GradedTensor):
+        _write_tensor(value, newline, heads, out)
+    elif isinstance(value, dict) and value:
+        inner, sep = newline + "  ", "{"
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts += (sep, _quote(key), ": ", _text(item, inner, heads))
-            sep = "," + inner
-        parts.append(newline + "}")
-        return "".join(parts)
-    if isinstance(value, (list, tuple)) and value:
-        inner = newline + "  "
-        parts, sep = [], "[" + inner
+            out += (sep, inner, _quote(key), ": ")
+            _write(item, inner, heads, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner, sep = newline + "  ", "["
         for item in value:
-            parts += (sep, _text(item, inner, heads))
-            sep = "," + inner
-        parts.append(newline + "]")
-        return "".join(parts)
-    return json.dumps(value)
+            out += (sep, inner)
+            _write(item, inner, heads, out)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 @functools.cache
@@ -279,31 +282,37 @@ def _monomial_pieces(newline: str) -> tuple[str, str, str]:
     return "{" + key + '"exp": ' + exp + "," + key + '"num": "', '",' + key + '"den": "', '"' + newline + "}"
 
 
-def _polynomial_text(poly: Polynomial, newline: str, heads: dict[str, dict[int, str]]) -> str:
-    """``polynomial_to_document(poly)`` as ``json.dumps(indent=2)`` writes it at ``newline``."""
+def _write_polynomial(poly: Polynomial, newline: str, heads: dict[str, dict[int, str]], out: list[str]) -> None:
+    """Append ``polynomial_to_document(poly)`` as ``json.dumps(indent=2)`` writes it at ``newline``."""
     if poly.is_zero():
-        return "[]"
+        out.append("[]")
+        return
     inner = newline + "  "
     head, between, tail = _monomial_pieces(inner)
     table = heads.setdefault(inner, {})
-    monomials = []
+    sep, comma = "[" + inner, "," + inner
     for key, n, d in poly._packed_quotients():
         text = table.get(key)
         if text is None:
             text = table[key] = head % _unpack(key)
-        monomials.append(f"{text}{n}{between}{d}{tail}")
-    return "[" + inner + ("," + inner).join(monomials) + newline + "]"
+        out.append(f"{sep}{text}{n}{between}{d}{tail}")
+        sep = comma
+    out.append(newline + "]")
 
 
-def _tensor_text(t: GradedTensor, newline: str, heads: dict[str, dict[int, str]]) -> str:
-    """``tensor_to_document(t)`` as ``json.dumps(indent=2)`` writes it at ``newline``."""
+def _write_tensor(t: GradedTensor, newline: str, heads: dict[str, dict[int, str]], out: list[str]) -> None:
+    """Append ``tensor_to_document(t)`` as ``json.dumps(indent=2)`` writes it at ``newline``."""
     degree = _document_degree(t)
     key, term, term_key, entry = (newline + "  " * n for n in range(1, 5))
-    terms = [
-        "{" + term_key + '"idx": '
-        + ("[" + entry + ("," + entry).join(map(str, idx)) + term_key + "]" if idx else "[]")
-        + "," + term_key + '"coeff": ' + _polynomial_text(poly, term_key, heads) + term + "}"
-        for idx, poly in t.sorted_terms()
-    ]
-    head = "{" + key + '"variance": ' + _quote(t.variance) + "," + key + f'"degree": {degree},' + key + '"terms": '
-    return head + ("[" + term + ("," + term).join(terms) + key + "]" if terms else "[]") + newline + "}"
+    out.append("{" + key + '"variance": ' + _quote(t.variance) + "," + key + f'"degree": {degree},' + key + '"terms": ')
+    if not t.terms:
+        out.append("[]" + newline + "}")
+        return
+    sep = "[" + term
+    for idx, poly in t.sorted_terms():
+        indices = "[" + entry + ("," + entry).join(map(str, idx)) + term_key + "]" if idx else "[]"
+        out.append(sep + "{" + term_key + '"idx": ' + indices + "," + term_key + '"coeff": ')
+        _write_polynomial(poly, term_key, heads, out)
+        out.append(term + "}")
+        sep = "," + term
+    out.append(key + "]" + newline + "}")

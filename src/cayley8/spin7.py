@@ -24,7 +24,7 @@ argument through :func:`cayley8.tensor.apply_matrix`:
   :func:`project2` applies (I - T)/4 and takes the 21-part as the rest;
 - :func:`three_form_operator` applies S = ``map_matrix(1) @ map_matrix(3)``,
   star(Psi ^ .) from three-forms to one-forms and back; :func:`project3`
-  takes -1/7 of it;
+  takes -1/7 of it, scaling the 8 coefficients of the one-form between;
 - :func:`project4` applies pi_7 = G G^T/32 (G the matrix of
   :func:`seven_part_generators`) and takes pi_35 = (I - star)/2 through
   the ``hodge`` kernel, which needs no matrix;
@@ -47,13 +47,14 @@ contraction kernels themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property, partial
 
 from .calculus import exterior_derivative, homotopy_primitive
 from .linalg import ExactMatrix
-from .multiindex import MultiIndex, basis
+from .multiindex import MASK, MultiIndex, basis
 from .polynomial import Polynomial, Rational, as_polynomial
 from .tensor import (
     FORM,
@@ -61,6 +62,7 @@ from .tensor import (
     DegreeMismatch,
     GradedTensor,
     _expect,
+    _grouped_sum,
     apply_matrix,
     contract,
     flat,
@@ -135,15 +137,45 @@ def three_form_operator(eta: GradedTensor) -> GradedTensor:
 # -- decomposition reports ---------------------------------------------------
 
 
+#: The part each projection takes as the input minus the others.
+_REMAINDERS = ("2_21", "3_48", "4_27")
+
+
+def _combination(pairs: list[tuple[int, GradedTensor]], degree: int, den: int = 1) -> GradedTensor:
+    """The form ``sum(c * t) / den`` over ``(c, t)`` pairs of forms, ``c`` an int: one linear sum per index."""
+    groups: defaultdict[int, list] = defaultdict(list)
+    for c, t in pairs:
+        _expect(t, FORM, degree)
+        for idx, poly in t.terms.items():
+            groups[MASK[idx]].append((c, poly))
+    return GradedTensor._raw(FORM, degree, _grouped_sum(groups, partial(Polynomial.linear_sum, den=den)))
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Named orthogonal components of a form under the Cayley splitting."""
+    """Named orthogonal components of a form under the Cayley splitting.
+
+    One memo holds the inner products that :meth:`norms` and
+    :meth:`orthogonality_residuals` read, keyed by the sorted pair of part
+    names, so each pairing is taken once per report.  When every norm is in
+    the memo and the ``sum`` residual is zero, the pairing of a part ``a``
+    with the remainder part (``2_21``, ``3_48`` or ``4_27``, the part each
+    projection takes as the input minus the others) is read through the
+    sparse input, <a, rest> = <a, input> - sum over b != rest of <a, b>,
+    which is exact by bilinearity; otherwise, as on reports whose parts need
+    not sum to the input, it is the product with the dense remainder itself.
+    """
 
     input: GradedTensor
     components: dict[str, GradedTensor]
+    _pairings: dict[tuple[str, str], Polynomial] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _sum(self) -> GradedTensor:
+        return _combination([(1, self.input)] + [(-1, part) for part in self.components.values()], self.input.degree)
 
     def residual(self) -> GradedTensor:
-        """``input`` minus the sum of the components.
+        """``input`` minus the sum of the components, one linear sum per index, taken once.
 
         Zero by construction: ``project2``, ``project3`` and ``project4``
         take their last part (``2_21``, ``3_48``, ``4_27``) as the input
@@ -151,21 +183,39 @@ class DecompositionReport:
         hold.  It is kept as the ``sum`` residual that ``cayley8 decompose``
         reports; the ``defining:*`` residuals are what a wrong projector fails.
         """
-        total = GradedTensor.zero(FORM, self.input.degree)
-        for part in self.components.values():
-            total = total + part
-        return self.input - total
+        return self._sum
+
+    def _pairing(self, a: str, b: str) -> Polynomial:
+        """<a, b> of two parts, from the memo or taken into it."""
+        key = (a, b) if a <= b else (b, a)
+        value = self._pairings.get(key)
+        if value is None:
+            value = self._pairings[key] = inner(self.components[a], self.components[b])
+        return value
 
     def norms(self) -> dict[str, Polynomial]:
-        return {name: inner(part, part) for name, part in self.components.items()}
+        """<a, a> of each part, taken into the memo."""
+        return {name: self._pairing(name, name) for name in self.components}
 
     def orthogonality_residuals(self) -> dict[str, Polynomial]:
+        """<a, b> of each pair of parts, as ``"a|b"`` with a < b, from the memo.
+
+        Asked after :meth:`norms`, with a zero ``sum`` residual, a pairing
+        with the remainder is <a, input> - sum over b != rest of <a, b>: a
+        product with the sparse input, the rest read from the memo.  Asked
+        first, or on parts that do not sum to the input, it is
+        <a, rest> itself.
+        """
         names = sorted(self.components)
-        out: dict[str, Polynomial] = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                out[f"{a}|{b}"] = inner(self.components[a], self.components[b])
-        return out
+        rest = next((name for name in names if name in _REMAINDERS), None)
+        if rest is not None and all((n, n) in self._pairings for n in names) and self.residual().is_zero():
+            others = [name for name in names if name != rest]
+            for a in others:
+                key = (a, rest) if a <= rest else (rest, a)
+                if key not in self._pairings:
+                    through_input = inner(self.components[a], self.input)
+                    self._pairings[key] = Polynomial.linear_sum([(1, through_input)] + [(-1, self._pairing(a, b)) for b in others])
+        return {f"{a}|{b}": self._pairing(a, b) for i, a in enumerate(names) for b in names[i + 1 :]}
 
     def defining_residuals(self) -> dict[str, "GradedTensor | Polynomial"]:
         """Exact residual of each component's defining equation(s).
@@ -223,8 +273,9 @@ def project2(beta: GradedTensor) -> DecompositionReport:
 
 
 def _eight_part(eta: GradedTensor) -> GradedTensor:
-    """The 8-dimensional component of a three-form, -1/7 S(eta)."""
-    return three_form_operator(eta) * Fraction(-1, 7)
+    """The 8-dimensional component of a three-form, -1/7 S(eta), scaled on its one-form image."""
+    image = apply_matrix(map_matrix(3), eta, 1, FORM) * Fraction(-1, 7)  # -1/7 star(Psi ^ eta)
+    return apply_matrix(map_matrix(1), image, 3, FORM)
 
 
 def project3(eta: GradedTensor) -> DecompositionReport:
@@ -251,10 +302,10 @@ def project4(sigma: GradedTensor) -> DecompositionReport:
     """Split a four-form into its 1-, 7-, 27-, and 35-dimensional components."""
     _expect(sigma, FORM, 4)
     psi = cayley_form()
-    part35 = (sigma - hodge(sigma)) * Fraction(1, 2)
+    part35 = _combination([(1, sigma), (-1, hodge(sigma))], 4, 2)
     part1 = psi * (inner(sigma, psi) * Fraction(1, 14))
     part7 = apply_matrix(_projector("4_7"), sigma, 4, FORM)
-    part27 = sigma - part1 - part7 - part35
+    part27 = _combination([(1, sigma), (-1, part1), (-1, part7), (-1, part35)], 4)
     return DecompositionReport(
         sigma, {"4_1": part1, "4_7": part7, "4_27": part27, "4_35": part35}
     )

@@ -119,6 +119,27 @@ class TestSolve:
         assert payload["residuals"]["contraction"] == "0"
         assert payload["target"]["terms"][0]["idx"] == [3]
 
+    @pytest.mark.parametrize(
+        "kind, tensor",
+        [("cayley2", dx(0, coeff=x(1) * x(2)) + dx(5, coeff=x(0) ** 2)), ("cayley3", scalar_tensor(x(3) * x(4) ** 2))],
+    )
+    def test_input_is_differentiated_once(self, tmp_path, capsys, monkeypatch, kind, tensor):
+        # d(input) is the target, and Q is solved from that one derivative
+        path = write_doc(tmp_path / "t.json", tensor_to_document(tensor))
+        argv = ("solve", kind, "--input", path, "--format", "json")
+        expected = run(capsys, *argv)
+        inputs = []
+        original = calculus.exterior_derivative
+
+        def counted(form):
+            inputs.append(form == tensor)
+            return original(form)
+
+        for module in (cli, spin7):
+            monkeypatch.setattr(module, "exterior_derivative", counted)
+        assert run(capsys, *argv) == expected
+        assert inputs.count(True) == 1
+
     def test_wrong_shape_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path / "two.json", tensor_to_document(dx(0, 1)))
         code, _ = run(capsys, "solve", "cayley2", "--input", path)

@@ -707,6 +707,24 @@ def test_projections_match_kernel_bodies(degree, data):
         assert sorted(residuals) == sorted(expected)
         for name, value in expected.items():
             assert type(residuals[name]) is type(value) and residuals[name] == value
+    # norms and orthogonality residuals share one memo of pairings, and with every norm in it and a zero
+    # "sum" residual a pairing with the remainder is read through the input: whichever is asked first,
+    # on the split, on arbitrary parts and on arbitrary parts that sum to the input, both equal the direct
+    # pairings
+    rest = {2: "2_21", 3: "3_48", 4: "4_27"}[degree]
+    summing = {name: part for name, part in arbitrary.components.items() if name != rest}
+    summing[rest] = form - sum(summing.values(), GradedTensor.zero(FORM, degree))
+    for parts in (new.components, arbitrary.components, summing):
+        names = sorted(parts)
+        norms = {name: inner(part, part) for name, part in parts.items()}
+        pairings = {f"{a}|{b}": inner(parts[a], parts[b]) for i, a in enumerate(names) for b in names[i + 1 :]}
+        for norms_first in (True, False):
+            report = DecompositionReport(form, dict(parts))
+            if norms_first:
+                assert list(report.norms().items()) == list(norms.items())
+            assert list(report.orthogonality_residuals().items()) == list(pairings.items())
+            assert list(report.norms().items()) == list(norms.items())
+            assert list(report.orthogonality_residuals().items()) == list(pairings.items())
 
 
 @settings(max_examples=60, deadline=None)

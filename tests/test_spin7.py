@@ -220,6 +220,27 @@ class TestProject4:
             assert report.components[name].is_zero()
 
 
+@pytest.mark.parametrize("project, rest", [(project2, "2_21"), (project3, "3_48"), (project4, "4_27")])
+def test_remainder_pairings_read_through_the_input(project, rest, make_tensor, monkeypatch):
+    # with the norms taken, the only product with the dense remainder is its own norm, and
+    # each pairing is taken once however often the report is read
+    report = project(make_tensor(FORM, int(rest[0])))
+    labels = {id(part): name for name, part in report.components.items()} | {id(report.input): "input"}
+    pairs = []
+    original = spin7.inner
+
+    def counted(a, b):
+        pairs.append((labels.get(id(a)), labels.get(id(b))))
+        return original(a, b)
+
+    monkeypatch.setattr(spin7, "inner", counted)
+    for _ in range(2):
+        report.norms()
+        report.residuals()
+    assert [pair for pair in pairs if rest in pair] == [(rest, rest)]
+    assert sorted(a for a, b in pairs if b == "input") == sorted(set(report.components) - {rest})
+
+
 #: Each component of project2/3/4 and the defining residuals that read it.
 DEFINING_RESIDUALS = {
     "2_7": ["2_7"],
