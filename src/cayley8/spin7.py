@@ -23,14 +23,15 @@ argument through :func:`cayley8.tensor.apply_matrix`:
 - :func:`two_form_operator` applies T = star(Psi ^ .) = ``map_matrix(2)``;
   :func:`project2` applies (I - T)/4 and takes the 21-part as the rest;
 - :func:`three_form_operator` applies S = ``map_matrix(1) @ map_matrix(3)``,
-  star(Psi ^ .) from three-forms to one-forms and back; :func:`project3`
-  takes -1/7 of it, scaling the 8 coefficients of the one-form between;
+  star(Psi ^ .) from three-forms to one-forms and back; the 8-part that
+  :func:`project3` takes is -1/7 of it, the flat of :func:`psi3_section` of
+  the one-form star(Psi ^ eta);
 - :func:`project4` applies pi_7 = G G^T/32 (G the matrix of
   :func:`seven_part_generators`) and takes pi_35 = (I - star)/2 through
   the ``hodge`` kernel, which needs no matrix;
 - :func:`psi2_inverse` applies T^-1 = (T + 2I)/3, read off
-  T^2 + 2T - 3I = 0 with no elimination, and :func:`psi3_section`
-  -1/7 ``map_matrix(1)`` on one-forms.
+  T^2 + 2T - 3I = 0 with no elimination, and :func:`psi3_section`, the one
+  section, applies ``map_matrix(1)`` to -1/7 of its one-form.
 
 G is the 70x28 matrix of the 28 generators
 g = flat(v) ^ (w _| Psi) - flat(w) ^ (v _| Psi), v < w, so that
@@ -55,7 +56,7 @@ from functools import cache, cached_property, partial
 from .calculus import exterior_derivative, homotopy_primitive
 from .linalg import ExactMatrix
 from .multiindex import MASK, MultiIndex, basis
-from .polynomial import Polynomial, Rational, as_polynomial
+from .polynomial import Polynomial, Rational
 from .tensor import (
     FORM,
     MULTIVECTOR,
@@ -69,6 +70,7 @@ from .tensor import (
     hodge,
     inner,
     mv,
+    scalar_tensor,
     sharp,
     structure_matrix,
     vol,
@@ -273,9 +275,8 @@ def project2(beta: GradedTensor) -> DecompositionReport:
 
 
 def _eight_part(eta: GradedTensor) -> GradedTensor:
-    """The 8-dimensional component of a three-form, -1/7 S(eta), scaled on its one-form image."""
-    image = apply_matrix(map_matrix(3), eta, 1, FORM) * Fraction(-1, 7)  # -1/7 star(Psi ^ eta)
-    return apply_matrix(map_matrix(1), image, 3, FORM)
+    """The 8-dimensional component of a three-form, -1/7 S(eta): the flat of the section of star(Psi ^ eta)."""
+    return flat(psi3_section(apply_matrix(map_matrix(3), eta, 1, FORM)))
 
 
 def project3(eta: GradedTensor) -> DecompositionReport:
@@ -384,12 +385,6 @@ def _psi2_inverse_matrix() -> ExactMatrix:
     return map_matrix(2).shifted(-2) * Fraction(1, 3)
 
 
-@cache
-def _psi3_section_matrix() -> ExactMatrix:
-    """56x8 matrix -1/7 star(Psi ^ .) = -1/7 ``map_matrix(1)``, one-forms to three-vectors."""
-    return map_matrix(1) * Fraction(-1, 7)
-
-
 def eigenspace_dimension(matrix: ExactMatrix, eigenvalue: Rational) -> int:
     """Exact dimension of ker(matrix - eigenvalue I); eigenvalue 0 reads the matrix's own forward pass."""
     return matrix.shifted(eigenvalue).nullity()
@@ -413,10 +408,12 @@ def psi3_section(alpha: GradedTensor) -> GradedTensor:
 
     Q = -1/7 sharp(sharp(alpha) _| Psi) = -1/7 sharp(star(Psi ^ alpha)); its
     flat lies in the 8-dimensional component, so this is the section with
-    vanishing 48-part.
+    vanishing 48-part.  ``map_matrix(1)`` is applied to -1/7 alpha, so the
+    scaling touches 8 coefficients, not 56.  This is the only section:
+    :func:`cayley_3mvf_for` and the 8-part of :func:`project3` go through it.
     """
     _expect(alpha, FORM, 1)
-    return apply_matrix(_psi3_section_matrix(), alpha, 3, MULTIVECTOR)
+    return apply_matrix(map_matrix(1), alpha * Fraction(-1, 7), 3, MULTIVECTOR)
 
 
 def triple_product(q: GradedTensor) -> GradedTensor:
@@ -470,22 +467,14 @@ def cayley2_constraint(q: GradedTensor) -> GradedTensor:
     return exterior_derivative(parts["2_7"] * 3 - parts["2_21"])
 
 
-def cayley_3mvf_for(f: Polynomial, kernel_part: GradedTensor | None = None) -> GradedTensor:
-    """A three-multivector field Q with Q _| Psi = df.
+def cayley_3mvf_for(f: Polynomial) -> GradedTensor:
+    """The three-multivector field Q = ``psi3_section(df)``, so Q _| Psi = df.
 
-    Returns the canonical section (vanishing 48-part).  Any multivector
-    whose contraction with the Cayley form vanishes may be added on top;
-    pass it as ``kernel_part`` and it is validated then added verbatim.
+    This is the canonical solution, with vanishing 48-part.  Any other adds
+    a three-multivector K with K _| Psi = 0 by ``+``; the ``image`` residual
+    of ``identity_report("cayley_fn", Q + K, df)`` is K _| Psi.
     """
-    f = as_polynomial(f)
-    df = exterior_derivative(GradedTensor(FORM, 0, {(): f}))
-    q = psi3_section(df)
-    if kernel_part is not None:
-        _expect(kernel_part, MULTIVECTOR, 3)
-        if not contract(kernel_part, cayley_form()).is_zero():
-            raise ValueError("kernel_part must contract to zero against the Cayley form")
-        q = q + kernel_part
-    return q
+    return psi3_section(exterior_derivative(scalar_tensor(f)))
 
 
 # -- named pointwise identities ----------------------------------------------

@@ -129,7 +129,7 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 3))
+    return Fraction(_NONZERO_NUMERATORS[_below(rng, len(_NONZERO_NUMERATORS))], 1 + _below(rng, 3))
 
 
 def random_polynomial(rng: random.Random, max_degree: int = 2) -> Polynomial:
@@ -594,7 +594,7 @@ def _check_cayley_fn_constant(ctx: CheckContext) -> Iterator[Piece]:
         df = exterior_derivative(scalar_tensor(f))
         eta = random_tensor(rng, FORM, 3)
         kernel_part = sharp(project3(eta).components["3_48"])
-        q = cayley_3mvf_for(f, kernel_part=kernel_part)
+        q = cayley_3mvf_for(f) + kernel_part
         yield from spin7.identity_report("cayley_fn", q, df).values()
 
 
@@ -612,7 +612,7 @@ def _check_cayley_potential(ctx: CheckContext) -> Iterator[Piece]:
     yield exterior_derivative(spin7.cayley_potential(mv(0, 1, 2))) - dx(3)
     for _ in range(max(1, ctx.cases // 2)):
         gamma = random_tensor(rng, FORM, 1)
-        q2 = psi2_inverse(exterior_derivative(gamma))
+        q2 = spin7.cayley_2mvf_for(gamma)
         yield exterior_derivative(spin7.cayley_potential(q2)) - exterior_derivative(gamma)
         q3 = cayley_3mvf_for(random_polynomial(rng))
         yield exterior_derivative(spin7.cayley_potential(q3)) - contract(q3, psi)
@@ -628,7 +628,7 @@ def _check_locally_cayley_lie(ctx: CheckContext) -> Iterator[Piece]:
                 MULTIVECTOR, 2, {(rng.randrange(4), 4 + rng.randrange(4)): random_fraction(rng)}
             )
         elif pick == 1:
-            q = psi2_inverse(exterior_derivative(random_tensor(rng, FORM, 1)))
+            q = spin7.cayley_2mvf_for(random_tensor(rng, FORM, 1))
         else:
             q = cayley_3mvf_for(random_polynomial(rng))
         yield lie_derivative(q, psi) if spin7.is_locally_cayley(q) else 1

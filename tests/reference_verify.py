@@ -1,22 +1,28 @@
 """Reference generators for the stream-parity tests of ``cayley8.verify``.
 
-These are the bodies that ``random_polynomial`` and ``random_tensor`` had
-before they built packed fields and tensors directly: they draw with
-``randint``, ``randrange`` and ``choice``, sum ``(exp, num, den)`` quotients
-with ``Polynomial.from_quotients`` and hand the terms to the
-``GradedTensor`` constructor.  ``test_verify.py`` draws from both with
-identically seeded RNGs and checks equal results and equal RNG states.
+These are the bodies that ``random_fraction``, ``random_polynomial`` and
+``random_tensor`` had before they drew through ``verify._below`` and built
+packed fields and tensors directly: they draw with ``randint``,
+``randrange`` and ``choice``, sum ``(exp, num, den)`` quotients with
+``Polynomial.from_quotients`` and hand the terms to the ``GradedTensor``
+constructor.  ``test_verify.py`` draws from both with identically seeded
+RNGs and checks equal results and equal RNG states.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from cayley8.multiindex import DIM, basis
 from cayley8.polynomial import Polynomial
 from cayley8.tensor import MULTIVECTOR, GradedTensor, unit, wedge
 
 _NONZERO_NUMERATORS = tuple(i for i in range(-9, 10) if i)
+
+
+def random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 3))
 
 
 def random_polynomial(rng: random.Random, max_degree: int = 2) -> Polynomial:

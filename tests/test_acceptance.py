@@ -267,7 +267,7 @@ def test_criterion_10_function_constant_calibration():
         f = random_polynomial(rng, max_degree=3)
         df = exterior_derivative(scalar_tensor(f))
         eta = random_tensor(rng, FORM, 3)
-        q = cayley_3mvf_for(f, kernel_part=sharp(project3(eta).components["3_48"]))
+        q = cayley_3mvf_for(f) + sharp(project3(eta).components["3_48"])
         image = contract(q, psi)
         lhs = wedge(flat(q), wedge(image, psi))
         eight = wedge(project3(flat(q)).components["3_8"], wedge(image, psi))

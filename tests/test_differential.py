@@ -689,6 +689,26 @@ def test_field_operators_match_kernel_bodies(beta, eta, alpha):
     assert_same_tensor(psi3_section(alpha), reference_spin7.psi3_section(alpha))
 
 
+def assert_section_matches_scaled_matrix(alpha):
+    """psi3_section(alpha) against the section as one matrix, -1/7 ``map_matrix(1)``, terms in stored order."""
+    new = psi3_section(alpha)
+    ref = apply_matrix(map_matrix(1) * Fraction(-1, 7), alpha, 3, MULTIVECTOR)
+    assert_same_tensor(new, ref)
+    assert list(new.terms) == list(ref.terms)
+
+
+@pytest.mark.parametrize("i", range(DIM))
+def test_section_of_coordinate_one_form_matches_scaled_matrix(i):
+    assert_section_matches_scaled_matrix(dx(i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_forms(1))
+def test_section_matches_scaled_matrix(alpha):
+    # psi3_section scales the 8 coefficients of alpha, not the 56x8 matrix
+    assert_section_matches_scaled_matrix(alpha)
+
+
 @pytest.mark.parametrize("degree", [2, 3, 4])
 @settings(max_examples=40, deadline=None)
 @given(st.data())

@@ -382,7 +382,8 @@ class TestCachedOperatorMatrices:
 
     def test_inverse_and_section_matrices(self):
         assert spin7._psi2_inverse_matrix() @ map_matrix(2) == ExactMatrix.identity(28)
-        assert map_matrix(3) @ spin7._psi3_section_matrix() == ExactMatrix.identity(8)
+        # psi3_section applies map_matrix(1) to -1/7 of its one-form: a right inverse of map_matrix(3)
+        assert map_matrix(3) @ (map_matrix(1) * Fraction(-1, 7)) == ExactMatrix.identity(8)
 
     def test_psi2_inverse_matrix_is_read_off_t_without_elimination(self, monkeypatch):
         # T^2 + 2T - 3I = 0 gives T^-1 = (T + 2I)/3, so the build eliminates nothing
@@ -591,12 +592,13 @@ class TestCayleySolvers:
         eta = make_tensor(FORM, 3)
         kernel_part = sharp(project3(eta).components["3_48"])
         f = make_poly()
-        q = cayley_3mvf_for(f, kernel_part=kernel_part)
+        q = cayley_3mvf_for(f) + kernel_part
         assert contract(q, psi) == exterior_derivative(scalar_tensor(f))
 
-    def test_three_solver_rejects_bad_kernel_part(self):
-        with pytest.raises(ValueError):
-            cayley_3mvf_for(x(0), kernel_part=mv(0, 1, 2))
+    def test_cayley_fn_image_catches_bad_kernel_part(self):
+        # mv(0, 1, 2) _| Psi = dx3 is no kernel element: the image residual reads it
+        image = identity_report("cayley_fn", cayley_3mvf_for(x(0)) + mv(0, 1, 2), dx(0))["image"]
+        assert image == dx(3)
 
 
 class TestIdentityReport:
@@ -650,7 +652,7 @@ class TestIdentityReport:
         f = make_poly(3)
         eta = make_tensor(FORM, 3)
         kernel_part = sharp(project3(eta).components["3_48"])
-        q = cayley_3mvf_for(f, kernel_part=kernel_part)
+        q = cayley_3mvf_for(f) + kernel_part
         df = exterior_derivative(scalar_tensor(f))
         report = identity_report("cayley_fn", q, df)
         assert report["eight_part_eq"].is_zero()
@@ -670,7 +672,7 @@ class TestCayleyFunctionConstant:
             if df.is_zero():
                 continue
             eta = make_tensor(FORM, 3)
-            q = cayley_3mvf_for(f, kernel_part=sharp(project3(eta).components["3_48"]))
+            q = cayley_3mvf_for(f) + sharp(project3(eta).components["3_48"])
             lhs = wedge(flat(q), wedge(contract(q, psi), psi))
             norm = inner(df, df)
             # lhs = c * norm * vol for a single rational c: solve on a monomial

@@ -185,17 +185,16 @@ def test_cayley_fn_constant_fails_with_a_zero_eight_part(monkeypatch):
 
 #: Each cached operator matrix of spin7: (builder, its argument or None, the
 #: spin7 checks that read it).  T and the factors of S (all ``map_matrix``),
-#: the two-form 7-part, pi_7, the generator pairings, psi2^-1 and the psi3
-#: section.
+#: the two-form 7-part, the generator pairings, pi_7 and psi2^-1.  The psi3
+#: section has no matrix of its own: it applies ``map_matrix(1)``.
 CACHED_OPERATORS = [
     ("map_matrix", 2, {"two_form_split"}),
-    ("map_matrix", 1, {"three_form_split"}),
+    ("map_matrix", 1, {"three_form_split", "psi3_section_surjective"}),
     ("map_matrix", 3, {"three_form_split"}),
     ("_projector", "2_7", {"two_form_split"}),
-    ("_psi3_section_matrix", None, {"psi3_section_surjective"}),
+    ("_generator_pairings", None, {"four_form_split", "four_form_seven_rank"}),
     ("_projector", "4_7", {"four_form_split"}),
     ("_psi2_inverse_matrix", None, {"psi2_inverse_roundtrip"}),
-    ("_generator_pairings", None, {"four_form_split", "four_form_seven_rank"}),
 ]
 
 
@@ -283,6 +282,23 @@ def test_raising_check_fails_and_keeps_the_report(monkeypatch):
     assert raised["note"].startswith("raised NotLocallyCayleyError: multivector field is not locally Cayley")
     assert report["overall_status"] == "fail"
     assert by_id["cayley_fn_constant"]["note"] == verify.NOTES["cayley_fn_constant"]
+
+
+@pytest.mark.parametrize("check_id", ["cayley_potential_roundtrip", "locally_cayley_lie"])
+def test_degree_two_checks_solve_through_cayley_2mvf_for(check_id, monkeypatch):
+    # psi2^-1 o d has one home: the registry's degree-2 Cayley fields come from the solver
+    calls = []
+    solver = spin7.cayley_2mvf_for
+
+    def counting(alpha):
+        calls.append(alpha)
+        return solver(alpha)
+
+    monkeypatch.setattr(spin7, "cayley_2mvf_for", counting)
+    monkeypatch.setattr(verify, "CHECKS", [c for c in CHECKS if c[0] == check_id])
+    (check,) = run_checks(scope="spin7", seed=0, cases=16)["checks"]
+    assert check["status"] == "pass"
+    assert len(calls) > 0
 
 
 def test_raising_check_keeps_its_static_note(monkeypatch):
@@ -459,6 +475,8 @@ def test_bool_arguments_rejected(name, flag):
 
 def _fields(value):
     """Everything a generated value holds, in its stored order."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     if isinstance(value, Polynomial):
         return value._den, list(value._nums.items())
     return value.variance, value.degree, [(idx, _fields(poly)) for idx, poly in value.terms.items()]
@@ -473,6 +491,10 @@ def _draw_both(name, *args, calls=12, seeds=range(4)):
             new, ref = new_fn(new_rng, *args), ref_fn(ref_rng, *args)
             assert _fields(new) == _fields(ref), (seed, args)
             assert new_rng.getstate() == ref_rng.getstate(), (seed, args)
+
+
+def test_random_fraction_draws_as_its_reference():
+    _draw_both("random_fraction", calls=200)
 
 
 @pytest.mark.parametrize("max_degree", range(4))
