@@ -159,13 +159,21 @@ class DecompositionReport:
 
     One memo holds the inner products that :meth:`norms` and
     :meth:`orthogonality_residuals` read, keyed by the sorted pair of part
-    names, so each pairing is taken once per report.  When every norm is in
-    the memo and the ``sum`` residual is zero, the pairing of a part ``a``
-    with the remainder part (``2_21``, ``3_48`` or ``4_27``, the part each
-    projection takes as the input minus the others) is read through the
-    sparse input, <a, rest> = <a, input> - sum over b != rest of <a, b>,
-    which is exact by bilinearity; otherwise, as on reports whose parts need
-    not sum to the input, it is the product with the dense remainder itself.
+    names, so each pairing is taken once per report.  The remainder part r
+    (``2_21``, ``3_48`` or ``4_27``) is the one each projection takes as the
+    input minus the other parts a.  When the ``sum`` residual is zero, the
+    pairings with r are read through the sparse input, exact by
+    bilinearity, each as one linear sum of memo entries:
+
+        |r|^2  = <in, in> - 2 sum <a, in> + sum <a, a> + 2 sum_{a<b} <a, b>
+        <a, r> = <a, in> - sum_b <a, b>      (once <a, a> is in the memo)
+
+    <in, in> and each <a, in> are taken once, so after :meth:`norms` no
+    product reads the dense remainder.  The second rule waits for <a, a> so
+    that the orthogonality residuals asked alone take no extra square.
+    Otherwise, as on reports whose parts need not sum to the input, a
+    pairing with r is the product with r itself: a broken remainder keeps
+    its true norm.
     """
 
     input: GradedTensor
@@ -184,39 +192,53 @@ class DecompositionReport:
         minus the others, so this stays zero whatever the projector matrices
         hold.  It is kept as the ``sum`` residual that ``cayley8 decompose``
         reports; the ``defining:*`` residuals are what a wrong projector fails.
+        A zero ``sum`` is also the gate of the rule that reads every pairing
+        with the remainder through the input (see the class docstring).
         """
         return self._sum
 
     def _pairing(self, a: str, b: str) -> Polynomial:
-        """<a, b> of two parts, from the memo or taken into it."""
+        """<a, b> of two names, each a part or ``"input"``, from the memo or taken into it."""
         key = (a, b) if a <= b else (b, a)
         value = self._pairings.get(key)
         if value is None:
-            value = self._pairings[key] = inner(self.components[a], self.components[b])
+            value = self._pairings[key] = self._take(*key)
         return value
 
+    def _take(self, a: str, b: str) -> Polynomial:
+        """<a, b> through the input where the class docstring's rule applies, else the product itself."""
+        if b in _REMAINDERS:
+            a, b = b, a
+        if a in _REMAINDERS and (a == b or (b, b) in self._pairings) and self.residual().is_zero():
+            others = [name for name in self.components if name != a]
+            if a != b:
+                return Polynomial.linear_sum([(1, self._pairing(b, "input"))] + [(-1, self._pairing(b, c)) for c in others])
+            pairs = [(1, self._pairing("input", "input"))]
+            for i, c in enumerate(others):
+                pairs += [(-2, self._pairing(c, "input")), (1, self._pairing(c, c))]
+                pairs += [(2, self._pairing(c, d)) for d in others[i + 1 :]]
+            return Polynomial.linear_sum(pairs)
+        first, second = (self.input if name == "input" else self.components[name] for name in (a, b))
+        return inner(first, second)
+
     def norms(self) -> dict[str, Polynomial]:
-        """<a, a> of each part, taken into the memo."""
+        """<a, a> of each part, taken into the memo.
+
+        With a zero ``sum`` residual the remainder's norm is read through the
+        input, |r|^2 = <in, in> - 2 sum <a, in> + sum <a, a> + 2 sum_{a<b} <a, b>;
+        otherwise it is <r, r> itself.
+        """
         return {name: self._pairing(name, name) for name in self.components}
 
     def orthogonality_residuals(self) -> dict[str, Polynomial]:
         """<a, b> of each pair of parts, as ``"a|b"`` with a < b, from the memo.
 
         Asked after :meth:`norms`, with a zero ``sum`` residual, a pairing
-        with the remainder is <a, input> - sum over b != rest of <a, b>: a
-        product with the sparse input, the rest read from the memo.  Asked
-        first, or on parts that do not sum to the input, it is
-        <a, rest> itself.
+        with the remainder is read through the input,
+        <a, r> = <a, in> - sum_b <a, b>, from the memo.  Asked first, or on
+        parts that do not sum to the input, it is <a, r> itself.
         """
         names = sorted(self.components)
-        rest = next((name for name in names if name in _REMAINDERS), None)
-        if rest is not None and all((n, n) in self._pairings for n in names) and self.residual().is_zero():
-            others = [name for name in names if name != rest]
-            for a in others:
-                key = (a, rest) if a <= rest else (rest, a)
-                if key not in self._pairings:
-                    through_input = inner(self.components[a], self.input)
-                    self._pairings[key] = Polynomial.linear_sum([(1, through_input)] + [(-1, self._pairing(a, b)) for b in others])
         return {f"{a}|{b}": self._pairing(a, b) for i, a in enumerate(names) for b in names[i + 1 :]}
 
     def defining_residuals(self) -> dict[str, "GradedTensor | Polynomial"]:
@@ -547,8 +569,9 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
     if name == "norm_split_three":
         (q,) = inputs
         form = flat(q)
-        norms = project3(form).norms()
-        total = inner(form, form)
+        report = project3(form)
+        norms = report.norms()
+        total = report._pairing("input", "input")  # read from the memo where the norms took it
         return {"eight_part": norms["3_8"] * 7 - total, "large_part": norms["3_48"] * 7 - total * 6}
     q, df = inputs  # cayley_fn
     image = contract(q, psi)

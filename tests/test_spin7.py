@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from cayley8.multiindex import basis
 from cayley8.polynomial import Polynomial, x
 from cayley8.spin7 import (
     CAYLEY_FUNCTION_CONSTANT,
+    DecompositionReport,
     NotLocallyCayleyError,
     cayley2_constraint,
     cayley_2mvf_for,
@@ -222,8 +224,9 @@ class TestProject4:
 
 @pytest.mark.parametrize("project, rest", [(project2, "2_21"), (project3, "3_48"), (project4, "4_27")])
 def test_remainder_pairings_read_through_the_input(project, rest, make_tensor, monkeypatch):
-    # with the norms taken, the only product with the dense remainder is its own norm, and
-    # each pairing is taken once however often the report is read
+    # with a zero sum residual no product reads the dense remainder: its norm and its pairings are
+    # linear sums of <in, in>, the <a, in> and the pairings among the other parts, and each product
+    # is taken once however often the report is read
     report = project(make_tensor(FORM, int(rest[0])))
     labels = {id(part): name for name, part in report.components.items()} | {id(report.input): "input"}
     pairs = []
@@ -237,8 +240,49 @@ def test_remainder_pairings_read_through_the_input(project, rest, make_tensor, m
     for _ in range(2):
         report.norms()
         report.residuals()
-    assert [pair for pair in pairs if rest in pair] == [(rest, rest)]
-    assert sorted(a for a, b in pairs if b == "input") == sorted(set(report.components) - {rest})
+    assert [pair for pair in pairs if rest in pair] == []
+    assert sorted(a for a, b in pairs if b == "input" and a != "input") == sorted(set(report.components) - {rest})
+    assert pairs.count(("input", "input")) == 1
+    memo = [pair for pair in pairs if None not in pair]
+    assert len(memo) == len(set(memo))
+
+
+def test_remainder_off_the_sum_is_paired_directly(monkeypatch):
+    # a 48-part one term off makes the sum residual nonzero, the gate of the through-the-input rule:
+    # the part's norm is then its own square, and norm_split_three sees the broken part
+    original = spin7.project3
+
+    def broken(eta):
+        report = original(eta)
+        return DecompositionReport(eta, {**report.components, "3_48": report.components["3_48"] + dx(0, 1, 2)})
+
+    monkeypatch.setattr(spin7, "project3", broken)
+    report = spin7.project3(dx(0, 1, 2))
+    assert not report.residual().is_zero()
+    part = report.components["3_48"]
+    assert report.norms()["3_48"] == inner(part, part)
+    assert not identity_report("norm_split_three", mv(0, 1, 2))["large_part"].is_zero()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_norm_split_three_squares_its_input_once(seed, monkeypatch):
+    # |Q|^2 is read from the report's memo, where the norms took it
+    from cayley8.verify import random_decomposable
+
+    q = mv(0, 1, 2) if seed == 0 else random_decomposable(random.Random(seed), 3)
+    form = flat(q)
+    squares = []
+    original = spin7.inner
+
+    def counted(a, b):
+        if a is b and a == form:
+            squares.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(spin7, "inner", counted)
+    report = identity_report("norm_split_three", q)
+    assert all(value.is_zero() for value in report.values())
+    assert len(squares) == 1
 
 
 #: Each component of project2/3/4 and the defining residuals that read it.
