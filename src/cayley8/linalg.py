@@ -13,7 +13,10 @@ row), ``transpose`` and the sum of ``trace`` run on Python ints.  The
 columns of a matrix are the rows of its transpose, built on first use and
 cached both ways, so ``m.transpose().transpose() is m``: column ``j`` reads
 as ``m.transpose().rows[j]``, and the matrix with given columns is
-``ExactMatrix(zip(*columns, strict=True))``.
+``ExactMatrix(zip(*columns, strict=True))``.  The Gram matrix ``gram()``,
+``transpose() @ self``, is built on first use and cached on the instance
+like the transpose, so ``m.gram() is m.gram()``, and a matrix built anew
+(a perturbed copy, say) builds its own.
 
 Elimination is fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968) and runs in
@@ -71,7 +74,7 @@ class SingularMatrixError(ValueError):
 class ExactMatrix:
     """Matrix over the rationals: sparse integer rows over one denominator."""
 
-    __slots__ = ("_nums", "_den", "nrows", "ncols", "_echelon", "_rref", "_transpose")
+    __slots__ = ("_nums", "_den", "nrows", "ncols", "_echelon", "_rref", "_transpose", "_gram")
 
     def __init__(self, rows: Iterable[Sequence[Rational]]):
         data = [list(row) for row in rows]
@@ -205,6 +208,12 @@ class ExactMatrix:
             self._transpose = _reduced(out, self._den, self.nrows)
             self._transpose._transpose = self
         return self._transpose
+
+    def gram(self) -> "ExactMatrix":
+        """The Gram matrix ``transpose() @ self`` (cached): entry ``(j, k)`` is column j dotted with column k."""
+        if self._gram is None:
+            self._gram = self.transpose() @ self
+        return self._gram
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -356,6 +365,7 @@ def _fill(matrix: ExactMatrix, nums: list[IntRow], den: int, ncols: int) -> None
     matrix._echelon = None
     matrix._rref = None
     matrix._transpose = None
+    matrix._gram = None
 
 
 def _cleared(target: IntRow, b: int, pivot: IntRow, a: int) -> IntRow:

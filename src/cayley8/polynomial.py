@@ -25,14 +25,15 @@ check, and a lone pair is ``p`` scaled, no loop at all.  ``a + b`` and
 output coefficient of their linear work (``+``, ``-``,
 ``apply_matrix``, the constructor and the document loader).
 :meth:`Polynomial.sum_of_products` holds the products:
-``sum(sign * a * b)`` over many pairs goes into one numerator dict over one
-common denominator, with one guard check and one gcd.  A triple with a
+``sum(sign * a * b) / den`` over many pairs goes into one numerator dict over
+one common denominator, with one guard check and one gcd.  A triple with a
 constant factor is a scaled copy of the other factor: it adds no keys, a
 sum of such copies needs no guard check, and a sum of one such triple is
 the other factor scaled, no loop at all.  A triple ``(sign, p, p)`` is a
 square: each cross pair of terms is multiplied once and doubled, so
-``p * p``, ``p ** n`` and the norms ``inner(t, t)`` take about half the
-products: n(n+1)/2 term products of an n-term ``p`` instead of n^2.
+``p * p``, ``p ** n``, the norms ``inner(t, t)`` and the quadratic forms of
+``tensor.quadratic_form`` take about half the products: n(n+1)/2 term
+products of an n-term ``p`` instead of n^2.
 ``a * b`` is the sum of one product.  The tensor products call it once per
 output coefficient, and :meth:`Polynomial.compose`, the
 substitution ``x_i -> images[i]``, calls it once after building each
@@ -215,16 +216,16 @@ class Polynomial:
         return _reduced(out, common * den)
 
     @staticmethod
-    def sum_of_products(triples: Sequence[tuple[int, "Polynomial", "Polynomial"]]) -> "Polynomial":
-        """``sum(sign * a * b)`` over a sequence of ``(sign, a, b)``, ``sign`` an int.
+    def sum_of_products(triples: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int = 1) -> "Polynomial":
+        """``sum(sign * a * b) / den`` over a sequence of ``(sign, a, b)``, ``sign`` an int and ``den`` positive.
 
         The one monomial-product loop of the class: every product goes into
         one numerator dict over the lcm of the denominators, then one guard
         check covers every key produced (also keys that later cancel) and
-        one gcd reduces the sum.  A triple with a constant factor adds a
-        scaled copy of the other factor at its own keys; only a product of
-        two non-constants can pass :data:`MAX_EXPONENT`, so a sum of such
-        copies skips the guard check.  A lone such triple is the other
+        one gcd reduces the sum over that lcm times ``den``.  A triple with
+        a constant factor adds a scaled copy of the other factor at its own
+        keys; only a product of two non-constants can pass
+        :data:`MAX_EXPONENT`, so a sum of such copies skips the guard check.  A lone such triple is the other
         factor scaled by ``sign`` times the constant: that factor itself
         (or its negation) when the scale is 1 (or -1).  A triple whose two
         factors are one non-constant object is a square: each diagonal pair
@@ -236,19 +237,19 @@ class Polynomial:
         if len(triples) == 1:  # a lone product with a constant factor is a scaled copy
             sign, a, b = triples[0]
             if b.is_constant():
-                return a._scaled(sign * b._nums.get(0, 0), b._den)
+                return a._scaled(sign * b._nums.get(0, 0), b._den * den)
             if a.is_constant():
-                return b._scaled(sign * a._nums.get(0, 0), a._den)
-        den = 1
+                return b._scaled(sign * a._nums.get(0, 0), a._den * den)
+        common = 1
         for _, a, b in triples:
             d = a._den * b._den
-            if den % d:
-                den = lcm(den, d)
+            if common % d:
+                common = lcm(common, d)
         out: dict[int, int] = {}
         get = out.get
         products = False  # whether some triple multiplied two non-constants
         for sign, a, b in triples:
-            scale = sign * den // (a._den * b._den)
+            scale = sign * common // (a._den * b._den)
             a, b = a._nums, b._nums
             if len(a) < len(b) or len(a) == 1 and 0 in a:
                 a, b = b, a
@@ -278,7 +279,7 @@ class Polynomial:
             raise ExponentOverflow(f"a product has an exponent above MAX_EXPONENT = {MAX_EXPONENT}")
         if 0 in out.values():
             out = {k: v for k, v in out.items() if v}
-        return _reduced(out, den)
+        return _reduced(out, common * den)
 
     @staticmethod
     def sum_of_derivatives(triples: Sequence[tuple[int, int, "Polynomial"]]) -> "Polynomial":

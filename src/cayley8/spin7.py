@@ -33,6 +33,11 @@ argument through :func:`cayley8.tensor.apply_matrix`:
   T^2 + 2T - 3I = 0 with no elimination, and :func:`psi3_section`, the one
   section, applies ``map_matrix(1)`` to -1/7 of its one-form.
 
+Each part a projection builds as such an image (``2_7``, ``3_8``, ``4_7``)
+is recorded in its report with the matrix and source it came from, and the
+report reads that part's norm as a quadratic form of the source through the
+matrix's cached Gram matrix (see :class:`DecompositionReport`).
+
 G is the 70x28 matrix of the 28 generators
 g = flat(v) ^ (w _| Psi) - flat(w) ^ (v _| Psi), v < w, so that
 pi_7(sigma) = 1/32 sum_g <sigma, g> g.  The generators are so(8) acting on
@@ -70,6 +75,7 @@ from .tensor import (
     hodge,
     inner,
     mv,
+    quadratic_form,
     scalar_tensor,
     sharp,
     structure_matrix,
@@ -174,10 +180,25 @@ class DecompositionReport:
     Otherwise, as on reports whose parts need not sum to the input, a
     pairing with r is the product with r itself: a broken remainder keeps
     its true norm.
+
+    A part that its projection builds as ``apply_matrix(m, s)`` is recorded
+    in ``_images`` as ``(m, s)``, and its norm is read through the source,
+    <a, a> = s^T (m^T m) s (:func:`cayley8.tensor.quadratic_form`).  That
+    holds for any matrix m, projector or not, since <m s, m s> is bilinear
+    in the coordinates of s; the Gram matrix is ``m.gram()``, cached on that
+    very matrix, so a changed matrix brings its own.  ``project2`` records
+    ``2_7`` (the projector on the two-form), ``project4`` ``4_7`` (pi_7 on
+    the four-form) and ``project3`` ``3_8`` (``map_matrix(1)`` on -1/7 of
+    the one-form star(Psi ^ eta)).  Each source is the input itself or has
+    at most 8 coefficients, while the parts it builds are dense (up to 28,
+    70 and 56 coefficients), and the Gram matrices are sparse, so far fewer
+    terms are multiplied.  Every other pairing, and every pairing of a
+    report built without records, is taken as above.
     """
 
     input: GradedTensor
     components: dict[str, GradedTensor]
+    _images: dict[str, tuple[ExactMatrix, GradedTensor]] = field(default_factory=dict, repr=False, compare=False)
     _pairings: dict[tuple[str, str], Polynomial] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -206,7 +227,9 @@ class DecompositionReport:
         return value
 
     def _take(self, a: str, b: str) -> Polynomial:
-        """<a, b> through the input where the class docstring's rule applies, else the product itself."""
+        """<a, b> through the source or the input where the class docstring's rules apply, else the product itself."""
+        if a == b and a in self._images:
+            return quadratic_form(*self._images[a])
         if b in _REMAINDERS:
             a, b = b, a
         if a in _REMAINDERS and (a == b or (b, b) in self._pairings) and self.residual().is_zero():
@@ -292,20 +315,31 @@ class DecompositionReport:
 def project2(beta: GradedTensor) -> DecompositionReport:
     """Split a two-form into its 7- and 21-dimensional components."""
     _expect(beta, FORM, 2)
-    part7 = apply_matrix(_projector("2_7"), beta, 2, FORM)
-    return DecompositionReport(beta, {"2_7": part7, "2_21": beta - part7})
+    projector = _projector("2_7")
+    part7 = apply_matrix(projector, beta, 2, FORM)
+    return DecompositionReport(beta, {"2_7": part7, "2_21": beta - part7}, {"2_7": (projector, beta)})
+
+
+def _eight_image(eta: GradedTensor) -> tuple[GradedTensor, tuple[ExactMatrix, GradedTensor]]:
+    """The 8-part of a three-form, -1/7 S(eta), and the ``(matrix, source)`` it is the image of.
+
+    The part is the flat of the section of alpha = star(Psi ^ eta), and the
+    record is the section's own, ``(map_matrix(1), -alpha/7)``.
+    """
+    section, record = _section(apply_matrix(map_matrix(3), eta, 1, FORM))
+    return flat(section), record
 
 
 def _eight_part(eta: GradedTensor) -> GradedTensor:
-    """The 8-dimensional component of a three-form, -1/7 S(eta): the flat of the section of star(Psi ^ eta)."""
-    return flat(psi3_section(apply_matrix(map_matrix(3), eta, 1, FORM)))
+    """The 8-dimensional component of a three-form, the part of :func:`_eight_image`."""
+    return _eight_image(eta)[0]
 
 
 def project3(eta: GradedTensor) -> DecompositionReport:
     """Split a three-form into its 8- and 48-dimensional components."""
     _expect(eta, FORM, 3)
-    part8 = _eight_part(eta)
-    return DecompositionReport(eta, {"3_8": part8, "3_48": eta - part8})
+    part8, record = _eight_image(eta)
+    return DecompositionReport(eta, {"3_8": part8, "3_48": eta - part8}, {"3_8": record})
 
 
 @cache
@@ -327,10 +361,11 @@ def project4(sigma: GradedTensor) -> DecompositionReport:
     psi = cayley_form()
     part35 = _combination([(1, sigma), (-1, hodge(sigma))], 4, 2)
     part1 = psi * (inner(sigma, psi) * Fraction(1, 14))
-    part7 = apply_matrix(_projector("4_7"), sigma, 4, FORM)
+    projector = _projector("4_7")
+    part7 = apply_matrix(projector, sigma, 4, FORM)
     part27 = _combination([(1, sigma), (-1, part1), (-1, part7), (-1, part35)], 4)
     return DecompositionReport(
-        sigma, {"4_1": part1, "4_7": part7, "4_27": part27, "4_35": part35}
+        sigma, {"4_1": part1, "4_7": part7, "4_27": part27, "4_35": part35}, {"4_7": (projector, sigma)}
     )
 
 
@@ -432,10 +467,17 @@ def psi3_section(alpha: GradedTensor) -> GradedTensor:
     flat lies in the 8-dimensional component, so this is the section with
     vanishing 48-part.  ``map_matrix(1)`` is applied to -1/7 alpha, so the
     scaling touches 8 coefficients, not 56.  This is the only section:
-    :func:`cayley_3mvf_for` and the 8-part of :func:`project3` go through it.
+    :func:`cayley_3mvf_for` goes through it, and the 8-part of
+    :func:`project3` through its body :func:`_section`.
     """
     _expect(alpha, FORM, 1)
-    return apply_matrix(map_matrix(1), alpha * Fraction(-1, 7), 3, MULTIVECTOR)
+    return _section(alpha)[0]
+
+
+def _section(alpha: GradedTensor) -> tuple[GradedTensor, tuple[ExactMatrix, GradedTensor]]:
+    """:func:`psi3_section` of a one-form and the ``(map_matrix(1), -alpha/7)`` it applies."""
+    record = (map_matrix(1), alpha * Fraction(-1, 7))
+    return apply_matrix(*record, 3, MULTIVECTOR), record
 
 
 def triple_product(q: GradedTensor) -> GradedTensor:

@@ -47,6 +47,14 @@ kernel its caller names once per group:
   over ``den`` per output index; nothing is kept per matrix outside the
   matrix.
 
+:func:`quadratic_form` is the square norm of such an image read through the
+source: ``<m t, m t> = t^T (m^T m) t``, one ``sum_of_products`` over the
+Gram denominator, on the pairs of ``t``'s terms that a nonzero integer
+entry of the Gram matrix ``m.gram()`` (cached on ``m``, as its transpose
+is) joins, each square once and each cross pair once, doubled.  For a
+sparse ``t`` and a dense image this squares far fewer terms than
+``inner(m t, m t)``.
+
 ``+`` and ``-`` copy the first operand's terms and walk the second's: a key
 of one operand keeps its Polynomial (or its negation), and a shared key is
 one two-pair linear sum, skipped when a difference is of two equal
@@ -409,6 +417,32 @@ def apply_matrix(matrix: ExactMatrix, t: GradedTensor, degree: int, variance: st
         for i, entry in columns[basis_position(idx)].items():
             groups[MASK[rows[i]]].append((entry, poly))
     return GradedTensor._raw(variance, degree, _grouped_sum(groups, partial(Polynomial.linear_sum, den=matrix._den)))
+
+
+def quadratic_form(matrix: ExactMatrix, t: GradedTensor) -> Polynomial:
+    """``<m t, m t>``, the square norm of ``apply_matrix(matrix, t, ...)``, read as ``t^T (m^T m) t``.
+
+    The Gram matrix is ``matrix.gram()``, cached on the matrix itself.  The
+    pair of ``t``'s terms at columns ``j <= k`` adds one ``(g, a, b)`` triple
+    per nonzero integer entry ``g`` of row ``j`` of the Gram matrix, doubled
+    off the diagonal, and the sum is one ``Polynomial.sum_of_products`` over
+    the Gram denominator.  The image ``m t`` is never built.
+    """
+    _expect_matrix(matrix, "quadratic_form")
+    _expect(t)
+    if t.terms and len(basis(t.degree)) != matrix.ncols:  # a zero passes any degree
+        raise DegreeMismatch(f"a {matrix.nrows}x{matrix.ncols} matrix does not act on degree {t.degree}")
+    gram = matrix.gram()
+    rows = gram._nums
+    coords = {basis_position(idx): poly for idx, poly in t.terms.items()}
+    triples = []
+    for j, a in coords.items():
+        for k, g in rows[j].items():
+            if k == j:
+                triples.append((g, a, a))
+            elif k > j and k in coords:
+                triples.append((2 * g, a, coords[k]))
+    return Polynomial.sum_of_products(triples, gram._den)
 
 
 # -- core operations -------------------------------------------------------

@@ -39,7 +39,12 @@ one-term-at-a-time ``_accumulate`` of ``reference_tensor.py``.
 ``Polynomial.linear_sum`` is compared with a ``Fraction`` accumulation on
 factors far past a machine word and wide denominators, and ``+``, ``-``
 and ``apply_matrix`` with the grouped ``sum_of_products`` bodies they ran
-before, in ``reference_tensor.py``.  ``Polynomial.sum_of_derivatives``
+before, in ``reference_tensor.py``.  ``quadratic_form`` (t^T (m^T m) t
+through the cached Gram matrix) is compared with the sum of the squares of
+the dense-row image, and the norms of the reports of ``project2``,
+``project3`` and ``project4``, which read each recorded part through its
+source, with ``inner(part, part)``, asked before and after the
+orthogonality residuals.  ``Polynomial.sum_of_derivatives``
 (``diff`` is one triple of it) is compared with sums of the reference
 polynomial's ``diff``, cancelling ones included, and ``exterior_derivative``
 (one such sum per output key) with the path it replaced in
@@ -87,7 +92,8 @@ from cayley8.spin7 import (
     structure_matrix, three_form_operator, three_form_operator_matrix, two_form_operator, two_form_operator_matrix,
 )
 from cayley8.tensor import (
-    FORM, MULTIVECTOR, GradedTensor, apply_matrix, contract, dx, hodge, inner, pullback_linear, sharp, wedge,
+    FORM, MULTIVECTOR, GradedTensor, apply_matrix, contract, dx, hodge, inner, pullback_linear, quadratic_form, sharp,
+    wedge,
 )
 
 # -- polynomials ----------------------------------------------------------------
@@ -264,6 +270,17 @@ def test_sum_of_products_matches_reference(triples, cancel):
     for sign, a, b in triples:
         expected = expected + Reference(a) * Reference(b) * sign
     assert_same(Polynomial.sum_of_products([(sign, Polynomial(a), Polynomial(b)) for sign, a, b in triples]), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), factors, factors), max_size=4), st.integers(1, 12))
+def test_sum_of_products_over_a_denominator_matches_reference(triples, den):
+    # a lone triple with a constant factor takes the scaled-copy branch, which divides by den too
+    expected = Reference({})
+    for sign, a, b in triples:
+        expected = expected + Reference(a) * Reference(b) * Fraction(sign, den)
+    polys = [(sign, Polynomial(a), Polynomial(b)) for sign, a, b in triples]
+    assert_same(Polynomial.sum_of_products(polys, den), expected)
 
 
 def test_exponent_cap():
@@ -709,6 +726,12 @@ def test_section_matches_scaled_matrix(alpha):
     assert_section_matches_scaled_matrix(alpha)
 
 
+def pairings_of(parts):
+    """The direct pairing of each pair of parts, as ``"a|b"`` with a < b."""
+    names = sorted(parts)
+    return {f"{a}|{b}": inner(parts[a], parts[b]) for i, a in enumerate(names) for b in names[i + 1 :]}
+
+
 @pytest.mark.parametrize("degree", [2, 3, 4])
 @settings(max_examples=40, deadline=None)
 @given(st.data())
@@ -735,9 +758,7 @@ def test_projections_match_kernel_bodies(degree, data):
     summing = {name: part for name, part in arbitrary.components.items() if name != rest}
     summing[rest] = form - sum(summing.values(), GradedTensor.zero(FORM, degree))
     for parts in (new.components, arbitrary.components, summing):
-        names = sorted(parts)
-        norms = {name: inner(part, part) for name, part in parts.items()}
-        pairings = {f"{a}|{b}": inner(parts[a], parts[b]) for i, a in enumerate(names) for b in names[i + 1 :]}
+        norms, pairings = {name: inner(part, part) for name, part in parts.items()}, pairings_of(parts)
         for norms_first in (True, False):
             report = DecompositionReport(form, dict(parts))
             if norms_first:
@@ -745,6 +766,16 @@ def test_projections_match_kernel_bodies(degree, data):
             assert list(report.orthogonality_residuals().items()) == list(pairings.items())
             assert list(report.norms().items()) == list(norms.items())
             assert list(report.orthogonality_residuals().items()) == list(pairings.items())
+    # the projection's own report also reads each recorded part's norm through its source, s^T (m^T m) s:
+    # a fresh report per order, asked its norms before and after its orthogonality residuals
+    norms, pairings = {name: inner(part, part) for name, part in new.components.items()}, pairings_of(new.components)
+    for norms_first in (True, False):
+        report = {2: project2, 3: project3, 4: project4}[degree](form)
+        assert report._images
+        if not norms_first:
+            assert list(report.orthogonality_residuals().items()) == list(pairings.items())
+        assert list(report.norms().items()) == list(norms.items())
+        assert list(report.orthogonality_residuals().items()) == list(pairings.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -755,6 +786,17 @@ def test_apply_matrix_matches_dense_rows(source, target, data):
     for variance in (FORM, MULTIVECTOR):
         expected = reference_spin7.apply_matrix(matrix, t, target, variance)
         assert_same_tensor(apply_matrix(matrix, t, target, variance), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, DIM), st.integers(0, DIM), st.data())
+def test_quadratic_form_matches_the_square_of_the_image(source, target, data):
+    # t^T (m^T m) t against <m t, m t> of the dense-row image, on sparse matrices over wide denominators
+    matrix = ExactMatrix(data.draw(sparse_matrices(len(basis(target)), len(basis(source)))))
+    t = data.draw(polynomial_forms(source))
+    image = reference_spin7.apply_matrix(matrix, t, target, FORM)
+    squares = [Reference(dict(p.terms)) for p in image.terms.values()]
+    assert_same(quadratic_form(matrix, t), sum((p * p for p in squares), Reference.zero()))
 
 
 # -- calculus -------------------------------------------------------------------

@@ -219,3 +219,18 @@ def test_transpose_is_a_cached_view():
     s = ExactMatrix([[1, 2], [3, 4]]).transpose().transpose()
     assert s.transpose().transpose() is s
     assert ExactMatrix([[0, 0]]).transpose() == ExactMatrix([[0], [0]])
+
+
+def test_gram_is_the_cached_product_of_the_transpose():
+    m = ExactMatrix([[Fraction(2, 3), 0, -1], [0, Fraction(1, 6), 0], [1, 0, 0], [0, 0, Fraction(-1, 2)]])
+    assert m.gram() == m.transpose() @ m
+    assert m.gram().shape == (3, 3)
+    assert m.gram() is m.gram()
+    # the transpose has its own Gram matrix, m m^T, and a matrix built equal to m its own cache
+    assert m.transpose().gram() == m @ m.transpose()
+    copy = m + ExactMatrix([[0] * 3] * 4)
+    assert copy == m and copy.gram() == m.gram() and copy.gram() is not m.gram()
+    # a matrix one entry off reads its own Gram matrix, not that of the matrix it came from
+    moved = m + ExactMatrix.from_quotients(m.shape, [(0, 0, 1, 1)])
+    assert moved.gram() == moved.transpose() @ moved != m.gram()
+    assert ExactMatrix([[0, 0]]).gram() == ExactMatrix([[0, 0], [0, 0]])

@@ -222,12 +222,18 @@ class TestProject4:
             assert report.components[name].is_zero()
 
 
+#: The part each projection records as a matrix image, by the remainder of its split.
+RECORDED = {"2_21": "2_7", "3_48": "3_8", "4_27": "4_7"}
+
+
 @pytest.mark.parametrize("project, rest", [(project2, "2_21"), (project3, "3_48"), (project4, "4_27")])
 def test_remainder_pairings_read_through_the_input(project, rest, make_tensor, monkeypatch):
     # with a zero sum residual no product reads the dense remainder: its norm and its pairings are
     # linear sums of <in, in>, the <a, in> and the pairings among the other parts, and each product
-    # is taken once however often the report is read
+    # is taken once however often the report is read; the recorded matrix image is never squared,
+    # its norm being read through its source
     report = project(make_tensor(FORM, int(rest[0])))
+    assert list(report._images) == [RECORDED[rest]]
     labels = {id(part): name for name, part in report.components.items()} | {id(report.input): "input"}
     pairs = []
     original = spin7.inner
@@ -239,8 +245,10 @@ def test_remainder_pairings_read_through_the_input(project, rest, make_tensor, m
     monkeypatch.setattr(spin7, "inner", counted)
     for _ in range(2):
         report.norms()
+        assert (RECORDED[rest],) * 2 not in pairs
         report.residuals()
     assert [pair for pair in pairs if rest in pair] == []
+    assert (RECORDED[rest],) * 2 not in pairs
     assert sorted(a for a, b in pairs if b == "input" and a != "input") == sorted(set(report.components) - {rest})
     assert pairs.count(("input", "input")) == 1
     memo = [pair for pair in pairs if None not in pair]

@@ -28,6 +28,7 @@ from cayley8.tensor import (
     mv,
     musical,
     pullback_linear,
+    quadratic_form,
     sharp,
     structure_matrix,
     unit,
@@ -458,6 +459,42 @@ class TestApplyMatrix:
             apply_matrix([[1]], t, 1, FORM)
         assert apply_matrix(identity, t, 1, FORM) == t
 
+    def test_quadratic_form_is_the_norm_of_the_image(self):
+        # entries -3/2, 5/6 and -1/3 over the denominator 6, so the Gram matrix has cross entries and a denominator
+        matrix = ExactMatrix.from_quotients((8, 8), [(0, 0, -3, 2), (2, 0, 5, 6), (2, 1, -1, 3), (7, 3, 1, 1)])
+        alpha = dx(0, coeff=x(1) * 2) + dx(1, coeff=Fraction(1, 5)) + dx(3, coeff=x(0) + 3) + dx(5, coeff=x(2))
+        image = apply_matrix(matrix, alpha, 1, FORM)
+        assert quadratic_form(matrix, alpha) == inner(image, image)
+        assert quadratic_form(matrix, musical(alpha)) == inner(image, image)
+        # the same matrix read on seven-forms, and the structure maps on random sources
+        seven = GradedTensor(FORM, 7, {basis(7)[0]: x(2), basis(7)[1]: 1, basis(7)[3]: -1})
+        image = apply_matrix(matrix, seven, 7, FORM)
+        assert quadratic_form(matrix, seven) == inner(image, image)
+        rng = random.Random(38)
+        for k in (1, 2, 3):
+            m = spin7.map_matrix(k)
+            for _ in range(4):
+                t = random_tensor(rng, FORM, k, max_terms=5)
+                image = apply_matrix(m, t, 4 - k, FORM)
+                assert quadratic_form(m, t) == inner(image, image)
+
+    def test_quadratic_form_reads_the_cached_gram_matrix(self, monkeypatch):
+        matrix = ExactMatrix.from_quotients((8, 8), [(0, 0, 1, 1), (1, 0, 1, 1)])
+        gram = matrix.gram()
+        monkeypatch.setattr(ExactMatrix, "__matmul__", lambda a, b: pytest.fail("the Gram matrix is built again"))
+        assert quadratic_form(matrix, dx(0, coeff=x(1))) == x(1) * x(1) * 2
+        assert matrix.gram() is gram
+
+    def test_quadratic_form_of_a_zero_and_bad_shapes(self):
+        matrix = ExactMatrix.identity(8) * Fraction(1, 3)
+        # a zero passes any degree and squares to the zero polynomial
+        assert quadratic_form(matrix, GradedTensor.zero(FORM, 5)) == Polynomial.zero()
+        assert quadratic_form(ExactMatrix.identity(28) * 0, dx(0, 1)) == Polynomial.zero()
+        with pytest.raises(DegreeMismatch, match="a 8x8 matrix does not act on degree 2"):
+            quadratic_form(matrix, dx(0, 1))
+        with pytest.raises(TypeError, match="quadratic_form needs an ExactMatrix, got list"):
+            quadratic_form([[1]], dx(0))
+
     def test_structure_matrix_takes_an_int_degree(self):
         images = [dx(j) for j in range(8)]
         assert structure_matrix(images, 1) == ExactMatrix.identity(8)
@@ -509,6 +546,7 @@ ANY_VARIANCE = {
     "structure_matrix": (lambda image: structure_matrix([image], 1), (dx(0),), 0, None),
     "apply_matrix": (apply_matrix, (ExactMatrix.identity(8), dx(0), 1, FORM), 1, None),
     "pullback_linear": (pullback_linear, (ExactMatrix.identity(8), dx(0)), 1, None),
+    "quadratic_form": (quadratic_form, (ExactMatrix.identity(8), dx(0)), 1, None),
     "decompose": (spin7.decompose, (dx(0, 1),), 0, None),
 }
 

@@ -11,8 +11,8 @@ from cayley8.cli import build_parser
 from cayley8.calculus import HomotopyPrimitive
 from cayley8.linalg import ExactMatrix
 from cayley8.multiindex import DIM
-from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial
-from cayley8.tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch, dx
+from cayley8.polynomial import MAX_EXPONENT, ExponentOverflow, Polynomial, x
+from cayley8.tensor import FORM, MULTIVECTOR, DegreeMismatch, GradedTensor, VarianceMismatch, contract, dx, inner, mv
 from cayley8.verify import CHECKS, SCOPES, run_checks
 
 # Completeness meta-list: identity families the registry must cover, one
@@ -247,6 +247,31 @@ def test_split_sum_residual_is_zero_by_construction(key, project, form, defining
     residuals = getattr(spin7, project)(form).residuals()
     assert verify._mass(residuals["sum"]) == 0
     assert verify._mass(residuals[defining]) == mass
+
+
+@pytest.mark.parametrize(
+    "builder, key, project, part",
+    [
+        ("_projector", "2_7", "project2", "2_7"),
+        ("_projector", "4_7", "project4", "4_7"),
+        ("map_matrix", 1, "project3", "3_8"),
+    ],
+)
+def test_recorded_norm_reads_the_matrix_that_built_the_part(builder, key, project, part, monkeypatch):
+    # a recorded part's norm is read through the Gram matrix of the very matrix that built the part, so
+    # a perturbed matrix, a new instance, brings its own: a Gram matrix cached by name would read the
+    # clean one, whose norm differs here
+    degree = int(part[0])
+    form = GradedTensor(FORM, degree, {tuple(range(degree)): x(1), tuple(range(8 - degree, 8)): x(2) - 3})
+    if degree == 3:
+        form = form + contract(mv(0), spin7.cayley_form()) * x(0)  # an 8-part on dx0, the column moved
+    clean = getattr(spin7, project)(form)
+    clean_norm = clean.norms()[part]  # the clean matrix's Gram matrix is built first
+    monkeypatch.setattr(spin7, builder, perturbed(builder, key))
+    report = getattr(spin7, project)(form)
+    component = report.components[part]
+    assert component != clean.components[part]
+    assert report.norms()[part] == inner(component, component) != clean_norm
 
 
 def test_identity_checks_read_every_returned_residual(monkeypatch):
