@@ -23,9 +23,10 @@ argument through :func:`cayley8.tensor.apply_matrix`:
 - :func:`two_form_operator` applies T = star(Psi ^ .) = ``map_matrix(2)``;
   :func:`project2` applies (I - T)/4 and takes the 21-part as the rest;
 - :func:`three_form_operator` applies S = ``map_matrix(1) @ map_matrix(3)``,
-  star(Psi ^ .) from three-forms to one-forms and back; the 8-part that
-  :func:`project3` takes is -1/7 of it, the flat of :func:`psi3_section` of
-  the one-form star(Psi ^ eta);
+  star(Psi ^ .) from three-forms to one-forms and back; the 8-part is -1/7
+  of it, the flat of :func:`psi3_section` of the one-form star(Psi ^ eta).
+  It has one home, :func:`project3`, which takes it from the section's body
+  :func:`_section`; ``identity_report("cayley_fn")`` reads it from there;
 - :func:`project4` applies pi_7 = G G^T/32 (G the matrix of
   :func:`seven_part_generators`) and takes pi_35 = (I - star)/2 through
   the ``hodge`` kernel, which needs no matrix;
@@ -36,7 +37,8 @@ argument through :func:`cayley8.tensor.apply_matrix`:
 Each part a projection builds as such an image (``2_7``, ``3_8``, ``4_7``)
 is recorded in its report with the matrix and source it came from, and the
 report reads that part's norm as a quadratic form of the source through the
-matrix's cached Gram matrix (see :class:`DecompositionReport`).
+matrix's cached Gram matrix; every pairing with the remainder part it reads
+through the input (see :class:`DecompositionReport`).
 
 G is the 70x28 matrix of the 28 generators
 g = flat(v) ^ (w _| Psi) - flat(w) ^ (v _| Psi), v < w, so that
@@ -164,36 +166,38 @@ class DecompositionReport:
     """Named orthogonal components of a form under the Cayley splitting.
 
     One memo holds the inner products that :meth:`norms` and
-    :meth:`orthogonality_residuals` read, keyed by the sorted pair of part
-    names, so each pairing is taken once per report.  The remainder part r
-    (``2_21``, ``3_48`` or ``4_27``) is the one each projection takes as the
-    input minus the other parts a.  When the ``sum`` residual is zero, the
-    pairings with r are read through the sparse input, exact by
-    bilinearity, each as one linear sum of memo entries:
+    :meth:`orthogonality_residuals` read, keyed by the sorted pair of names
+    (parts and ``"input"``), so each pairing is taken once per report, by
+    one rule whichever method is asked first:
 
-        |r|^2  = <in, in> - 2 sum <a, in> + sum <a, a> + 2 sum_{a<b} <a, b>
-        <a, r> = <a, in> - sum_b <a, b>      (once <a, a> is in the memo)
+    - A part that its projection builds as ``apply_matrix(m, s)`` is
+      recorded in ``_images`` as ``(m, s)``, and its norm is read through
+      the source, <a, a> = s^T (m^T m) s
+      (:func:`cayley8.tensor.quadratic_form`).  That holds for any matrix
+      m, projector or not, since <m s, m s> is bilinear in the coordinates
+      of s; the Gram matrix is ``m.gram()``, cached on that very matrix, so
+      a changed matrix brings its own.  ``project2`` records ``2_7`` (the
+      projector on the two-form), ``project4`` ``4_7`` (pi_7 on the
+      four-form) and ``project3`` ``3_8`` (``map_matrix(1)`` on -1/7 of the
+      one-form star(Psi ^ eta)).
+    - A pairing with the remainder r, for any name x (a part, ``"input"``
+      or r itself), is read through the sparse input, exact by
+      bilinearity, as one linear sum of memo entries:
 
-    <in, in> and each <a, in> are taken once, so after :meth:`norms` no
-    product reads the dense remainder.  The second rule waits for <a, a> so
-    that the orthogonality residuals asked alone take no extra square.
-    Otherwise, as on reports whose parts need not sum to the input, a
-    pairing with r is the product with r itself: a broken remainder keeps
-    its true norm.
+          <x, r> = <x, in> - sum_{c != r} <x, c>
 
-    A part that its projection builds as ``apply_matrix(m, s)`` is recorded
-    in ``_images`` as ``(m, s)``, and its norm is read through the source,
-    <a, a> = s^T (m^T m) s (:func:`cayley8.tensor.quadratic_form`).  That
-    holds for any matrix m, projector or not, since <m s, m s> is bilinear
-    in the coordinates of s; the Gram matrix is ``m.gram()``, cached on that
-    very matrix, so a changed matrix brings its own.  ``project2`` records
-    ``2_7`` (the projector on the two-form), ``project4`` ``4_7`` (pi_7 on
-    the four-form) and ``project3`` ``3_8`` (``map_matrix(1)`` on -1/7 of
-    the one-form star(Psi ^ eta)).  Each source is the input itself or has
-    at most 8 coefficients, while the parts it builds are dense (up to 28,
-    70 and 56 coefficients), and the Gram matrices are sparse, so far fewer
-    terms are multiplied.  Every other pairing, and every pairing of a
-    report built without records, is taken as above.
+      For |r|^2 the entry <r, in> recurses once, to
+      <in, in> - sum_c <in, c>, so no product reads the dense remainder.
+    - Every other pairing is the product itself.
+
+    The remainder is the one part named in ``_REMAINDERS`` (``2_21``,
+    ``3_48`` or ``4_27``), which each projection takes as the input minus
+    the other parts, and only when the ``sum`` residual is zero.  A report
+    with no such part, or with two, or whose parts do not sum to the input,
+    pairs r by the product itself, so a broken remainder keeps its true
+    norm.  Each source is the input itself or has at most 8 coefficients,
+    while the parts it builds are dense (up to 28, 70 and 56 coefficients),
+    and the Gram matrices are sparse, so far fewer terms are multiplied.
     """
 
     input: GradedTensor
@@ -213,53 +217,43 @@ class DecompositionReport:
         minus the others, so this stays zero whatever the projector matrices
         hold.  It is kept as the ``sum`` residual that ``cayley8 decompose``
         reports; the ``defining:*`` residuals are what a wrong projector fails.
-        A zero ``sum`` is also the gate of the rule that reads every pairing
-        with the remainder through the input (see the class docstring).
+        A zero ``sum`` is also the gate of the one rule that reads every
+        pairing with the remainder through the input (see the class docstring).
         """
         return self._sum
 
     def _pairing(self, a: str, b: str) -> Polynomial:
-        """<a, b> of two names, each a part or ``"input"``, from the memo or taken into it."""
+        """<a, b> of two names, each a part or ``"input"``, from the memo or taken into it by the class docstring's rule."""
         key = (a, b) if a <= b else (b, a)
         value = self._pairings.get(key)
         if value is None:
-            value = self._pairings[key] = self._take(*key)
+            a, b = key
+            rest = [name for name in self.components if name in _REMAINDERS]
+            if a == b and a in self._images:
+                value = quadratic_form(*self._images[a])
+            elif len(rest) == 1 and rest[0] in key and self.residual().is_zero():
+                x = a if b == rest[0] else b
+                others = [(-1, self._pairing(x, c)) for c in self.components if c != rest[0]]
+                value = Polynomial.linear_sum([(1, self._pairing(x, "input"))] + others)
+            else:
+                first, second = (self.input if name == "input" else self.components[name] for name in key)
+                value = inner(first, second)
+            self._pairings[key] = value
         return value
 
-    def _take(self, a: str, b: str) -> Polynomial:
-        """<a, b> through the source or the input where the class docstring's rules apply, else the product itself."""
-        if a == b and a in self._images:
-            return quadratic_form(*self._images[a])
-        if b in _REMAINDERS:
-            a, b = b, a
-        if a in _REMAINDERS and (a == b or (b, b) in self._pairings) and self.residual().is_zero():
-            others = [name for name in self.components if name != a]
-            if a != b:
-                return Polynomial.linear_sum([(1, self._pairing(b, "input"))] + [(-1, self._pairing(b, c)) for c in others])
-            pairs = [(1, self._pairing("input", "input"))]
-            for i, c in enumerate(others):
-                pairs += [(-2, self._pairing(c, "input")), (1, self._pairing(c, c))]
-                pairs += [(2, self._pairing(c, d)) for d in others[i + 1 :]]
-            return Polynomial.linear_sum(pairs)
-        first, second = (self.input if name == "input" else self.components[name] for name in (a, b))
-        return inner(first, second)
-
     def norms(self) -> dict[str, Polynomial]:
-        """<a, a> of each part, taken into the memo.
+        """<a, a> of each part, from the memo by the class docstring's rule.
 
-        With a zero ``sum`` residual the remainder's norm is read through the
-        input, |r|^2 = <in, in> - 2 sum <a, in> + sum <a, a> + 2 sum_{a<b} <a, b>;
-        otherwise it is <r, r> itself.
+        A recorded part's norm is a quadratic form of its source, and the
+        remainder's is read through the input.
         """
         return {name: self._pairing(name, name) for name in self.components}
 
     def orthogonality_residuals(self) -> dict[str, Polynomial]:
-        """<a, b> of each pair of parts, as ``"a|b"`` with a < b, from the memo.
+        """<a, b> of each pair of parts, as ``"a|b"`` with a < b, from the memo by the class docstring's rule.
 
-        Asked after :meth:`norms`, with a zero ``sum`` residual, a pairing
-        with the remainder is read through the input,
-        <a, r> = <a, in> - sum_b <a, b>, from the memo.  Asked first, or on
-        parts that do not sum to the input, it is <a, r> itself.
+        A pairing with the remainder is <a, in> - sum_{c != r} <a, c>, the
+        same whether or not :meth:`norms` was asked first.
         """
         names = sorted(self.components)
         return {f"{a}|{b}": self._pairing(a, b) for i, a in enumerate(names) for b in names[i + 1 :]}
@@ -320,25 +314,16 @@ def project2(beta: GradedTensor) -> DecompositionReport:
     return DecompositionReport(beta, {"2_7": part7, "2_21": beta - part7}, {"2_7": (projector, beta)})
 
 
-def _eight_image(eta: GradedTensor) -> tuple[GradedTensor, tuple[ExactMatrix, GradedTensor]]:
-    """The 8-part of a three-form, -1/7 S(eta), and the ``(matrix, source)`` it is the image of.
-
-    The part is the flat of the section of alpha = star(Psi ^ eta), and the
-    record is the section's own, ``(map_matrix(1), -alpha/7)``.
-    """
-    section, record = _section(apply_matrix(map_matrix(3), eta, 1, FORM))
-    return flat(section), record
-
-
-def _eight_part(eta: GradedTensor) -> GradedTensor:
-    """The 8-dimensional component of a three-form, the part of :func:`_eight_image`."""
-    return _eight_image(eta)[0]
-
-
 def project3(eta: GradedTensor) -> DecompositionReport:
-    """Split a three-form into its 8- and 48-dimensional components."""
+    """Split a three-form into its 8- and 48-dimensional components.
+
+    The 8-part, -1/7 S(eta), is the flat of the section of the one-form
+    alpha = star(Psi ^ eta), and is recorded as the section's own
+    ``(map_matrix(1), -alpha/7)`` (:func:`_section`).
+    """
     _expect(eta, FORM, 3)
-    part8, record = _eight_image(eta)
+    section, record = _section(apply_matrix(map_matrix(3), eta, 1, FORM))
+    part8 = flat(section)
     return DecompositionReport(eta, {"3_8": part8, "3_48": eta - part8}, {"3_8": record})
 
 
@@ -415,18 +400,17 @@ def _projector(name: str) -> ExactMatrix:
     """Matrix of the projection onto the component ``name``, built on first use.
 
     ``2_7`` = (I - T)/4 on two-forms, ``T.shifted(1) * -1/4``; on
-    four-forms ``4_7`` = G G^T/32, G the 70x28 matrix of the generators
-    (their Gram matrix is 32 times a projector).  ``2_21``, like ``3_48``
-    and ``4_27``, has no matrix: its projection takes it as the form minus
-    the other parts.  Nor has ``4_35``: the star is a signed relabel of
-    basis four-forms, so (sigma - star(sigma))/2 goes through the ``hodge``
-    kernel.
+    four-forms ``4_7`` = G G^T/32, G the 70x28 matrix of the generators,
+    read as the ``gram()`` of G^T (their Gram matrix is 32 times a
+    projector).  ``2_21``, like ``3_48`` and ``4_27``, has no matrix: its
+    projection takes it as the form minus the other parts.  Nor has
+    ``4_35``: the star is a signed relabel of basis four-forms, so
+    (sigma - star(sigma))/2 goes through the ``hodge`` kernel.
     """
     if name == "2_7":
         return two_form_operator_matrix().shifted(1) * Fraction(-1, 4)
     if name == "4_7":
-        pairings = _generator_pairings()
-        return pairings.transpose() @ pairings * Fraction(1, 32)
+        return _generator_pairings().gram() * Fraction(1, 32)
     raise KeyError(name)
 
 
@@ -620,7 +604,7 @@ def identity_report(name: str, *inputs: GradedTensor) -> dict[str, GradedTensor 
     form = flat(q)
     image_psi = wedge(image, psi)
     lhs = wedge(form, image_psi)
-    eight_only = wedge(_eight_part(form), image_psi)
+    eight_only = wedge(project3(form).components["3_8"], image_psi)
     scaled = volume * (inner(df, df) * CAYLEY_FUNCTION_CONSTANT)
     return {
         "eight_part_eq": lhs - eight_only,

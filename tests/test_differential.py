@@ -750,10 +750,9 @@ def test_projections_match_kernel_bodies(degree, data):
         assert sorted(residuals) == sorted(expected)
         for name, value in expected.items():
             assert type(residuals[name]) is type(value) and residuals[name] == value
-    # norms and orthogonality residuals share one memo of pairings, and with every norm in it and a zero
-    # "sum" residual a pairing with the remainder is read through the input: whichever is asked first,
-    # on the split, on arbitrary parts and on arbitrary parts that sum to the input, both equal the direct
-    # pairings
+    # norms and orthogonality residuals share one memo of pairings, and with a zero "sum" residual a
+    # pairing with the remainder is read through the input: whichever is asked first, on the split, on
+    # arbitrary parts and on arbitrary parts that sum to the input, both equal the direct pairings
     rest = {2: "2_21", 3: "3_48", 4: "4_27"}[degree]
     summing = {name: part for name, part in arbitrary.components.items() if name != rest}
     summing[rest] = form - sum(summing.values(), GradedTensor.zero(FORM, degree))

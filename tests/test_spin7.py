@@ -255,6 +255,49 @@ def test_remainder_pairings_read_through_the_input(project, rest, make_tensor, m
     assert len(memo) == len(set(memo))
 
 
+@pytest.mark.parametrize("project, rest", [(project2, "2_21"), (project3, "3_48"), (project4, "4_27")])
+def test_residuals_alone_read_the_remainder_through_the_input(project, rest, make_tensor, monkeypatch):
+    # one rule whichever method runs first: a fresh report asked for its residuals alone, with no
+    # norms in its memo, still takes no product with the remainder, and each memo pairing once
+    report = project(make_tensor(FORM, int(rest[0])))
+    labels = {id(part): name for name, part in report.components.items()} | {id(report.input): "input"}
+    pairs = []
+    original = spin7.inner
+
+    def counted(a, b):
+        pairs.append(tuple(sorted((labels.get(id(a), ""), labels.get(id(b), "")))))
+        return original(a, b)
+
+    monkeypatch.setattr(spin7, "inner", counted)
+    report.residuals()
+    assert [pair for pair in pairs if rest in pair] == []
+    memo = [pair for pair in pairs if "" not in pair]
+    assert memo and len(memo) == len(set(memo))
+
+
+#: Reports with two remainder names whose parts sum to the input: no part is the remainder.
+TWO_REMAINDERS = [
+    {"2_7": dx(0, 1), "2_21": GradedTensor.zero(FORM, 2), "3_48": GradedTensor.zero(FORM, 2)},
+    {"2_21": dx(0, 1), "4_27": GradedTensor.zero(FORM, 4)},
+]
+
+
+@pytest.mark.parametrize("components", TWO_REMAINDERS, ids=["three_parts", "two_parts"])
+def test_two_remainder_names_are_paired_directly(components):
+    # the rule reads through the input only the one remainder of a report; with two candidates
+    # neither is, so every pairing is the product itself, asked in either order
+    names = sorted(components)
+    norms = {name: inner(part, part) for name, part in components.items()}
+    pairings = {f"{a}|{b}": inner(components[a], components[b]) for i, a in enumerate(names) for b in names[i + 1 :]}
+    for norms_first in (True, False):
+        report = DecompositionReport(dx(0, 1), dict(components))
+        assert report.residual().is_zero()
+        if norms_first:
+            assert report.norms() == norms
+        assert report.orthogonality_residuals() == pairings
+        assert report.norms() == norms
+
+
 def test_remainder_off_the_sum_is_paired_directly(monkeypatch):
     # a 48-part one term off makes the sum residual nonzero, the gate of the through-the-input rule:
     # the part's norm is then its own square, and norm_split_three sees the broken part

@@ -174,12 +174,19 @@ def test_cayley_fn_constant_fails_with_the_quoted_seven(monkeypatch):
 
 
 def test_cayley_fn_constant_fails_with_a_zero_eight_part(monkeypatch):
-    # project3 shares the eight-part helper, so the check draws its kernel parts through the
-    # reference split and only identity_report sees the mutant.  An eight-part equal to the
-    # whole three-form is no mutant here: it passes, because eta_48 ^ Psi = 0 makes the
+    # identity_report("cayley_fn") reads the eight-part from spin7.project3, which the check
+    # also draws its kernel parts from; those come through the reference split, so only
+    # identity_report sees the mutant, a project3 whose 3_8 is zero.  An eight-part equal to
+    # the whole three-form is no mutant here: it passes, because eta_48 ^ Psi = 0 makes the
     # 48-part drop against any one-form, which is what eight_part_eq asserts.
+    original = spin7.project3
+
+    def zero_eight(eta):
+        report = original(eta)
+        return spin7.DecompositionReport(eta, {**report.components, "3_8": GradedTensor.zero(FORM, 3)})
+
     monkeypatch.setattr(verify, "project3", reference_spin7.project3)
-    monkeypatch.setattr(spin7, "_eight_part", lambda eta: GradedTensor.zero(FORM, 3))
+    monkeypatch.setattr(spin7, "project3", zero_eight)
     assert cayley_fn_constant() == ("fail", "897/4")
 
 
